@@ -3,6 +3,7 @@ package atlas
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -163,12 +164,16 @@ func stormGroups(t testing.TB, g *Graph, seed int64) [][]scenario.Event {
 // TestFlatMatchesMapEngine: the slab engine and the map-based reference
 // produce identical outcomes — rounds, churn, loss integrals — on every
 // scenario kind atlas supports. This is what lets BenchmarkAtlasConverge
-// claim the flat layout is a pure-speed change.
+// claim the flat layout is a pure-speed change, and — since the map
+// engine kept the dense per-window passes — what pins the slab engine's
+// sparse windows through the grouped driver, whose groups hold several
+// events (a cascade seeded at many endpoints at once). Every forced
+// touched-list capacity must agree: sparse, always dense, and
+// overflowing part-way.
 func TestFlatMatchesMapEngine(t *testing.T) {
 	tg, g := testGraph(t, 300, 5)
 	flat := NewEngine(g, DefaultParams())
 	ref := NewMapEngine(g, DefaultParams())
-	fst := flat.NewState()
 	mst := ref.NewState()
 	multihomed := scenario.Multihomed(g)
 	for _, kind := range []scenario.Kind{
@@ -185,16 +190,20 @@ func TestFlatMatchesMapEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, dest := range dests {
-			fo, err := flat.ConvergeDest(fst, dest, groups)
-			if err != nil {
-				t.Fatalf("%v dest %d flat: %v", kind, dest, err)
-			}
 			mo, err := ref.ConvergeDest(mst, dest, groups)
 			if err != nil {
 				t.Fatalf("%v dest %d map: %v", kind, dest, err)
 			}
-			if !reflect.DeepEqual(fo, mo) {
-				t.Fatalf("%v dest %d: flat and map outcomes differ\nflat: %+v\nmap:  %+v", kind, dest, fo, mo)
+			for _, c := range listCaps {
+				fst := withCap(flat, c)
+				fo, err := flat.ConvergeDest(fst, dest, groups)
+				if err != nil {
+					t.Fatalf("%v dest %d flat %s: %v", kind, dest, capName(c), err)
+				}
+				if !reflect.DeepEqual(fo, mo) {
+					t.Fatalf("%v dest %d %s: flat and map outcomes differ\nflat: %+v\nmap:  %+v", kind, dest, capName(c), fo, mo)
+				}
+				mustNoDiff(t, fmt.Sprintf("%v dest %d %s", kind, dest, capName(c)), fst, mst)
 			}
 		}
 	}

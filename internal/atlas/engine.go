@@ -179,11 +179,43 @@ type State struct {
 	// their lostAcc then holds the full window outage (gaps + tail) so
 	// the STAMP min() sees the dead plane as down all window, while the
 	// per-plane transient integral excludes them.
+	//
+	// In a sparse window (see the touched-set fields below) these slabs
+	// are valid only at ASes stamped with the window's epoch: the first
+	// markChanged of a window initializes the AS's entries, and every
+	// reader goes through windowLoss or a touched list. A dense window
+	// makes them valid everywhere (densify).
 	lostAcc      [planeCount][]int32
 	hadStart     [planeCount][]bool
 	permMark     [planeCount][]bool
 	changedStamp [planeCount][]int32
 	epoch        int32
+	winEpoch     [planeCount]int32 // epoch of plane p's window in the current group
+
+	// Touched sets: what makes an event's cost proportional to its churn.
+	// seq numbers the event groups settled (and from-scratch resets, so a
+	// consumer never mistakes a re-initialized state for one it is in
+	// sync with); generation seq&1 holds, per plane, the ASes whose route
+	// changed in that group's window, in first-change order. The previous
+	// group's generation is retained so a consumer that lags two groups
+	// (serve's spare snapshot buffer) can patch instead of copy. Lists
+	// have fixed capacity listCap; a window that would overflow one, or
+	// that re-roots its plane, runs dense instead: dense[gen][p] is set,
+	// the accounting slabs are made valid for every AS, and the window's
+	// passes sweep all N ASes as they did before touched sets existed.
+	listCap int
+	seq     uint64
+	touched [2][planeCount][]int32
+	dense   [2][planeCount]bool
+	// casc is the cascade worklist: a binary min-heap of
+	// (sweep << 32 | AS) keys, capacity listCap.
+	casc []int64
+	// visited counts the ASes the current group's window machinery
+	// examined (cascade pops and dependent scans, frontier recomputes,
+	// advertisement fan-out, accounting passes; a dense pass adds N);
+	// denseWindows counts the group's plane windows that ran dense.
+	visited      int64
+	denseWindows int
 
 	// out is the shard-result scratch the driver fills (see
 	// engineState.outcome).
@@ -303,6 +335,7 @@ func (e *Engine) NewState() *State {
 	n := e.g.Len()
 	st := &State{
 		g:         e.g,
+		listCap:   touchedCap(n),
 		down:      make([]bool, e.g.Edges()),
 		nodeDown:  make([]bool, n),
 		lockNext:  make([]int32, n),
@@ -327,12 +360,85 @@ func (e *Engine) NewState() *State {
 		st.hadStart[p] = make([]bool, n)
 		st.permMark[p] = make([]bool, n)
 		st.changedStamp[p] = make([]int32, n)
+		for gen := range st.touched {
+			st.touched[gen][p] = make([]int32, 0, st.listCap)
+		}
 	}
+	st.casc = make([]int64, 0, st.listCap)
 	for i := range st.lockNext {
 		st.lockNext[i] = -1
 	}
 	return st
 }
+
+// touchedCap sizes the per-window touched lists and the cascade
+// worklist: a small fixed fraction of the graph (a window that changes
+// more than ~3% of all routes is cheaper swept than listed), floored so
+// toy graphs never overflow and capped so the lists stay a rounding
+// error next to the N-sized slabs.
+func touchedCap(n int) int {
+	return min(max(n/32, 64), 2048)
+}
+
+// setListCap resizes the touched lists and the cascade worklist. Tests
+// shrink them so the overflow edges run on small graphs. At 0 nothing
+// can be listed and every window runs dense from its start: each event
+// then costs the full set of N-sized passes whatever it changes, as it
+// did before touched sets existed (Replay runs that way).
+func (st *State) setListCap(c int) {
+	st.listCap = c
+	for gen := range st.touched {
+		for p := range st.touched[gen] {
+			st.touched[gen][p] = make([]int32, 0, c)
+		}
+	}
+	st.casc = make([]int64, 0, c)
+}
+
+// Windows returns the state's window sequence number: it advances by
+// one per settled event group (one ApplyEvent, or one ConvergeDest
+// group) and by one per from-scratch convergence. A consumer that
+// mirrors the routes (serve's snapshot buffers) records the value it
+// copied at and later asks Touched for the windows it missed.
+func (st *State) Windows() uint64 { return st.seq }
+
+// Touched returns the ASes whose plane-p route changed in window seq,
+// in no particular order. ok is false when the set is not available —
+// only the latest two windows are retained, a from-scratch convergence
+// retains nothing, and a window that re-rooted or overflowed its list
+// ran dense — in which case the caller must re-copy the plane
+// (SnapshotRoutes). The slice aliases state-owned scratch: it is valid
+// until the next ApplyEvent on this state.
+func (st *State) Touched(seq uint64, p int) (as []int32, ok bool) {
+	if seq > st.seq || seq+2 <= st.seq {
+		return nil, false
+	}
+	gen := seq & 1
+	if st.dense[gen][p] {
+		return nil, false
+	}
+	return st.touched[gen][p], true
+}
+
+// SnapshotRoute returns plane p's route at AS a in SnapshotRoutes form:
+// kind rank (0 none), path length, and the next hop resolved to a dense
+// AS id (-1 none, -2 origin).
+func (st *State) SnapshotRoute(p int, a int32) (kind int8, dist, next int32) {
+	k := st.curKind[p][a]
+	if k == kindNone {
+		return kindNone, 0, -1
+	}
+	return k, st.curDist[p][a], st.nextHopAS(st.curVia[p][a])
+}
+
+// Visited returns how many ASes the latest event group's window
+// machinery examined — the work counter that pins ApplyEvent's cost to
+// the event's churn rather than to the size of the graph.
+func (st *State) Visited() int64 { return st.visited }
+
+// DenseWindows returns how many of the latest event group's three plane
+// windows ran dense (re-root or touched-list overflow).
+func (st *State) DenseWindows() int { return st.denseWindows }
 
 // reset returns the state to pristine for a new destination shard.
 func (st *State) reset(dest topology.ASN) {
@@ -355,6 +461,15 @@ func (st *State) reset(dest topology.ASN) {
 	clear(st.inFront)
 	clear(st.inPend)
 	clear(st.wantPub)
+	clear(st.ready)
+	// A reset is a window of its own that retains no touched set: no
+	// consumer may patch across it.
+	st.seq++
+	for gen := range st.dense {
+		for p := range st.dense[gen] {
+			st.dense[gen][p] = true
+		}
+	}
 }
 
 func (st *State) clearChain() {
@@ -537,14 +652,58 @@ func (st *State) recompute(p int, a int32) bool {
 	return true
 }
 
-// markChanged stamps a as changed in this group's epoch and returns
-// true the first time.
-func (st *State) markChanged(p int, a int32) bool {
+// markChanged stamps a as changed in this window's epoch and returns
+// true the first time. had is whether a held a plane-p route before the
+// change being recorded: on the first change of a sparse window that IS
+// the window-start state, so this is where a's accounting entries are
+// initialized and a joins the touched list. A full list turns the window
+// dense.
+func (st *State) markChanged(p int, a int32, had bool) bool {
 	if st.changedStamp[p][a] == st.epoch {
 		return false
 	}
 	st.changedStamp[p][a] = st.epoch
+	gen := st.seq & 1
+	if st.dense[gen][p] {
+		return true
+	}
+	st.hadStart[p][a] = had
+	st.lostAcc[p][a] = 0
+	st.permMark[p][a] = false
+	if len(st.touched[gen][p]) == st.listCap {
+		st.densify(p, false)
+	} else {
+		st.touched[gen][p] = append(st.touched[gen][p], a)
+	}
 	return true
+}
+
+// densify switches plane p's current window to dense: every AS the
+// window has not stamped yet gets the accounting entries a sparse window
+// would have initialized lazily (its route is still the window-start
+// one), after which the window's remaining passes sweep all ASes. A
+// window that starts dense (fresh) has stamped nothing yet.
+func (st *State) densify(p int, fresh bool) {
+	st.dense[st.seq&1][p] = true
+	st.denseWindows++
+	st.visited += int64(st.g.Len())
+	cur, had := st.curKind[p], st.hadStart[p]
+	if fresh {
+		clear(st.lostAcc[p])
+		clear(st.permMark[p])
+		for a, k := range cur {
+			had[a] = k != kindNone
+		}
+		return
+	}
+	stamp := st.changedStamp[p]
+	for a := range stamp {
+		if stamp[a] != st.epoch {
+			had[a] = cur[a] != kindNone
+			st.lostAcc[p][a] = 0
+			st.permMark[p][a] = false
+		}
+	}
 }
 
 // converge runs plane p to fixpoint, starting from whatever the queues
@@ -578,6 +737,7 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 		// Phase 1: every frontier AS re-evaluates from advertisements.
 		fl := st.frontLen
 		st.frontLen = 0
+		st.visited += int64(fl)
 		for i := 0; i < fl; i++ {
 			a := st.front[i]
 			st.inFront[a] = false
@@ -596,7 +756,7 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			if j != nil {
 				st.note(p, a, round, cause, pk, pd, pv)
 			}
-			if st.markChanged(p, a) {
+			if st.markChanged(p, a, had) {
 				out.Changed++
 			}
 			has := st.curKind[p][a] != kindNone
@@ -633,6 +793,7 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			st.advKind[p][a] = st.curKind[p][a]
 			st.advDist[p][a] = st.curDist[p][a]
 			st.ready[a] = round + mrai
+			st.visited += int64(g.off[a+1] - g.off[a])
 			for e := g.off[a]; e < g.off[a+1]; e++ {
 				if st.down[e] || st.nodeDown[g.nbr[e]] {
 					continue
@@ -643,6 +804,17 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 		st.pendLen = w
 		if traced && round <= int32(len(roundArgKeys)) {
 			sp.Arg(roundArgKeys[round-1], out.Changed-roundChanged)
+		}
+	}
+	// Reopen the MRAI gates this window closed, so the next window (any
+	// plane: ready is shared) starts with all of them open. Only an AS
+	// whose route changed can have published, except in a re-root, which
+	// is dense.
+	if gen := st.seq & 1; st.dense[gen][p] {
+		clear(st.ready)
+	} else {
+		for _, a := range st.touched[gen][p] {
+			st.ready[a] = 0
 		}
 	}
 	if traced {
@@ -656,49 +828,68 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 // cascade invalidates every plane-p route whose forwarding chain
 // crosses a dead link or AS, clearing cur and adv together (the engine
 // propagates withdrawals instantaneously — see the package comment) and
-// queueing the victims for re-convergence. Runs sweeps to fixpoint.
-func (st *State) cascade(p int, out *PlaneOutcome) {
+// queueing the victims for re-convergence.
+//
+// The reference procedure sweeps all ASes in ascending order, repeatedly,
+// until a sweep invalidates nothing. Before the group's events the state
+// was a fixpoint with no dead route in it, so the only routes that can be
+// dead on arrival are at the events' endpoints, and every later victim
+// lost its next hop to an earlier one. The worklist therefore starts at
+// the endpoints and follows reverse next-hop dependencies, keyed
+// (sweep, AS) in a min-heap so victims fall in exactly the order the
+// sweeps would find them — the journal and the frontier order are
+// unchanged. A worklist that outgrows its fixed capacity hands over to
+// the sweeps from the position it had reached.
+func (st *State) cascade(p int, group []scenario.Event, out *PlaneOutcome) {
 	g := st.g
-	n := int32(g.Len())
 	sp := st.trc.StartChild(trace.SpanID(st.trcRoot), "atlas.cascade")
 	startChanged := out.Changed
-	for {
-		any := false
-		for a := int32(0); a < n; a++ {
-			if st.curKind[p][a] == kindNone {
-				continue
+	st.casc = st.casc[:0]
+	seeded := true
+	for _, ev := range group {
+		switch ev.Op {
+		case scenario.OpFailLink:
+			seeded = seeded && st.cascPush(1, int32(ev.A)) && st.cascPush(1, int32(ev.B))
+		case scenario.OpFailNode:
+			seeded = seeded && st.cascPush(1, int32(ev.Node))
+			for e := g.off[ev.Node]; seeded && e < g.off[ev.Node+1]; e++ {
+				seeded = st.cascPush(1, int32(g.nbr[e]))
 			}
-			dead := st.nodeDown[a]
-			if !dead {
-				if topology.ASN(a) == st.dest && st.curVia[p][a] == -2 {
-					dead = st.withdrawn
-				} else {
-					e := st.curVia[p][a]
-					next := g.nbr[e]
-					dead = st.down[e] || st.nodeDown[next] || st.curKind[p][next] == kindNone
-				}
-			}
-			if !dead {
-				continue
-			}
-			pk, pd, pv := st.curKind[p][a], st.curDist[p][a], st.curVia[p][a]
-			st.curKind[p][a] = kindNone
-			st.curDist[p][a] = inf
-			st.curVia[p][a] = -1
-			st.advKind[p][a] = kindNone
-			st.advDist[p][a] = inf
-			st.lostSince[a] = 0
-			if st.j != nil {
-				st.note(p, a, 0, prov.CauseCascade, pk, pd, pv)
-			}
-			if st.markChanged(p, a) {
-				out.Changed++
-			}
-			st.frontAdd(a)
-			any = true
+		case scenario.OpWithdraw:
+			seeded = seeded && st.cascPush(1, int32(ev.Node))
 		}
-		if !any {
-			break
+	}
+	if !seeded {
+		st.cascadeSweeps(p, 0, out)
+	}
+	for seeded && len(st.casc) > 0 {
+		sweep, a := st.cascPop()
+		st.visited++
+		if !st.routeDead(p, a) {
+			continue
+		}
+		st.invalidate(p, a, out)
+		// a's dependents — neighbors forwarding through a — are dead now.
+		// The sweep reaches a higher-numbered one later in the same pass
+		// and a lower-numbered one in the next.
+		st.visited += int64(g.off[a+1] - g.off[a])
+		for e := g.off[a]; e < g.off[a+1]; e++ {
+			w := int32(g.nbr[e])
+			if st.curKind[p][w] == kindNone {
+				continue
+			}
+			if v := st.curVia[p][w]; v < 0 || int32(g.nbr[v]) != a {
+				continue
+			}
+			next := sweep
+			if w < a {
+				next++
+			}
+			if !st.cascPush(next, w) {
+				st.cascadeSweeps(p, a+1, out)
+				seeded = false
+				break
+			}
 		}
 	}
 	if sp.Live() {
@@ -706,6 +897,112 @@ func (st *State) cascade(p int, out *PlaneOutcome) {
 		sp.Arg("invalidated", out.Changed-startChanged)
 		sp.Arg("frontier", int64(st.frontLen))
 		sp.End()
+	}
+}
+
+// cascPush adds (sweep, a) to the cascade worklist; false means it is
+// full.
+func (st *State) cascPush(sweep int64, a int32) bool {
+	h := st.casc
+	if len(h) == st.listCap {
+		return false
+	}
+	key := sweep<<32 | int64(a)
+	i := len(h)
+	h = append(h, key)
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= key {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = key
+	st.casc = h
+	return true
+}
+
+// cascPop removes and returns the worklist's smallest (sweep, AS).
+func (st *State) cascPop() (sweep int64, a int32) {
+	h := st.casc
+	top := h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	for i := 0; len(h) > 0; {
+		child := 2*i + 1
+		if child >= len(h) {
+			h[i] = last
+			break
+		}
+		if child+1 < len(h) && h[child+1] < h[child] {
+			child++
+		}
+		if last <= h[child] {
+			h[i] = last
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	st.casc = h
+	return top >> 32, int32(top)
+}
+
+// routeDead reports whether a's plane-p route (if any) crosses a dead
+// link or AS, or leads to a neighbor that has lost its own route.
+func (st *State) routeDead(p int, a int32) bool {
+	if st.curKind[p][a] == kindNone {
+		return false
+	}
+	if st.nodeDown[a] {
+		return true
+	}
+	e := st.curVia[p][a]
+	if topology.ASN(a) == st.dest && e == -2 {
+		return st.withdrawn
+	}
+	next := st.g.nbr[e]
+	return st.down[e] || st.nodeDown[next] || st.curKind[p][next] == kindNone
+}
+
+// invalidate withdraws a's plane-p route (cur and adv together) and
+// queues a for re-convergence.
+func (st *State) invalidate(p int, a int32, out *PlaneOutcome) {
+	pk, pd, pv := st.curKind[p][a], st.curDist[p][a], st.curVia[p][a]
+	st.curKind[p][a] = kindNone
+	st.curDist[p][a] = inf
+	st.curVia[p][a] = -1
+	st.advKind[p][a] = kindNone
+	st.advDist[p][a] = inf
+	st.lostSince[a] = 0
+	if st.j != nil {
+		st.note(p, a, 0, prov.CauseCascade, pk, pd, pv)
+	}
+	if st.markChanged(p, a, true) {
+		out.Changed++
+	}
+	st.frontAdd(a)
+}
+
+// cascadeSweeps is the dense cascade: ascending sweeps over all ASes
+// until one invalidates nothing. The first sweep starts at AS from —
+// where an overflowed worklist left off, or 0.
+func (st *State) cascadeSweeps(p int, from int32, out *PlaneOutcome) {
+	n := int32(st.g.Len())
+	for {
+		st.visited += int64(n - from)
+		any := false
+		for a := from; a < n; a++ {
+			if st.routeDead(p, a) {
+				st.invalidate(p, a, out)
+				any = true
+			}
+		}
+		if !any && from == 0 {
+			return
+		}
+		from = 0
 	}
 }
 
@@ -717,14 +1014,28 @@ func (st *State) cascade(p int, out *PlaneOutcome) {
 // in accumulateGroupLoss sees the dead plane as down the whole window
 // instead of as lossless.
 func (st *State) settleGroup(p int, endRound int32, out *PlaneOutcome) {
-	n := st.g.Len()
-	for a := 0; a < n; a++ {
-		if st.hadStart[p][a] && st.curKind[p][a] == kindNone {
-			tail := endRound - st.lostSince[a]
-			out.PermLostASRounds += int64(st.lostAcc[p][a]) + int64(tail)
-			st.lostAcc[p][a] += tail
-			st.permMark[p][a] = true
+	gen := st.seq & 1
+	if !st.dense[gen][p] {
+		// An AS the window never touched still holds its start route.
+		st.visited += int64(len(st.touched[gen][p]))
+		for _, a := range st.touched[gen][p] {
+			st.settleAS(p, a, endRound, out)
 		}
+		return
+	}
+	n := int32(st.g.Len())
+	st.visited += int64(n)
+	for a := int32(0); a < n; a++ {
+		st.settleAS(p, a, endRound, out)
+	}
+}
+
+func (st *State) settleAS(p int, a, endRound int32, out *PlaneOutcome) {
+	if st.hadStart[p][a] && st.curKind[p][a] == kindNone {
+		tail := endRound - st.lostSince[a]
+		out.PermLostASRounds += int64(st.lostAcc[p][a]) + int64(tail)
+		st.lostAcc[p][a] += tail
+		st.permMark[p][a] = true
 	}
 }
 
@@ -804,12 +1115,16 @@ type engineState interface {
 	reset(dest topology.ASN)
 	apply(ev scenario.Event) error
 	computeChain() bool
-	snapshotHadStart()
-	// beginWindow bumps and returns the change epoch and clears the
-	// window scratch (loss accumulators, MRAI gates, queues).
-	beginWindow(p int) int32
+	// beginGroup opens an event group's accounting before its events
+	// apply: the window-start routes are what loss is measured against.
+	beginGroup()
+	// beginWindow bumps and returns the change epoch and opens plane p's
+	// window (loss accumulators, MRAI gates, queues). reroot announces
+	// that initPlane follows instead of a cascade.
+	beginWindow(p int, reroot bool) int32
 	initPlane(p int)
-	cascade(p int, out *PlaneOutcome)
+	// cascade withdraws every route the group's events killed.
+	cascade(p int, group []scenario.Event, out *PlaneOutcome)
 	seedEventFrontier(group []scenario.Event)
 	seedRedDependents(redEpoch int32)
 	converge(p int, mrai int32, out *PlaneOutcome) (int32, error)
@@ -884,7 +1199,7 @@ func initConverge(st engineState, params Params, dest topology.ASN, pre []scenar
 	planes := planesOf(out)
 	st.computeChain()
 	for p := 0; p < planeCount; p++ {
-		st.beginWindow(p)
+		st.beginWindow(p, true)
 		j.BeginWindow(p, false)
 		st.initPlane(p)
 		rounds, err := st.converge(p, mrai, planes[p])
@@ -910,7 +1225,7 @@ func stepGroup(st engineState, params Params, group []scenario.Event) (bool, err
 	out := st.outcome()
 	out.Groups++
 	planes := planesOf(out)
-	st.snapshotHadStart()
+	st.beginGroup()
 	for _, ev := range group {
 		if err := st.apply(ev); err != nil {
 			return false, err
@@ -921,18 +1236,19 @@ func stepGroup(st engineState, params Params, group []scenario.Event) (bool, err
 	j.BeginEvent()
 	var redEpoch int32
 	for p := 0; p < planeCount; p++ {
-		epoch := st.beginWindow(p)
+		reroot := (p == planeBlue || p == planeRed) && chainChanged
+		epoch := st.beginWindow(p, reroot)
 		if p == planeRed {
 			redEpoch = epoch
 		}
-		j.BeginWindow(p, (p == planeBlue || p == planeRed) && chainChanged)
-		if (p == planeBlue || p == planeRed) && chainChanged {
+		j.BeginWindow(p, reroot)
+		if reroot {
 			// The lock chain moved: both colors' selective rules
 			// changed, so the plane re-roots from scratch — the
 			// paper's observed blue re-root cost, surfaced honestly.
 			st.initPlane(p)
 		} else {
-			st.cascade(p, planes[p])
+			st.cascade(p, group, planes[p])
 			st.seedEventFrontier(group)
 			if p == planeBlue {
 				// Blue's export rules read red's fixpoint ("red
@@ -1115,28 +1431,56 @@ func (e *Engine) ConvergeScratch(st *State, dest topology.ASN, events []scenario
 	return err
 }
 
-// beginWindow implements engineState.
-func (st *State) beginWindow(p int) int32 {
+// beginGroup implements engineState: advance the window sequence and
+// start the generation's touched sets empty. The window-start routes the
+// dense engine snapshots here are captured lazily instead, by the first
+// markChanged of each AS.
+func (st *State) beginGroup() {
+	st.seq++
+	gen := st.seq & 1
+	for p := 0; p < planeCount; p++ {
+		st.touched[gen][p] = st.touched[gen][p][:0]
+		st.dense[gen][p] = false
+	}
+	st.visited, st.denseWindows = 0, 0
+}
+
+// beginWindow implements engineState. A sparse window needs no clearing
+// at all: beginGroup emptied its touched list, accounting entries are
+// initialized on first touch, converge reopens the MRAI gates it closed,
+// and lostSince is written before it is read. A re-root starts dense —
+// initPlane wipes the plane without marking anything changed, and
+// re-learned routes are measured from round 0 — as does every window of
+// a from-scratch convergence (reset left both generations dense) and
+// every window of a state with no list capacity (setListCap(0)).
+func (st *State) beginWindow(p int, reroot bool) int32 {
 	st.epoch++
-	clear(st.lostAcc[p])
-	clear(st.permMark[p])
-	clear(st.lostSince)
-	clear(st.ready)
+	st.winEpoch[p] = st.epoch
 	st.frontLen, st.pendLen = 0, 0
+	if reroot || st.listCap == 0 {
+		st.densify(p, true)
+	}
+	if reroot {
+		clear(st.lostSince)
+	}
 	return st.epoch
 }
 
-// snapshotHadStart implements engineState.
-func (st *State) snapshotHadStart() {
-	for p := 0; p < planeCount; p++ {
-		for a := 0; a < st.g.Len(); a++ {
-			st.hadStart[p][a] = st.curKind[p][a] != kindNone
-		}
-	}
-}
-
-// clearLoss implements engineState.
+// clearLoss implements engineState: initial convergence (always dense)
+// is not loss.
 func (st *State) clearLoss(p int) { clear(st.lostAcc[p]) }
+
+// windowLoss returns plane p's accounting for AS a in the current
+// group: accumulated routeless rounds, whether the plane served a at
+// group start, and whether it failed to re-serve a by window end. An AS
+// a sparse window never touched kept its route (or its lack of one)
+// throughout.
+func (st *State) windowLoss(p int, a int32) (lost int32, had, perm bool) {
+	if st.dense[st.seq&1][p] || st.changedStamp[p][a] == st.winEpoch[p] {
+		return st.lostAcc[p][a], st.hadStart[p][a], st.permMark[p][a]
+	}
+	return 0, st.curKind[p][a] != kindNone, false
+}
 
 // accumulateGroupLoss implements engineState: the per-group transient
 // loss integrals. STAMP's data plane at an AS is down only while every
@@ -1146,34 +1490,58 @@ func (st *State) clearLoss(p int) { clear(st.lostAcc[p]) }
 // served → that color's outage IS the STAMP outage (no fallback
 // exists); an AS STAMP no longer serves at group end is permanent
 // damage, not transient loss. Per-plane transient integrals exclude
-// permMark ASes (those rounds are already in PermLostASRounds).
+// permMark ASes (those rounds are already in PermLostASRounds). An AS no
+// window touched contributes nothing, so sparse groups visit only the
+// touched sets; one dense window makes the whole group sweep.
 func (st *State) accumulateGroupLoss(out *DestOutcome) {
-	for a := 0; a < st.g.Len(); a++ {
-		servedEnd := st.curKind[planeRed][a] != kindNone || st.curKind[planeBlue][a] != kindNone
-		if servedEnd {
-			r, b := st.lostAcc[planeRed][a], st.lostAcc[planeBlue][a]
-			switch {
-			case st.hadStart[planeRed][a] && st.hadStart[planeBlue][a]:
-				if r < b {
-					out.StampLostASRounds += int64(r)
-				} else {
-					out.StampLostASRounds += int64(b)
-				}
-			case st.hadStart[planeRed][a]:
-				out.StampLostASRounds += int64(r)
-			case st.hadStart[planeBlue][a]:
-				out.StampLostASRounds += int64(b)
+	gen := st.seq & 1
+	planes := planesOf(out)
+	if st.dense[gen][planeBGP] || st.dense[gen][planeRed] || st.dense[gen][planeBlue] {
+		n := int32(st.g.Len())
+		st.visited += int64(n)
+		for a := int32(0); a < n; a++ {
+			st.addStampLoss(a, out)
+			for p := 0; p < planeCount; p++ {
+				st.addPlaneLoss(p, a, planes[p])
 			}
 		}
-		if !st.permMark[planeBGP][a] {
-			out.BGP.LostASRounds += int64(st.lostAcc[planeBGP][a])
+		return
+	}
+	for p := 0; p < planeCount; p++ {
+		st.visited += int64(len(st.touched[gen][p]))
+		for _, a := range st.touched[gen][p] {
+			st.addPlaneLoss(p, a, planes[p])
 		}
-		if !st.permMark[planeRed][a] {
-			out.Red.LostASRounds += int64(st.lostAcc[planeRed][a])
+	}
+	for _, a := range st.touched[gen][planeRed] {
+		st.addStampLoss(a, out)
+	}
+	for _, a := range st.touched[gen][planeBlue] {
+		if st.changedStamp[planeRed][a] != st.winEpoch[planeRed] {
+			st.addStampLoss(a, out)
 		}
-		if !st.permMark[planeBlue][a] {
-			out.Blue.LostASRounds += int64(st.lostAcc[planeBlue][a])
-		}
+	}
+}
+
+func (st *State) addPlaneLoss(p int, a int32, out *PlaneOutcome) {
+	if lost, _, perm := st.windowLoss(p, a); !perm {
+		out.LostASRounds += int64(lost)
+	}
+}
+
+func (st *State) addStampLoss(a int32, out *DestOutcome) {
+	if st.curKind[planeRed][a] == kindNone && st.curKind[planeBlue][a] == kindNone {
+		return
+	}
+	r, hadRed, _ := st.windowLoss(planeRed, a)
+	b, hadBlue, _ := st.windowLoss(planeBlue, a)
+	switch {
+	case hadRed && hadBlue:
+		out.StampLostASRounds += int64(min(r, b))
+	case hadRed:
+		out.StampLostASRounds += int64(r)
+	case hadBlue:
+		out.StampLostASRounds += int64(b)
 	}
 }
 
@@ -1199,17 +1567,32 @@ func (st *State) accumulateFinal(out *DestOutcome) {
 
 // seedRedDependents queues the providers of every AS whose red route
 // changed in the red window (stamped with that window's epoch), plus
-// the AS itself, for blue re-evaluation.
+// the AS itself, for blue re-evaluation — in ascending AS order, which
+// is the order blue's first round journals them in.
 func (st *State) seedRedDependents(redEpoch int32) {
+	gen := st.seq & 1
+	if !st.dense[gen][planeRed] {
+		red := st.touched[gen][planeRed]
+		slices.Sort(red)
+		st.visited += int64(len(red))
+		for _, a := range red {
+			st.seedRedDependent(a)
+		}
+		return
+	}
 	n := int32(st.g.Len())
+	st.visited += int64(n)
 	for a := int32(0); a < n; a++ {
-		if st.changedStamp[planeRed][a] != redEpoch {
-			continue
+		if st.changedStamp[planeRed][a] == redEpoch {
+			st.seedRedDependent(a)
 		}
-		st.frontAdd(a)
-		for _, p := range st.g.Providers(topology.ASN(a)) {
-			st.frontAdd(int32(p))
-		}
+	}
+}
+
+func (st *State) seedRedDependent(a int32) {
+	st.frontAdd(a)
+	for _, p := range st.g.Providers(topology.ASN(a)) {
+		st.frontAdd(int32(p))
 	}
 }
 

@@ -68,10 +68,14 @@ func graphEdges(g *Graph) [][2]topology.ASN {
 }
 
 // FuzzIncrementalConverge drives random (but valid) event sequences
-// through the incremental path and checks the two invariants the
-// replay subsystem rests on: after every event the incremental fixpoint
-// equals a from-scratch convergence (on the flat engine and the map
-// reference), and the flat incremental hot loop allocates nothing.
+// through the incremental path and checks the invariants the replay
+// subsystem rests on: after every event the incremental fixpoint equals
+// a from-scratch convergence (on the flat engine and the map
+// reference); the flat engine's sparse windows — at the default
+// touched-list capacity, at 0 (always dense) and at tiny ones (overflow
+// part-way) — report the EventCost, DestOutcome and routes of the map
+// engine's dense passes, and one and the same journal; and the flat
+// incremental hot loop allocates nothing.
 //
 // Run long with: go test -fuzz=FuzzIncrementalConverge ./internal/atlas/
 func FuzzIncrementalConverge(f *testing.F) {
@@ -93,6 +97,7 @@ func FuzzIncrementalConverge(f *testing.F) {
 	ref := NewMapEngine(g, DefaultParams())
 	ist, sst := flat.NewState(), flat.NewState()
 	mist, msst := ref.NewState(), ref.NewState()
+	fx := newStreamFixture(g)
 
 	f.Add([]byte{0, 1, 0, 0, 1, 0})          // fail + restore one link
 	f.Add([]byte{2, 5, 0, 0, 9, 1, 1, 9, 1}) // node fail, link toggles
@@ -127,6 +132,7 @@ func FuzzIncrementalConverge(f *testing.F) {
 		if len(events) == 0 {
 			return
 		}
+		fx.checkStream(t, dest, events)
 		// The 0 allocs/op invariant holds for the whole derived sequence,
 		// not just the curated benchmark workload.
 		allocs := testing.AllocsPerRun(1, func() {

@@ -10,7 +10,7 @@ import (
 
 // mustNoDiff fails the test with the first few route disagreements when
 // two converged states do not hold the same fixpoint.
-func mustNoDiff(t *testing.T, label string, a, b StateView) {
+func mustNoDiff(t testing.TB, label string, a, b StateView) {
 	t.Helper()
 	diffs := DiffStates(a, b)
 	if len(diffs) == 0 {

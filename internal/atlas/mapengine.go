@@ -10,13 +10,18 @@ import (
 )
 
 // MapEngine is the map-based reference implementation of the atlas
-// convergence model: identical algorithm, identical outcomes (pinned by
+// convergence model: identical outcomes (pinned by
 // TestFlatMatchesMapEngine), but every per-(AS, destination) quantity
 // lives in hash maps — the storage layout the classic engines use for
-// their per-AS routing state. It exists to price the flat slabs:
-// BenchmarkAtlasConverge runs both engines on the same shards and the
-// ratio is the tentpole speedup claim. It is deliberately not
-// optimized; it is the "before" picture.
+// their per-AS routing state. It exists to price the flat slabs
+// (BenchmarkAtlasConverge runs both engines on the same shards) and,
+// since State's windows went sparse, as the independent oracle for
+// them: it keeps the dense procedure — snapshot every window-start
+// route, clear every accumulator, cascade by sweeping all ASes, account
+// for loss over all ASes — with none of State's touched-set
+// bookkeeping, so the differential tests compare two different ways of
+// arriving at the same routes, EventCost and DestOutcome. It is
+// deliberately not optimized; it is the "before" picture.
 type MapEngine struct {
 	g *Graph
 	p Params
@@ -258,7 +263,9 @@ func (st *MapState) computeChain() bool {
 	return !slices.Equal(st.chain, st.prev)
 }
 
-func (st *MapState) snapshotHadStart() {
+// beginGroup implements engineState: snapshot which ASes each plane
+// serves before the group's events apply.
+func (st *MapState) beginGroup() {
 	for p := 0; p < planeCount; p++ {
 		st.hadStart[p] = make(map[int32]bool, len(st.cur[p]))
 		for a := range st.cur[p] {
@@ -267,7 +274,9 @@ func (st *MapState) snapshotHadStart() {
 	}
 }
 
-func (st *MapState) beginWindow(p int) int32 {
+// beginWindow implements engineState. Every window clears everything,
+// re-root or not.
+func (st *MapState) beginWindow(p int, _ bool) int32 {
 	st.epoch++
 	st.lostAcc[p] = make(map[int32]int32)
 	st.permMark[p] = make(map[int32]bool)
@@ -472,7 +481,10 @@ func (st *MapState) converge(p int, mrai int32, out *PlaneOutcome) (int32, error
 	return round, nil
 }
 
-func (st *MapState) cascade(p int, out *PlaneOutcome) {
+// cascade implements engineState with the reference procedure: sweep
+// every AS, repeatedly, until a sweep withdraws nothing. The events are
+// not consulted.
+func (st *MapState) cascade(p int, _ []scenario.Event, out *PlaneOutcome) {
 	g := st.g
 	n := int32(g.Len())
 	for {

@@ -20,6 +20,10 @@ type Metrics struct {
 	Changed *obs.Counter
 	// Reroots counts events that moved the blue lock chain.
 	Reroots *obs.Counter
+	// DenseWindows counts plane windows (three per event) that fell back
+	// from touched-set bookkeeping to passes over all ASes: a re-root, or
+	// more churn than the fixed-capacity lists hold.
+	DenseWindows *obs.Counter
 	// Per-plane transient-loss integrals (lost AS-rounds), plus the
 	// STAMP data-plane min(red, blue) integral.
 	LostBGP, LostRed, LostBlue, LostStamp *obs.Counter
@@ -42,6 +46,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Distinct (AS, plane) route changes across applied events."),
 		Reroots: reg.Counter("stamp_atlas_reroots_total",
 			"Events that moved the blue lock chain, forcing a red/blue re-root."),
+		DenseWindows: reg.Counter("stamp_atlas_dense_windows_total",
+			"Plane windows that ran dense passes over all ASes (re-root or touched-list overflow) instead of churn-proportional ones."),
 		LostBGP:   lost.With("bgp"),
 		LostRed:   lost.With("red"),
 		LostBlue:  lost.With("blue"),
@@ -64,6 +70,7 @@ func (m *Metrics) record(st *State, c EventCost) {
 	if c.Reroot {
 		m.Reroots.Inc()
 	}
+	m.DenseWindows.Add(int64(st.denseWindows))
 	m.LostBGP.Add(c.BGPLost)
 	m.LostRed.Add(c.RedLost)
 	m.LostBlue.Add(c.BlueLost)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stamp/internal/obs"
+	"stamp/internal/scenario"
 )
 
 // TestInstrumentedApplyEventAllocs extends the incremental allocs/op
@@ -53,7 +54,7 @@ func TestMetricsMatchEventCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events, changed, stampLost, reroots int64
+	var events, changed, stampLost, reroots, dense int64
 	var rounds int64
 	for _, dest := range dests {
 		if err := eng.InitDest(st, dest); err != nil {
@@ -72,10 +73,30 @@ func TestMetricsMatchEventCosts(t *testing.T) {
 				if cost.Reroot {
 					reroots++
 				}
+				dense += int64(st.DenseWindows())
 			}
 		}
+		// Past the storm, force a dense window so the counter is seen to
+		// move: fail the destination's locked (lowest) provider link, which
+		// moves the blue chain and re-roots red and blue.
+		cost, err := eng.ApplyEvent(st, scenario.Event{Op: scenario.OpFailLink, A: dest, B: g.Providers(dest)[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cost.Reroot || st.DenseWindows() < 2 {
+			t.Fatalf("failing the locked provider link: reroot %v, %d dense windows; want a re-root and red and blue dense", cost.Reroot, st.DenseWindows())
+		}
+		events++
+		rounds += int64(cost.Rounds())
+		changed += cost.Changed
+		stampLost += cost.StampLost
+		reroots++
+		dense += int64(st.DenseWindows())
 	}
 	m := NewMetricsReadback(t, reg)
+	if got := m["stamp_atlas_dense_windows_total"]; got != float64(dense) {
+		t.Errorf("dense_windows_total = %v, want %d", got, dense)
+	}
 	if got := m["stamp_atlas_events_total"]; got != float64(events) {
 		t.Errorf("events_total = %v, want %d", got, events)
 	}

@@ -5,15 +5,17 @@
 // state over HTTP — Prometheus /metrics, an SSE /events stream of
 // per-event convergence costs, and snapshot-isolated /state JSON reads.
 //
-// Snapshot isolation is copy-on-converge epochs: each destination shard
+// Snapshot isolation is patch-on-converge epochs: each destination shard
 // keeps two preallocated route-snapshot buffers and an atomic published
 // pointer. Readers acquire the published buffer with a refcount
-// (acquire, recheck, release — never a lock); the writer settles the
-// next epoch into the spare buffer and publishes it with one atomic
-// pointer swap. Readers never block the writer, the writer never tears
-// a reader's view, and steady-state memory is bounded by two epochs per
-// shard (the writer falls back to a fresh allocation only while a slow
-// reader still pins the spare).
+// (acquire, recheck, release — never a lock); the writer brings the
+// spare buffer — which still shows the epoch before the published one —
+// up to date by rewriting only the routes the last two events changed,
+// and publishes it with one atomic pointer swap. Readers never block
+// the writer, the writer never tears a reader's view, and steady-state
+// memory is bounded by two epochs per shard (the writer falls back to a
+// fresh allocation, and a full copy, only while a slow reader still
+// pins the spare).
 package serve
 
 import (
@@ -107,6 +109,10 @@ type destSnap struct {
 	epoch   uint64
 	dest    topology.ASN
 	destASN int64
+	// window is the shard state's window sequence (atlas.State.Windows)
+	// the routes below were taken at: what the writer needs to know to
+	// patch this buffer forward instead of re-copying it.
+	window uint64
 
 	kind [atlas.PlaneCount][]int8
 	dist [atlas.PlaneCount][]int32
@@ -199,11 +205,16 @@ type serverMetrics struct {
 	applySeconds *obs.Histogram
 	epochGauge   *obs.Gauge
 	fallbacks    *obs.Counter
-	readSeconds  *obs.Histogram
-	readsTotal   *obs.Counter
-	readErrors   *obs.Counter
-	inFlight     *obs.Gauge
-	sseClients   *obs.Gauge
+
+	publishSeconds *obs.Histogram
+	publishPatched *obs.Counter
+	publishFull    *obs.Counter
+
+	readSeconds *obs.Histogram
+	readsTotal  *obs.Counter
+	readErrors  *obs.Counter
+	inFlight    *obs.Gauge
+	sseClients  *obs.Gauge
 
 	whyTotal       *obs.Counter
 	whyTruncated   *obs.Counter
@@ -223,6 +234,13 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 			"Published snapshot epoch (events applied since boot)."),
 		fallbacks: reg.Counter("stamp_serve_snapshot_fallbacks_total",
 			"Epoch publishes that allocated a fresh buffer because a reader still pinned the spare."),
+		publishSeconds: reg.Histogram("stamp_serve_publish_seconds",
+			"Wall-clock cost of publishing one settled event's snapshot epoch on every shard.",
+			obs.LatencyBuckets()),
+		publishPatched: reg.Counter("stamp_serve_publish_patched_total",
+			"Shard publishes that patched the spare buffer from the engine's touched sets."),
+		publishFull: reg.Counter("stamp_serve_publish_full_total",
+			"Shard publishes that copied all three planes: boot, a reader-pinned spare, or a missed, re-rooted or overflowed window."),
 		readSeconds: reg.Histogram("stamp_serve_read_seconds",
 			"Latency of state/health read requests.", obs.LatencyBuckets()),
 		readsTotal: reg.Counter("stamp_serve_reads_total",
@@ -387,11 +405,19 @@ func (s *Server) newSnap() *destSnap {
 	return snap
 }
 
-// publish copies sh.st's converged routes into a free buffer and swaps
+// publish brings a free buffer up to sh.st's converged routes and swaps
 // it in as the published epoch. Writer-only. The previous epoch's
 // buffer becomes the next spare; if a slow reader still pins the spare,
 // a fresh buffer is allocated instead (counted, and the pinned one is
 // garbage-collected once its readers release).
+//
+// The spare was the published buffer two events ago, so in steady state
+// it is exactly two engine windows behind and is patched: only the ASes
+// in those windows' touched sets are rewritten, and the reachability
+// counters move by the before/after difference. Anything else — a fresh
+// buffer, a window that ran dense (re-root, overflow), a window this
+// buffer missed because an event failed on another shard — is a full
+// copy and recount.
 func (s *Server) publish(sh *shard, epoch uint64) {
 	snap := sh.spare
 	if snap != nil {
@@ -406,7 +432,8 @@ func (s *Server) publish(sh *shard, epoch uint64) {
 			runtime.Gosched()
 		}
 	}
-	if snap == nil {
+	fresh := snap == nil
+	if fresh {
 		if sh.spare != nil { // only count post-boot fallbacks
 			s.metrics.fallbacks.Inc()
 		}
@@ -415,24 +442,76 @@ func (s *Server) publish(sh *shard, epoch uint64) {
 	snap.epoch = epoch
 	snap.dest = sh.dest
 	snap.destASN = s.g.OriginalASN(sh.dest)
+	if !fresh && snap.patch(sh.st) {
+		s.metrics.publishPatched.Inc()
+	} else {
+		snap.copyAll(sh.st)
+		s.metrics.publishFull.Inc()
+	}
+	snap.window = sh.st.Windows()
+	sh.spare = sh.pub.Swap(snap)
+}
+
+// patch rewrites the routes st changed in the windows after snap.window
+// and reports whether that brought snap up to date; false means some
+// window's touched set is not available and snap needs copyAll (a
+// partial patch is harmless: copyAll rewrites everything).
+func (snap *destSnap) patch(st *atlas.State) bool {
+	for w := snap.window + 1; w <= st.Windows(); w++ {
+		for p := 0; p < atlas.PlaneCount; p++ {
+			touched, ok := st.Touched(w, p)
+			if !ok {
+				return false
+			}
+			for _, a := range touched {
+				snap.patchRoute(st, p, a)
+			}
+		}
+	}
+	return snap.window <= st.Windows()
+}
+
+// patchRoute copies st's current plane-p route at a into snap and moves
+// the reachability counters by the difference. Idempotent, so an AS
+// touched in both windows being patched is simply written twice.
+func (snap *destSnap) patchRoute(st *atlas.State, p int, a int32) {
+	red, blue := snap.kind[atlas.PlaneRed], snap.kind[atlas.PlaneBlue]
+	wasDark := red[a] == 0 && blue[a] == 0
+	k, d, next := st.SnapshotRoute(p, a)
+	switch had := snap.kind[p][a] != 0; {
+	case k != 0 && !had:
+		snap.reachable[p]++
+	case k == 0 && had:
+		snap.reachable[p]--
+	}
+	snap.kind[p][a], snap.dist[p][a], snap.next[p][a] = k, d, next
+	switch dark := red[a] == 0 && blue[a] == 0; {
+	case dark && !wasDark:
+		snap.stampUnreachable++
+	case wasDark && !dark:
+		snap.stampUnreachable--
+	}
+}
+
+// copyAll copies all three planes out of st and recounts reachability.
+func (snap *destSnap) copyAll(st *atlas.State) {
 	snap.stampUnreachable = 0
-	n := s.g.Len()
 	for p := 0; p < atlas.PlaneCount; p++ {
-		sh.st.SnapshotRoutes(p, snap.kind[p], snap.dist[p], snap.next[p])
+		st.SnapshotRoutes(p, snap.kind[p], snap.dist[p], snap.next[p])
 		reach := int32(0)
-		for a := 0; a < n; a++ {
-			if snap.kind[p][a] != 0 {
+		for _, k := range snap.kind[p] {
+			if k != 0 {
 				reach++
 			}
 		}
 		snap.reachable[p] = reach
 	}
-	for a := 0; a < n; a++ {
-		if snap.kind[atlas.PlaneRed][a] == 0 && snap.kind[atlas.PlaneBlue][a] == 0 {
+	red, blue := snap.kind[atlas.PlaneRed], snap.kind[atlas.PlaneBlue]
+	for a := range red {
+		if red[a] == 0 && blue[a] == 0 {
 			snap.stampUnreachable++
 		}
 	}
-	sh.spare = sh.pub.Swap(snap)
 }
 
 // acquire pins the shard's published snapshot for reading. The caller
@@ -457,6 +536,12 @@ func (sh *shard) release(b *destSnap) { b.refs.Add(-1) }
 // (in parallel), publishes the new snapshot epoch, and appends the
 // aggregated EventRecord to the event log. It is the single-writer
 // entry point: the replay loop and the admin endpoint both funnel here.
+//
+// Settling and publishing are two phases: no shard publishes the new
+// epoch until every shard has settled the event, so an error on one
+// shard leaves every shard serving the previous epoch. Publishing is
+// microseconds per shard (see publish) and runs on the writer's own
+// goroutine.
 func (s *Server) ApplyEvent(ev scenario.Event) (EventRecord, error) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
@@ -488,15 +573,19 @@ func (s *Server) ApplyEvent(ev scenario.Event) (EventRecord, error) {
 			if err != nil {
 				return atlas.EventCost{}, fmt.Errorf("dest %d: %w", sh.dest, err)
 			}
-			psp := tc.WithTID(int32(1+t.Index)).StartChild(root.ID(), "serve.publish")
-			s.publish(sh, epoch)
-			psp.End()
 			return cost, nil
 		},
 	}, runner.Options{Workers: s.cfg.Workers, Metrics: s.metrics.pool})
 	if err != nil {
 		return EventRecord{}, err
 	}
+	publishStart := time.Now()
+	for i, sh := range s.shards {
+		psp := tc.WithTID(int32(1+i)).StartChild(root.ID(), "serve.publish")
+		s.publish(sh, epoch)
+		psp.End()
+	}
+	s.metrics.publishSeconds.Observe(time.Since(publishStart).Seconds())
 	rec := EventRecord{
 		Index: s.eventsApplied.Add(1) - 1,
 		Op:    ev.Op.String(),

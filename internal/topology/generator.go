@@ -93,9 +93,23 @@ func Generate(p GenParams) (*Graph, error) {
 	nTransit := int(float64(p.N-p.Tier1) * p.TransitFrac)
 	firstStub := p.Tier1 + nTransit
 
-	// attach wires a new AS to providers chosen from ASes [0, limit) by
-	// degree-biased (preferential) sampling.
-	attach := func(a ASN, limit int) {
+	// Every AS that may become a provider (tier-1 and transit) holds its
+	// sampling weight degree+1 in a Fenwick tree, so a degree-biased
+	// provider pick is O(log N) instead of a scan of every candidate.
+	weights := newFenwick(firstStub)
+	for a := 0; a < p.Tier1; a++ {
+		weights.add(a, g.Degree(ASN(a))+1)
+	}
+
+	// attach wires a new AS to providers drawn, without replacement, from
+	// the ASes currently in the tree by degree-biased (preferential)
+	// sampling: a drawn provider's weight is zeroed for the rest of the
+	// draw and restored, one link heavier, once the AS is wired. The
+	// provider list keeps draw order, which is part of the reproducibility
+	// contract (the simulators iterate it). candidates is how many ASes
+	// the tree holds.
+	var order []ASN
+	attach := func(a ASN, candidates int) {
 		k := 1
 		if rng.Float64() < p.MultihomeProb {
 			k = 2
@@ -103,31 +117,27 @@ func Generate(p GenParams) (*Graph, error) {
 				k++
 			}
 		}
-		if k > limit {
-			k = limit
-		}
-		chosen := make(map[ASN]bool, k)
-		order := make([]ASN, 0, k) // insertion order: map iteration would
-		// leak per-process hash randomness into the provider list order
-		// and break simulation reproducibility.
-		for len(chosen) < k {
-			prov := preferentialPick(rng, g, limit, chosen)
-			if !chosen[prov] {
-				chosen[prov] = true
-				order = append(order, prov)
-			}
+		k = min(k, candidates)
+		order = order[:0]
+		for len(order) < k {
+			prov := weights.find(rng.Intn(weights.total()))
+			weights.add(prov, -(g.Degree(ASN(prov)) + 1))
+			order = append(order, ASN(prov))
 		}
 		for _, prov := range order {
 			// Error impossible: prov < a and not duplicate.
 			if err := g.AddProviderLink(a, prov); err != nil {
 				panic(err)
 			}
+			weights.add(int(prov), g.Degree(prov)+1)
 		}
 	}
 
-	// Transit ASes attach to tier-1s and earlier transit ASes.
+	// Transit ASes attach to tier-1s and earlier transit ASes, then become
+	// candidates themselves.
 	for a := p.Tier1; a < firstStub; a++ {
 		attach(ASN(a), a)
+		weights.add(a, g.Degree(ASN(a))+1)
 	}
 	// Stub ASes attach to transit ASes and tier-1s only.
 	for a := firstStub; a < p.N; a++ {
@@ -143,27 +153,45 @@ func Generate(p GenParams) (*Graph, error) {
 	return g, nil
 }
 
-// preferentialPick samples an AS from [0, limit) with probability
-// proportional to degree+1, skipping ASes already in excl.
-func preferentialPick(rng *rand.Rand, g *Graph, limit int, excl map[ASN]bool) ASN {
-	total := 0
-	for a := 0; a < limit; a++ {
-		if !excl[ASN(a)] {
-			total += g.Degree(ASN(a)) + 1
+// fenwick is a binary indexed tree over non-negative integer weights:
+// point update, running total, and the weighted-sampling inverse (which
+// index does the x-th unit of weight fall in) all in O(log n).
+type fenwick struct {
+	tree []int // 1-based partial sums
+	sum  int
+}
+
+func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1)} }
+
+// add adds delta to index i's weight.
+func (f *fenwick) add(i, delta int) {
+	f.sum += delta
+	for i++; i < len(f.tree); i += i & -i {
+		f.tree[i] += delta
+	}
+}
+
+// total returns the sum of all weights.
+func (f *fenwick) total() int { return f.sum }
+
+// find returns the smallest index whose prefix sum (inclusive) exceeds
+// x, for 0 <= x < total(): the index a linear scan subtracting weights
+// from x would stop at. Zero-weight indices are never returned.
+func (f *fenwick) find(x int) int {
+	pos := 0
+	step := 1
+	for step<<1 < len(f.tree) {
+		step <<= 1
+	}
+	for ; step > 0; step >>= 1 {
+		if next := pos + step; next < len(f.tree) && f.tree[next] <= x {
+			pos = next
+			x -= f.tree[next]
 		}
 	}
-	x := rng.Intn(total)
-	for a := 0; a < limit; a++ {
-		if excl[ASN(a)] {
-			continue
-		}
-		x -= g.Degree(ASN(a)) + 1
-		if x < 0 {
-			return ASN(a)
-		}
-	}
-	// Unreachable: total covers all non-excluded weights.
-	panic("topology: preferentialPick fell off the end")
+	// pos is, 1-based, the last index whose prefix sum is <= x, so the
+	// answer is 1-based pos+1: 0-based pos.
+	return pos
 }
 
 // addTransitPeering links transit ASes of similar degree with peer edges.
