@@ -338,27 +338,63 @@ func BenchmarkTrafficWalk(b *testing.B) {
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "walks/s")
 		})
+		// The same tables as R-BGP primaries. Converged, the failover
+		// view is never consulted; on the transient snapshot each
+		// tier-1 bounces the other's packets and deflects them onto its
+		// pre-staleness route, so the crossing sources deliver pinned.
+		b.Run(snap.name+"/rbgp", func(b *testing.B) {
+			var w traffic.Walker
+			var fo traffic.Failover = staticFailover{routes} // boxed once, not per walk
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.WalkRBGP(snap.next, int32(dest), fo, &out)
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "walks/s")
+		})
 	}
 }
 
+// staticFailover is a traffic.Failover over converged routes: an AS
+// deflects onto its own stable path unless that path crosses the
+// neighbor the packet came from, and every link is up.
+type staticFailover struct{ routes [][]topology.ASN }
+
+func (f staticFailover) Deflect(as, prev topology.ASN) []topology.ASN {
+	for _, hop := range f.routes[as] {
+		if hop == prev {
+			return nil
+		}
+	}
+	return f.routes[as]
+}
+
+func (f staticFailover) LinkUp(a, b topology.ASN) bool { return true }
+
 // BenchmarkLossCurve measures one packet-level loss-curve trial end to
-// end (STAMP, single link failure, 2400 ticks of 25ms): the cost the
-// loss experiment pays per (trial, protocol) shard.
+// end (single link failure, 2400 ticks of 25ms) per protocol: the cost
+// the loss experiment pays per (trial, protocol) shard.
 func BenchmarkLossCurve(b *testing.B) {
 	g := benchGraph(b)
 	script, err := scenario.Named("link-failure", g, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < b.N; i++ {
-		cur, err := traffic.RunSim(traffic.SimOpts{
-			G: g, Proto: traffic.STAMP, Script: script, Seed: int64(i),
-			Tick: 25 * time.Millisecond, Ticks: 2400,
+	for _, arm := range []struct {
+		name  string
+		proto traffic.Protocol
+	}{{"bgp", traffic.BGP}, {"rbgp-norci", traffic.RBGPNoRCI}, {"rbgp", traffic.RBGP}, {"stamp", traffic.STAMP}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cur, err := traffic.RunSim(traffic.SimOpts{
+					G: g, Proto: arm.proto, Script: script, Seed: int64(i),
+					Tick: 25 * time.Millisecond, Ticks: 2400,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(cur.LostPacketTicks), "lostPktTicks")
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(cur.LostPacketTicks), "lostPktTicks")
 	}
 }
 

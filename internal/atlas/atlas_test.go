@@ -2,10 +2,13 @@ package atlas
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stamp/internal/scenario"
@@ -76,6 +79,85 @@ func TestCSRMatchesTopology(t *testing.T) {
 		di, dj := g.Degree(ord[i-1]), g.Degree(ord[i])
 		if di < dj || (di == dj && ord[i-1] >= ord[i]) {
 			t.Fatalf("DegreeOrder violated at %d: AS %d (deg %d) before AS %d (deg %d)", i, ord[i-1], di, ord[i], dj)
+		}
+	}
+}
+
+// csrFingerprint hashes every array freeze produces: the row bounds,
+// the group boundaries, the neighbor and relationship columns and the
+// degree order.
+func csrFingerprint(g *Graph) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, s := range [][]int32{g.off, g.provEnd, g.peerEnd} {
+		put(int64(len(s)))
+		for _, v := range s {
+			put(int64(v))
+		}
+	}
+	put(int64(len(g.nbr)))
+	for e := range g.nbr {
+		put(int64(g.nbr[e]))
+		put(int64(g.rel[e]))
+	}
+	put(int64(len(g.byDegree)))
+	for _, a := range g.byDegree {
+		put(int64(a))
+	}
+	return h.Sum64()
+}
+
+// TestFreezeFingerprintPinned pins the CSR layout array for array. The
+// values were taken from the single global three-key sort.Slice that
+// the counting placement plus per-row packed-key sort replaced, so any
+// drift in group order, neighbor order or degree tie-breaking shows up
+// here.
+func TestFreezeFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+		want uint64
+	}{
+		{60, 1, 0xa4464e89d01cc7c7},
+		{300, 7, 0x1f231858ab76054e},
+		{1000, 42, 0xf0885fc617617beb},
+		{2500, 3, 0xc537aca8584c4029},
+		{5000, 11, 0xcb097c5f5be23276},
+	} {
+		_, g := testGraph(t, tc.n, tc.seed)
+		if got := csrFingerprint(g); got != tc.want {
+			t.Errorf("FromTopology(GenerateDefault(%d, %d)) fingerprint = %#x, want %#x", tc.n, tc.seed, got, tc.want)
+		}
+	}
+	g, err := Ingest(strings.NewReader(caidaFixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := csrFingerprint(g), uint64(0xeac1dad6c2ef3c6); got != want {
+		t.Errorf("Ingest(caidaFixture) fingerprint = %#x, want %#x", got, want)
+	}
+}
+
+// TestFreezeNamesTheDuplicatePair: a link claimed twice — with the same
+// or with conflicting relationships — fails naming the row AS and the
+// repeated neighbor, whatever order the claims arrive in.
+func TestFreezeNamesTheDuplicatePair(t *testing.T) {
+	for _, links := range [][][3]int{
+		{{0, 1, int(topology.RelProvider)}, {2, 3, int(topology.RelPeer)}, {0, 1, int(topology.RelProvider)}},
+		{{2, 3, int(topology.RelPeer)}, {0, 1, int(topology.RelPeer)}, {0, 1, int(topology.RelProvider)}},
+		{{1, 0, int(topology.RelProvider)}, {0, 1, int(topology.RelProvider)}},
+	} {
+		b := &builder{n: 4}
+		for _, l := range links {
+			b.addLink(topology.ASN(l[0]), topology.ASN(l[1]), topology.Rel(l[2]))
+		}
+		_, err := b.freeze()
+		if want := "atlas: duplicate or conflicting link between 0 and 1"; err == nil || err.Error() != want {
+			t.Errorf("links %v: error %v, want %q", links, err, want)
 		}
 	}
 }

@@ -17,7 +17,7 @@ package atlas
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stamp/internal/topology"
 )
@@ -176,8 +176,10 @@ func (b *builder) addLink(a, p topology.ASN, rel topology.Rel) {
 	b.rel = append(b.rel, rel, rel.Invert())
 }
 
-// freeze sorts the entries into CSR layout: per-AS rows, providers
+// freeze lays the entries out in CSR form: per-AS rows, providers
 // first, then peers, then customers, each group ascending by neighbor.
+// Entries are placed in their row by a counting sort on the row AS and
+// each row is then sorted on a packed (group rank, neighbor) key.
 func (b *builder) freeze() (*Graph, error) {
 	n := b.n
 	g := &Graph{
@@ -189,41 +191,30 @@ func (b *builder) freeze() (*Graph, error) {
 		rel:     make([]topology.Rel, len(b.from)),
 		orig:    b.orig,
 	}
-	// groupRank orders a row's entries providers < peers < customers.
-	groupRank := func(r topology.Rel) int32 {
-		switch r {
-		case topology.RelProvider:
-			return 0
-		case topology.RelPeer:
-			return 1
-		default:
-			return 2
-		}
-	}
-	idx := make([]int32, len(b.from))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		i, j := idx[x], idx[y]
-		if b.from[i] != b.from[j] {
-			return b.from[i] < b.from[j]
-		}
-		if ri, rj := groupRank(b.rel[i]), groupRank(b.rel[j]); ri != rj {
-			return ri < rj
-		}
-		return b.to[i] < b.to[j]
-	})
-	counts := make([]int32, n+1)
 	for _, f := range b.from {
-		counts[f+1]++
+		g.off[f+1]++
 	}
 	for a := int32(0); a < n; a++ {
-		g.off[a+1] = g.off[a] + counts[a+1]
+		g.off[a+1] += g.off[a]
 	}
-	for pos, i := range idx {
-		g.nbr[pos] = b.to[i]
-		g.rel[pos] = b.rel[i]
+	// rankRel orders a row's groups providers < peers < customers.
+	rankRel := [3]topology.Rel{topology.RelProvider, topology.RelPeer, topology.RelCustomer}
+	var relRank [topology.RelProvider + 1]uint64
+	for rank, r := range rankRel {
+		relRank[r] = uint64(rank)
+	}
+	keys := make([]uint64, len(b.from))
+	fill := append([]int32(nil), g.off[:n]...) // next free slot of each row
+	for i, f := range b.from {
+		keys[fill[f]] = relRank[b.rel[i]]<<32 | uint64(uint32(b.to[i]))
+		fill[f]++
+	}
+	for a := int32(0); a < n; a++ {
+		slices.Sort(keys[g.off[a]:g.off[a+1]])
+	}
+	for pos, k := range keys {
+		g.nbr[pos] = topology.ASN(uint32(k))
+		g.rel[pos] = rankRel[k>>32]
 	}
 	// Group boundaries + duplicate detection. A neighbor appearing twice
 	// in a row — within a group or across groups — means the snapshot
@@ -252,17 +243,17 @@ func (b *builder) freeze() (*Graph, error) {
 			return nil, fmt.Errorf("atlas: duplicate or conflicting link between %d and %d", a, dup)
 		}
 	}
-	g.byDegree = make([]topology.ASN, n)
+	// Degree descending, then id ascending: one ascending sort on
+	// (^degree, id).
+	byDeg := make([]uint64, n)
 	for a := int32(0); a < n; a++ {
-		g.byDegree[a] = topology.ASN(a)
+		byDeg[a] = uint64(^uint32(g.Degree(topology.ASN(a))))<<32 | uint64(a)
 	}
-	sort.Slice(g.byDegree, func(i, j int) bool {
-		di, dj := g.Degree(g.byDegree[i]), g.Degree(g.byDegree[j])
-		if di != dj {
-			return di > dj
-		}
-		return g.byDegree[i] < g.byDegree[j]
-	})
+	slices.Sort(byDeg)
+	g.byDegree = make([]topology.ASN, n)
+	for i, k := range byDeg {
+		g.byDegree[i] = topology.ASN(uint32(k))
+	}
 	return g, nil
 }
 

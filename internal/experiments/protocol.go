@@ -21,6 +21,7 @@ import (
 	"stamp/internal/rbgp"
 	"stamp/internal/sim"
 	"stamp/internal/topology"
+	"stamp/internal/traffic"
 )
 
 // Protocol selects the routing protocol under test.
@@ -71,6 +72,13 @@ type instance struct {
 	bgpNodes   []*bgp.Node
 	rbgpNodes  []*rbgp.Node
 	stampNodes []*core.Node
+
+	// R-BGP classification: the walker's view of the nodes and its
+	// scratch, reused across sweeps.
+	rbgp    traffic.RBGPView
+	walker  traffic.Walker
+	primary []int32
+	walk    traffic.Walk
 }
 
 // buildInstance constructs engine, network, and per-AS protocol nodes,
@@ -95,6 +103,7 @@ func buildInstance(proto Protocol, g *topology.Graph, params sim.Params, seed in
 			in.rbgpNodes[a] = rbgp.NewNode(topology.ASN(a), g, in.e, in.net, rci)
 		}
 		in.rbgpNodes[dest].Originate()
+		in.rbgp = traffic.RBGPView{Nodes: in.rbgpNodes, Net: in.net}
 	case ProtoSTAMP:
 		in.stampNodes = make([]*core.Node, n)
 		for a := 0; a < n; a++ {
@@ -166,7 +175,13 @@ func (in *instance) classify() []forwarding.Result {
 			return in.bgpNodes[v].NextHop()
 		})
 	case ProtoRBGPNoRCI, ProtoRBGP:
-		return forwarding.ClassifyRBGP(n, in.dest, rbgpView{in.rbgpNodes, in.net})
+		in.primary = in.rbgp.Primaries(in.primary)
+		in.walker.WalkRBGP(in.primary, int32(in.dest), &in.rbgp, &in.walk)
+		out := make([]forwarding.Result, n)
+		for a := range out {
+			out[a] = forwarding.Result{Status: in.walk.Status[a], Hops: in.walk.Hops[a]}
+		}
+		return out
 	default:
 		return forwarding.ClassifyStamp(n, in.dest, stampView{in.stampNodes})
 	}
@@ -188,20 +203,6 @@ func (in *instance) messageCounts() (updates, withdrawals int64) {
 	}
 	return updates, withdrawals
 }
-
-// rbgpView adapts the R-BGP node slice to the forwarding walker.
-type rbgpView struct {
-	nodes []*rbgp.Node
-	net   *sim.Network
-}
-
-func (v rbgpView) Primary(as topology.ASN) (topology.ASN, bool) {
-	return v.nodes[as].Primary()
-}
-func (v rbgpView) Deflect(as, prev topology.ASN) []topology.ASN {
-	return v.nodes[as].Deflect(prev)
-}
-func (v rbgpView) LinkUp(a, b topology.ASN) bool { return v.net.LinkUp(a, b) }
 
 // stampView adapts the STAMP node slice to the forwarding walker.
 type stampView struct{ nodes []*core.Node }

@@ -4,13 +4,15 @@
 // or blackholed — and, for delivered packets, how many AS hops the
 // delivery took, so harnesses can report path stretch instead of
 // discarding it. The classifiers implement the paper's forwarding models:
-// plain next-hop walking for BGP, previous-hop-aware walking for R-BGP's
-// failover forwarding, and color-aware walking with the switch-once rule
-// for STAMP (§5.1).
+// plain next-hop walking for BGP and color-aware walking with the
+// switch-once rule for STAMP (§5.1).
 //
 // These walkers are callback-driven and allocate per call; the batched
 // flat-array walkers in internal/traffic cover the same semantics on the
 // packet-injection hot path and are equivalence-tested against these.
+// R-BGP's failover forwarding has only the flat implementation
+// (traffic.Walker.WalkRBGP); its (AS, arriving neighbor)-keyed reference
+// walk lives in that package's tests.
 package forwarding
 
 import (
@@ -110,128 +112,6 @@ func ClassifySingle(n int, dest topology.ASN, nextHop func(topology.ASN) (topolo
 		out[v] = walk(topology.ASN(v))
 	}
 	return out
-}
-
-// ClassifyWithPrev walks a next-hop graph whose forwarding decision
-// depends on the arriving interface, as in R-BGP where a packet arriving
-// from the AS's own next hop is deflected onto the failover path. nextHop
-// receives (current AS, previous AS or -1 for locally sourced packets).
-func ClassifyWithPrev(n int, dest topology.ASN, nextHop func(cur, prev topology.ASN) (topology.ASN, bool)) []Result {
-	// State key: cur*(n+1) + prev+1. Sparse, so a map is used, with the
-	// visiting sentinel folded in.
-	state := make(map[int64]uint8)
-	hops := make(map[int64]int32)
-	key := func(cur, prev topology.ASN) int64 {
-		return int64(cur)*int64(n+1) + int64(prev) + 1
-	}
-	var walk func(cur, prev topology.ASN) Result
-	walk = func(cur, prev topology.ASN) Result {
-		if cur == dest {
-			return Result{Delivered, 0}
-		}
-		k := key(cur, prev)
-		if s := state[k]; s >= doneBase {
-			return Result{Status(s - doneBase), hops[k]}
-		} else if s == stVisiting {
-			return Result{Loop, NoHops}
-		}
-		state[k] = stVisiting
-		var r Result
-		nh, ok := nextHop(cur, prev)
-		switch {
-		case !ok:
-			r = Result{Blackhole, NoHops}
-		case nh == cur:
-			r = Result{Delivered, 0}
-		default:
-			r = onward(walk(nh, cur))
-		}
-		state[k] = doneBase + uint8(r.Status)
-		hops[k] = r.Hops
-		return r
-	}
-	out := make([]Result, n)
-	for v := 0; v < n; v++ {
-		out[v] = walk(topology.ASN(v), -1)
-	}
-	return out
-}
-
-// RBGPState is the per-AS view the R-BGP walker needs.
-type RBGPState interface {
-	// Primary returns the AS's primary (decision process) next hop; ok is
-	// false when there is none usable. The AS itself means destination.
-	Primary(as topology.ASN) (topology.ASN, bool)
-	// Deflect returns the failover AS path a packet deflected at `as`
-	// (arriving from prev, -1 if locally sourced) would be pinned to, or
-	// nil when no failover is available. The path runs from the first
-	// next hop to the destination.
-	Deflect(as, prev topology.ASN) []topology.ASN
-	// LinkUp reports link liveness, used to walk pinned failover paths.
-	LinkUp(a, b topology.ASN) bool
-}
-
-// ClassifyRBGP walks R-BGP's data plane. Forwarding is hop-by-hop along
-// primary routes until a packet would be dropped or bounced back; then it
-// is deflected onto the local failover path and pinned to it (R-BGP
-// forwards deflected packets along the advertised failover path, which
-// also prevents deflection loops). A pinned packet is delivered iff every
-// link of the failover path is alive — with RCI, stale failover paths
-// crossing failed links have been purged, so deflection almost always
-// succeeds; without RCI the packet can be pinned onto a dead path.
-func ClassifyRBGP(n int, dest topology.ASN, st RBGPState) []Result {
-	state := make(map[int64]uint8)
-	hops := make(map[int64]int32)
-	key := func(cur, prev topology.ASN) int64 {
-		return int64(cur)*int64(n+1) + int64(prev) + 1
-	}
-	var walk func(cur, prev topology.ASN) Result
-	walk = func(cur, prev topology.ASN) Result {
-		if cur == dest {
-			return Result{Delivered, 0}
-		}
-		k := key(cur, prev)
-		if s := state[k]; s >= doneBase {
-			return Result{Status(s - doneBase), hops[k]}
-		} else if s == stVisiting {
-			return Result{Loop, NoHops}
-		}
-		state[k] = stVisiting
-		var r Result
-		nh, ok := st.Primary(cur)
-		switch {
-		case ok && nh == cur:
-			r = Result{Delivered, 0}
-		case ok && nh != prev:
-			r = onward(walk(nh, cur))
-		default:
-			r = walkPinned(cur, st.Deflect(cur, prev), st)
-		}
-		state[k] = doneBase + uint8(r.Status)
-		hops[k] = r.Hops
-		return r
-	}
-	out := make([]Result, n)
-	for v := 0; v < n; v++ {
-		out[v] = walk(topology.ASN(v), -1)
-	}
-	return out
-}
-
-// walkPinned follows a failover AS path hop by hop, checking link
-// liveness only: the packet is pinned to the path.
-func walkPinned(from topology.ASN, path []topology.ASN, st RBGPState) Result {
-	if len(path) == 0 {
-		return Result{Blackhole, NoHops}
-	}
-	cur := from
-	for _, next := range path {
-		if !st.LinkUp(cur, next) {
-			return Result{Blackhole, NoHops}
-		}
-		cur = next
-	}
-	return Result{Delivered, int32(len(path))}
 }
 
 // StampState is the per-AS view the STAMP walker needs.

@@ -73,76 +73,6 @@ func TestClassifySingleSelfDelivery(t *testing.T) {
 	}
 }
 
-// rbgpFake implements RBGPState from maps.
-type rbgpFake struct {
-	primary map[topology.ASN]topology.ASN
-	deflect map[[2]topology.ASN][]topology.ASN
-	dead    map[[2]topology.ASN]bool
-}
-
-func (f rbgpFake) Primary(as topology.ASN) (topology.ASN, bool) {
-	nh, ok := f.primary[as]
-	return nh, ok
-}
-func (f rbgpFake) Deflect(as, prev topology.ASN) []topology.ASN {
-	return f.deflect[[2]topology.ASN{as, prev}]
-}
-func (f rbgpFake) LinkUp(a, b topology.ASN) bool {
-	return !f.dead[[2]topology.ASN{a, b}] && !f.dead[[2]topology.ASN{b, a}]
-}
-
-func TestClassifyRBGPDeflection(t *testing.T) {
-	// 0 -> 1, 1's primary is dead-ended; 1 deflects onto path [2, 3].
-	f := rbgpFake{
-		primary: map[topology.ASN]topology.ASN{0: 1},
-		deflect: map[[2]topology.ASN][]topology.ASN{
-			{1, 0}: {2, 3},
-		},
-	}
-	st := ClassifyRBGP(4, 3, f)
-	if st[0].Status != Delivered {
-		t.Errorf("status[0] = %v, want delivered via deflection", st[0].Status)
-	}
-	// 0 -> 1, then pinned over [2, 3]: three hops total.
-	if st[0].Hops != 3 {
-		t.Errorf("hops[0] = %d, want 3 (one primary hop + two pinned)", st[0].Hops)
-	}
-	if st[2].Status != Blackhole { // 2 has no primary and no deflection
-		t.Errorf("status[2] = %v, want blackhole", st[2].Status)
-	}
-}
-
-func TestClassifyRBGPPinnedPathDies(t *testing.T) {
-	// 1 deflects onto [2, 3] but link 2-3 is down: pinned packet dies.
-	f := rbgpFake{
-		primary: map[topology.ASN]topology.ASN{0: 1},
-		deflect: map[[2]topology.ASN][]topology.ASN{
-			{1, 0}: {2, 3},
-		},
-		dead: map[[2]topology.ASN]bool{{2, 3}: true},
-	}
-	st := ClassifyRBGP(4, 3, f)
-	if st[0].Status != Blackhole {
-		t.Errorf("status[0] = %v, want blackhole on dead pinned path", st[0].Status)
-	}
-}
-
-func TestClassifyRBGPBounceTriggersDeflect(t *testing.T) {
-	// 0 and 1 point at each other (mutual staleness). 1 deflects packets
-	// from 0 onto [2, 3]; 0 deflects packets from 1 the same way.
-	f := rbgpFake{
-		primary: map[topology.ASN]topology.ASN{0: 1, 1: 0},
-		deflect: map[[2]topology.ASN][]topology.ASN{
-			{1, 0}: {2, 3},
-			{0, 1}: {2, 3},
-		},
-	}
-	st := ClassifyRBGP(4, 3, f)
-	if st[0].Status != Delivered || st[1].Status != Delivered {
-		t.Errorf("results = %v, want mutual bounce resolved by deflection", st)
-	}
-}
-
 // stampFake implements StampState from maps.
 type stampFake struct {
 	next     map[topology.ASN]map[bgp.Color]topology.ASN

@@ -36,6 +36,10 @@ type Network struct {
 
 	nodes []Node
 	down  map[linkKey]bool
+	// downAt counts the failed links incident to each AS, so that
+	// LinkUp — called on every Send, delivery and data-plane sample —
+	// consults the down map only next to a failure.
+	downAt []int32
 	// lastArrival enforces FIFO delivery per directed (from, to) pair:
 	// BGP sessions run over TCP, so a later message must never overtake
 	// an earlier one.
@@ -58,6 +62,7 @@ func NewNetwork(e *Engine, g *topology.Graph) *Network {
 		G:           g,
 		nodes:       make([]Node, g.Len()),
 		down:        make(map[linkKey]bool),
+		downAt:      make([]int32, g.Len()),
 		lastArrival: make(map[linkKey]time.Duration),
 	}
 }
@@ -73,10 +78,14 @@ func (n *Network) NodeOf(a topology.ASN) Node { return n.nodes[a] }
 // LinkUp reports whether the link between a and b is operational. Links
 // absent from the topology are never up.
 func (n *Network) LinkUp(a, b topology.ASN) bool {
+	// Adjacency is symmetric: scan the shorter neighbor list.
+	if n.G.Degree(b) < n.G.Degree(a) {
+		a, b = b, a
+	}
 	if n.G.Rel(a, b) == topology.RelNone {
 		return false
 	}
-	return !n.down[mkLink(a, b)]
+	return n.downAt[a] == 0 || n.downAt[b] == 0 || !n.down[mkLink(a, b)]
 }
 
 // Send queues a routing message from one AS to a neighbor. Messages sent
@@ -119,6 +128,8 @@ func (n *Network) FailLink(a, b topology.ASN) error {
 		return fmt.Errorf("sim: link %d--%d already down", a, b)
 	}
 	n.down[k] = true
+	n.downAt[a]++
+	n.downAt[b]++
 	n.E.After(n.E.Delay(), func() {
 		if node := n.nodes[a]; node != nil {
 			node.LinkDown(b)
@@ -139,6 +150,8 @@ func (n *Network) RestoreLink(a, b topology.ASN) error {
 		return fmt.Errorf("sim: link %d--%d is not down", a, b)
 	}
 	delete(n.down, k)
+	n.downAt[a]--
+	n.downAt[b]--
 	n.E.After(n.E.Delay(), func() {
 		if node := n.nodes[a]; node != nil {
 			node.LinkUp(b)

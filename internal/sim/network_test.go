@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"stamp/internal/topology"
@@ -168,6 +169,53 @@ func TestNetworkFailNode(t *testing.T) {
 	}
 	if len(recs[0].downs) != 3 {
 		t.Errorf("AS 0 downs = %v, want 3 entries", recs[0].downs)
+	}
+}
+
+// TestLinkUpMatchesDownSet: through a random sequence of link
+// failures, restores and node failures, LinkUp answers every ordered
+// pair of ASes — adjacent or not, next to a failure or not — as the
+// definition does: a topology link that is not in the down set.
+func TestLinkUpMatchesDownSet(t *testing.T) {
+	g, err := topology.GenerateDefault(40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := g.Links()
+	n := NewNetwork(NewEngine(DefaultParams(), 1), g)
+	rng := rand.New(rand.NewSource(2))
+	for step := 0; step < 300; step++ {
+		switch l := links[rng.Intn(len(links))]; rng.Intn(8) {
+		case 0:
+			n.FailNode(l.A)
+		case 1, 2, 3:
+			_ = n.FailLink(l.A, l.B) // refused when already down
+		default:
+			_ = n.RestoreLink(l.B, l.A) // refused when not down
+		}
+		down := map[linkKey]bool{}
+		for _, l := range n.DownLinks() {
+			down[mkLink(l.A, l.B)] = true
+		}
+		for a := topology.ASN(0); int(a) < g.Len(); a++ {
+			for b := topology.ASN(0); int(b) < g.Len(); b++ {
+				want := g.Rel(a, b) != topology.RelNone && !down[mkLink(a, b)]
+				if got := n.LinkUp(a, b); got != want {
+					t.Fatalf("step %d: LinkUp(%d, %d) = %v, want %v (down: %v)", step, a, b, got, want, n.DownLinks())
+				}
+			}
+		}
+	}
+	for len(n.DownLinks()) > 0 {
+		l := n.DownLinks()[0]
+		if err := n.RestoreLink(l.A, l.B); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for a, c := range n.downAt {
+		if c != 0 {
+			t.Errorf("AS %d still counts %d failed links with none down", a, c)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package traffic
 import (
 	"stamp/internal/bgp"
 	"stamp/internal/core"
-	"stamp/internal/forwarding"
 	"stamp/internal/rbgp"
 	"stamp/internal/sim"
 	"stamp/internal/topology"
@@ -26,14 +25,14 @@ type instance struct {
 	stampNodes []*core.Node
 
 	// Cost model and steering policy (nil without one).
-	cost     LinkCost
-	costFunc forwarding.CostFunc
-	steer    Steerer
+	cost  LinkCost
+	steer Steerer
 
 	// Snapshot scratch, reused across ticks.
 	walker Walker
 	single []int32
 	stamp  StampTables
+	rbgp   RBGPView
 
 	// Steering scratch: forced color assignments and per-color walks.
 	allRed, allBlue []uint8
@@ -62,6 +61,7 @@ func newInstance(proto Protocol, g *topology.Graph, params sim.Params, seed int6
 			in.rbgpNodes[a] = rbgp.NewNode(topology.ASN(a), g, in.e, in.net, rci)
 		}
 		in.rbgpNodes[dest].Originate()
+		in.rbgp = RBGPView{Nodes: in.rbgpNodes, Net: in.net}
 	case STAMP, STAMPSteer:
 		// The steering arm runs STAMP's control plane unchanged; only
 		// the data-plane color stamping differs (classify).
@@ -77,25 +77,20 @@ func newInstance(proto Protocol, g *topology.Graph, params sim.Params, seed int6
 	return in
 }
 
-// setCost attaches the link-quality model to the walkers and the R-BGP
-// classifier bridge.
+// setCost attaches the link-quality model to the walkers.
 func (in *instance) setCost(c LinkCost) {
 	in.cost = c
 	in.walker.Cost = c
-	if c != nil {
-		in.costFunc = func(a, b topology.ASN) (float64, float64) {
-			return c.LinkLatMs(int32(a), int32(b)), c.LinkLossRate(int32(a), int32(b))
-		}
-	}
 }
 
-// classify samples the current forwarding state into out. BGP and STAMP
-// go through the flat batched walkers; R-BGP's arriving-interface- and
-// pinned-path-dependent forwarding stays on the callback classifier (its
-// state is inherently sparse), sampled synchronously while the engine is
-// paused. STAMPSteer classifies the same STAMP tables but stamps the
-// steering policy's current color assignment on locally sourced packets
-// in place of the nodes' preference.
+// classify samples the current forwarding state into out through the
+// flat batched walkers, synchronously while the engine is paused. BGP
+// and STAMP snapshot everything a walk reads into tables; R-BGP
+// snapshots its primaries and leaves failover paths and link liveness
+// behind the Failover callbacks, which a walk reaches only where
+// primary forwarding ends. STAMPSteer classifies the same STAMP tables
+// but stamps the steering policy's current color assignment on locally
+// sourced packets in place of the nodes' preference.
 func (in *instance) classify(out *Walk) {
 	n := in.g.Len()
 	switch in.proto {
@@ -108,21 +103,8 @@ func (in *instance) classify(out *Walk) {
 		}
 		in.walker.WalkSingle(in.single, int32(in.dest), out)
 	case RBGPNoRCI, RBGP:
-		out.reset(n)
-		if in.cost != nil {
-			out.resetCost(n)
-			res := forwarding.ClassifyRBGPCost(n, in.dest, rbgpView{in.rbgpNodes, in.net}, in.costFunc, out.LatMs, out.LossP)
-			for a, r := range res {
-				out.Status[a], out.Hops[a] = r.Status, r.Hops
-				// ClassifyRBGPCost reports survival; the walk stores loss.
-				out.LossP[a] = 1 - out.LossP[a]
-			}
-			return
-		}
-		res := forwarding.ClassifyRBGP(n, in.dest, rbgpView{in.rbgpNodes, in.net})
-		for a, r := range res {
-			out.Status[a], out.Hops[a] = r.Status, r.Hops
-		}
+		in.single = in.rbgp.Primaries(in.single)
+		in.walker.WalkRBGP(in.single, int32(in.dest), &in.rbgp, out)
 	case STAMP:
 		in.snapshotStamp()
 		in.walker.WalkStamp(in.stamp, int32(in.dest), out)
@@ -192,16 +174,31 @@ func nextHop32(nh topology.ASN, ok bool) int32 {
 	return int32(nh)
 }
 
-// rbgpView adapts the R-BGP node slice to the forwarding walker.
-type rbgpView struct {
-	nodes []*rbgp.Node
-	net   *sim.Network
+// RBGPView adapts simulated R-BGP nodes to Walker.WalkRBGP: Primaries
+// snapshots the table half of their forwarding state, and the view
+// itself is the Failover half.
+type RBGPView struct {
+	Nodes []*rbgp.Node
+	Net   *sim.Network
 }
 
-func (v rbgpView) Primary(as topology.ASN) (topology.ASN, bool) {
-	return v.nodes[as].Primary()
+// Primaries flattens every node's primary next hop into dst (reused
+// when large enough) in the walker encoding.
+func (v RBGPView) Primaries(dst []int32) []int32 {
+	if cap(dst) < len(v.Nodes) {
+		dst = make([]int32, len(v.Nodes))
+	}
+	dst = dst[:len(v.Nodes)]
+	for a, node := range v.Nodes {
+		dst[a] = nextHop32(node.Primary())
+	}
+	return dst
 }
-func (v rbgpView) Deflect(as, prev topology.ASN) []topology.ASN {
-	return v.nodes[as].Deflect(prev)
+
+// Deflect implements Failover.
+func (v RBGPView) Deflect(as, prev topology.ASN) []topology.ASN {
+	return v.Nodes[as].Deflect(prev)
 }
-func (v rbgpView) LinkUp(a, b topology.ASN) bool { return v.net.LinkUp(a, b) }
+
+// LinkUp implements Failover.
+func (v RBGPView) LinkUp(a, b topology.ASN) bool { return v.Net.LinkUp(a, b) }

@@ -1,0 +1,263 @@
+package traffic
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"stamp/internal/forwarding"
+	"stamp/internal/scenario"
+	"stamp/internal/topology"
+)
+
+// qualityCost is hashCost with the link-quality state the quality
+// scenario kinds script: a latency multiplier and a gray-loss rate per
+// link, changed only through scenario.QualityExecutor.
+type qualityCost struct {
+	mult, gray map[[2]int32]float64
+}
+
+func newQualityCost() *qualityCost {
+	return &qualityCost{mult: map[[2]int32]float64{}, gray: map[[2]int32]float64{}}
+}
+
+func (c *qualityCost) LinkLatMs(a, b int32) float64 {
+	lat := hashCost{}.LinkLatMs(a, b)
+	if m, ok := c.mult[pk(a, b)]; ok {
+		lat *= m
+	}
+	return lat
+}
+
+func (c *qualityCost) LinkLossRate(a, b int32) float64 {
+	if g, ok := c.gray[pk(a, b)]; ok {
+		return g
+	}
+	return hashCost{}.LinkLossRate(a, b)
+}
+
+func (c *qualityCost) DegradeLink(a, b topology.ASN, mult float64) error {
+	c.mult[pk(int32(a), int32(b))] = mult
+	return nil
+}
+
+func (c *qualityCost) GrayLink(a, b topology.ASN, rate float64) error {
+	c.gray[pk(int32(a), int32(b))] = rate
+	return nil
+}
+
+func (c *qualityCost) ClearLink(a, b topology.ASN) error {
+	delete(c.mult, pk(int32(a), int32(b)))
+	delete(c.gray, pk(int32(a), int32(b)))
+	return nil
+}
+
+// greedySteer is a minimal Steerer: after every tick each source takes
+// the color whose forced path is perceived faster. onStep, when set,
+// runs at the end of every Step with the 1-based tick number.
+type greedySteer struct {
+	colors []uint8
+	steps  int
+	onStep func(step int)
+}
+
+func (s *greedySteer) Init(_, _, _, _ []float32, pref []uint8) {
+	s.colors = append([]uint8(nil), pref...)
+}
+
+func (s *greedySteer) Colors() []uint8 { return s.colors }
+
+func (s *greedySteer) Step(redLat, redLossP, blueLat, blueLossP []float32) {
+	perceived := func(lat, lossP float32) float32 {
+		if lat < 0 {
+			return DefaultTimeoutMs
+		}
+		return lat + lossP*DefaultTimeoutMs
+	}
+	for v := range s.colors {
+		if r, b := perceived(redLat[v], redLossP[v]), perceived(blueLat[v], blueLossP[v]); r != b {
+			s.colors[v] = 0
+			if b < r {
+				s.colors[v] = 1
+			}
+		}
+	}
+	s.steps++
+	if s.onStep != nil {
+		s.onStep(s.steps)
+	}
+}
+
+// samplingOpts is the run the sampling tests share: a window long
+// enough for MRAI-paced convergence at a tick that resolves the
+// scripts' 250ms event spacing.
+func samplingOpts(g *topology.Graph, proto Protocol, script scenario.Script, withCost bool) SimOpts {
+	o := SimOpts{G: g, Proto: proto, Script: script, Seed: 23, Tick: 50 * time.Millisecond, Ticks: 900}
+	if withCost || proto == STAMPSteer {
+		o.Cost = newQualityCost()
+	}
+	if proto == STAMPSteer {
+		o.Steer = &greedySteer{}
+	}
+	return o
+}
+
+// eachScenario runs fn on a script of every scenario kind (aliases
+// included), drawn on g.
+func eachScenario(t *testing.T, g *topology.Graph, fn func(name string, script scenario.Script)) {
+	t.Helper()
+	for _, name := range scenario.Names() {
+		script, err := scenario.Named(name, g, 9)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fn(name, script)
+	}
+}
+
+// TestWalkRBGPMatchesOracleMidConvergence: on the live R-BGP node state
+// of every tick that changed anything, in every scenario kind and both
+// RCI arms, the flat walker's sample equals the reference walk run
+// against the same paused nodes.
+func TestWalkRBGPMatchesOracleMidConvergence(t *testing.T) {
+	g := genGraph(t, 80, 3)
+	var walks, undelivered, deflected int
+	for _, proto := range []Protocol{RBGPNoRCI, RBGP} {
+		for _, withCost := range []bool{false, true} {
+			eachScenario(t, g, func(name string, script scenario.Script) {
+				o := samplingOpts(g, proto, script, withCost)
+				var baseline []int32
+				probe := &simProbe{sampled: func(in *instance, w *Walk) {
+					var ref Walk
+					oracleRBGP(g.Len(), in.dest, liveRBGP{in.rbgp}, in.cost, &ref)
+					sameWalk(t, fmt.Sprintf("%v/%s/cost=%v at t=%v", proto, name, withCost, in.e.Now()), w, &ref)
+					walks++
+					undelivered += len(w.Status) - w.Delivered()
+					if baseline == nil {
+						baseline = append(baseline, w.Hops...)
+					}
+					for v, h := range w.Hops {
+						if w.Status[v] == forwarding.Delivered && h != baseline[v] {
+							deflected++
+						}
+					}
+				}}
+				if _, err := runSim(o, probe); err != nil {
+					t.Fatalf("%v/%s: %v", proto, name, err)
+				}
+			})
+		}
+	}
+	t.Logf("%d live walks compared; %d undelivered and %d re-routed source samples among them", walks, undelivered, deflected)
+	if walks < 1000 || undelivered == 0 || deflected == 0 {
+		t.Errorf("fixture too quiet: %d walks, %d undelivered, %d re-routed source samples", walks, undelivered, deflected)
+	}
+}
+
+// TestChangeDrivenSamplingIsExact: skipping classification on ticks
+// during which the engine executed nothing yields the same curve, byte
+// for byte, and the same final walk as classifying on every tick — for
+// every protocol arm, every scenario kind, with and without a cost
+// model.
+func TestChangeDrivenSamplingIsExact(t *testing.T) {
+	g := genGraph(t, 60, 5)
+	skipped := 0
+	for _, proto := range []Protocol{BGP, RBGPNoRCI, RBGP, STAMP, STAMPSteer} {
+		for _, withCost := range []bool{false, true} {
+			if proto == STAMPSteer && !withCost {
+				continue // the steering arm needs a model
+			}
+			eachScenario(t, g, func(name string, script scenario.Script) {
+				ctx := fmt.Sprintf("%v/%s/cost=%v", proto, name, withCost)
+				run := func(probe *simProbe) (*Curve, []byte) {
+					cur, err := runSim(samplingOpts(g, proto, script, withCost), probe)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					b, err := json.Marshal(cur)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					return cur, b
+				}
+				every, lazy := &simProbe{everyTick: true}, &simProbe{}
+				wantCur, want := run(every)
+				gotCur, got := run(lazy)
+				if string(got) != string(want) {
+					t.Errorf("%s: change-driven curve differs from the every-tick curve:\n%s\n%s", ctx, got, want)
+				}
+				if !reflect.DeepEqual(gotCur.Final, wantCur.Final) {
+					t.Errorf("%s: final walks differ", ctx)
+				}
+				if every.classified != gotCur.Ticks {
+					t.Errorf("%s: the every-tick reference classified %d of %d ticks", ctx, every.classified, gotCur.Ticks)
+				}
+				if proto == STAMPSteer && lazy.classified != gotCur.Ticks {
+					t.Errorf("%s: the steering arm classified %d of %d ticks; its colors change between ticks", ctx, lazy.classified, gotCur.Ticks)
+				}
+				skipped += every.classified - lazy.classified
+			})
+		}
+	}
+	if skipped == 0 {
+		t.Error("no run skipped a tick: the comparison exercised nothing")
+	}
+}
+
+// TestSamplingWorkFollowsChurn: the paper's Figure 3(b) scenario is
+// quiet for most of its 60s window — withdrawal waves last tens of
+// milliseconds and MRAI rounds come seconds apart — and the sampling
+// loop must cost what the simulation changes, not what the window
+// spans.
+func TestSamplingWorkFollowsChurn(t *testing.T) {
+	g := genGraph(t, 300, 3)
+	script, err := scenario.Named("two-links-shared", g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, proto := range AllProtocols() {
+		probe := &simProbe{}
+		cur, err := runSim(SimOpts{G: g, Proto: proto, Script: script, Seed: 17}, probe)
+		if err != nil {
+			t.Fatalf("%v: %v", proto, err)
+		}
+		t.Logf("%v: classified %d of %d ticks", proto, probe.classified, cur.Ticks)
+		if probe.classified == 0 || probe.classified > cur.Ticks/3 {
+			t.Errorf("%v: classified %d of %d ticks, want some but at most a third", proto, probe.classified, cur.Ticks)
+		}
+	}
+}
+
+// TestRunSimStopsWithinATickOfCancel: the failure phase of a small
+// topology executes far fewer events than the engine's cancellation
+// poll interval, so the tick loop itself must notice a cancelled
+// context: cancelled at the end of tick k, the run ends before tick
+// k+2.
+func TestRunSimStopsWithinATickOfCancel(t *testing.T) {
+	g := genGraph(t, 60, 5)
+	script, err := scenario.Named("link-failure", g, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 7
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	steer := &greedySteer{onStep: func(step int) {
+		if step == k {
+			cancel()
+		}
+	}}
+	o := samplingOpts(g, STAMPSteer, script, true)
+	o.Steer, o.Context = steer, ctx
+	cur, err := RunSim(o)
+	if !errors.Is(err, context.Canceled) || cur != nil {
+		t.Fatalf("RunSim = %v, %v; want no curve and context.Canceled", cur, err)
+	}
+	if steer.steps > k+1 {
+		t.Errorf("run went on for %d ticks after a cancel at tick %d", steer.steps-k, k)
+	}
+}

@@ -58,7 +58,10 @@ type SimOpts struct {
 	// report end-to-end path latency, the curve gains the user-latency
 	// series, and link-quality script events (degrade/gray/clear) are
 	// forwarded to the model when it implements
-	// scenario.QualityExecutor. Required for STAMPSteer.
+	// scenario.QualityExecutor. The model must change only through
+	// those events: RunSim re-samples the data plane only after ticks
+	// during which the engine executed something. Required for
+	// STAMPSteer.
 	Cost LinkCost
 	// TimeoutMs is the perceived latency of a lost packet in the
 	// user-latency accounting (default DefaultTimeoutMs). Cost runs only.
@@ -66,8 +69,9 @@ type SimOpts struct {
 	// Steer is the color-steering policy (required for STAMPSteer,
 	// ignored otherwise). internal/steer.Policy implements it.
 	Steer Steerer
-	// Context, when non-nil, interrupts the engine mid-run on
-	// cancellation.
+	// Context, when non-nil, interrupts the run on cancellation: the
+	// engine polls it every few thousand events, the sampling loop at
+	// every tick.
 	Context context.Context
 }
 
@@ -91,10 +95,12 @@ func (o SimOpts) withDefaults() SimOpts {
 }
 
 // RunSim converges the protocol, then replays the script while sampling
-// the data plane at virtual-time ticks: at each tick the forwarding
-// tables are flattened and the batched walker classifies all sources in
-// one pass. After the last tick the engine drains to full convergence
-// and the final deliverability is recorded.
+// the data plane at virtual-time ticks: at each tick during which the
+// simulation did anything, the forwarding tables are flattened and the
+// batched walker classifies all sources in one pass; a tick during
+// which the engine executed no event re-observes the previous
+// classification, which is still exact. After the last tick the engine
+// drains to full convergence and the final deliverability is recorded.
 //
 // For STAMPSteer the sampling loop additionally drives the steering
 // policy: each tick first classifies the data plane under the colors
@@ -102,7 +108,21 @@ func (o SimOpts) withDefaults() SimOpts {
 // detection by one sample, as they would in deployment), then feeds the
 // policy this tick's forced all-red and all-blue path measurements so
 // it can re-decide for the next tick.
-func RunSim(o SimOpts) (*Curve, error) {
+func RunSim(o SimOpts) (*Curve, error) { return runSim(o, &simProbe{}) }
+
+// simProbe is the tests' window into the sampling loop.
+type simProbe struct {
+	// everyTick classifies on idle ticks too: the reference the
+	// change-driven loop is compared against.
+	everyTick bool
+	// classified counts the ticks that ran the walker.
+	classified int
+	// sampled, when non-nil, sees every tick's fresh classification
+	// while the engine is still paused on the state it was taken from.
+	sampled func(in *instance, w *Walk)
+}
+
+func runSim(o SimOpts, probe *simProbe) (*Curve, error) {
 	if o.G == nil {
 		return nil, fmt.Errorf("traffic: nil topology")
 	}
@@ -161,13 +181,29 @@ func RunSim(o SimOpts) (*Curve, error) {
 
 	w := &Walk{}
 	for i := 1; i <= o.Ticks; i++ {
-		if _, err := in.e.RunUntil(t0 + time.Duration(i)*o.Tick); err != nil {
+		if o.Context != nil {
+			if err := o.Context.Err(); err != nil {
+				return nil, fmt.Errorf("traffic: run canceled at tick %d: %w", i, err)
+			}
+		}
+		ran, err := in.e.RunUntil(t0 + time.Duration(i)*o.Tick)
+		if err != nil {
 			return nil, fmt.Errorf("traffic: tick %d: %w", i, err)
 		}
 		if evErr != nil {
 			return nil, evErr
 		}
-		in.classify(w)
+		// Every mutation of node, network and cost-model state happens
+		// inside an engine event, so a tick that executed none leaves
+		// the previous walk exact. The steering policy re-colors sources
+		// between ticks, outside the engine.
+		if ran > 0 || i == 1 || o.Proto == STAMPSteer || probe.everyTick {
+			in.classify(w)
+			probe.classified++
+			if probe.sampled != nil {
+				probe.sampled(in, w)
+			}
+		}
 		cur.observe(i, w, baseline)
 		if in.steer != nil && o.Proto == STAMPSteer {
 			in.steerStep()

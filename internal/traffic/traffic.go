@@ -9,18 +9,21 @@
 //   - sim (RunSim): the discrete-event simulator is paused at virtual-time
 //     ticks during a scenario.Script; at each tick the forwarding tables
 //     are flattened into arrays and a batched, memoized multi-source
-//     walker classifies every source in one pass. The flat walkers do
-//     millions of packet-walks per second (see BenchmarkTrafficWalk),
-//     which is what makes dense tick sampling over many trials cheap.
+//     walker classifies every source in one pass — except on ticks
+//     during which the engine executed no event, which re-observe the
+//     previous classification. The flat walkers do millions of
+//     packet-walks per second (see BenchmarkTrafficWalk), which is what
+//     makes dense tick sampling over many trials cheap.
 //   - emu (RunEmu): the same synthetic flows are driven through the live
 //     fabric's wall-clock tables (internal/emu) during the same script,
 //     and the resulting deliverability is differentially validated
 //     against the simulator's — extending PR 2's Tables.Diff methodology
 //     from "same final tables" to "same transient deliverability".
 //
-// The walkers are equivalence-tested against the callback-driven
-// classifiers in internal/forwarding, which remain the semantic
-// reference.
+// The walkers are equivalence-tested against their semantic references:
+// the callback-driven classifiers in internal/forwarding for BGP and
+// STAMP, and for R-BGP the (AS, arriving neighbor)-keyed walk kept in
+// this package's tests.
 package traffic
 
 import (

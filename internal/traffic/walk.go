@@ -2,18 +2,19 @@ package traffic
 
 import (
 	"stamp/internal/forwarding"
+	"stamp/internal/topology"
 )
 
 // The batched walkers classify every source of a forwarding-table
 // snapshot in one pass over flat arrays. Memoization is per walk state
-// (one state per AS for single-plane protocols, four per AS for STAMP's
-// (color, switched) planes): each state is resolved exactly once, so a
-// whole-topology classification is O(states) regardless of how many
-// sources funnel through the same paths — the property that lets the
-// traffic engine sample snapshots densely. The walk is iterative with an
-// explicit chain stack (no recursion, no per-call closures); scratch
-// buffers live in the Walker and are reused across ticks, so the steady
-// state allocates nothing.
+// (one state per AS for single-plane protocols and for R-BGP, four per
+// AS for STAMP's (color, switched) planes): each state is resolved
+// exactly once, so a whole-topology classification is O(states)
+// regardless of how many sources funnel through the same paths — the
+// property that lets the traffic engine sample snapshots densely. The
+// walk is iterative with an explicit chain stack (no recursion, no
+// per-call closures); scratch buffers live in the Walker and are reused
+// across ticks, so the steady state allocates nothing.
 
 // Walk states: unknown, on the current chain, or done (doneBase+status).
 const (
@@ -172,6 +173,137 @@ func (w *Walker) WalkSingle(next []int32, dest int32, out *Walk) {
 			}
 		}
 	}
+}
+
+// Failover is the part of R-BGP's forwarding state the walker consults
+// by callback instead of through a table: it is needed only where
+// hop-by-hop primary forwarding ends, at most once per AS and arriving
+// neighbor. RBGPView adapts live nodes to it.
+type Failover interface {
+	// Deflect returns the failover AS path a packet deflected at as
+	// (arriving from prev, -1 if locally sourced) is pinned to, from the
+	// first next hop to the destination, or nil when none is available.
+	Deflect(as, prev topology.ASN) []topology.ASN
+	// LinkUp reports link liveness along pinned failover paths.
+	LinkUp(a, b topology.ASN) bool
+}
+
+// WalkRBGP classifies all sources of an R-BGP snapshot: primary[v] is AS
+// v's decision-process next hop, -1 when it has none usable, and v
+// itself at the origin. Forwarding is hop-by-hop along primaries until
+// a packet would be dropped or bounced back to the neighbor it came
+// from; there it is deflected onto the local failover path and pinned
+// to it (R-BGP forwards deflected packets along the advertised failover
+// path, which also prevents deflection loops). A pinned packet is
+// delivered iff every link of the failover path is alive — with RCI,
+// stale failover paths crossing failed links have been purged, so
+// deflection almost always succeeds; without RCI the packet can be
+// pinned onto a dead path.
+//
+// Forwarding looks at the arriving neighbor, yet one memoized state per
+// AS suffices: the neighbor matters only where the primary is missing
+// or points back at it, and there the packet is pinned — an outcome
+// computed on the spot that never re-enters the walk. Everywhere else
+// the outcome from an AS is a function of the AS alone, and a cycle of
+// three or more primaries is a loop whichever neighbor a packet enters
+// it from. State 2v holds the outcome of packets sourced at v; state
+// 2v+1 is scratch for a packet deflected at v on arrival from the
+// chain's previous AS, rewritten on every such arrival. The result is
+// that of the (AS, arriving neighbor)-keyed reference walk
+// (equivalence-tested).
+func (w *Walker) WalkRBGP(primary []int32, dest int32, fo Failover, out *Walk) {
+	n := len(primary)
+	out.reset(n)
+	st, hp := w.scratch(2 * n)
+	var lat, surv []float32
+	if w.Cost != nil {
+		lat, surv = w.costScratch(2 * n)
+	}
+	stack := w.stack[:0]
+	for src := 0; src < n; src++ {
+		if st[2*src] >= wDone {
+			continue
+		}
+		v, prev := int32(src), int32(-1)
+		var id int32
+		var term forwarding.Status
+		var termHops int32
+	chain:
+		for {
+			id = 2 * v
+			nh := primary[v]
+			switch {
+			case v == dest, nh == v:
+				st[id], hp[id] = wDone+uint8(forwarding.Delivered), 0
+				if lat != nil {
+					lat[id], surv[id] = 0, 1
+				}
+				term, termHops = forwarding.Delivered, 0
+				break chain
+			case nh < 0, nh == prev:
+				if prev >= 0 {
+					id++
+				}
+				term, termHops = w.walkPinned(v, fo.Deflect(topology.ASN(v), topology.ASN(prev)), fo, lat, surv, id)
+				st[id], hp[id] = wDone+uint8(term), termHops
+				break chain
+			}
+			switch s := st[id]; {
+			case s >= wDone:
+				term, termHops = forwarding.Status(s-wDone), hp[id]
+				break chain
+			case s == wOnStack:
+				term, termHops = forwarding.Loop, forwarding.NoHops
+				break chain
+			}
+			st[id] = wOnStack
+			stack = append(stack, id)
+			prev, v = v, nh
+		}
+		stack = w.unwind(stack, st, hp, lat, surv, term, termHops, id, 2)
+	}
+	w.stack = stack
+	for v := 0; v < n; v++ {
+		out.Status[v] = forwarding.Status(st[2*v] - wDone)
+		out.Hops[v] = hp[2*v]
+	}
+	if w.Cost != nil {
+		out.resetCost(n)
+		for v := 0; v < n; v++ {
+			if out.Status[v] == forwarding.Delivered {
+				out.LatMs[v], out.LossP[v] = lat[2*v], 1-surv[2*v]
+			} else {
+				out.LatMs[v], out.LossP[v] = NoLat, 1
+			}
+		}
+	}
+}
+
+// walkPinned follows a failover AS path from AS from hop by hop,
+// checking link liveness only: the packet is pinned to the path. With a
+// cost model attached, a delivered path's latency and survival land in
+// lat[id] and surv[id].
+func (w *Walker) walkPinned(from int32, path []topology.ASN, fo Failover, lat, surv []float32, id int32) (forwarding.Status, int32) {
+	if len(path) == 0 {
+		return forwarding.Blackhole, forwarding.NoHops
+	}
+	cur := topology.ASN(from)
+	var l float32
+	s := float32(1)
+	for _, next := range path {
+		if !fo.LinkUp(cur, next) {
+			return forwarding.Blackhole, forwarding.NoHops
+		}
+		if lat != nil {
+			l += float32(w.Cost.LinkLatMs(int32(cur), int32(next)))
+			s *= float32(1 - w.Cost.LinkLossRate(int32(cur), int32(next)))
+		}
+		cur = next
+	}
+	if lat != nil {
+		lat[id], surv[id] = l, s
+	}
+	return forwarding.Delivered, int32(len(path))
 }
 
 // StampTables is the flat STAMP data-plane snapshot the batched walker

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -135,6 +136,215 @@ func TestWalkStampEquivalence(t *testing.T) {
 			if naive.Status[v] != ref[v].Status || naive.Hops[v] != ref[v].Hops {
 				t.Fatalf("trial %d: naive[%d] = %v/%d, reference %v/%d",
 					trial, v, naive.Status[v], naive.Hops[v], ref[v].Status, ref[v].Hops)
+			}
+		}
+	}
+}
+
+// fakeFailover is a synthetic Failover: per-AS candidate failover
+// paths, of which Deflect picks the first that avoids the arriving
+// neighbor (so the outcome of a deflection genuinely depends on it, as
+// with live nodes), and a set of dead links.
+type fakeFailover struct {
+	paths [][][]topology.ASN
+	dead  map[[2]int32]bool
+
+	deflects, deadHits int // what the walks exercised
+}
+
+func (f *fakeFailover) Deflect(as, prev topology.ASN) []topology.ASN {
+	f.deflects++
+next:
+	for _, p := range f.paths[as] {
+		for _, hop := range p {
+			if hop == prev {
+				continue next
+			}
+		}
+		return p
+	}
+	return nil
+}
+
+func (f *fakeFailover) LinkUp(a, b topology.ASN) bool {
+	if f.dead[pk(int32(a), int32(b))] {
+		f.deadHits++
+		return false
+	}
+	return true
+}
+
+// randRBGP builds a random R-BGP snapshot on top of randSingle's primary
+// table (delivery chains, cycles of every length, missing primaries,
+// self-delivering origins): a few 2-cycles are forced in, since mutual
+// staleness is the case R-BGP's bounce rule exists for, every AS gets up
+// to two random failover paths ending at the destination, and a tenth of
+// the links those paths cross are dead.
+func randRBGP(rng *rand.Rand, n int) ([]int32, int32, *fakeFailover) {
+	primary, dest := randSingle(rng, n)
+	for i := rng.Intn(3); i > 0; i-- {
+		a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if a != b {
+			primary[a], primary[b] = b, a
+		}
+	}
+	f := &fakeFailover{paths: make([][][]topology.ASN, n), dead: map[[2]int32]bool{}}
+	for v := range f.paths {
+		for i := rng.Intn(3); i > 0; i-- {
+			path := make([]topology.ASN, 0, 4)
+			for j := rng.Intn(3); j > 0; j-- {
+				path = append(path, topology.ASN(rng.Intn(n)))
+			}
+			path = append(path, topology.ASN(dest))
+			cur := int32(v)
+			for _, hop := range path {
+				if rng.Intn(10) == 0 {
+					f.dead[pk(cur, int32(hop))] = true
+				}
+				cur = int32(hop)
+			}
+			f.paths[v] = append(f.paths[v], path)
+		}
+	}
+	return primary, dest, f
+}
+
+// hashCost is a link cost that needs no table: latency and loss are
+// functions of the endpoint pair.
+type hashCost struct{}
+
+func (hashCost) LinkLatMs(a, b int32) float64 {
+	k := pk(a, b)
+	return 1 + float64((k[0]*31+k[1]*17)%23)
+}
+func (hashCost) LinkLossRate(a, b int32) float64 {
+	k := pk(a, b)
+	return float64((k[0]*7+k[1]*13)%5) / 50
+}
+
+// TestWalkRBGPEquivalence: the flat per-AS-memoized walker must agree
+// with the (AS, arriving neighbor)-keyed reference walk — status, hops,
+// and with a cost model latency and loss, bit for bit — on random
+// snapshots, and the fixture must actually contain the cases the per-AS
+// memo argument is about.
+func TestWalkRBGPEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	plain, costed := Walker{}, Walker{Cost: hashCost{}}
+	var twoCycles, longLoops, missing, selfLoops, deflects, deadHits int
+	for trial := 0; trial < 600; trial++ {
+		n := 2 + rng.Intn(60)
+		primary, dest, fo := randRBGP(rng, n)
+		for v, nh := range primary {
+			switch {
+			case nh < 0:
+				missing++
+			case nh == int32(v):
+				selfLoops++
+			case primary[nh] == int32(v) && int32(v) < nh:
+				twoCycles++
+			}
+		}
+
+		var flat, ref Walk
+		plain.WalkRBGP(primary, dest, fo, &flat)
+		oracleRBGP(n, topology.ASN(dest), snapRBGP{primary, fo}, nil, &ref)
+		sameWalk(t, fmt.Sprintf("trial %d (primary=%v dest=%d)", trial, primary, dest), &flat, &ref)
+		for _, s := range ref.Status {
+			if s == forwarding.Loop {
+				longLoops++ // 2-cycles bounce, so any Loop is a cycle of 3+
+			}
+		}
+
+		var flatC, refC Walk
+		costed.WalkRBGP(primary, dest, fo, &flatC)
+		oracleRBGP(n, topology.ASN(dest), snapRBGP{primary, fo}, hashCost{}, &refC)
+		sameWalk(t, fmt.Sprintf("trial %d with cost (primary=%v dest=%d)", trial, primary, dest), &flatC, &refC)
+		sameWalk(t, fmt.Sprintf("trial %d: cost model changed classification", trial),
+			&Walk{Status: flatC.Status, Hops: flatC.Hops}, &flat)
+		deflects, deadHits = deflects+fo.deflects, deadHits+fo.deadHits
+	}
+	for name, count := range map[string]int{
+		"2-cycles": twoCycles, "sources looping in cycles of 3+": longLoops, "missing primaries": missing,
+		"origin self-loops": selfLoops, "deflections": deflects, "pinned paths over dead links": deadHits,
+	} {
+		if count < 100 {
+			t.Errorf("fixture covers only %d %s", count, name)
+		}
+	}
+}
+
+// deflectTo23 is a four-AS failover view in which the listed ASes
+// deflect onto the path [2, 3] and nobody else has a failover.
+func deflectTo23(ases ...int) *fakeFailover {
+	f := &fakeFailover{paths: make([][][]topology.ASN, 4), dead: map[[2]int32]bool{}}
+	for _, a := range ases {
+		f.paths[a] = [][]topology.ASN{{2, 3}}
+	}
+	return f
+}
+
+func TestWalkRBGPDeflection(t *testing.T) {
+	// 0 -> 1, 1 has no primary and deflects onto path [2, 3].
+	var w Walker
+	var out Walk
+	w.WalkRBGP([]int32{1, -1, -1, 3}, 3, deflectTo23(1), &out)
+	if out.Status[0] != forwarding.Delivered {
+		t.Errorf("status[0] = %v, want delivered via deflection", out.Status[0])
+	}
+	// 0 -> 1, then pinned over [2, 3]: three hops total.
+	if out.Hops[0] != 3 {
+		t.Errorf("hops[0] = %d, want 3 (one primary hop + two pinned)", out.Hops[0])
+	}
+	if out.Status[2] != forwarding.Blackhole { // 2 has no primary and no deflection
+		t.Errorf("status[2] = %v, want blackhole", out.Status[2])
+	}
+}
+
+func TestWalkRBGPPinnedPathDies(t *testing.T) {
+	// 1 deflects onto [2, 3] but link 2-3 is down: pinned packet dies.
+	f := deflectTo23(1)
+	f.dead[pk(2, 3)] = true
+	var w Walker
+	var out Walk
+	w.WalkRBGP([]int32{1, -1, -1, 3}, 3, f, &out)
+	if out.Status[0] != forwarding.Blackhole {
+		t.Errorf("status[0] = %v, want blackhole on dead pinned path", out.Status[0])
+	}
+}
+
+func TestWalkRBGPBounceTriggersDeflect(t *testing.T) {
+	// 0 and 1 point at each other (mutual staleness). 1 deflects packets
+	// from 0 onto [2, 3]; 0 deflects packets from 1 the same way.
+	var w Walker
+	var out Walk
+	w.WalkRBGP([]int32{1, 0, -1, 3}, 3, deflectTo23(0, 1), &out)
+	if out.Status[0] != forwarding.Delivered || out.Status[1] != forwarding.Delivered {
+		t.Errorf("statuses = %v, want mutual bounce resolved by deflection", out.Status)
+	}
+	if out.Hops[0] != 3 || out.Hops[1] != 3 {
+		t.Errorf("hops = %v, want 3 for both (one hop to the bouncer + two pinned)", out.Hops)
+	}
+}
+
+// TestWalkersSteadyStateAllocs: once a Walker's scratch has grown to
+// the snapshot size, a walk allocates nothing — with and without a cost
+// model, on all three walkers.
+func TestWalkersSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 200
+	next, sdest := randSingle(rng, n)
+	tables, tdest := randStamp(rng, n)
+	primary, rdest, fo := randRBGP(rng, n)
+	for _, w := range []*Walker{{}, {Cost: hashCost{}}} {
+		var out Walk
+		for name, walk := range map[string]func(){
+			"WalkSingle": func() { w.WalkSingle(next, sdest, &out) },
+			"WalkStamp":  func() { w.WalkStamp(tables, tdest, &out) },
+			"WalkRBGP":   func() { w.WalkRBGP(primary, rdest, fo, &out) },
+		} {
+			walk() // grow the scratch
+			if allocs := testing.AllocsPerRun(50, walk); allocs != 0 {
+				t.Errorf("%s (cost model: %v): %v allocs per walk in the steady state, want 0", name, w.Cost != nil, allocs)
 			}
 		}
 	}
