@@ -579,3 +579,41 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		_ = res
 	}
 }
+
+// simSink is a sim.Node that drops everything delivered to it.
+type simSink struct{}
+
+func (simSink) Recv(topology.ASN, any) {}
+func (simSink) LinkDown(topology.ASN)  {}
+func (simSink) LinkUp(topology.ASN)    {}
+
+// BenchmarkSimEngine measures the event queue alone: per op, 1024
+// events — half timer callbacks, half message deliveries over one link —
+// scheduled at random delays, then drained. Once the queue's backing
+// array has grown it must report 0 allocs/op.
+func BenchmarkSimEngine(b *testing.B) {
+	const perOp = 1024
+	g := topology.NewGraph(2)
+	if err := g.AddProviderLink(1, 0); err != nil {
+		b.Fatal(err)
+	}
+	e := sim.NewEngine(sim.DefaultParams(), benchSeed)
+	net := sim.NewNetwork(e, g)
+	net.Register(1, simSink{})
+	rng := rand.New(rand.NewSource(benchSeed))
+	fired := 0
+	tick := func() { fired++ }
+	payload := any(&fired)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < perOp/2; k++ {
+			e.After(time.Duration(rng.Intn(1000))*time.Microsecond, tick)
+			net.Send(0, 1, payload)
+		}
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*perOp)/b.Elapsed().Seconds(), "events/s")
+}

@@ -80,15 +80,18 @@ func (n *Node) notify() {
 
 // recomputeDesired reapplies export policy after a best-route change.
 func (n *Node) recomputeDesired(loss bool) {
-	best := n.Sp.Best()
-	var nbrs []topology.ASN
-	for _, nbr := range n.G.Neighbors(nbrs, n.Self) {
-		rel := n.G.Rel(n.Self, nbr)
+	sp := n.Sp
+	best := sp.Best()
+	var adv *Route // built on first use; one advertisement serves every neighbor
+	for i, nbr := range sp.Neighbors() {
 		var out Out
-		if best != nil && CanExport(best, rel) && !best.ContainsAS(nbr) && best.From != nbr {
-			out = Out{Route: Advertised(n.Self, best, false, ColorRed), Loss: loss}
+		if best != nil && CanExport(best, sp.NeighborRel(i)) && !best.ContainsAS(nbr) && best.From != nbr {
+			if adv == nil {
+				adv = Advertised(n.Self, best, false, ColorRed)
+			}
+			out = Out{Route: adv, Loss: loss}
 		}
-		n.Sp.SetDesired(nbr, out)
+		sp.SetDesiredAt(i, out)
 	}
 }
 

@@ -192,3 +192,17 @@ func Advertised(self topology.ASN, base *Route, lock bool, c Color) *Route {
 	path = append(path, base.Path...)
 	return &Route{Path: path, Lock: lock, Color: c}
 }
+
+// EqualsAdvertised reports whether r equals Advertised(self, base, lock,
+// c) without building that route.
+func (r *Route) EqualsAdvertised(self topology.ASN, base *Route, lock bool, c Color) bool {
+	if r == nil || r.Origin || r.Lock != lock || r.Color != c || len(r.Path) != len(base.Path)+1 || r.Path[0] != self {
+		return false
+	}
+	for i, v := range base.Path {
+		if r.Path[i+1] != v {
+			return false
+		}
+	}
+	return true
+}

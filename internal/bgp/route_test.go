@@ -182,6 +182,39 @@ func TestAdvertisedProperty(t *testing.T) {
 	}
 }
 
+// TestEqualsAdvertisedProperty checks EqualsAdvertised against
+// Advertised(...).Equal. Values are drawn from a tiny domain so that
+// equal routes come up often.
+func TestEqualsAdvertisedProperty(t *testing.T) {
+	f := func(self uint8, hops, rPath []uint8, origin, lock, rLock, blue, rBlue bool) bool {
+		small := func(v uint8) topology.ASN { return topology.ASN(v % 2) }
+		base := &Route{}
+		for _, h := range hops[:len(hops)%4] {
+			base.Path = append(base.Path, small(h))
+		}
+		r := &Route{Origin: origin && self%4 == 0, Lock: rLock, Color: ColorRed}
+		if rBlue {
+			r.Color = ColorBlue
+		}
+		for _, h := range rPath[:len(rPath)%5] {
+			r.Path = append(r.Path, small(h))
+		}
+		c := ColorRed
+		if blue {
+			c = ColorBlue
+		}
+		want := Advertised(small(self), base, lock, c).Equal(r)
+		return r.EqualsAdvertised(small(self), base, lock, c) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	var nilRoute *Route
+	if nilRoute.EqualsAdvertised(1, &Route{}, false, ColorRed) {
+		t.Error("nil route equals an advertisement")
+	}
+}
+
 func TestCauseRouteAffected(t *testing.T) {
 	r := &Route{Path: []topology.ASN{1, 2, 3}}
 	link := &Cause{A: 2, B: 3}

@@ -37,14 +37,13 @@ type Speaker struct {
 	// whether the change was triggered by losing a route (ET=0 semantics).
 	OnBestChange func(loss bool)
 
-	ribIn     map[topology.ASN]*Route
-	best      *Route
-	origin    *Route
-	sessionUp map[topology.ASN]bool
+	best   *Route
+	origin *Route
 
-	desired     map[topology.ASN]Out
-	lastSent    map[topology.ASN]*Route
-	mraiRunning map[topology.ASN]bool
+	// nbrs lists the neighbors in topology.Graph.Neighbors order and
+	// peers holds each one's session state at the same position.
+	nbrs  []topology.ASN
+	peers []peer
 
 	// Unstable is the data-plane instability flag of §5.2: set when the
 	// process loses its route or its best route is replaced due to a
@@ -65,26 +64,65 @@ type Speaker struct {
 	WithdrawalsSent int64
 }
 
+// peer is the speaker's state for one neighbor.
+type peer struct {
+	// rel is the neighbor's relationship as seen by the speaker.
+	rel topology.Rel
+	// up reports whether the session is up; mrai whether the MRAI timer
+	// toward the neighbor is running.
+	up, mrai bool
+	// ribIn is the route learned from the neighbor (its Adj-RIB-In
+	// entry), nil if none.
+	ribIn *Route
+	// desired is what should be advertised to the neighbor; lastSent is
+	// what was, nil after a withdrawal.
+	desired  Out
+	lastSent *Route
+}
+
 // NewSpeaker builds a speaker for AS self with sessions to all its
 // topology neighbors initially up.
 func NewSpeaker(self topology.ASN, color Color, g *topology.Graph, e *sim.Engine, send func(to topology.ASN, m Msg)) *Speaker {
 	s := &Speaker{
-		Self:        self,
-		Color:       color,
-		G:           g,
-		E:           e,
-		Send:        send,
-		ribIn:       make(map[topology.ASN]*Route),
-		sessionUp:   make(map[topology.ASN]bool),
-		desired:     make(map[topology.ASN]Out),
-		lastSent:    make(map[topology.ASN]*Route),
-		mraiRunning: make(map[topology.ASN]bool),
+		Self:  self,
+		Color: color,
+		G:     g,
+		E:     e,
+		Send:  send,
+		nbrs:  g.Neighbors(nil, self),
 	}
-	var nbrs []topology.ASN
-	for _, n := range g.Neighbors(nbrs, self) {
-		s.sessionUp[n] = true
+	// Neighbors lists providers, then peers, then customers.
+	np, npeer := len(g.Providers(self)), len(g.Peers(self))
+	s.peers = make([]peer, len(s.nbrs))
+	for i := range s.peers {
+		rel := topology.RelCustomer
+		switch {
+		case i < np:
+			rel = topology.RelProvider
+		case i < np+npeer:
+			rel = topology.RelPeer
+		}
+		s.peers[i] = peer{rel: rel, up: true}
 	}
 	return s
+}
+
+// index returns nbr's position in s.nbrs, -1 if it is not a neighbor.
+func (s *Speaker) index(nbr topology.ASN) int {
+	for i, n := range s.nbrs {
+		if n == nbr {
+			return i
+		}
+	}
+	return -1
+}
+
+// peerOf returns the state of neighbor nbr, nil if nbr is not one.
+func (s *Speaker) peerOf(nbr topology.ASN) *peer {
+	if i := s.index(nbr); i >= 0 {
+		return &s.peers[i]
+	}
+	return nil
 }
 
 // Best returns the current best route (nil if none).
@@ -105,17 +143,27 @@ func (s *Speaker) BestPath() (path []topology.ASN, ok bool) {
 }
 
 // RibIn returns the route learned from one neighbor (nil if none).
-func (s *Speaker) RibIn(nbr topology.ASN) *Route { return s.ribIn[nbr] }
+func (s *Speaker) RibIn(nbr topology.ASN) *Route {
+	if p := s.peerOf(nbr); p != nil {
+		return p.ribIn
+	}
+	return nil
+}
 
-// RibInAll iterates over all Adj-RIB-In entries.
+// RibInAll iterates over all Adj-RIB-In entries, in neighbor order.
 func (s *Speaker) RibInAll(f func(nbr topology.ASN, r *Route)) {
-	for n, r := range s.ribIn {
-		f(n, r)
+	for i := range s.peers {
+		if r := s.peers[i].ribIn; r != nil {
+			f(s.nbrs[i], r)
+		}
 	}
 }
 
 // SessionUp reports whether the session to nbr is up.
-func (s *Speaker) SessionUp(nbr topology.ASN) bool { return s.sessionUp[nbr] }
+func (s *Speaker) SessionUp(nbr topology.ASN) bool {
+	p := s.peerOf(nbr)
+	return p != nil && p.up
+}
 
 // Originate makes this speaker the origin of the prefix.
 func (s *Speaker) Originate() {
@@ -137,43 +185,48 @@ func (s *Speaker) StopOriginating() {
 // already drops in-flight traffic on failure, this guards the speaker
 // itself.
 func (s *Speaker) HandleMsg(from topology.ASN, m Msg) {
-	if m.Color != s.Color || !s.sessionUp[from] {
+	if m.Color != s.Color {
+		return
+	}
+	p := s.peerOf(from)
+	if p == nil || !p.up {
 		return
 	}
 	if m.Withdraw {
-		if _, ok := s.ribIn[from]; !ok {
+		if p.ribIn == nil {
 			return
 		}
-		delete(s.ribIn, from)
+		p.ribIn = nil
 		s.evaluate(true)
 		return
 	}
-	r := m.Route.Clone()
-	if r.ContainsAS(s.Self) {
+	if m.Route.ContainsAS(s.Self) {
 		// Loop: the neighbor now routes through us; treat as implicit
 		// withdrawal of whatever it previously offered.
-		if _, ok := s.ribIn[from]; ok {
-			delete(s.ribIn, from)
+		if p.ribIn != nil {
+			p.ribIn = nil
 			s.evaluate(true)
 		}
 		return
 	}
+	r := m.Route.Clone()
 	r.From = from
-	r.FromRel = s.G.Rel(s.Self, from)
-	s.ribIn[from] = r
+	r.FromRel = p.rel
+	p.ribIn = r
 	s.evaluate(m.CausedByLoss)
 }
 
 // PeerDown tears down the session to nbr: its routes are lost and nothing
 // further is sent to it until PeerUp.
 func (s *Speaker) PeerDown(nbr topology.ASN) {
-	if !s.sessionUp[nbr] {
+	p := s.peerOf(nbr)
+	if p == nil || !p.up {
 		return
 	}
-	s.sessionUp[nbr] = false
-	delete(s.lastSent, nbr)
-	if _, ok := s.ribIn[nbr]; ok {
-		delete(s.ribIn, nbr)
+	p.up = false
+	p.lastSent = nil
+	if p.ribIn != nil {
+		p.ribIn = nil
 		s.evaluate(true)
 	}
 }
@@ -181,23 +234,48 @@ func (s *Speaker) PeerDown(nbr topology.ASN) {
 // PeerUp restores the session to nbr and replays the desired
 // advertisement.
 func (s *Speaker) PeerUp(nbr topology.ASN) {
-	if s.sessionUp[nbr] {
+	p := s.peerOf(nbr)
+	if p == nil || p.up {
 		return
 	}
-	s.sessionUp[nbr] = true
-	s.pump(nbr)
+	p.up = true
+	s.pump(nbr, p)
 }
+
+// Neighbors returns the speaker's neighbors in topology.Graph.Neighbors
+// order: providers, then peers, then customers. A neighbor's position in
+// it is its index for NeighborRel and SetDesiredAt. The slice is shared
+// and must not be modified.
+func (s *Speaker) Neighbors() []topology.ASN { return s.nbrs }
+
+// NeighborRel returns the relationship of the i-th neighbor as seen by
+// the speaker.
+func (s *Speaker) NeighborRel(i int) topology.Rel { return s.peers[i].rel }
 
 // SetDesired records what should be advertised to nbr and pumps the
 // output machinery (immediately for withdrawals, MRAI-paced for
-// announcements).
+// announcements). o.Route is sent as is and must not be modified
+// afterwards; one route may be desired for several neighbors.
 func (s *Speaker) SetDesired(nbr topology.ASN, o Out) {
-	s.desired[nbr] = o
-	s.pump(nbr)
+	if i := s.index(nbr); i >= 0 {
+		s.SetDesiredAt(i, o)
+	}
+}
+
+// SetDesiredAt is SetDesired for the i-th neighbor, without the search.
+func (s *Speaker) SetDesiredAt(i int, o Out) {
+	p := &s.peers[i]
+	p.desired = o
+	s.pump(s.nbrs[i], p)
 }
 
 // Desired returns the currently desired advertisement for nbr.
-func (s *Speaker) Desired(nbr topology.ASN) Out { return s.desired[nbr] }
+func (s *Speaker) Desired(nbr topology.ASN) Out {
+	if p := s.peerOf(nbr); p != nil {
+		return p.desired
+	}
+	return Out{}
+}
 
 // evaluate reruns the decision process; loss tags the triggering event as
 // loss-caused for ET bookkeeping.
@@ -206,8 +284,8 @@ func (s *Speaker) evaluate(loss bool) {
 	if s.origin != nil {
 		best = s.origin
 	}
-	for _, r := range s.ribIn {
-		if Better(r, best) {
+	for i := range s.peers {
+		if r := s.peers[i].ribIn; r != nil && Better(r, best) {
 			best = r
 		}
 	}
@@ -247,16 +325,18 @@ func routesIdentical(a, b *Route) bool {
 	return a.From == b.From && a.Equal(b)
 }
 
-// pump advances the output state machine for one neighbor.
-func (s *Speaker) pump(nbr topology.ASN) {
-	if !s.sessionUp[nbr] {
+// pump advances the output state machine for neighbor nbr, whose state
+// is p. Routes go out uncloned: a desired route is never modified, and
+// every receiver clones what it keeps.
+func (s *Speaker) pump(nbr topology.ASN, p *peer) {
+	if !p.up {
 		return
 	}
-	d := s.desired[nbr]
-	last := s.lastSent[nbr]
+	d := p.desired
+	last := p.lastSent
 	if d.Route == nil {
 		if last != nil {
-			delete(s.lastSent, nbr)
+			p.lastSent = nil
 			s.WithdrawalsSent++
 			s.Send(nbr, Msg{Withdraw: true, Color: s.Color, CausedByLoss: true, RootCause: d.Cause})
 		}
@@ -268,21 +348,21 @@ func (s *Speaker) pump(nbr topology.ASN) {
 	if d.Cause != nil {
 		// Root-caused updates (R-BGP RCI) bypass MRAI: the failure
 		// information must outrun stale-path exploration to be useful.
-		s.lastSent[nbr] = d.Route
+		p.lastSent = d.Route
 		s.UpdatesSent++
-		s.Send(nbr, Msg{Route: d.Route.Clone(), Color: s.Color, CausedByLoss: d.Loss, RootCause: d.Cause})
+		s.Send(nbr, Msg{Route: d.Route, Color: s.Color, CausedByLoss: d.Loss, RootCause: d.Cause})
 		return
 	}
-	if s.mraiRunning[nbr] {
+	if p.mrai {
 		return // pump re-runs when the timer expires
 	}
-	s.lastSent[nbr] = d.Route
+	p.lastSent = d.Route
 	s.UpdatesSent++
-	s.Send(nbr, Msg{Route: d.Route.Clone(), Color: s.Color, CausedByLoss: d.Loss, RootCause: d.Cause})
-	s.mraiRunning[nbr] = true
+	s.Send(nbr, Msg{Route: d.Route, Color: s.Color, CausedByLoss: d.Loss, RootCause: d.Cause})
+	p.mrai = true
 	s.E.After(s.E.MRAI(), func() {
-		s.mraiRunning[nbr] = false
-		s.pump(nbr)
+		p.mrai = false
+		s.pump(nbr, p)
 	})
 }
 

@@ -288,6 +288,7 @@ func (n *Node) recomputeDesired() {
 	}
 	bestR, bestB := n.Red.Best(), n.Blue.Best()
 	providers := n.G.Providers(n.Self)
+	var adv adverts
 
 	// Providers: the selective part.
 	switch {
@@ -295,27 +296,27 @@ func (n *Node) recomputeDesired() {
 		// Single-provider AS: both colors climb the only available link;
 		// the red/blue split happens at the first multi-homed provider.
 		p := providers[0]
-		n.setDesired(n.Red, p, bestR, false, n.lossRed)
+		n.setDesired(&adv, n.Red, 0, bestR, false, n.lossRed)
 		lock := n.lockObligation() && !bestB.ContainsAS(p)
-		n.setDesired(n.Blue, p, bestB, lock, n.lossBlue)
+		n.setDesired(&adv, n.Blue, 0, bestB, lock, n.lossBlue)
 	case len(providers) > 1:
 		lp := topology.ASN(-1)
 		if n.lockObligation() {
 			lp = n.chooseLockedProvider(bestB)
 		}
-		for _, p := range providers {
+		for i, p := range providers {
 			redOK := exportableUp(bestR) && !bestR.ContainsAS(p)
 			blueOK := exportableUp(bestB) && !bestB.ContainsAS(p)
 			if p == lp {
-				n.setDesired(n.Blue, p, bestB, true, n.lossBlue)
+				n.setDesired(&adv, n.Blue, i, bestB, true, n.lossBlue)
 				if n.lockMoved && redOK {
 					// Re-picked after a failure: keep red here so the red
 					// plane stays untouched while blue re-roots.
-					n.setDesired(n.Red, p, bestR, false, n.lossRed)
+					n.setDesired(&adv, n.Red, i, bestR, false, n.lossRed)
 				} else {
 					// Steady state: the locked blue provider receives blue
 					// only.
-					n.Red.SetDesired(p, bgp.Out{})
+					n.Red.SetDesiredAt(i, bgp.Out{})
 				}
 				n.assigned[p] = 2
 				continue
@@ -337,50 +338,64 @@ func (n *Node) recomputeDesired() {
 			}
 			switch use {
 			case 1:
-				n.setDesired(n.Red, p, bestR, false, n.lossRed)
-				n.Blue.SetDesired(p, bgp.Out{})
+				n.setDesired(&adv, n.Red, i, bestR, false, n.lossRed)
+				n.Blue.SetDesiredAt(i, bgp.Out{})
 			case 2:
-				n.Red.SetDesired(p, bgp.Out{})
-				n.setDesired(n.Blue, p, bestB, false, n.lossBlue)
+				n.Red.SetDesiredAt(i, bgp.Out{})
+				n.setDesired(&adv, n.Blue, i, bestB, false, n.lossBlue)
 			default:
-				n.Red.SetDesired(p, bgp.Out{})
-				n.Blue.SetDesired(p, bgp.Out{})
+				n.Red.SetDesiredAt(i, bgp.Out{})
+				n.Blue.SetDesiredAt(i, bgp.Out{})
 			}
 			n.assigned[p] = use
 		}
 	}
 
-	// Peers and customers: both colors propagate freely (valley-free
-	// export still applies inside setDesired via CanExport).
-	for _, peer := range n.G.Peers(n.Self) {
-		n.setDesiredLateral(n.Red, peer, bestR, n.lossRed)
-		n.setDesiredLateral(n.Blue, peer, bestB, n.lossBlue)
-	}
-	for _, c := range n.G.Customers(n.Self) {
-		n.setDesiredLateral(n.Red, c, bestR, n.lossRed)
-		n.setDesiredLateral(n.Blue, c, bestB, n.lossBlue)
+	// Peers and customers, which follow the providers in the speakers'
+	// neighbor lists: both colors propagate freely (valley-free export
+	// still applies inside setDesiredLateral via CanExport).
+	for i := len(providers); i < len(n.Red.Neighbors()); i++ {
+		n.setDesiredLateral(&adv, n.Red, i, bestR, n.lossRed)
+		n.setDesiredLateral(&adv, n.Blue, i, bestB, n.lossBlue)
 	}
 }
 
-// setDesired programs an announcement of r to provider p on speaker sp
-// (nil/unexportable routes withdraw).
-func (n *Node) setDesired(sp *bgp.Speaker, p topology.ASN, r *bgp.Route, lock, loss bool) {
-	if !exportableUp(r) || r.ContainsAS(p) {
-		sp.SetDesired(p, bgp.Out{})
-		return
+// adverts memoizes one recomputeDesired pass's advertisements by color
+// and Lock bit: each color advertises its one best route, so a pass
+// builds at most four routes and every neighbor shares them.
+type adverts [2][2]*bgp.Route
+
+// of returns the advertisement of speaker sp's best route r.
+func (a *adverts) of(self topology.ASN, sp *bgp.Speaker, r *bgp.Route, lock bool) *bgp.Route {
+	l := 0
+	if lock {
+		l = 1
 	}
-	sp.SetDesired(p, bgp.Out{Route: bgp.Advertised(n.Self, r, lock, sp.Color), Loss: loss})
+	if a[sp.Color][l] == nil {
+		a[sp.Color][l] = bgp.Advertised(self, r, lock, sp.Color)
+	}
+	return a[sp.Color][l]
 }
 
-// setDesiredLateral programs an announcement to a peer or customer under
-// plain valley-free export; the Lock bit never travels sideways or down.
-func (n *Node) setDesiredLateral(sp *bgp.Speaker, nbr topology.ASN, r *bgp.Route, loss bool) {
-	rel := n.G.Rel(n.Self, nbr)
-	if r == nil || !bgp.CanExport(r, rel) || r.ContainsAS(nbr) {
-		sp.SetDesired(nbr, bgp.Out{})
+// setDesired programs an announcement of sp's best route r to its i-th
+// neighbor, a provider (nil/unexportable routes withdraw).
+func (n *Node) setDesired(adv *adverts, sp *bgp.Speaker, i int, r *bgp.Route, lock, loss bool) {
+	if !exportableUp(r) || r.ContainsAS(sp.Neighbors()[i]) {
+		sp.SetDesiredAt(i, bgp.Out{})
 		return
 	}
-	sp.SetDesired(nbr, bgp.Out{Route: bgp.Advertised(n.Self, r, false, sp.Color), Loss: loss})
+	sp.SetDesiredAt(i, bgp.Out{Route: adv.of(n.Self, sp, r, lock), Loss: loss})
+}
+
+// setDesiredLateral programs an announcement of sp's best route r to
+// its i-th neighbor, a peer or customer, under plain valley-free export;
+// the Lock bit never travels sideways or down.
+func (n *Node) setDesiredLateral(adv *adverts, sp *bgp.Speaker, i int, r *bgp.Route, loss bool) {
+	if r == nil || !bgp.CanExport(r, sp.NeighborRel(i)) || r.ContainsAS(sp.Neighbors()[i]) {
+		sp.SetDesiredAt(i, bgp.Out{})
+		return
+	}
+	sp.SetDesiredAt(i, bgp.Out{Route: adv.of(n.Self, sp, r, false), Loss: loss})
 }
 
 // LockedProvider exposes the current sticky locked blue provider (-1 when
@@ -420,15 +435,25 @@ func (n *Node) Unstable(c bgp.Color) bool {
 // a stable process with a route, falling back to any process with a
 // route.
 func (n *Node) Preferred() bgp.Color {
-	for _, c := range []bgp.Color{bgp.ColorRed, bgp.ColorBlue} {
-		if _, ok := n.NextHop(c); ok && !n.Unstable(c) {
-			return c
-		}
-	}
-	for _, c := range []bgp.Color{bgp.ColorRed, bgp.ColorBlue} {
-		if _, ok := n.NextHop(c); ok {
-			return c
-		}
+	_, redOK := n.NextHop(bgp.ColorRed)
+	_, blueOK := n.NextHop(bgp.ColorBlue)
+	return PreferredOf(redOK, blueOK, n.Unstable(bgp.ColorRed), n.Unstable(bgp.ColorBlue))
+}
+
+// PreferredOf is the rule behind Preferred on values already read:
+// whether each color has a usable next hop and whether it is flagged
+// unstable. It picks the first color with a usable, stable route, else
+// the first with a usable one, else red.
+func PreferredOf(redOK, blueOK, unstableRed, unstableBlue bool) bgp.Color {
+	switch {
+	case redOK && !unstableRed:
+		return bgp.ColorRed
+	case blueOK && !unstableBlue:
+		return bgp.ColorBlue
+	case redOK:
+		return bgp.ColorRed
+	case blueOK:
+		return bgp.ColorBlue
 	}
 	return bgp.ColorRed
 }

@@ -121,8 +121,8 @@ func (n *Node) purgeByCause(c *bgp.Cause) {
 			stale = append(stale, nbr)
 		}
 	})
-	// RibInAll iterates a map; sort so the synthesized withdrawal order
-	// (and thus RNG consumption) is reproducible across process runs.
+	// Withdraw in ASN order: the synthesized withdrawal order (and thus
+	// RNG consumption) is part of the run's reproducible outcome.
 	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
 	for _, nbr := range stale {
 		n.Sp.HandleMsg(nbr, bgp.Msg{Withdraw: true, Color: bgp.ColorRed, CausedByLoss: true, RootCause: c})
@@ -211,20 +211,23 @@ func (n *Node) recomputeDesired(loss bool) {
 	if n.RCI {
 		cause = n.activeCause
 	}
-	var nbrs []topology.ASN
-	for _, nbr := range n.G.Neighbors(nbrs, n.Self) {
-		rel := n.G.Rel(n.Self, nbr)
+	var adv *bgp.Route // built on first use; one advertisement serves every neighbor
+	for i, nbr := range n.Sp.Neighbors() {
+		rel := n.Sp.NeighborRel(i)
 		exportable := best != nil && bgp.CanExport(best, rel) && !best.ContainsAS(nbr)
 		if fromFailover && rel != topology.RelCustomer {
 			exportable = false
 		}
 		var out bgp.Out
 		if exportable {
-			out = bgp.Out{Route: bgp.Advertised(n.Self, best, false, bgp.ColorRed), Loss: loss, Cause: cause}
+			if adv == nil {
+				adv = bgp.Advertised(n.Self, best, false, bgp.ColorRed)
+			}
+			out = bgp.Out{Route: adv, Loss: loss, Cause: cause}
 		} else {
 			out = bgp.Out{Cause: cause}
 		}
-		n.Sp.SetDesired(nbr, out)
+		n.Sp.SetDesiredAt(i, out)
 	}
 }
 
@@ -295,7 +298,7 @@ func (n *Node) failoverStillAvailable(to topology.ASN) bool {
 		if ok || nbr == to || r.ContainsAS(to) {
 			return
 		}
-		if bgp.Advertised(n.Self, r, false, bgp.ColorRed).Equal(sent) {
+		if sent.EqualsAdvertised(n.Self, r, false, bgp.ColorRed) {
 			ok = true
 		}
 	}
@@ -334,20 +337,14 @@ func (n *Node) pickFailover(nextHop topology.ASN) *bgp.Route {
 }
 
 // sharedASes counts ASes (other than the origin) appearing on both paths.
+// AS paths are short, so a scan beats building a set.
 func sharedASes(a, b *bgp.Route) int {
-	if a == nil || b == nil {
+	if a == nil || b == nil || len(b.Path) == 0 {
 		return 0
 	}
-	seen := make(map[topology.ASN]bool, len(a.Path))
-	for _, v := range a.Path {
-		seen[v] = true
-	}
 	shared := 0
-	for i, v := range b.Path {
-		if i == len(b.Path)-1 {
-			break // origin is necessarily shared
-		}
-		if seen[v] {
+	for _, v := range b.Path[:len(b.Path)-1] { // the origin is necessarily shared
+		if a.ContainsAS(v) {
 			shared++
 		}
 	}

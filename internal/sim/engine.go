@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
@@ -51,26 +50,6 @@ func DefaultParams() Params {
 	}
 }
 
-type event struct {
-	at  time.Duration
-	seq int64
-	fn  func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)         { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any           { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() time.Duration { return h[0].at }
-
 // Engine is a deterministic discrete-event scheduler. It is not
 // goroutine-safe; a simulation runs on a single goroutine. Parallelism
 // lives one level up: internal/runner shards independent trials, each
@@ -80,9 +59,12 @@ type Engine struct {
 
 	now    time.Duration
 	seq    int64
-	events eventHeap
+	events queue
 	rng    *rand.Rand
 	count  int
+	// net receives the delivery events Network.Send schedules; an
+	// engine drives at most one network.
+	net *Network
 
 	// PostEvent, when non-nil, runs after every executed event. The
 	// experiment drivers use it to observe the data plane between routing
@@ -138,8 +120,28 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
+	e.schedule(event{at: e.now + d, fn: fn})
+}
+
+// schedule queues ev, stamping it with the next sequence number.
+func (e *Engine) schedule(ev event) {
 	e.seq++
-	heap.Push(&e.events, event{at: e.now + d, seq: e.seq, fn: fn})
+	ev.seq = e.seq
+	e.events.push(ev)
+}
+
+// exec runs one popped event.
+func (e *Engine) exec(ev *event) {
+	e.now = ev.at
+	e.count++
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		e.net.deliver(ev.from, ev.to, ev.payload)
+	}
+	if e.PostEvent != nil {
+		e.PostEvent()
+	}
 }
 
 // Delay samples one message processing+transmission delay, uniform in
@@ -175,16 +177,11 @@ func (e *Engine) Run() (int, error) {
 		if err := e.canceled(); err != nil {
 			return e.count - start, err
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		if ev.at < e.now {
 			return e.count - start, fmt.Errorf("sim: time went backwards (%v -> %v)", e.now, ev.at)
 		}
-		e.now = ev.at
-		e.count++
-		ev.fn()
-		if e.PostEvent != nil {
-			e.PostEvent()
-		}
+		e.exec(&ev)
 	}
 	return e.count - start, nil
 }
@@ -193,20 +190,15 @@ func (e *Engine) Run() (int, error) {
 // later events queued. It returns the number executed.
 func (e *Engine) RunUntil(deadline time.Duration) (int, error) {
 	start := e.count
-	for len(e.events) > 0 && e.events.peek() <= deadline {
+	for len(e.events) > 0 && e.events[0].at <= deadline {
 		if e.count >= e.P.MaxEvents {
 			return e.count - start, fmt.Errorf("sim: exceeded %d events at t=%v", e.P.MaxEvents, e.now)
 		}
 		if err := e.canceled(); err != nil {
 			return e.count - start, err
 		}
-		ev := heap.Pop(&e.events).(event)
-		e.now = ev.at
-		e.count++
-		ev.fn()
-		if e.PostEvent != nil {
-			e.PostEvent()
-		}
+		ev := e.events.pop()
+		e.exec(&ev)
 	}
 	if e.now < deadline {
 		e.now = deadline

@@ -57,7 +57,7 @@ type Network struct {
 // NewNetwork builds a network over g driven by engine e. Nodes must be
 // registered before the simulation starts.
 func NewNetwork(e *Engine, g *topology.Graph) *Network {
-	return &Network{
+	n := &Network{
 		E:           e,
 		G:           g,
 		nodes:       make([]Node, g.Len()),
@@ -65,6 +65,8 @@ func NewNetwork(e *Engine, g *topology.Graph) *Network {
 		downAt:      make([]int32, g.Len()),
 		lastArrival: make(map[linkKey]time.Duration),
 	}
+	e.net = n
+	return n
 }
 
 // Register attaches node as the protocol instance of AS a.
@@ -105,14 +107,18 @@ func (n *Network) Send(from, to topology.ASN, payload any) {
 		at = last + time.Nanosecond
 	}
 	n.lastArrival[dir] = at
-	n.E.After(at-n.E.Now(), func() {
-		if !n.LinkUp(from, to) {
-			return
-		}
-		if node := n.nodes[to]; node != nil {
-			node.Recv(from, payload)
-		}
-	})
+	n.E.schedule(event{at: at, from: from, to: to, payload: payload})
+}
+
+// deliver hands a message that arrived to its receiver, unless the link
+// failed while it was in flight.
+func (n *Network) deliver(from, to topology.ASN, payload any) {
+	if !n.LinkUp(from, to) {
+		return
+	}
+	if node := n.nodes[to]; node != nil {
+		node.Recv(from, payload)
+	}
 }
 
 // FailLink takes the link between a and b down. Both endpoints learn of

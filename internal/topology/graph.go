@@ -66,20 +66,22 @@ func (r Rel) Invert() Rel {
 // Graph is an AS-level topology. It is cheap to share read-only across
 // goroutines once built; mutation is not goroutine-safe.
 type Graph struct {
-	n         int
-	providers [][]ASN // providers[a] = ASes that are providers of a
-	customers [][]ASN // customers[a] = ASes that are customers of a
-	peers     [][]ASN // peers[a]     = ASes that peer with a
+	n   int
+	adj []adjacency // adj[a] = a's neighbors by relationship
+}
+
+// adjacency is one AS's neighbor lists. Keeping the three in one record
+// means Degree, Rel and Neighbors — the simulator's link-state queries —
+// read one struct, not three arrays.
+type adjacency struct {
+	providers []ASN // ASes that are providers of a
+	customers []ASN // ASes that are customers of a
+	peers     []ASN // ASes that peer with a
 }
 
 // NewGraph returns an empty graph over ASNs 0..n-1.
 func NewGraph(n int) *Graph {
-	return &Graph{
-		n:         n,
-		providers: make([][]ASN, n),
-		customers: make([][]ASN, n),
-		peers:     make([][]ASN, n),
-	}
+	return &Graph{n: n, adj: make([]adjacency, n)}
 }
 
 // Len returns the number of ASes in the graph.
@@ -100,8 +102,7 @@ func (g *Graph) AddProviderLink(c, p ASN) error {
 	if g.Rel(c, p) != RelNone {
 		return fmt.Errorf("topology: duplicate link between %d and %d", c, p)
 	}
-	g.providers[c] = append(g.providers[c], p)
-	g.customers[p] = append(g.customers[p], c)
+	g.addProvider(c, p)
 	return nil
 }
 
@@ -116,26 +117,38 @@ func (g *Graph) AddPeerLink(a, b ASN) error {
 	if g.Rel(a, b) != RelNone {
 		return fmt.Errorf("topology: duplicate link between %d and %d", a, b)
 	}
-	g.peers[a] = append(g.peers[a], b)
-	g.peers[b] = append(g.peers[b], a)
+	g.addPeer(a, b)
 	return nil
+}
+
+// addProvider records p as c's provider without checks.
+func (g *Graph) addProvider(c, p ASN) {
+	g.adj[c].providers = append(g.adj[c].providers, p)
+	g.adj[p].customers = append(g.adj[p].customers, c)
+}
+
+// addPeer records a peering between a and b without checks.
+func (g *Graph) addPeer(a, b ASN) {
+	g.adj[a].peers = append(g.adj[a].peers, b)
+	g.adj[b].peers = append(g.adj[b].peers, a)
 }
 
 // Rel returns the relationship of b from a's perspective: RelCustomer if b
 // is a's customer, RelProvider if b is a's provider, RelPeer if they peer,
 // RelNone otherwise.
 func (g *Graph) Rel(a, b ASN) Rel {
-	for _, p := range g.providers[a] {
+	adj := &g.adj[a]
+	for _, p := range adj.providers {
 		if p == b {
 			return RelProvider
 		}
 	}
-	for _, c := range g.customers[a] {
+	for _, c := range adj.customers {
 		if c == b {
 			return RelCustomer
 		}
 	}
-	for _, p := range g.peers[a] {
+	for _, p := range adj.peers {
 		if p == b {
 			return RelPeer
 		}
@@ -145,35 +158,37 @@ func (g *Graph) Rel(a, b ASN) Rel {
 
 // Providers returns the providers of a. The returned slice is owned by the
 // graph and must not be modified.
-func (g *Graph) Providers(a ASN) []ASN { return g.providers[a] }
+func (g *Graph) Providers(a ASN) []ASN { return g.adj[a].providers }
 
 // Customers returns the customers of a. The returned slice is owned by the
 // graph and must not be modified.
-func (g *Graph) Customers(a ASN) []ASN { return g.customers[a] }
+func (g *Graph) Customers(a ASN) []ASN { return g.adj[a].customers }
 
 // Peers returns the peers of a. The returned slice is owned by the graph
 // and must not be modified.
-func (g *Graph) Peers(a ASN) []ASN { return g.peers[a] }
+func (g *Graph) Peers(a ASN) []ASN { return g.adj[a].peers }
 
 // Neighbors appends all neighbors of a to dst and returns it.
 func (g *Graph) Neighbors(dst []ASN, a ASN) []ASN {
-	dst = append(dst, g.providers[a]...)
-	dst = append(dst, g.peers[a]...)
-	dst = append(dst, g.customers[a]...)
+	adj := &g.adj[a]
+	dst = append(dst, adj.providers...)
+	dst = append(dst, adj.peers...)
+	dst = append(dst, adj.customers...)
 	return dst
 }
 
 // Degree returns the total number of neighbors of a.
 func (g *Graph) Degree(a ASN) int {
-	return len(g.providers[a]) + len(g.customers[a]) + len(g.peers[a])
+	adj := &g.adj[a]
+	return len(adj.providers) + len(adj.customers) + len(adj.peers)
 }
 
 // IsMultihomed reports whether a has two or more providers.
-func (g *Graph) IsMultihomed(a ASN) bool { return len(g.providers[a]) >= 2 }
+func (g *Graph) IsMultihomed(a ASN) bool { return len(g.adj[a].providers) >= 2 }
 
 // IsTier1 reports whether a has no providers. In generated topologies the
 // tier-1 ASes form a full peering clique.
-func (g *Graph) IsTier1(a ASN) bool { return len(g.providers[a]) == 0 }
+func (g *Graph) IsTier1(a ASN) bool { return len(g.adj[a].providers) == 0 }
 
 // Tier1s returns all provider-free ASes in ascending order.
 func (g *Graph) Tier1s() []ASN {
@@ -190,8 +205,8 @@ func (g *Graph) Tier1s() []ASN {
 func (g *Graph) EdgeCount() int {
 	cp, pp := 0, 0
 	for a := 0; a < g.n; a++ {
-		cp += len(g.providers[a])
-		pp += len(g.peers[a])
+		cp += len(g.adj[a].providers)
+		pp += len(g.adj[a].peers)
 	}
 	return cp + pp/2
 }
@@ -201,10 +216,10 @@ func (g *Graph) EdgeCount() int {
 func (g *Graph) Links() []Link {
 	var links []Link
 	for a := 0; a < g.n; a++ {
-		for _, p := range g.providers[a] {
+		for _, p := range g.adj[a].providers {
 			links = append(links, Link{A: ASN(a), B: p, Rel: RelProvider})
 		}
-		for _, p := range g.peers[a] {
+		for _, p := range g.adj[a].peers {
 			if ASN(a) < p {
 				links = append(links, Link{A: ASN(a), B: p, Rel: RelPeer})
 			}
@@ -235,12 +250,12 @@ func (l Link) String() string { return fmt.Sprintf("%d|%d|%s", l.A, l.B, l.Rel) 
 func (g *Graph) Validate() error {
 	// Consistency of the three adjacency lists.
 	for a := 0; a < g.n; a++ {
-		for _, p := range g.providers[a] {
+		for _, p := range g.adj[a].providers {
 			if g.Rel(p, ASN(a)) != RelCustomer {
 				return fmt.Errorf("topology: %d lists %d as provider but reverse edge missing", a, p)
 			}
 		}
-		for _, p := range g.peers[a] {
+		for _, p := range g.adj[a].peers {
 			if g.Rel(p, ASN(a)) != RelPeer {
 				return fmt.Errorf("topology: %d lists %d as peer but reverse edge missing", a, p)
 			}
@@ -278,7 +293,7 @@ func (g *Graph) providerCycle() []ASN {
 		state[start] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			provs := g.providers[f.node]
+			provs := g.adj[f.node].providers
 			if f.next < len(provs) {
 				p := provs[f.next]
 				f.next++
@@ -320,7 +335,7 @@ func (g *Graph) Tiers() []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, c := range g.customers[v] {
+		for _, c := range g.adj[v].customers {
 			if tier[c] == 0 {
 				tier[c] = tier[v] + 1
 				queue = append(queue, c)
@@ -334,9 +349,10 @@ func (g *Graph) Tiers() []int {
 func (g *Graph) Clone() *Graph {
 	c := NewGraph(g.n)
 	for a := 0; a < g.n; a++ {
-		c.providers[a] = append([]ASN(nil), g.providers[a]...)
-		c.customers[a] = append([]ASN(nil), g.customers[a]...)
-		c.peers[a] = append([]ASN(nil), g.peers[a]...)
+		src, dst := &g.adj[a], &c.adj[a]
+		dst.providers = append([]ASN(nil), src.providers...)
+		dst.customers = append([]ASN(nil), src.customers...)
+		dst.peers = append([]ASN(nil), src.peers...)
 	}
 	return c
 }
@@ -357,10 +373,10 @@ func (g *Graph) FirstMultihomedAncestor(s ASN) (ASN, bool) {
 		if g.IsMultihomed(v) {
 			return v, true
 		}
-		if len(g.providers[v]) == 0 {
+		if len(g.adj[v].providers) == 0 {
 			return v, false
 		}
-		v = g.providers[v][0]
+		v = g.adj[v].providers[0]
 	}
 	return s, false
 }

@@ -26,16 +26,14 @@ func (g *Graph) WithoutLinks(links [][2]ASN) *Graph {
 	}
 	c := NewGraph(g.n)
 	for a := 0; a < g.n; a++ {
-		for _, p := range g.providers[a] {
+		for _, p := range g.adj[a].providers {
 			if !isDead(ASN(a), p) {
-				c.providers[a] = append(c.providers[a], p)
-				c.customers[p] = append(c.customers[p], ASN(a))
+				c.addProvider(ASN(a), p)
 			}
 		}
-		for _, p := range g.peers[a] {
+		for _, p := range g.adj[a].peers {
 			if ASN(a) < p && !isDead(ASN(a), p) {
-				c.peers[a] = append(c.peers[a], p)
-				c.peers[p] = append(c.peers[p], ASN(a))
+				c.addPeer(ASN(a), p)
 			}
 		}
 	}

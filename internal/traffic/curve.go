@@ -64,6 +64,21 @@ type Curve struct {
 
 	lostTicks  []int32 // per source: ticks at which it was not delivered
 	userLatSum float64 // sum of per-tick mean user latencies
+
+	// The last fresh tick's aggregates, which an idle tick re-emits, and
+	// the sources it lost. owed counts the idle ticks since, whose losses
+	// are not yet in lostTicks.
+	last     tickAggregates
+	lastLost []int32
+	owed     int32
+}
+
+// tickAggregates is what one sampled tick contributes to the series.
+type tickAggregates struct {
+	lost, delivered int
+	stretch         float64
+	stretchOK       bool
+	userLat         float64
 }
 
 // newCurve allocates the curve and its series for a run.
@@ -108,14 +123,44 @@ func (c *Curve) perceived(w *Walk, v int) float64 {
 }
 
 // observe folds one sampled tick (1-based) into the curve. baseline is
-// the pre-event classification used for stretch.
-func (c *Curve) observe(tickIdx int, w, baseline *Walk) {
+// the pre-event classification used for stretch. fresh is false when w
+// is unchanged since the previous call: the tick then re-emits that
+// call's aggregates instead of recomputing them from the same walk, and
+// its per-source losses are owed until the next fresh tick or finish.
+func (c *Curve) observe(tickIdx int, w, baseline *Walk, fresh bool) {
+	if fresh {
+		c.aggregate(w, baseline)
+	} else {
+		c.owed++
+	}
+	a := &c.last
+	// Observation time: the middle of bucket tickIdx-1, robust against
+	// float rounding at bucket edges.
+	at := (float64(tickIdx) - 0.5) * c.Tick.Seconds()
+	c.Lost.Observe(at, float64(a.lost))
+	c.Delivered.Observe(at, float64(a.delivered))
+	if a.stretchOK {
+		c.Stretch.Observe(at, a.stretch)
+	}
+	c.LostPacketTicks += int64(a.lost)
+	if c.UserLatency != nil && len(w.Status) > 0 {
+		c.UserLatency.Observe(at, a.userLat)
+		c.userLatSum += a.userLat
+	}
+}
+
+// aggregate computes a fresh tick's aggregates from its walk into
+// c.last, after settling the losses owed for the previous walk.
+func (c *Curve) aggregate(w, baseline *Walk) {
+	c.settle()
+	c.lastLost = c.lastLost[:0]
 	n := len(w.Status)
 	delivered := 0
 	stretchSum, stretchN := 0.0, 0
 	for v := 0; v < n; v++ {
 		if w.Status[v] != forwarding.Delivered {
 			c.lostTicks[v]++
+			c.lastLost = append(c.lastLost, int32(v))
 			continue
 		}
 		delivered++
@@ -124,30 +169,36 @@ func (c *Curve) observe(tickIdx int, w, baseline *Walk) {
 			stretchN++
 		}
 	}
-	// Observation time: the middle of bucket tickIdx-1, robust against
-	// float rounding at bucket edges.
-	at := (float64(tickIdx) - 0.5) * c.Tick.Seconds()
-	lost := (n - delivered) * c.Flows
-	c.Lost.Observe(at, float64(lost))
-	c.Delivered.Observe(at, float64(delivered*c.Flows))
+	c.last = tickAggregates{lost: (n - delivered) * c.Flows, delivered: delivered * c.Flows}
 	if stretchN > 0 {
-		c.Stretch.Observe(at, stretchSum/float64(stretchN))
+		c.last.stretch, c.last.stretchOK = stretchSum/float64(stretchN), true
 	}
-	c.LostPacketTicks += int64(lost)
 	if c.UserLatency != nil && n > 0 {
 		sum := 0.0
 		for v := 0; v < n; v++ {
 			sum += c.perceived(w, v)
 		}
-		mean := sum / float64(n)
-		c.UserLatency.Observe(at, mean)
-		c.userLatSum += mean
+		c.last.userLat = sum / float64(n)
 	}
+}
+
+// settle adds the idle ticks owed since the last fresh tick to the
+// per-source loss counts of the sources that tick lost.
+func (c *Curve) settle() {
+	if c.owed == 0 {
+		return
+	}
+	for _, v := range c.lastLost {
+		c.lostTicks[v] += c.owed
+	}
+	c.owed = 0
 }
 
 // finish derives the affected counts and the transient loss integral
 // once all ticks are in and the final deliverability is known.
 func (c *Curve) finish() {
+	c.settle()
+	c.lastLost = nil
 	if c.UserLatency != nil && c.Ticks > 0 {
 		c.UserLatencyMeanMs = c.userLatSum / float64(c.Ticks)
 	}

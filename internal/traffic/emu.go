@@ -101,7 +101,7 @@ func RunEmu(o EmuOpts) (*Curve, error) {
 			time.Sleep(d)
 		}
 		walker.WalkStamp(stampTables(f.DataPlane()), dest, w)
-		cur.observe(i, w, baseline)
+		cur.observe(i, w, baseline, true)
 	}
 	if err := <-done; err != nil {
 		return nil, err

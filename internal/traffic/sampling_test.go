@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"stamp/internal/bgp"
 	"stamp/internal/forwarding"
 	"stamp/internal/scenario"
 	"stamp/internal/topology"
@@ -159,13 +160,14 @@ func TestWalkRBGPMatchesOracleMidConvergence(t *testing.T) {
 }
 
 // TestChangeDrivenSamplingIsExact: skipping classification on ticks
-// during which the engine executed nothing yields the same curve, byte
-// for byte, and the same final walk as classifying on every tick — for
-// every protocol arm, every scenario kind, with and without a cost
-// model.
+// during which the engine executed nothing (and, on the steering arm,
+// the policy changed no color) yields the same curve, byte for byte,
+// and the same final walk as classifying on every tick — for every
+// protocol arm, every scenario kind, with and without a cost model. The
+// steering arm re-runs its forced walks on exactly the busy ticks.
 func TestChangeDrivenSamplingIsExact(t *testing.T) {
 	g := genGraph(t, 60, 5)
-	skipped := 0
+	skipped, steerSkipped := 0, 0
 	for _, proto := range []Protocol{BGP, RBGPNoRCI, RBGP, STAMP, STAMPSteer} {
 		for _, withCost := range []bool{false, true} {
 			if proto == STAMPSteer && !withCost {
@@ -196,15 +198,22 @@ func TestChangeDrivenSamplingIsExact(t *testing.T) {
 				if every.classified != gotCur.Ticks {
 					t.Errorf("%s: the every-tick reference classified %d of %d ticks", ctx, every.classified, gotCur.Ticks)
 				}
-				if proto == STAMPSteer && lazy.classified != gotCur.Ticks {
-					t.Errorf("%s: the steering arm classified %d of %d ticks; its colors change between ticks", ctx, lazy.classified, gotCur.Ticks)
+				if lazy.classified < lazy.busy {
+					t.Errorf("%s: classified %d ticks, fewer than the %d busy ones", ctx, lazy.classified, lazy.busy)
+				}
+				if proto == STAMPSteer {
+					if lazy.forced != lazy.busy || every.forced != gotCur.Ticks {
+						t.Errorf("%s: the steering arm re-walked on %d ticks (%d in the reference), want the %d busy ones (all %d)",
+							ctx, lazy.forced, every.forced, lazy.busy, gotCur.Ticks)
+					}
+					steerSkipped += every.classified - lazy.classified
 				}
 				skipped += every.classified - lazy.classified
 			})
 		}
 	}
-	if skipped == 0 {
-		t.Error("no run skipped a tick: the comparison exercised nothing")
+	if skipped == 0 || steerSkipped == 0 {
+		t.Errorf("skipped %d ticks, %d on the steering arm: the comparison exercised too little", skipped, steerSkipped)
 	}
 }
 
@@ -259,5 +268,88 @@ func TestRunSimStopsWithinATickOfCancel(t *testing.T) {
 	}
 	if steer.steps > k+1 {
 		t.Errorf("run went on for %d ticks after a cancel at tick %d", steer.steps-k, k)
+	}
+}
+
+// fullSnapshotDiff reads every AS's forwarding state off the paused
+// nodes and reports the first row where the instance's tables — which
+// re-snapshot only the ASes marked since the last tick — disagree with
+// it, or "" when none does.
+func fullSnapshotDiff(in *instance) string {
+	for a := 0; a < in.g.Len(); a++ {
+		switch in.proto {
+		case BGP:
+			if want := nextHop32(in.bgpNodes[a].NextHop()); in.single[a] != want {
+				return fmt.Sprintf("AS%d next hop %d, want %d", a, in.single[a], want)
+			}
+		case RBGPNoRCI, RBGP:
+			if want := nextHop32(in.rbgpNodes[a].Primary()); in.single[a] != want {
+				return fmt.Sprintf("AS%d primary %d, want %d", a, in.single[a], want)
+			}
+		case STAMP, STAMPSteer:
+			node, t := in.stampNodes[a], &in.stamp
+			got := fmt.Sprint(t.NextRed[a], t.NextBlue[a], t.UnstableRed[a], t.UnstableBlue[a], t.Pref[a])
+			want := fmt.Sprint(nextHop32(node.NextHop(bgp.ColorRed)), nextHop32(node.NextHop(bgp.ColorBlue)),
+				node.Unstable(bgp.ColorRed), node.Unstable(bgp.ColorBlue), uint8(node.Preferred()))
+			if got != want {
+				return fmt.Sprintf("AS%d row (red, blue, unstable red, unstable blue, pref) = %s, want %s", a, got, want)
+			}
+		}
+	}
+	return ""
+}
+
+// TestDirtySnapshotMatchesFull: on every classified tick of every arm,
+// every scenario kind and two topologies, the tables re-snapshotted only
+// where a node's OnRouteEvent hook or a link operation marked them equal
+// a full snapshot of the paused nodes.
+func TestDirtySnapshotMatchesFull(t *testing.T) {
+	checked := 0
+	for _, g := range []*topology.Graph{genGraph(t, 60, 5), genGraph(t, 90, 11)} {
+		for _, proto := range []Protocol{BGP, RBGPNoRCI, RBGP, STAMP, STAMPSteer} {
+			eachScenario(t, g, func(name string, script scenario.Script) {
+				failed := false
+				probe := &simProbe{everyTick: true, sampled: func(in *instance, _ *Walk) {
+					checked++
+					if d := fullSnapshotDiff(in); d != "" && !failed {
+						failed = true
+						t.Errorf("%v/%s/n=%d at t=%v: %s", proto, name, g.Len(), in.e.Now(), d)
+					}
+				}}
+				if _, err := runSim(samplingOpts(g, proto, script, false), probe); err != nil {
+					t.Fatalf("%v/%s: %v", proto, name, err)
+				}
+			})
+		}
+	}
+	t.Logf("%d ticks checked", checked)
+	if checked < 50_000 {
+		t.Errorf("checked %d ticks, want at least 50000", checked)
+	}
+}
+
+// TestIdleObserveAllocs: an idle tick re-emits the last fresh tick's
+// aggregates without allocating.
+func TestIdleObserveAllocs(t *testing.T) {
+	const n, ticks = 50, 100
+	c, err := newCurve(STAMP, 1, ticks, DefaultTick, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.enableUserLat(DefaultTimeoutMs); err != nil {
+		t.Fatal(err)
+	}
+	w := &Walk{Status: make([]forwarding.Status, n), Hops: make([]int32, n), LatMs: make([]float32, n), LossP: make([]float32, n)}
+	for v := 0; v < n; v += 3 {
+		w.Status[v] = forwarding.Delivered
+		w.Hops[v] = 2
+	}
+	c.observe(1, w, w, true)
+	tick := 1
+	if a := testing.AllocsPerRun(ticks-2, func() {
+		tick++
+		c.observe(tick, w, w, false)
+	}); a != 0 {
+		t.Errorf("idle observe allocates %v times, want 0", a)
 	}
 }

@@ -3,6 +3,7 @@ package traffic
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"stamp/internal/core"
@@ -107,16 +108,21 @@ func (o SimOpts) withDefaults() SimOpts {
 // the policy chose on the *previous* tick (decisions always lag
 // detection by one sample, as they would in deployment), then feeds the
 // policy this tick's forced all-red and all-blue path measurements so
-// it can re-decide for the next tick.
+// it can re-decide for the next tick. Here too a tick re-walks only
+// what may have moved: the classification when the engine ran or the
+// colors changed, the forced walks when the engine ran.
 func RunSim(o SimOpts) (*Curve, error) { return runSim(o, &simProbe{}) }
 
 // simProbe is the tests' window into the sampling loop.
 type simProbe struct {
-	// everyTick classifies on idle ticks too: the reference the
-	// change-driven loop is compared against.
+	// everyTick classifies, and re-runs the steering arm's forced walks,
+	// on idle ticks too: the reference the change-driven loop is
+	// compared against.
 	everyTick bool
-	// classified counts the ticks that ran the walker.
-	classified int
+	// classified counts the ticks that ran the walker, busy the ticks
+	// during which the engine executed events, forced the ticks that
+	// re-ran the steering arm's forced walks.
+	classified, busy, forced int
 	// sampled, when non-nil, sees every tick's fresh classification
 	// while the engine is still paused on the state it was taken from.
 	sampled func(in *instance, w *Walk)
@@ -149,7 +155,6 @@ func runSim(o SimOpts, probe *simProbe) (*Curve, error) {
 		// Seed the policy's static baselines from the healthy converged
 		// plane; the starting assignment is the nodes' own preference,
 		// so a policy that never switches IS color-locked STAMP.
-		in.snapshotStamp()
 		in.forcedWalks()
 		o.Steer.Init(in.wr.LatMs, in.wr.LossP, in.wb.LatMs, in.wb.LossP, in.stamp.Pref)
 	}
@@ -180,6 +185,7 @@ func runSim(o SimOpts, probe *simProbe) (*Curve, error) {
 	}
 
 	w := &Walk{}
+	var colors []uint8 // the steering colors the last classification used
 	for i := 1; i <= o.Ticks; i++ {
 		if o.Context != nil {
 			if err := o.Context.Err(); err != nil {
@@ -193,20 +199,36 @@ func runSim(o SimOpts, probe *simProbe) (*Curve, error) {
 		if evErr != nil {
 			return nil, evErr
 		}
+		if ran > 0 {
+			probe.busy++
+		}
 		// Every mutation of node, network and cost-model state happens
 		// inside an engine event, so a tick that executed none leaves
 		// the previous walk exact. The steering policy re-colors sources
-		// between ticks, outside the engine.
-		if ran > 0 || i == 1 || o.Proto == STAMPSteer || probe.everyTick {
+		// between ticks, outside the engine: its arm also re-walks when
+		// the colors moved.
+		recolored := false
+		if o.Proto == STAMPSteer {
+			if c := in.steer.Colors(); !slices.Equal(c, colors) {
+				colors = append(colors[:0], c...)
+				recolored = true
+			}
+		}
+		fresh := ran > 0 || i == 1 || recolored || probe.everyTick
+		if fresh {
 			in.classify(w)
 			probe.classified++
 			if probe.sampled != nil {
 				probe.sampled(in, w)
 			}
 		}
-		cur.observe(i, w, baseline)
-		if in.steer != nil && o.Proto == STAMPSteer {
-			in.steerStep()
+		cur.observe(i, w, baseline, fresh)
+		if o.Proto == STAMPSteer {
+			rewalk := ran > 0 || probe.everyTick
+			if rewalk {
+				probe.forced++
+			}
+			in.steerStep(rewalk)
 		}
 	}
 	if _, err := in.e.Run(); err != nil {
@@ -221,13 +243,30 @@ func runSim(o SimOpts, probe *simProbe) (*Curve, error) {
 }
 
 // FailLink implements scenario.Executor.
-func (in *instance) FailLink(a, b topology.ASN) error { return in.net.FailLink(a, b) }
+// Link liveness changes only here, so these mark the endpoints for the
+// next snapshot.
+func (in *instance) FailLink(a, b topology.ASN) error {
+	in.mark(a)
+	in.mark(b)
+	return in.net.FailLink(a, b)
+}
 
 // RestoreLink implements scenario.Executor.
-func (in *instance) RestoreLink(a, b topology.ASN) error { return in.net.RestoreLink(a, b) }
+func (in *instance) RestoreLink(a, b topology.ASN) error {
+	in.mark(a)
+	in.mark(b)
+	return in.net.RestoreLink(a, b)
+}
 
 // FailNode implements scenario.Executor.
-func (in *instance) FailNode(a topology.ASN) error { in.net.FailNode(a); return nil }
+func (in *instance) FailNode(a topology.ASN) error {
+	in.mark(a)
+	for _, b := range in.g.Neighbors(nil, a) {
+		in.mark(b)
+	}
+	in.net.FailNode(a)
+	return nil
+}
 
 // Withdraw implements scenario.Executor.
 func (in *instance) Withdraw(d topology.ASN) error {
