@@ -84,8 +84,8 @@ func TestCSRMatchesTopology(t *testing.T) {
 }
 
 // csrFingerprint hashes every array freeze produces: the row bounds,
-// the group boundaries, the neighbor and relationship columns and the
-// degree order.
+// the group boundaries, the neighbor column with each entry's
+// relationship (read back through Rel) and the degree order.
 func csrFingerprint(g *Graph) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -100,9 +100,11 @@ func csrFingerprint(g *Graph) uint64 {
 		}
 	}
 	put(int64(len(g.nbr)))
-	for e := range g.nbr {
-		put(int64(g.nbr[e]))
-		put(int64(g.rel[e]))
+	for a := int32(0); a < g.n; a++ {
+		for _, b := range g.nbr[g.off[a]:g.off[a+1]] {
+			put(int64(b))
+			put(int64(g.Rel(topology.ASN(a), b)))
+		}
 	}
 	put(int64(len(g.byDegree)))
 	for _, a := range g.byDegree {

@@ -3,6 +3,7 @@ package atlas
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"stamp/internal/prov"
 	"stamp/internal/scenario"
@@ -43,6 +44,16 @@ const (
 	kindCustomer = int8(1) // customer-learned or locally originated
 	kindPeer     = int8(2)
 	kindProvider = int8(3)
+)
+
+// Frontier slot states: how much re-evaluation the next round owes an
+// AS. Every reached AS keeps its frontier slot whatever its state, so a
+// round's frontier order and the loop's round count do not depend on it.
+const (
+	frontOut     = int8(0) // not in the frontier
+	frontReached = int8(1) // reached, but no advertisement can move its route
+	frontOffer   = int8(2) // takes its round candidate without a row scan
+	frontScan    = int8(3) // full recompute
 )
 
 const inf = int32(1 << 30)
@@ -160,10 +171,14 @@ type State struct {
 	advKind [planeCount][]int8
 	advDist [planeCount][]int32
 
-	// Shared per-window scratch (one plane converges at a time).
+	// Shared per-window scratch (one plane converges at a time). inFront
+	// is an AS's frontier slot state (frontOut … frontScan); cand is its
+	// round candidate while the slot is frontOffer: the best offer pushed
+	// to it this round, packed sender<<2 | kind.
 	ready     []int32
 	front     []int32
-	inFront   []bool
+	inFront   []int8
+	cand      []int32
 	frontLen  int
 	pend      []int32
 	inPend    []bool
@@ -344,7 +359,8 @@ func (e *Engine) NewState() *State {
 		prevChain: make([]int32, 0, 64),
 		ready:     make([]int32, n),
 		front:     make([]int32, 0, n),
-		inFront:   make([]bool, n),
+		inFront:   make([]int8, n),
+		cand:      make([]int32, n),
 		pend:      make([]int32, 0, n),
 		inPend:    make([]bool, n),
 		wantPub:   make([]bool, n),
@@ -431,9 +447,10 @@ func (st *State) SnapshotRoute(p int, a int32) (kind int8, dist, next int32) {
 	return k, st.curDist[p][a], st.nextHopAS(st.curVia[p][a])
 }
 
-// Visited returns how many ASes the latest event group's window
-// machinery examined — the work counter that pins ApplyEvent's cost to
-// the event's churn rather than to the size of the graph.
+// Visited returns how many ASes and adjacency entries the latest event
+// group's window machinery examined (or, after InitDest, the from-scratch
+// convergence's) — the work counter that pins ApplyEvent's cost to the
+// event's churn rather than to the size of the graph.
 func (st *State) Visited() int64 { return st.visited }
 
 // DenseWindows returns how many of the latest event group's three plane
@@ -443,6 +460,7 @@ func (st *State) DenseWindows() int { return st.denseWindows }
 // reset returns the state to pristine for a new destination shard.
 func (st *State) reset(dest topology.ASN) {
 	st.dest = dest
+	st.visited = 0
 	st.inited = false
 	st.withdrawn = false
 	clear(st.down)
@@ -553,12 +571,115 @@ func (st *State) initPlane(p int) {
 	st.pendAdd(d)
 }
 
+// frontAdd seeds a for a full recompute: cascade victims, event
+// endpoints and red dependents changed what a's route is computed from
+// in ways no advertisement announces.
 func (st *State) frontAdd(a int32) {
-	if !st.inFront[a] {
-		st.inFront[a] = true
+	if st.inFront[a] == frontOut {
 		st.front = append(st.front[:st.frontLen], a)
 		st.frontLen++
 	}
+	st.inFront[a] = frontScan
+}
+
+// publish fans a's new plane-p advertisement out to its live neighbors
+// in row order, which is the order they join the next round's frontier.
+// oldKind and oldDist are the advertisement it replaces. Per group, the
+// offer a neighbor hears: a's customers take anything as a provider
+// route, its peers and providers only customer routes, and a provider
+// only under the export rules.
+func (st *State) publish(p int, a int32, oldKind int8, oldDist int32) {
+	g := st.g
+	kind, dist := st.advKind[p][a], st.advDist[p][a]
+	st.visited += int64(g.off[a+1] - g.off[a])
+	up, wasUp := kind == kindCustomer, oldKind == kindCustomer
+	for e := g.off[a]; e < g.provEnd[a]; e++ {
+		k, ok := kindNone, kindNone
+		if (up || wasUp) && st.climbs(p, topology.ASN(a), int32(g.nbr[e])) {
+			k, ok = kindIf(up, kindCustomer), kindIf(wasUp, kindCustomer)
+		}
+		st.reach(p, a, e, k, dist, ok, oldDist)
+	}
+	k, ok := kindIf(up, kindPeer), kindIf(wasUp, kindPeer)
+	for e := g.provEnd[a]; e < g.peerEnd[a]; e++ {
+		st.reach(p, a, e, k, dist, ok, oldDist)
+	}
+	k, ok = kindIf(kind != kindNone, kindProvider), kindIf(oldKind != kindNone, kindProvider)
+	for e := g.peerEnd[a]; e < g.off[a+1]; e++ {
+		st.reach(p, a, e, k, dist, ok, oldDist)
+	}
+}
+
+// kindIf returns k when cond holds, else kindNone.
+func kindIf(cond bool, k int8) int8 {
+	if cond {
+		return k
+	}
+	return kindNone
+}
+
+// reach queues neighbor w = nbr[e] for the next round on a's
+// publication, and records how much re-evaluation that can force. a now
+// offers w a route of kind k (kindNone: nothing) advertised at length
+// dist, where it offered oldKind at oldDist. Phase 1 reads only
+// advertisements, and w's route was the best of them when last computed,
+// so only two things can move it: its next hop's offer changed (a is
+// that next hop: full recompute), or an offer arrived that strictly
+// beats the best w holds or was already offered this round (w takes it
+// as its round candidate). Anything else leaves w's route where it is;
+// w still keeps its frontier slot, which keeps every journal entry's
+// within-round position and the round count.
+func (st *State) reach(p int, a, e int32, k int8, dist int32, oldKind int8, oldDist int32) {
+	w := int32(st.g.nbr[e])
+	if st.down[e] || st.nodeDown[w] {
+		return
+	}
+	slot := st.inFront[w]
+	switch slot {
+	case frontScan:
+		return
+	case frontOut:
+		st.front = append(st.front[:st.frontLen], w)
+		st.frontLen++
+		slot = frontReached
+	}
+	bk, bd := st.curKind[p][w], st.curDist[p][w]
+	// A route through a is a's old offer, so only a route that equals it
+	// needs its next hop read.
+	if oldKind != kindNone && bk == oldKind && bd == oldDist+1 && st.nextHopAS(st.curVia[p][w]) == a {
+		st.inFront[w] = frontScan
+		return
+	}
+	if k != kindNone {
+		var bs int32 // the best route's sender, read only to break a tie
+		if slot == frontOffer {
+			c := st.cand[w]
+			bs, bk = c>>2, int8(c&3)
+			bd = st.advDist[p][bs] + 1
+		} else if k == bk && dist+1 == bd {
+			bs = st.nextHopAS(st.curVia[p][w])
+		}
+		// recompute's order: kind, then length, then the lower sender. The
+		// origin's pinned (customer, 0) route is beaten by no offer.
+		if d := dist + 1; bk == kindNone || k < bk || (k == bk && (d < bd || (d == bd && a < bs))) {
+			st.cand[w] = a<<2 | int32(k)
+			slot = frontOffer
+		}
+	}
+	st.inFront[w] = slot
+}
+
+// takeOffer installs a's round candidate as its route. The candidate
+// strictly beats a's route and did not come from a's next hop, so it is
+// what recompute would pick, found without the row scan; the via entry
+// is a binary search within the one group the candidate's kind names.
+func (st *State) takeOffer(p int, a int32) {
+	c := st.cand[a]
+	sender, kind := c>>2, int8(c&3)
+	lo, hi := st.g.group(a, kind)
+	st.curKind[p][a] = kind
+	st.curDist[p][a] = st.advDist[p][sender] + 1
+	st.curVia[p][a] = st.g.search(lo, hi, topology.ASN(sender))
 }
 
 func (st *State) pendAdd(a int32) {
@@ -576,9 +697,12 @@ func (st *State) pendAdd(a int32) {
 // Downhill and lateral exports are unrestricted and are handled inline
 // in recompute.
 func (st *State) exportsUp(p int, w topology.ASN, a int32) bool {
-	if st.advKind[p][w] != kindCustomer {
-		return false
-	}
+	return st.advKind[p][w] == kindCustomer && st.climbs(p, w, a)
+}
+
+// climbs reports whether STAMP's selective announcement rules let
+// customer w's customer route climb to its provider a.
+func (st *State) climbs(p int, w topology.ASN, a int32) bool {
 	switch p {
 	case planeRed:
 		// The locked blue provider receives no red.
@@ -603,6 +727,7 @@ func (st *State) recompute(p int, a int32) bool {
 	bestKind, bestDist, bestVia := kindNone, inf, int32(-1)
 	if !st.nodeDown[a] {
 		lo, hi := g.off[a], g.off[a+1]
+		st.visited += int64(hi - lo)
 		provEnd, peerEnd := g.provEnd[a], g.peerEnd[a]
 		for e := lo; e < hi; e++ {
 			if st.down[e] {
@@ -734,13 +859,18 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			cause = j.WindowCause(round)
 		}
 		roundChanged := out.Changed
-		// Phase 1: every frontier AS re-evaluates from advertisements.
+		// Phase 1: every frontier AS re-evaluates from advertisements, as
+		// far as its slot says the last round's can have moved its route.
 		fl := st.frontLen
 		st.frontLen = 0
 		st.visited += int64(fl)
 		for i := 0; i < fl; i++ {
 			a := st.front[i]
-			st.inFront[a] = false
+			slot := st.inFront[a]
+			st.inFront[a] = frontOut
+			if slot == frontReached {
+				continue
+			}
 			if topology.ASN(a) == st.dest && !st.withdrawn && !st.nodeDown[a] {
 				continue // the origin's route is pinned
 			}
@@ -750,7 +880,9 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			if j != nil {
 				pk, pd, pv = st.curKind[p][a], st.curDist[p][a], st.curVia[p][a]
 			}
-			if !st.recompute(p, a) {
+			if slot == frontOffer {
+				st.takeOffer(p, a)
+			} else if !st.recompute(p, a) {
 				continue
 			}
 			if j != nil {
@@ -790,16 +922,11 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			}
 			st.inPend[a] = false
 			st.wantPub[a] = false
+			oldKind, oldDist := st.advKind[p][a], st.advDist[p][a]
 			st.advKind[p][a] = st.curKind[p][a]
 			st.advDist[p][a] = st.curDist[p][a]
 			st.ready[a] = round + mrai
-			st.visited += int64(g.off[a+1] - g.off[a])
-			for e := g.off[a]; e < g.off[a+1]; e++ {
-				if st.down[e] || st.nodeDown[g.nbr[e]] {
-					continue
-				}
-				st.frontAdd(int32(g.nbr[e]))
-			}
+			st.publish(p, a, oldKind, oldDist)
 		}
 		st.pendLen = w
 		if traced && round <= int32(len(roundArgKeys)) {
@@ -1375,6 +1502,10 @@ func (e *Engine) ApplyEvent(st *State, ev scenario.Event) (EventCost, error) {
 	if !st.inited {
 		return EventCost{}, fmt.Errorf("atlas: ApplyEvent on a state that was never converged (call InitDest first)")
 	}
+	var start time.Time
+	if e.metrics != nil {
+		start = time.Now()
+	}
 	ext := st.trc.Live()
 	if !ext {
 		st.trc = e.tracer.Event(st.traceShard)
@@ -1405,7 +1536,7 @@ func (e *Engine) ApplyEvent(st *State, ev scenario.Event) (EventCost, error) {
 		st.trc = trace.Ctx{}
 	}
 	if err == nil && e.metrics != nil {
-		e.metrics.record(st, cost)
+		e.metrics.record(st, cost, start)
 	}
 	return cost, err
 }

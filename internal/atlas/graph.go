@@ -37,7 +37,6 @@ type Graph struct {
 	provEnd []int32 // providers of a occupy [off[a], provEnd[a])
 	peerEnd []int32 // peers of a occupy [provEnd[a], peerEnd[a])
 	nbr     []topology.ASN
-	rel     []topology.Rel // relationship of nbr[e] from the row AS's perspective
 
 	orig     []int64        // dense id -> original ASN (nil when built from a generated graph)
 	byDegree []topology.ASN // AS ids sorted by degree descending, then id ascending
@@ -94,34 +93,58 @@ func (g *Graph) Tier1Count() int {
 }
 
 // Rel returns the relationship of b from a's perspective (RelNone when
-// not adjacent), by binary search over the sorted groups.
+// not adjacent), by binary search over the sorted groups: the group an
+// entry sits in is the relationship.
 func (g *Graph) Rel(a, b topology.ASN) topology.Rel {
-	if e := g.entryIndex(a, b); e >= 0 {
-		return g.rel[e]
+	switch e := g.entryIndex(a, b); {
+	case e < 0:
+		return topology.RelNone
+	case e < g.provEnd[a]:
+		return topology.RelProvider
+	case e < g.peerEnd[a]:
+		return topology.RelPeer
 	}
-	return topology.RelNone
+	return topology.RelCustomer
 }
 
 // entryIndex returns the adjacency-entry index of neighbor b within a's
 // row, or -1 when not adjacent.
 func (g *Graph) entryIndex(a, b topology.ASN) int32 {
-	for _, span := range [3][2]int32{
-		{g.off[a], g.provEnd[a]},
-		{g.provEnd[a], g.peerEnd[a]},
-		{g.peerEnd[a], g.off[a+1]},
-	} {
-		lo, hi := span[0], span[1]
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if g.nbr[mid] < b {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	for _, k := range [3]int8{kindProvider, kindPeer, kindCustomer} {
+		lo, hi := g.group(int32(a), k)
+		if e := g.search(lo, hi, b); e >= 0 {
+			return e
 		}
-		if lo < span[1] && g.nbr[lo] == b {
-			return lo
+	}
+	return -1
+}
+
+// group returns the bounds of the group in a's row that a route of the
+// given kind is learned from: providers, peers or customers.
+func (g *Graph) group(a int32, kind int8) (lo, hi int32) {
+	switch kind {
+	case kindProvider:
+		return g.off[a], g.provEnd[a]
+	case kindPeer:
+		return g.provEnd[a], g.peerEnd[a]
+	}
+	return g.peerEnd[a], g.off[a+1]
+}
+
+// search returns the index of neighbor b among the ascending entries
+// [lo, hi), or -1.
+func (g *Graph) search(lo, hi int32, b topology.ASN) int32 {
+	end := hi
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if g.nbr[mid] < b {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	if lo < end && g.nbr[lo] == b {
+		return lo
 	}
 	return -1
 }
@@ -188,7 +211,6 @@ func (b *builder) freeze() (*Graph, error) {
 		provEnd: make([]int32, n),
 		peerEnd: make([]int32, n),
 		nbr:     make([]topology.ASN, len(b.from)),
-		rel:     make([]topology.Rel, len(b.from)),
 		orig:    b.orig,
 	}
 	for _, f := range b.from {
@@ -214,7 +236,6 @@ func (b *builder) freeze() (*Graph, error) {
 	}
 	for pos, k := range keys {
 		g.nbr[pos] = topology.ASN(uint32(k))
-		g.rel[pos] = rankRel[k>>32]
 	}
 	// Group boundaries + duplicate detection. A neighbor appearing twice
 	// in a row — within a group or across groups — means the snapshot
@@ -227,7 +248,7 @@ func (b *builder) freeze() (*Graph, error) {
 			if g.nbr[e] == topology.ASN(a) {
 				return nil, fmt.Errorf("atlas: self link at AS %d", a)
 			}
-			switch g.rel[e] {
+			switch rankRel[keys[e]>>32] {
 			case topology.RelProvider:
 				g.provEnd[a] = e + 1
 				g.peerEnd[a] = e + 1

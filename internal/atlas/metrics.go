@@ -1,6 +1,10 @@
 package atlas
 
-import "stamp/internal/obs"
+import (
+	"time"
+
+	"stamp/internal/obs"
+)
 
 // Metrics is the atlas engine's handle set into an obs.Registry. Every
 // field is a resolved metric handle (mutation is a few atomic ops), so
@@ -20,6 +24,10 @@ type Metrics struct {
 	Changed *obs.Counter
 	// Reroots counts events that moved the blue lock chain.
 	Reroots *obs.Counter
+	// RerootSeconds observes the wall time of each re-rooting event: the
+	// red and blue planes re-converge from scratch, the heavy tail of an
+	// event stream's cost.
+	RerootSeconds *obs.Histogram
 	// DenseWindows counts plane windows (three per event) that fell back
 	// from touched-set bookkeeping to passes over all ASes: a re-root, or
 	// more churn than the fixed-capacity lists hold.
@@ -46,6 +54,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Distinct (AS, plane) route changes across applied events."),
 		Reroots: reg.Counter("stamp_atlas_reroots_total",
 			"Events that moved the blue lock chain, forcing a red/blue re-root."),
+		RerootSeconds: reg.Histogram("stamp_atlas_reroot_seconds",
+			"Wall-clock cost of each event that re-rooted the red and blue planes.", obs.LatencyBuckets()),
 		DenseWindows: reg.Counter("stamp_atlas_dense_windows_total",
 			"Plane windows that ran dense passes over all ASes (re-root or touched-list overflow) instead of churn-proportional ones."),
 		LostBGP:   lost.With("bgp"),
@@ -61,14 +71,16 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // safe for concurrent use.
 func (e *Engine) Instrument(m *Metrics) { e.metrics = m }
 
-// record streams one event's cost into the metric handles.
-func (m *Metrics) record(st *State, c EventCost) {
+// record streams one event's cost, applied from start, into the metric
+// handles.
+func (m *Metrics) record(st *State, c EventCost, start time.Time) {
 	m.Events.Inc()
 	m.Rounds.Observe(float64(c.Rounds()))
 	m.Frontier.Observe(float64(st.seedFront[planeBGP] + st.seedFront[planeRed] + st.seedFront[planeBlue]))
 	m.Changed.Add(c.Changed)
 	if c.Reroot {
 		m.Reroots.Inc()
+		m.RerootSeconds.Observe(time.Since(start).Seconds())
 	}
 	m.DenseWindows.Add(int64(st.denseWindows))
 	m.LostBGP.Add(c.BGPLost)

@@ -109,6 +109,9 @@ func TestMetricsMatchEventCosts(t *testing.T) {
 	if got := m["stamp_atlas_reroots_total"]; got != float64(reroots) {
 		t.Errorf("reroots_total = %v, want %d", got, reroots)
 	}
+	if got := m["stamp_atlas_reroot_seconds_count"]; got != float64(reroots) {
+		t.Errorf("reroot_seconds_count = %v, want %d (one observation per re-root)", got, reroots)
+	}
 	if got := m[`stamp_atlas_lost_as_rounds_total{plane="stamp"}`]; got != float64(stampLost) {
 		t.Errorf("lost(stamp) = %v, want %d", got, stampLost)
 	}

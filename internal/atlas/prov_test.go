@@ -1,7 +1,9 @@
 package atlas
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -276,6 +278,78 @@ func TestReplayWhy(t *testing.T) {
 		Dests: 4, Seed: 7, Why: &WhySpec{Dest: -1, AS: 0},
 	}); err == nil {
 		t.Fatal("unsampled -why destination must error")
+	}
+}
+
+// TestJournalFingerprintPinned pins the flat engine's most order-
+// sensitive outputs byte for byte: every journal entry (its sequence
+// number is the within-round position `why` prints) and every EventCost,
+// for every scenario kind at three destinations, sparse and always-dense.
+// MapEngine cannot serve as the order oracle here — its journal orders
+// some rounds differently even where the routes agree — so the values
+// are the ones the unfiltered frontier (every reached AS rescanning its
+// row) produced.
+func TestJournalFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+		want uint64
+	}{
+		{600, 13, 0xfaa8983386207399},
+		{1500, 7, 0xa59770935ac53e1d},
+	} {
+		tg, g := testGraph(t, tc.n, tc.seed)
+		eng := NewEngine(g, DefaultParams())
+		multihomed := scenario.Multihomed(g)
+		h := fnv.New64a()
+		var buf [8]byte
+		put := func(vs ...int64) {
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(buf[:], uint64(v))
+				h.Write(buf[:])
+			}
+		}
+		entries := 0
+		for _, kind := range allKinds {
+			script, err := scenario.PickScript(tg, multihomed, kind, rand.New(rand.NewSource(21)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dest := range kindDests(t, g, script, kind, 3) {
+				for _, c := range []int{-1, 0} {
+					st, j := withCap(eng, c), prov.NewJournal(1<<18)
+					st.SetJournal(j)
+					if err := eng.InitDest(st, dest); err != nil {
+						t.Fatal(err)
+					}
+					for _, ev := range script.Sorted() {
+						cost, err := eng.ApplyEvent(st, ev)
+						if err != nil {
+							t.Fatalf("%v dest %d %v: %v", kind, dest, ev, err)
+						}
+						reroot := int64(0)
+						if cost.Reroot {
+							reroot = 1
+						}
+						put(int64(cost.BGPRounds), int64(cost.RedRounds), int64(cost.BlueRounds), cost.Changed,
+							cost.BGPLost, cost.RedLost, cost.BlueLost, cost.StampLost, reroot)
+					}
+					if j.Evicted() != 0 {
+						t.Fatalf("journal evicted %d entries; enlarge it", j.Evicted())
+					}
+					for _, e := range j.Tail(j.Len()) {
+						put(int64(e.Seq), int64(e.Event), int64(e.Round), int64(e.AS), int64(e.Plane), int64(e.Cause),
+							int64(e.PrevKind), int64(e.PrevDist), int64(e.PrevNext),
+							int64(e.NewKind), int64(e.NewDist), int64(e.NewNext))
+					}
+					entries += j.Len()
+				}
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("GenerateDefault(%d, %d): journal and EventCost fingerprint = %#x over %d entries, want %#x",
+				tc.n, tc.seed, got, entries, tc.want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"time"
 
 	"stamp/internal/prov"
@@ -262,8 +261,8 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 	// per second from run to run — too wide for the benchmark's check to
 	// read while the PR that makes the change does not claim that metric.
 	// ROADMAP.md has the follow-up that drops the next three lines.
-	pool := sync.Pool{New: func() any {
-		st := eng.NewState()
+	pool := statePool{fresh: func() *State {
+		st := newShardState(eng)
 		st.setListCap(0)
 		return st
 	}}
@@ -275,8 +274,8 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 			if err := t.Ctx.Err(); err != nil {
 				return replayShard{}, err
 			}
-			st := pool.Get().(*State)
-			defer pool.Put(st)
+			st := pool.get()
+			defer pool.put(st)
 			st.SetTraceShard(t.Index)
 			if t.Index == whyShard {
 				st.SetJournal(whyJournal)

@@ -3,6 +3,8 @@ package atlas
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"stamp/internal/scenario"
@@ -65,6 +67,37 @@ func TestReplayMatchesRunWorkload(t *testing.T) {
 	if rep.TotalEvents != rep.Events || len(rep.PerEvent) != rep.TotalEvents {
 		t.Fatalf("stream bookkeeping off: events %d, total %d, per-event %d",
 			rep.Events, rep.TotalEvents, len(rep.PerEvent))
+	}
+}
+
+// TestShardPoolsMakeOneStatePerWorker: Run and Replay create at most one
+// slab State per worker, however many shards they converge — also when
+// collections run between shards (which empty a sync.Pool) and when a
+// worker goroutine moves between Ps.
+func TestShardPoolsMakeOneStatePerWorker(t *testing.T) {
+	_, g := testGraph(t, 300, 5)
+	var made atomic.Int64
+	newShardState = func(e *Engine) *State {
+		made.Add(1)
+		return e.NewState()
+	}
+	defer func() { newShardState = (*Engine).NewState }()
+	gc := func(int, int) { runtime.GC(); runtime.GC() }
+	for _, workers := range []int{1, 2} {
+		made.Store(0)
+		if _, err := Run(Options{Graph: g, Scenario: scenario.FlapStorm, Dests: 24, Seed: 3, Workers: workers, Progress: gc}); err != nil {
+			t.Fatal(err)
+		}
+		if n := made.Load(); n > int64(workers) {
+			t.Errorf("Run at %d workers made %d States", workers, n)
+		}
+		made.Store(0)
+		if _, err := Replay(ReplayOptions{Graph: g, Scenario: scenario.FlapStorm, Dests: 24, Seed: 3, Workers: workers, Progress: gc}); err != nil {
+			t.Fatal(err)
+		}
+		if n := made.Load(); n > int64(workers) {
+			t.Errorf("Replay at %d workers made %d States", workers, n)
+		}
 	}
 }
 

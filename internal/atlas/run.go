@@ -116,6 +116,40 @@ func destinations(multihomed []topology.ASN, n int, seed int64) ([]topology.ASN,
 	return picked[:n], nil
 }
 
+// statePool lends destination shards their slab States, which are big
+// (O(n) per plane). The runner never has more shards in flight than
+// workers, so a plain free list creates at most one State per worker.
+// A sync.Pool would not bound them: its per-P slots cannot be stolen,
+// so a worker that moves to another P gets a fresh State, and a
+// collection empties it.
+type statePool struct {
+	mu    sync.Mutex
+	free  []*State
+	fresh func() *State
+}
+
+// newShardState makes the States Run and Replay lend their shards; a
+// variable so tests can count them.
+var newShardState = (*Engine).NewState
+
+func (p *statePool) get() *State {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		st := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return st
+	}
+	p.mu.Unlock()
+	return p.fresh()
+}
+
+func (p *statePool) put(st *State) {
+	p.mu.Lock()
+	p.free = append(p.free, st)
+	p.mu.Unlock()
+}
+
 // Run converges the scenario at Dests destinations, sharded across the
 // worker pool with an ordered fold: the Report is byte-identical for
 // any worker count.
@@ -143,9 +177,7 @@ func Run(opts Options) (*Report, error) {
 	groups := groupEvents(script)
 	eng := NewEngine(g, opts.Params)
 
-	// Slab states are big (O(n) per plane); a pool bounds them to one
-	// per live worker instead of one per shard.
-	pool := sync.Pool{New: func() any { return eng.NewState() }}
+	pool := statePool{fresh: func() *State { return newShardState(eng) }}
 	spec := runner.Spec[DestOutcome]{
 		Name:   fmt.Sprintf("atlas(%v)", opts.Scenario),
 		Trials: len(dests),
@@ -154,8 +186,8 @@ func Run(opts Options) (*Report, error) {
 			if err := t.Ctx.Err(); err != nil {
 				return DestOutcome{}, err
 			}
-			st := pool.Get().(*State)
-			defer pool.Put(st)
+			st := pool.get()
+			defer pool.put(st)
 			return eng.ConvergeDest(st, dests[t.Index], groups)
 		},
 	}

@@ -248,6 +248,34 @@ func TestLinkFlapWorkIsChurnProportional(t *testing.T) {
 	}
 }
 
+// TestInitDestScansOnlyWhatOffersMove is the work-counter gate on
+// from-scratch convergence: a reached AS rescans its row only when its
+// next hop's offer changed, and takes a strictly better offer without a
+// scan. Four InitDests at N=3,000 must examine fewer than half the ASes
+// and adjacency entries they did when every reached AS rescanned its row
+// (969,309, counted the same way: frontier slots, scanned and published
+// rows).
+func TestInitDestScansOnlyWhatOffersMove(t *testing.T) {
+	const unfiltered = 969_309
+	_, g := testGraph(t, 3000, 3)
+	eng := NewEngine(g, DefaultParams())
+	st := eng.NewState()
+	dests, err := Destinations(g, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var visited int64
+	for _, dest := range dests {
+		if err := eng.InitDest(st, dest); err != nil {
+			t.Fatal(err)
+		}
+		visited += st.Visited()
+	}
+	if visited >= unfiltered/2 {
+		t.Fatalf("4 InitDests at N=3000 visited %d ASes and entries; want < %d, half the unfiltered frontier's", visited, unfiltered/2)
+	}
+}
+
 // TestListCapZeroRunsEveryWindowDense: a state with no list capacity —
 // what Replay runs on — settles all three windows of every event with
 // the dense passes, whether or not the event changes anything, so its
