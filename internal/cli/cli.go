@@ -7,7 +7,8 @@
 //
 //	0  success
 //	1  runtime failure, including any sim-vs-live divergence
-//	2  usage error (unknown subcommand/experiment/flag)
+//	2  usage error (unknown subcommand/experiment/flag, or a request lab
+//	   refuses as meaningless, like the steering arm outside steer runs)
 package cli
 
 import (
@@ -120,7 +121,8 @@ exit codes: 0 success, 1 failure or sim-vs-live divergence, 2 usage.
 `)
 }
 
-// fail prints a runtime error in the canonical form.
+// fail prints a runtime error in the canonical form; a request lab
+// refuses as meaningless is a usage error.
 func (e env) fail(err error) int {
 	// Cancellation is the operator's own Ctrl-C, not a failure worth a
 	// stack of wrapped context noise.
@@ -129,6 +131,9 @@ func (e env) fail(err error) int {
 		return ExitFailure
 	}
 	fmt.Fprintln(e.stderr, "stamp:", err)
+	if errors.Is(err, lab.ErrUsage) {
+		return ExitUsage
+	}
 	return ExitFailure
 }
 

@@ -46,6 +46,8 @@ func TestExitCodes(t *testing.T) {
 		{"topo -h is success", []string{"topo", "-h"}, ExitOK},
 		{"daemon bad originate", []string{"daemon", "-as", "64512", "-originate", "not-a-prefix"}, ExitUsage},
 		{"loss emu rejects non-stamp protocol", []string{"flood", "-backend", "emu", "-n", "40", "-protocol", "bgp"}, ExitFailure},
+		{"run transient rejects the steering arm", []string{"run", "transient", "-n", "40", "-protocol", "stamp-steer"}, ExitUsage},
+		{"flood rejects the steering arm", []string{"flood", "-n", "40", "-protocol", "stamp-steer"}, ExitUsage},
 		{"list", []string{"list"}, ExitOK},
 		{"run ok", []string{"run", "partial", "-n", "60"}, ExitOK},
 		{"atlas bad scenario", []string{"atlas", "-n", "100", "-scenario", "meteor-strike"}, ExitFailure},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"stamp/internal/core"
 	"stamp/internal/runner"
 	"stamp/internal/sim"
 	"stamp/internal/topology"
@@ -11,8 +12,8 @@ import (
 
 // Ablation harnesses for the design choices DESIGN.md calls out: the Lock
 // attribute, the MRAI timer, and intelligent blue-provider selection are
-// covered here; the color-switch rule is exercised by the forwarding
-// package's unit tests.
+// covered here; the color-switch rule is exercised by internal/traffic's
+// walker tests.
 
 // LockAblationResult measures what the Lock mechanism buys: the fraction
 // of ASes that end up with a blue route, with the mechanism on and off.
@@ -42,26 +43,32 @@ func RunLockAblation(g *topology.Graph, dest topology.ASN, seed int64, ropts run
 		Trials: 2,
 		Seed:   seed,
 		Run: func(t runner.Trial) (lockArm, error) {
-			disable := t.Index == 1
-			in := buildInstance(ProtoSTAMP, g, sim.DefaultParams(), seed, dest, nil)
-			in.e.SetCancel(t.Ctx)
-			if disable {
-				for _, nd := range in.stampNodes {
+			// STAMP's control plane alone: no data plane is classified.
+			e := sim.NewEngine(sim.DefaultParams(), seed)
+			e.SetCancel(t.Ctx)
+			net := sim.NewNetwork(e, g)
+			nodes := make([]*core.Node, g.Len())
+			for a := range nodes {
+				nodes[a] = core.NewNode(topology.ASN(a), g, e, net)
+			}
+			nodes[dest].Originate()
+			if t.Index == 1 {
+				for _, nd := range nodes {
 					nd.DisableLock = true
 				}
 				// Re-apply origination announcements under the new policy.
-				in.stampNodes[dest].WithdrawOrigin()
-				in.stampNodes[dest].Originate()
+				nodes[dest].WithdrawOrigin()
+				nodes[dest].Originate()
 			}
-			if _, err := in.e.Run(); err != nil {
+			if _, err := e.Run(); err != nil {
 				return lockArm{}, err
 			}
 			blue, red := 0, 0
-			for a := 0; a < g.Len(); a++ {
-				if in.stampNodes[a].Blue.Best() != nil {
+			for _, nd := range nodes {
+				if nd.Blue.Best() != nil {
 					blue++
 				}
-				if in.stampNodes[a].Red.Best() != nil {
+				if nd.Red.Best() != nil {
 					red++
 				}
 			}

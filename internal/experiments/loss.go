@@ -83,22 +83,6 @@ func (o LossOpts) normalized() LossOpts {
 	return o
 }
 
-// trafficProto maps the experiment protocol enum onto the traffic
-// engine's.
-func trafficProto(p Protocol) (traffic.Protocol, error) {
-	switch p {
-	case ProtoBGP:
-		return traffic.BGP, nil
-	case ProtoRBGPNoRCI:
-		return traffic.RBGPNoRCI, nil
-	case ProtoRBGP:
-		return traffic.RBGP, nil
-	case ProtoSTAMP:
-		return traffic.STAMP, nil
-	}
-	return 0, fmt.Errorf("experiments: no traffic mapping for %v", p)
-}
-
 // LossOutcome is the result of one (trial, protocol) loss shard.
 type LossOutcome struct {
 	Trial int
@@ -117,14 +101,6 @@ func LossSpec(opts LossOpts) (runner.Spec[LossOutcome], error) {
 	}
 	opts = opts.normalized()
 	protos := opts.Protocols
-	tprotos := make([]traffic.Protocol, len(protos))
-	for i, p := range protos {
-		tp, err := trafficProto(p)
-		if err != nil {
-			return runner.Spec[LossOutcome]{}, err
-		}
-		tprotos[i] = tp
-	}
 	return runner.Spec[LossOutcome]{
 		Name:   fmt.Sprintf("loss(%s)", opts.Scenario),
 		Trials: opts.Trials * len(protos),
@@ -139,7 +115,7 @@ func LossSpec(opts LossOpts) (runner.Spec[LossOutcome], error) {
 			}
 			cur, err := opts.Curve(traffic.SimOpts{
 				G:       opts.G,
-				Proto:   tprotos[pi],
+				Proto:   protos[pi],
 				Params:  opts.Params,
 				Script:  script,
 				Flows:   opts.Flows,

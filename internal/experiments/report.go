@@ -8,10 +8,6 @@ import (
 	"stamp/internal/metrics"
 )
 
-// MarshalText renders the protocol by its figure label, so JSON reports
-// (including map keys) read "STAMP" rather than a bare enum value.
-func (p Protocol) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
-
 // paperAffected holds the paper's reported mean affected-AS counts for
 // annotation in the rendered tables (absolute values are topology-bound;
 // the ordering and rough ratios are what the reproduction targets).

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"stamp/internal/disjoint"
-	"stamp/internal/forwarding"
-	"stamp/internal/sim"
 	"stamp/internal/topology"
 )
 
@@ -17,23 +15,6 @@ func smokeGraph(t testing.TB, n int, seed int64) *topology.Graph {
 		t.Fatalf("generate: %v", err)
 	}
 	return g
-}
-
-// TestSmokeInitialConvergence checks that all four protocols converge on
-// a generated topology and deliver packets from every AS afterwards.
-func TestSmokeInitialConvergence(t *testing.T) {
-	g := smokeGraph(t, 120, 7)
-	for _, proto := range AllProtocols() {
-		in := buildInstance(proto, g, sim.DefaultParams(), 11, 5, nil)
-		if _, err := in.e.Run(); err != nil {
-			t.Fatalf("%v: initial convergence: %v", proto, err)
-		}
-		st := in.classify()
-		bad := forwarding.CountNot(st, forwarding.Delivered)
-		if bad != 0 {
-			t.Errorf("%v: %d ASes cannot reach the destination after convergence", proto, bad)
-		}
-	}
 }
 
 // TestSmokeTransient runs the Figure 2 harness end to end on a small

@@ -7,12 +7,12 @@ import (
 	"math/rand"
 	"time"
 
-	"stamp/internal/forwarding"
 	"stamp/internal/metrics"
 	"stamp/internal/runner"
 	"stamp/internal/scenario"
 	"stamp/internal/sim"
 	"stamp/internal/topology"
+	"stamp/internal/traffic"
 )
 
 // Scenario selects the failure workload of §6.2. The type (and the
@@ -135,22 +135,7 @@ type TrialOutcome struct {
 	// faced it.
 	Trial int
 	Proto Protocol
-	// Affected counts ASes that experienced a transient problem and are
-	// fine once converged.
-	Affected int
-	// Convergence is the time from failure injection to the last routing
-	// change.
-	Convergence time.Duration
-	// Updates and Withdrawals count messages during failure convergence;
-	// InitialUpdates counts initial route propagation.
-	Updates        int64
-	Withdrawals    int64
-	InitialUpdates int64
-	// Stretch is the trial's mean post-convergence path stretch relative
-	// to the pre-failure paths; StretchValid is false when no source
-	// qualified (e.g. the destination became unreachable everywhere).
-	Stretch      float64
-	StretchValid bool
+	traffic.Transient
 }
 
 // TransientSpec expresses the transient experiment as enumerable runner
@@ -192,12 +177,11 @@ func runTransientShard(ctx context.Context, g *topology.Graph, params sim.Params
 	if err != nil {
 		return TrialOutcome{}, err
 	}
-	out, err := runScriptTrial(ctx, g, params, proto, script, engSeed)
+	out, err := traffic.RunTransientTrial(ctx, g, params, proto, script, engSeed)
 	if err != nil {
 		return TrialOutcome{}, fmt.Errorf("%v trial %d: %w", proto, trial, err)
 	}
-	out.Trial, out.Proto = trial, proto
-	return out, nil
+	return TrialOutcome{Trial: trial, Proto: proto, Transient: out}, nil
 }
 
 // affectedBuckets sizes power-of-two histogram buckets to the topology so
@@ -301,100 +285,4 @@ func RunTransient(opts TransientOpts) (*TransientResult, error) {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	return acc.result(opts.Scenario, opts.Trials), nil
-}
-
-// runScriptTrial converges the protocol, executes the workload script —
-// every event at its virtual-time offset, restores included — sweeps the
-// data plane throughout re-convergence, and counts ASes that both
-// experienced a transient problem and are fine once converged (problems
-// of permanently disconnected ASes are not transient).
-func runScriptTrial(ctx context.Context, g *topology.Graph, params sim.Params, proto Protocol, script scenario.Script, seed int64) (TrialOutcome, error) {
-	in := buildInstance(proto, g, params, seed, script.Dest, nil)
-	in.e.SetCancel(ctx)
-	if _, err := in.e.Run(); err != nil {
-		return TrialOutcome{}, fmt.Errorf("initial convergence: %w", err)
-	}
-	initialUpd, _ := in.messageCounts()
-	baseline := in.classify()
-
-	n := g.Len()
-	affectedAcc := make([]bool, n)
-	var lastChange time.Duration
-	// Data-plane sweeps are coalesced: the first route event schedules a
-	// sweep shortly afterwards, and further events before it fires are
-	// folded in. This bounds classification work on exploration-heavy
-	// trials while still observing every inter-burst state (routing state
-	// only changes at events).
-	const sweepLag = time.Millisecond
-	sweepScheduled := false
-	t0 := in.e.Now()
-	events := script.Sorted()
-	// Problems are only counted once the ASes adjacent to the first
-	// event have had time to detect it (Theorem 5.1's accounting):
-	// detection notifications arrive within MaxDelay of the event.
-	countFrom := t0 + params.MaxDelay + sweepLag
-	if len(events) > 0 {
-		countFrom += events[0].At
-	}
-	in.setTableChangeHook(func() { lastChange = in.e.Now() })
-	in.setRouteEventHook(func() {
-		if sweepScheduled {
-			return
-		}
-		sweepScheduled = true
-		in.e.After(sweepLag, func() {
-			sweepScheduled = false
-			if in.e.Now() < countFrom {
-				return
-			}
-			forwarding.Affected(affectedAcc, in.classify())
-		})
-	})
-	lastChange = t0
-	// Offset-zero events apply synchronously — the exact injection path
-	// the Set-consuming harness used, preserving its event and RNG
-	// ordering — and later ones (restores, subsequent flap rounds) are
-	// scheduled on the engine.
-	var evErr error
-	for _, ev := range events {
-		if ev.At <= 0 {
-			if err := scenario.Apply(in, ev); err != nil {
-				return TrialOutcome{}, err
-			}
-			continue
-		}
-		ev := ev
-		in.e.After(ev.At, func() {
-			if err := scenario.Apply(in, ev); err != nil && evErr == nil {
-				evErr = fmt.Errorf("applying %v: %w", ev, err)
-			}
-		})
-	}
-	if _, err := in.e.Run(); err != nil {
-		return TrialOutcome{}, fmt.Errorf("failure convergence: %w", err)
-	}
-	if evErr != nil {
-		return TrialOutcome{}, evErr
-	}
-	in.setRouteEventHook(nil)
-	in.setTableChangeHook(nil)
-
-	final := in.classify()
-	affected := 0
-	for a := 0; a < n; a++ {
-		if affectedAcc[a] && final[a].Status == forwarding.Delivered {
-			affected++
-		}
-	}
-	stretch, stretchOK := forwarding.MeanStretch(baseline, final)
-	upd, wd := in.messageCounts()
-	return TrialOutcome{
-		Affected:       affected,
-		Convergence:    lastChange - t0,
-		Updates:        upd - initialUpd,
-		Withdrawals:    wd,
-		InitialUpdates: initialUpd,
-		Stretch:        stretch,
-		StretchValid:   stretchOK,
-	}, nil
 }

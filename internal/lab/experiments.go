@@ -335,7 +335,7 @@ func runLoss(req Request) (*Result, error) {
 		if len(req.Protocols) > 1 {
 			return nil, fmt.Errorf("the emu backend measures one protocol per run (got %v); use -backend sim for the full set", req.Protocols)
 		}
-		p, err := traffic.ParseProtocol(req.Protocols[0])
+		p, err := ParseProtocol(req.Protocols[0])
 		if err != nil {
 			return nil, err
 		}

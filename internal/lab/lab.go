@@ -17,6 +17,7 @@ package lab
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -200,24 +201,20 @@ func (r Request) protocols() ([]experiments.Protocol, error) {
 	return out, nil
 }
 
-// ParseProtocol maps the CLI spelling of a protocol to the experiment
-// enum. The spelling table lives in traffic.ParseProtocol — one source
-// of truth for both backends — and only the enum is bridged here.
+// ErrUsage marks a request that asks for something no run can give, as
+// opposed to a run that failed; cmd/stamp exits 2 on it.
+var ErrUsage = errors.New("usage")
+
+// ParseProtocol maps the CLI spelling of a protocol (traffic.ParseProtocol)
+// to a protocol every experiment but the steer grid can run. The
+// steering arm is a usage error here: it needs the link-cost model and
+// policy that only steer-latency and steer-loss supply.
 func ParseProtocol(s string) (experiments.Protocol, error) {
-	tp, err := traffic.ParseProtocol(s)
-	if err != nil {
-		return 0, err
+	p, err := traffic.ParseProtocol(s)
+	if err == nil && p == traffic.STAMPSteer {
+		return 0, fmt.Errorf("%w: protocol %q runs only in the steer experiments (steer-latency, steer-loss)", ErrUsage, s)
 	}
-	switch tp {
-	case traffic.BGP:
-		return experiments.ProtoBGP, nil
-	case traffic.RBGPNoRCI:
-		return experiments.ProtoRBGPNoRCI, nil
-	case traffic.RBGP:
-		return experiments.ProtoRBGP, nil
-	default:
-		return experiments.ProtoSTAMP, nil
-	}
+	return p, err
 }
 
 // TopoInfo describes the topology a result was measured on.

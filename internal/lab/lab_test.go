@@ -45,6 +45,26 @@ func TestParseProtocol(t *testing.T) {
 	}
 }
 
+// TestSteerArmOnlyInSteerExperiments: the steering arm needs the link
+// cost model and policy only the steer grid supplies, so every other
+// experiment refuses it as a usage error that names the steer
+// experiments, instead of silently running color-locked STAMP.
+func TestSteerArmOnlyInSteerExperiments(t *testing.T) {
+	for _, req := range []Request{
+		{Experiment: "transient"},
+		{Experiment: "figure3b"},
+		{Experiment: "sweep", TopoSeeds: []int64{1}},
+		{Experiment: "loss", Backend: "sim"},
+		{Experiment: "loss", Backend: "emu"},
+	} {
+		req.Topo.N, req.Trials, req.Ticks, req.Protocols = 40, 1, 10, []string{"stamp-steer"}
+		_, err := Run(req)
+		if !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), "steer-latency") {
+			t.Errorf("%s/%s: err = %v, want a usage error naming the steer experiments", req.Experiment, req.Backend, err)
+		}
+	}
+}
+
 // TestTransientLinkFlapViaRegistry: the acceptance path — a LinkFlap
 // script (restores included) runs end to end through the registry's
 // transient experiment.

@@ -3,8 +3,6 @@ package lab
 import (
 	"testing"
 	"time"
-
-	"stamp/internal/forwarding"
 )
 
 // TestSimEmuTransientParity is the transient-deliverability analogue of
@@ -40,11 +38,7 @@ func TestSimEmuTransientParity(t *testing.T) {
 	}
 	// The live fleet must have delivered every source at the fixpoint
 	// (the fixture's destination stays reachable).
-	final := make([]forwarding.Result, len(p.Live.Final.Status))
-	for i, s := range p.Live.Final.Status {
-		final[i] = forwarding.Result{Status: s, Hops: p.Live.Final.Hops[i]}
-	}
-	if bad := forwarding.CountNot(final, forwarding.Delivered); bad != 0 {
+	if bad := len(p.Live.Final.Status) - p.Live.Final.Delivered(); bad != 0 {
 		t.Errorf("live fleet: %d sources undelivered after convergence", bad)
 	}
 	t.Logf("parity: sim everAffected=%d live everAffected=%d, sim lost=%d live lost=%d packet-ticks, %d divergences",

@@ -3,8 +3,6 @@ package traffic
 import (
 	"math/rand"
 	"testing"
-
-	"stamp/internal/forwarding"
 )
 
 // pairCost is a hand-written link cost: distinct latency/loss per
@@ -56,7 +54,7 @@ func TestWalkSingleCost(t *testing.T) {
 		t.Errorf("0: loss %v, want %v", got, want)
 	}
 	for _, v := range []int{3, 4, 5} {
-		if out.Status[v] == forwarding.Delivered {
+		if out.Status[v] == Delivered {
 			t.Fatalf("%d delivered, want undelivered", v)
 		}
 		if out.LatMs[v] != NoLat || out.LossP[v] != 1 {
@@ -87,7 +85,7 @@ func TestWalkStampCostSwitchOnce(t *testing.T) {
 	w.WalkStamp(tables, 2, &out)
 
 	for v, st := range out.Status {
-		if st != forwarding.Delivered {
+		if st != Delivered {
 			t.Fatalf("%d: %v, want delivered", v, st)
 		}
 	}

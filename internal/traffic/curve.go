@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"stamp/internal/forwarding"
 	"stamp/internal/metrics"
 	"stamp/internal/topology"
 )
@@ -116,7 +115,7 @@ func (c *Curve) enableUserLat(timeoutMs float64) error {
 // path latency plus timeout-weighted loss probability, or the full
 // timeout when unreachable.
 func (c *Curve) perceived(w *Walk, v int) float64 {
-	if w.Status[v] != forwarding.Delivered || w.LatMs[v] < 0 {
+	if w.Status[v] != Delivered || w.LatMs[v] < 0 {
 		return c.TimeoutMs
 	}
 	return float64(w.LatMs[v]) + float64(w.LossP[v])*c.TimeoutMs
@@ -158,13 +157,13 @@ func (c *Curve) aggregate(w, baseline *Walk) {
 	delivered := 0
 	stretchSum, stretchN := 0.0, 0
 	for v := 0; v < n; v++ {
-		if w.Status[v] != forwarding.Delivered {
+		if w.Status[v] != Delivered {
 			c.lostTicks[v]++
 			c.lastLost = append(c.lastLost, int32(v))
 			continue
 		}
 		delivered++
-		if baseline.Status[v] == forwarding.Delivered && baseline.Hops[v] > 0 {
+		if baseline.Status[v] == Delivered && baseline.Hops[v] > 0 {
 			stretchSum += float64(w.Hops[v]) / float64(baseline.Hops[v])
 			stretchN++
 		}
@@ -208,7 +207,7 @@ func (c *Curve) finish() {
 			continue
 		}
 		c.EverAffected++
-		if v < len(c.Final.Status) && c.Final.Status[v] == forwarding.Delivered {
+		if v < len(c.Final.Status) && c.Final.Status[v] == Delivered {
 			c.TransientAffected++
 			c.TransientLostPacketTicks += int64(lt) * int64(c.Flows)
 		}
@@ -219,11 +218,11 @@ func (c *Curve) finish() {
 // packets end up with a different fate (or a different path length) on
 // the two backends.
 type Divergence struct {
-	AS       topology.ASN      `json:"as"`
-	Sim      forwarding.Status `json:"-"`
-	Live     forwarding.Status `json:"-"`
-	SimHops  int32             `json:"sim_hops"`
-	LiveHops int32             `json:"live_hops"`
+	AS       topology.ASN `json:"as"`
+	Sim      Status       `json:"-"`
+	Live     Status       `json:"-"`
+	SimHops  int32        `json:"sim_hops"`
+	LiveHops int32        `json:"live_hops"`
 }
 
 // String renders the divergence for logs.

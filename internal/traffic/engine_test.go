@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"stamp/internal/forwarding"
 	"stamp/internal/scenario"
 	"stamp/internal/topology"
 )
@@ -44,19 +43,10 @@ func TestRunSimQuietScriptNoLoss(t *testing.T) {
 				t.Fatalf("%v: tick %d delivered %g packets, want %g", proto, i, cur.Delivered.Sum(i), wantDelivered)
 			}
 		}
-		if got := forwarding.CountNot(finalResults(cur), forwarding.Delivered); got != 0 {
+		if got := len(cur.Final.Status) - cur.Final.Delivered(); got != 0 {
 			t.Errorf("%v: %d sources undelivered at the converged fixpoint", proto, got)
 		}
 	}
-}
-
-// finalResults views a curve's final walk as forwarding results.
-func finalResults(c *Curve) []forwarding.Result {
-	out := make([]forwarding.Result, len(c.Final.Status))
-	for i := range out {
-		out[i] = forwarding.Result{Status: c.Final.Status[i], Hops: c.Final.Hops[i]}
-	}
-	return out
 }
 
 // TestRunSimFailureProducesCurve: a single link failure must produce a
@@ -85,7 +75,7 @@ func TestRunSimFailureProducesCurve(t *testing.T) {
 		t.Errorf("transient loss integral %d out of range (total %d)",
 			cur.TransientLostPacketTicks, cur.LostPacketTicks)
 	}
-	if got := forwarding.CountNot(finalResults(cur), forwarding.Delivered); got != 0 {
+	if got := len(cur.Final.Status) - cur.Final.Delivered(); got != 0 {
 		t.Errorf("%d sources still undelivered after full re-convergence", got)
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // instance is a fully built simulation of one protocol on one topology
-// with one destination. It mirrors internal/experiments' instance (which
-// cannot be shared: experiments sits above traffic), but exposes only
-// what the traffic engine needs — snapshot extraction and batched
+// with one destination: the one simulated instance behind both the loss
+// curves (RunSim) and the transient trials of Figures 2–3
+// (RunTransientTrial), with snapshot extraction and batched
 // classification.
 type instance struct {
 	proto Protocol
@@ -62,7 +62,6 @@ func newInstance(proto Protocol, g *topology.Graph, params sim.Params, seed int6
 		in.bgpNodes = make([]*bgp.Node, n)
 		for a := 0; a < n; a++ {
 			in.bgpNodes[a] = bgp.NewNode(topology.ASN(a), g, in.e, in.net)
-			in.bgpNodes[a].OnRouteEvent = in.marker(a)
 		}
 		in.bgpNodes[dest].Originate()
 	case RBGPNoRCI, RBGP:
@@ -71,7 +70,6 @@ func newInstance(proto Protocol, g *topology.Graph, params sim.Params, seed int6
 		in.rbgpNodes = make([]*rbgp.Node, n)
 		for a := 0; a < n; a++ {
 			in.rbgpNodes[a] = rbgp.NewNode(topology.ASN(a), g, in.e, in.net, rci)
-			in.rbgpNodes[a].OnRouteEvent = in.marker(a)
 		}
 		in.rbgpNodes[dest].Originate()
 		in.rbgp = RBGPView{Nodes: in.rbgpNodes, Net: in.net}
@@ -88,14 +86,61 @@ func newInstance(proto Protocol, g *topology.Graph, params sim.Params, seed int6
 		in.stampNodes = make([]*core.Node, n)
 		for a := 0; a < n; a++ {
 			in.stampNodes[a] = core.NewNode(topology.ASN(a), g, in.e, in.net)
-			in.stampNodes[a].OnRouteEvent = in.marker(a)
 		}
 		if bluePick != nil {
 			in.stampNodes[dest].BluePick = bluePick
 		}
 		in.stampNodes[dest].Originate()
 	}
+	// Markers go on after origination: every AS starts marked anyway.
+	for a := 0; a < n; a++ {
+		route, _ := in.hooks(a)
+		*route = in.marker(a)
+	}
 	return in
+}
+
+// hooks returns AS a's node callbacks: OnRouteEvent, which fires
+// whenever its forwarding may have moved, and OnTableChange, which fires
+// on best-route changes only.
+func (in *instance) hooks(a int) (route, table *func()) {
+	switch in.proto {
+	case BGP:
+		return &in.bgpNodes[a].OnRouteEvent, &in.bgpNodes[a].OnTableChange
+	case RBGPNoRCI, RBGP:
+		return &in.rbgpNodes[a].OnRouteEvent, &in.rbgpNodes[a].OnTableChange
+	default:
+		return &in.stampNodes[a].OnRouteEvent, &in.stampNodes[a].OnTableChange
+	}
+}
+
+// watch adds observers to every node: route runs after the snapshot
+// marker on each route event, table on each best-route change. RunSim
+// never calls it, so its per-event path is the bare marker.
+func (in *instance) watch(route, table func()) {
+	for a := 0; a < in.g.Len(); a++ {
+		r, t := in.hooks(a)
+		mark := in.marker(a)
+		*r = func() { mark(); route() }
+		*t = table
+	}
+}
+
+// messageCounts sums update and withdrawal counts across all speakers.
+func (in *instance) messageCounts() (updates, withdrawals int64) {
+	for _, n := range in.bgpNodes {
+		updates += n.Sp.UpdatesSent
+		withdrawals += n.Sp.WithdrawalsSent
+	}
+	for _, n := range in.rbgpNodes {
+		updates += n.Sp.UpdatesSent
+		withdrawals += n.Sp.WithdrawalsSent
+	}
+	for _, n := range in.stampNodes {
+		updates += n.Red.UpdatesSent + n.Blue.UpdatesSent
+		withdrawals += n.Red.WithdrawalsSent + n.Blue.WithdrawalsSent
+	}
+	return updates, withdrawals
 }
 
 // setCost attaches the link-quality model to the walkers.

@@ -1,9 +1,5 @@
 package traffic
 
-import (
-	"stamp/internal/forwarding"
-)
-
 // Naive per-packet walkers: each source is walked independently with no
 // memoization, the way a literal packet-by-packet simulation would do
 // it. They exist as the measured baseline for BenchmarkTrafficWalk and
@@ -22,17 +18,17 @@ func NaiveWalkSingle(next []int32, dest int32, out *Walk) {
 		var hops int32
 		for {
 			if v == dest || next[v] == v {
-				out.Status[src], out.Hops[src] = forwarding.Delivered, hops
+				out.Status[src], out.Hops[src] = Delivered, hops
 				break
 			}
 			if next[v] < 0 {
-				out.Status[src], out.Hops[src] = forwarding.Blackhole, forwarding.NoHops
+				out.Status[src], out.Hops[src] = Blackhole, NoHops
 				break
 			}
 			v = next[v]
 			hops++
 			if hops > int32(n) {
-				out.Status[src], out.Hops[src] = forwarding.Loop, forwarding.NoHops
+				out.Status[src], out.Hops[src] = Loop, NoHops
 				break
 			}
 		}
@@ -50,7 +46,7 @@ func NaiveWalkStamp(t StampTables, dest int32, out *Walk) {
 		var hops int32
 		for {
 			if v == dest {
-				out.Status[src], out.Hops[src] = forwarding.Delivered, hops
+				out.Status[src], out.Hops[src] = Delivered, hops
 				break
 			}
 			next, onext := t.NextRed, t.NextBlue
@@ -71,20 +67,20 @@ func NaiveWalkStamp(t StampTables, dest int32, out *Walk) {
 			case ok:
 				// keep color
 			default:
-				out.Status[src], out.Hops[src] = forwarding.Blackhole, forwarding.NoHops
+				out.Status[src], out.Hops[src] = Blackhole, NoHops
 				stop = true
 			}
 			if stop {
 				break
 			}
 			if nh == v {
-				out.Status[src], out.Hops[src] = forwarding.Delivered, hops
+				out.Status[src], out.Hops[src] = Delivered, hops
 				break
 			}
 			v = nh
 			hops++
 			if hops > int32(4*n) {
-				out.Status[src], out.Hops[src] = forwarding.Loop, forwarding.NoHops
+				out.Status[src], out.Hops[src] = Loop, NoHops
 				break
 			}
 		}

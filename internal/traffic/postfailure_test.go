@@ -1,4 +1,4 @@
-package experiments
+package traffic
 
 import (
 	"math/rand"
@@ -14,11 +14,11 @@ import (
 // simulator: failure handling, withdrawal waves, MRAI-paced re-routing —
 // all must land exactly on the analytic fixpoint.
 func TestBGPPostFailureMatchesStatic(t *testing.T) {
-	g := smokeGraph(t, 250, 83)
+	g := genGraph(t, 250, 83)
 	rng := rand.New(rand.NewSource(3))
 	dest := topology.ASN(21)
 
-	in := buildInstance(ProtoBGP, g, sim.DefaultParams(), 17, dest, nil)
+	in := newInstance(BGP, g, sim.DefaultParams(), 17, dest, nil)
 	if _, err := in.e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestBGPPostFailureMatchesStatic(t *testing.T) {
 	var failed [][2]topology.ASN
 	for len(failed) < 5 {
 		l := links[rng.Intn(len(links))]
-		if err := in.net.FailLink(l.A, l.B); err != nil {
+		if err := in.FailLink(l.A, l.B); err != nil {
 			continue // already failed
 		}
 		failed = append(failed, [2]topology.ASN{l.A, l.B})
@@ -86,20 +86,15 @@ func TestBGPPostFailureMatchesStatic(t *testing.T) {
 // withdraws the prefix everywhere. Every protocol must converge to a
 // fully empty routing state.
 func TestRouteWithdrawalEvent(t *testing.T) {
-	g := smokeGraph(t, 200, 89)
+	g := genGraph(t, 200, 89)
 	dest := topology.ASN(77)
 	for _, proto := range AllProtocols() {
-		in := buildInstance(proto, g, sim.DefaultParams(), 19, dest, nil)
+		in := newInstance(proto, g, sim.DefaultParams(), 19, dest, nil)
 		if _, err := in.e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		switch proto {
-		case ProtoBGP:
-			in.bgpNodes[dest].WithdrawOrigin()
-		case ProtoRBGPNoRCI, ProtoRBGP:
-			in.rbgpNodes[dest].WithdrawOrigin()
-		case ProtoSTAMP:
-			in.stampNodes[dest].WithdrawOrigin()
+		if err := in.Withdraw(dest); err != nil {
+			t.Fatal(err)
 		}
 		if _, err := in.e.Run(); err != nil {
 			t.Fatalf("%v: %v", proto, err)
@@ -107,15 +102,15 @@ func TestRouteWithdrawalEvent(t *testing.T) {
 		stale := 0
 		for a := 0; a < g.Len(); a++ {
 			switch proto {
-			case ProtoBGP:
+			case BGP:
 				if in.bgpNodes[a].Sp.Best() != nil {
 					stale++
 				}
-			case ProtoRBGPNoRCI, ProtoRBGP:
+			case RBGPNoRCI, RBGP:
 				if in.rbgpNodes[a].Sp.Best() != nil {
 					stale++
 				}
-			case ProtoSTAMP:
+			case STAMP:
 				if in.stampNodes[a].Red.Best() != nil || in.stampNodes[a].Blue.Best() != nil {
 					stale++
 				}
@@ -131,20 +126,20 @@ func TestRouteWithdrawalEvent(t *testing.T) {
 // after fail + recover, BGP must return exactly to its pre-failure
 // static solution.
 func TestLinkRecoveryEvent(t *testing.T) {
-	g := smokeGraph(t, 200, 97)
+	g := genGraph(t, 200, 97)
 	dest := topology.ASN(50)
-	in := buildInstance(ProtoBGP, g, sim.DefaultParams(), 23, dest, nil)
+	in := newInstance(BGP, g, sim.DefaultParams(), 23, dest, nil)
 	if _, err := in.e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	p := g.Providers(dest)[0]
-	if err := in.net.FailLink(dest, p); err != nil {
+	if err := in.FailLink(dest, p); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.net.RestoreLink(dest, p); err != nil {
+	if err := in.RestoreLink(dest, p); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.e.Run(); err != nil {

@@ -1,11 +1,10 @@
-package experiments
+package traffic
 
 import (
 	"math/rand"
 	"testing"
 
 	"stamp/internal/bgp"
-	"stamp/internal/forwarding"
 	"stamp/internal/sim"
 	"stamp/internal/topology"
 )
@@ -15,9 +14,9 @@ import (
 // included. This pins the decision process, export policy, and message
 // machinery all at once.
 func TestBGPMatchesStaticRoutes(t *testing.T) {
-	g := smokeGraph(t, 250, 41)
+	g := genGraph(t, 250, 41)
 	for _, dest := range []topology.ASN{0, 17, 133, 249} {
-		in := buildInstance(ProtoBGP, g, sim.DefaultParams(), 5, dest, nil)
+		in := newInstance(BGP, g, sim.DefaultParams(), 5, dest, nil)
 		if _, err := in.e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -52,10 +51,10 @@ func TestBGPMatchesStaticRoutes(t *testing.T) {
 // TestValleyFreeInvariant: no converged route, in any protocol, may
 // violate valley-free policy.
 func TestValleyFreeInvariant(t *testing.T) {
-	g := smokeGraph(t, 200, 43)
+	g := genGraph(t, 200, 43)
 	dest := topology.ASN(11)
 	for _, proto := range AllProtocols() {
-		in := buildInstance(proto, g, sim.DefaultParams(), 7, dest, nil)
+		in := newInstance(proto, g, sim.DefaultParams(), 7, dest, nil)
 		if _, err := in.e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +70,11 @@ func TestValleyFreeInvariant(t *testing.T) {
 		for a := 0; a < g.Len(); a++ {
 			v := topology.ASN(a)
 			switch proto {
-			case ProtoBGP:
+			case BGP:
 				check(v, in.bgpNodes[a].Sp.Best())
-			case ProtoRBGPNoRCI, ProtoRBGP:
+			case RBGPNoRCI, RBGP:
 				check(v, in.rbgpNodes[a].Sp.Best())
-			case ProtoSTAMP:
+			case STAMP:
 				check(v, in.stampNodes[a].Red.Best())
 				check(v, in.stampNodes[a].Blue.Best())
 			}
@@ -88,9 +87,9 @@ func TestValleyFreeInvariant(t *testing.T) {
 // exist").
 func TestStampBluePathGuarantee(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		g := smokeGraph(t, 300, seed)
+		g := genGraph(t, 300, seed)
 		dest := topology.ASN(rand.New(rand.NewSource(seed)).Intn(g.Len()))
-		in := buildInstance(ProtoSTAMP, g, sim.DefaultParams(), seed, dest, nil)
+		in := newInstance(STAMP, g, sim.DefaultParams(), seed, dest, nil)
 		if _, err := in.e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -120,9 +119,9 @@ func TestStampBluePathGuarantee(t *testing.T) {
 // 2), so we assert the property statistically and log the violation rate.
 func TestStampDownhillDisjoint(t *testing.T) {
 	for _, seed := range []int64{4, 5} {
-		g := smokeGraph(t, 300, seed)
+		g := genGraph(t, 300, seed)
 		dest := topology.ASN(13)
-		in := buildInstance(ProtoSTAMP, g, sim.DefaultParams(), seed, dest, nil)
+		in := newInstance(STAMP, g, sim.DefaultParams(), seed, dest, nil)
 		if _, err := in.e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -179,30 +178,31 @@ func TestStampDownhillDisjoint(t *testing.T) {
 // a route may lose it. ASes acquiring their first route are not
 // "transient failures".
 func TestLemma31RouteAddition(t *testing.T) {
-	g := smokeGraph(t, 300, 47)
+	g := genGraph(t, 300, 47)
 	dest := topology.ASN(29)
-	in := buildInstance(ProtoBGP, g, sim.DefaultParams(), 3, dest, nil)
+	in := newInstance(BGP, g, sim.DefaultParams(), 3, dest, nil)
 
 	n := g.Len()
 	hadRoute := make([]bool, n)
 	problems := 0
+	var w Walk
 	check := func() {
-		st := in.classify()
+		in.classify(&w)
 		for a := 0; a < n; a++ {
-			switch st[a].Status {
-			case forwarding.Loop:
+			switch w.Status[a] {
+			case Loop:
 				problems++
-			case forwarding.Blackhole:
+			case Blackhole:
 				if hadRoute[a] {
 					problems++
 				}
-			case forwarding.Delivered:
+			case Delivered:
 				hadRoute[a] = true
 			}
 		}
 	}
-	in.setRouteEventHook(check)
-	// buildInstance already originated; events are queued but not run.
+	in.watch(check, nil)
+	// newInstance already originated; events are queued but not run.
 	if _, err := in.e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestLemma31RouteAddition(t *testing.T) {
 // that AS (its replacement candidates are provider routes it can switch
 // to consistently).
 func TestLemma32UphillWithdrawal(t *testing.T) {
-	g := smokeGraph(t, 300, 53)
+	g := genGraph(t, 300, 53)
 	dest := topology.ASN(7)
 	static := topology.StaticRoutes(g, dest)
 
@@ -244,24 +244,25 @@ func TestLemma32UphillWithdrawal(t *testing.T) {
 		t.Skip("no AS with a two-hop uphill segment in this topology")
 	}
 
-	in := buildInstance(ProtoBGP, g, sim.DefaultParams(), 9, dest, nil)
+	in := newInstance(BGP, g, sim.DefaultParams(), 9, dest, nil)
 	if _, err := in.e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	srcProblems := 0
 	t0 := in.e.Now()
 	detectBy := t0 + sim.DefaultParams().MaxDelay
-	in.setRouteEventHook(func() {
+	var w Walk
+	in.watch(func() {
 		if in.e.Now() <= detectBy {
 			// Theorem 5.1 accounting: the detection window is excluded.
 			return
 		}
-		st := in.classify()
-		if st[src].Status != forwarding.Delivered {
+		in.classify(&w)
+		if w.Status[src] != Delivered {
 			srcProblems++
 		}
-	})
-	if err := in.net.FailLink(fail[0], fail[1]); err != nil {
+	}, nil)
+	if err := in.FailLink(fail[0], fail[1]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.e.Run(); err != nil {
@@ -277,9 +278,9 @@ func TestLemma32UphillWithdrawal(t *testing.T) {
 // both announced to the same provider (the overlap after a lock re-pick
 // is the single documented exception, not exercised here).
 func TestStampRedBlueNeverSameProvider(t *testing.T) {
-	g := smokeGraph(t, 300, 59)
+	g := genGraph(t, 300, 59)
 	dest := topology.ASN(101)
-	in := buildInstance(ProtoSTAMP, g, sim.DefaultParams(), 11, dest, nil)
+	in := newInstance(STAMP, g, sim.DefaultParams(), 11, dest, nil)
 	if _, err := in.e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,9 +303,9 @@ func TestStampRedBlueNeverSameProvider(t *testing.T) {
 // TestStampLockedChainReachesTier1 follows the locked blue announcements
 // up from the origin and checks they reach a tier-1 AS.
 func TestStampLockedChainReachesTier1(t *testing.T) {
-	g := smokeGraph(t, 300, 61)
+	g := genGraph(t, 300, 61)
 	dest := topology.ASN(55)
-	in := buildInstance(ProtoSTAMP, g, sim.DefaultParams(), 13, dest, nil)
+	in := newInstance(STAMP, g, sim.DefaultParams(), 13, dest, nil)
 	if _, err := in.e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,12 +335,12 @@ func TestStampLockedChainReachesTier1(t *testing.T) {
 // across several random topologies and destinations.
 func TestConvergenceAllProtocols(t *testing.T) {
 	for _, seed := range []int64{71, 73} {
-		g := smokeGraph(t, 250, seed)
+		g := genGraph(t, 250, seed)
 		dest := topology.ASN(seed % 250)
 		for _, proto := range AllProtocols() {
 			p := sim.DefaultParams()
 			p.MaxEvents = 5_000_000
-			in := buildInstance(proto, g, p, seed, dest, nil)
+			in := newInstance(proto, g, p, seed, dest, nil)
 			if _, err := in.e.Run(); err != nil {
 				t.Errorf("%v seed %d: %v", proto, seed, err)
 			}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"stamp/internal/bgp"
-	"stamp/internal/forwarding"
 	"stamp/internal/scenario"
 	"stamp/internal/topology"
 )
@@ -142,7 +141,7 @@ func TestWalkRBGPMatchesOracleMidConvergence(t *testing.T) {
 						baseline = append(baseline, w.Hops...)
 					}
 					for v, h := range w.Hops {
-						if w.Status[v] == forwarding.Delivered && h != baseline[v] {
+						if w.Status[v] == Delivered && h != baseline[v] {
 							deflected++
 						}
 					}
@@ -339,9 +338,9 @@ func TestIdleObserveAllocs(t *testing.T) {
 	if err := c.enableUserLat(DefaultTimeoutMs); err != nil {
 		t.Fatal(err)
 	}
-	w := &Walk{Status: make([]forwarding.Status, n), Hops: make([]int32, n), LatMs: make([]float32, n), LossP: make([]float32, n)}
+	w := &Walk{Status: make([]Status, n), Hops: make([]int32, n), LatMs: make([]float32, n), LossP: make([]float32, n)}
 	for v := 0; v < n; v += 3 {
-		w.Status[v] = forwarding.Delivered
+		w.Status[v] = Delivered
 		w.Hops[v] = 2
 	}
 	c.observe(1, w, w, true)

@@ -123,7 +123,8 @@ type simProbe struct {
 	// during which the engine executed events, forced the ticks that
 	// re-ran the steering arm's forced walks.
 	classified, busy, forced int
-	// sampled, when non-nil, sees every tick's fresh classification
+	// sampled, when non-nil, sees every fresh classification — each
+	// tick's in RunSim, each coalesced sweep's in a transient trial —
 	// while the engine is still paused on the state it was taken from.
 	sampled func(in *instance, w *Walk)
 }
@@ -240,6 +241,142 @@ func runSim(o SimOpts, probe *simProbe) (*Curve, error) {
 	in.classify(&cur.Final)
 	cur.finish()
 	return cur, nil
+}
+
+// Transient is the outcome of one transient trial.
+type Transient struct {
+	// Affected counts ASes that experienced a transient problem and are
+	// fine once converged.
+	Affected int
+	// Convergence is the time from failure injection to the last routing
+	// change.
+	Convergence time.Duration
+	// Updates and Withdrawals count messages during failure convergence;
+	// InitialUpdates counts initial route propagation.
+	Updates        int64
+	Withdrawals    int64
+	InitialUpdates int64
+	// Stretch is the trial's mean post-convergence path stretch relative
+	// to the pre-failure paths; StretchValid is false when no source
+	// qualified (e.g. the destination became unreachable everywhere).
+	Stretch      float64
+	StretchValid bool
+}
+
+// RunTransientTrial is the trial behind Figures 2 and 3. It converges
+// the protocol, executes the workload script — every event at its
+// virtual-time offset, restores included — sweeps the data plane
+// throughout re-convergence, and counts ASes that both experienced a
+// transient problem and are fine once converged (problems of
+// permanently disconnected ASes are not transient). Where RunSim
+// samples at ticks, a transient trial observes after route events.
+func RunTransientTrial(ctx context.Context, g *topology.Graph, params sim.Params, proto Protocol, script scenario.Script, seed int64) (Transient, error) {
+	return runTransientTrial(ctx, g, params, proto, script, seed, &simProbe{})
+}
+
+func runTransientTrial(ctx context.Context, g *topology.Graph, params sim.Params, proto Protocol, script scenario.Script, seed int64, probe *simProbe) (Transient, error) {
+	if proto == STAMPSteer {
+		return Transient{}, fmt.Errorf("traffic: %v has no transient trial (it needs a link-cost model and a policy)", proto)
+	}
+	in := newInstance(proto, g, params, seed, script.Dest, nil)
+	in.e.SetCancel(ctx)
+	if _, err := in.e.Run(); err != nil {
+		return Transient{}, fmt.Errorf("initial convergence: %w", err)
+	}
+	initialUpd, _ := in.messageCounts()
+	baseline, w := &Walk{}, &Walk{}
+	in.classify(baseline)
+
+	affected := make([]bool, g.Len())
+	var lastChange time.Duration
+	// Data-plane sweeps are coalesced: the first route event schedules a
+	// sweep shortly afterwards, and further events before it fires are
+	// folded in. This bounds classification work on exploration-heavy
+	// trials while still observing every inter-burst state (routing state
+	// only changes at events).
+	const sweepLag = time.Millisecond
+	sweepScheduled := false
+	t0 := in.e.Now()
+	events := script.Sorted()
+	// Problems are only counted once the ASes adjacent to the first
+	// event have had time to detect it (Theorem 5.1's accounting):
+	// detection notifications arrive within MaxDelay of the event.
+	countFrom := t0 + params.MaxDelay + sweepLag
+	if len(events) > 0 {
+		countFrom += events[0].At
+	}
+	in.watch(func() {
+		if sweepScheduled {
+			return
+		}
+		sweepScheduled = true
+		in.e.After(sweepLag, func() {
+			sweepScheduled = false
+			if in.e.Now() < countFrom {
+				return
+			}
+			in.classify(w)
+			if probe.sampled != nil {
+				probe.sampled(in, w)
+			}
+			for a, s := range w.Status {
+				if s != Delivered {
+					affected[a] = true
+				}
+			}
+		})
+	}, func() { lastChange = in.e.Now() })
+	lastChange = t0
+	// Offset-zero events apply synchronously — preserving the event and
+	// RNG order of a failure set injected at once — and later ones
+	// (restores, subsequent flap rounds) are scheduled on the engine.
+	var evErr error
+	for _, ev := range events {
+		if ev.At <= 0 {
+			if err := scenario.Apply(in, ev); err != nil {
+				return Transient{}, err
+			}
+			continue
+		}
+		ev := ev
+		in.e.After(ev.At, func() {
+			if err := scenario.Apply(in, ev); err != nil && evErr == nil {
+				evErr = fmt.Errorf("applying %v: %w", ev, err)
+			}
+		})
+	}
+	if _, err := in.e.Run(); err != nil {
+		return Transient{}, fmt.Errorf("failure convergence: %w", err)
+	}
+	if evErr != nil {
+		return Transient{}, evErr
+	}
+
+	in.classify(w)
+	upd, wd := in.messageCounts()
+	out := Transient{
+		Convergence:    lastChange - t0,
+		Updates:        upd - initialUpd,
+		Withdrawals:    wd,
+		InitialUpdates: initialUpd,
+	}
+	sum, qualified := 0.0, 0
+	for a, s := range w.Status {
+		if s != Delivered {
+			continue
+		}
+		if affected[a] {
+			out.Affected++
+		}
+		if baseline.Status[a] == Delivered && baseline.Hops[a] > 0 {
+			sum += float64(w.Hops[a]) / float64(baseline.Hops[a])
+			qualified++
+		}
+	}
+	if qualified > 0 {
+		out.Stretch, out.StretchValid = sum/float64(qualified), true
+	}
+	return out, nil
 }
 
 // FailLink implements scenario.Executor.

@@ -20,22 +20,49 @@
 //     against the simulator's — extending PR 2's Tables.Diff methodology
 //     from "same final tables" to "same transient deliverability".
 //
-// The walkers are equivalence-tested against their semantic references:
-// the callback-driven classifiers in internal/forwarding for BGP and
-// STAMP, and for R-BGP the (AS, arriving neighbor)-keyed walk kept in
-// this package's tests.
+// Beside RunSim, RunTransientTrial runs the same simulated instance
+// through a failure script and observes it after route events rather
+// than at ticks: it is the trial behind Figures 2 and 3, so those
+// figures and the loss curves share one data plane.
+//
+// The walkers are equivalence-tested against their semantic references,
+// which live in this package's tests: recursive callback-driven
+// classifiers for BGP and STAMP, and for R-BGP the (AS, arriving
+// neighbor)-keyed walk.
 package traffic
 
-import (
-	"fmt"
+import "fmt"
 
-	"stamp/internal/forwarding"
+// Status is the data-plane outcome for a packet source.
+type Status uint8
+
+const (
+	// Delivered means the packet reaches the destination.
+	Delivered Status = iota
+	// Loop means the packet enters a forwarding loop.
+	Loop
+	// Blackhole means the packet reaches an AS with no usable route.
+	Blackhole
 )
 
-// Protocol selects the routing protocol whose data plane is exercised.
-// It mirrors internal/experiments.Protocol (which cannot be imported
-// here: experiments sits above traffic and hosts the sharded loss-curve
-// harness on top of this package).
+// String names the status.
+func (s Status) String() string {
+	switch s {
+	case Delivered:
+		return "delivered"
+	case Loop:
+		return "loop"
+	case Blackhole:
+		return "blackhole"
+	}
+	return "unknown"
+}
+
+// NoHops marks a hop count with no meaning (looped or blackholed).
+const NoHops int32 = -1
+
+// Protocol selects the routing protocol under test. It is the one
+// protocol enum of the module: internal/experiments aliases it.
 type Protocol int
 
 const (
@@ -124,13 +151,13 @@ type Steerer interface {
 
 // Walk is the outcome of one batched classification pass, in
 // structure-of-arrays layout: one status and hop count per source AS.
-// Hops is forwarding.NoHops for sources whose packets never arrive.
+// Hops is NoHops for sources whose packets never arrive.
 // When the walker carries a LinkCost model, LatMs and LossP
 // additionally hold the end-to-end path latency (NoLat if undelivered)
 // and the path gray-loss probability (1 if undelivered); they are nil
 // on cost-free walks.
 type Walk struct {
-	Status []forwarding.Status
+	Status []Status
 	Hops   []int32
 	LatMs  []float32
 	LossP  []float32
@@ -139,7 +166,7 @@ type Walk struct {
 // reset sizes the walk for n sources.
 func (w *Walk) reset(n int) {
 	if cap(w.Status) < n {
-		w.Status = make([]forwarding.Status, n)
+		w.Status = make([]Status, n)
 		w.Hops = make([]int32, n)
 	}
 	w.Status = w.Status[:n]
@@ -160,7 +187,7 @@ func (w *Walk) resetCost(n int) {
 func (w *Walk) Delivered() int {
 	n := 0
 	for _, s := range w.Status {
-		if s == forwarding.Delivered {
+		if s == Delivered {
 			n++
 		}
 	}

@@ -1,9 +1,6 @@
 package traffic
 
-import (
-	"stamp/internal/forwarding"
-	"stamp/internal/topology"
-)
+import "stamp/internal/topology"
 
 // The batched walkers classify every source of a forwarding-table
 // snapshot in one pass over flat arrays. Memoization is per walk state
@@ -86,12 +83,12 @@ func (w *Walker) costScratch(n int) ([]float32, []float32) {
 // from the terminal state termID upward; div maps state ids to node
 // indices (1 for single-plane walks, 4 for STAMP's (color, switched)
 // states).
-func (w *Walker) unwind(stack []int32, st []uint8, hp []int32, lat, surv []float32, term forwarding.Status, termHops, termID, div int32) []int32 {
+func (w *Walker) unwind(stack []int32, st []uint8, hp []int32, lat, surv []float32, term Status, termHops, termID, div int32) []int32 {
 	done := wDone + uint8(term)
 	prev := termID
 	for i := len(stack) - 1; i >= 0; i-- {
 		u := stack[i]
-		if term == forwarding.Delivered {
+		if term == Delivered {
 			termHops++
 			hp[u] = termHops
 			if lat != nil {
@@ -101,7 +98,7 @@ func (w *Walker) unwind(stack []int32, st []uint8, hp []int32, lat, surv []float
 				prev = u
 			}
 		} else {
-			hp[u] = forwarding.NoHops
+			hp[u] = NoHops
 		}
 		st[u] = done
 	}
@@ -111,7 +108,7 @@ func (w *Walker) unwind(stack []int32, st []uint8, hp []int32, lat, surv []float
 // WalkSingle classifies all sources of a single-plane snapshot: next[v]
 // is AS v's forwarding neighbor, -1 when it has no usable route, and v
 // itself for local delivery at the origin. Semantically identical to
-// forwarding.ClassifySingle (equivalence-tested).
+// the recursive reference oracleSingle in this package's tests.
 func (w *Walker) WalkSingle(next []int32, dest int32, out *Walk) {
 	n := len(next)
 	out.reset(n)
@@ -126,30 +123,30 @@ func (w *Walker) WalkSingle(next []int32, dest int32, out *Walk) {
 		if st[v] >= wDone {
 			continue
 		}
-		var term forwarding.Status
+		var term Status
 		var termHops int32
 	chain:
 		for {
 			switch s := st[v]; {
 			case s >= wDone:
-				term, termHops = forwarding.Status(s-wDone), hp[v]
+				term, termHops = Status(s-wDone), hp[v]
 				break chain
 			case s == wOnStack:
-				term, termHops = forwarding.Loop, forwarding.NoHops
+				term, termHops = Loop, NoHops
 				break chain
 			}
 			nh := next[v]
 			switch {
 			case v == dest, nh == v:
-				st[v], hp[v] = wDone+uint8(forwarding.Delivered), 0
+				st[v], hp[v] = wDone+uint8(Delivered), 0
 				if lat != nil {
 					lat[v], surv[v] = 0, 1
 				}
-				term, termHops = forwarding.Delivered, 0
+				term, termHops = Delivered, 0
 				break chain
 			case nh < 0:
-				st[v], hp[v] = wDone+uint8(forwarding.Blackhole), forwarding.NoHops
-				term, termHops = forwarding.Blackhole, forwarding.NoHops
+				st[v], hp[v] = wDone+uint8(Blackhole), NoHops
+				term, termHops = Blackhole, NoHops
 				break chain
 			}
 			st[v] = wOnStack
@@ -160,13 +157,13 @@ func (w *Walker) WalkSingle(next []int32, dest int32, out *Walk) {
 	}
 	w.stack = stack
 	for v := 0; v < n; v++ {
-		out.Status[v] = forwarding.Status(st[v] - wDone)
+		out.Status[v] = Status(st[v] - wDone)
 		out.Hops[v] = hp[v]
 	}
 	if w.Cost != nil {
 		out.resetCost(n)
 		for v := 0; v < n; v++ {
-			if out.Status[v] == forwarding.Delivered {
+			if out.Status[v] == Delivered {
 				out.LatMs[v], out.LossP[v] = lat[v], 1-surv[v]
 			} else {
 				out.LatMs[v], out.LossP[v] = NoLat, 1
@@ -226,7 +223,7 @@ func (w *Walker) WalkRBGP(primary []int32, dest int32, fo Failover, out *Walk) {
 		}
 		v, prev := int32(src), int32(-1)
 		var id int32
-		var term forwarding.Status
+		var term Status
 		var termHops int32
 	chain:
 		for {
@@ -234,11 +231,11 @@ func (w *Walker) WalkRBGP(primary []int32, dest int32, fo Failover, out *Walk) {
 			nh := primary[v]
 			switch {
 			case v == dest, nh == v:
-				st[id], hp[id] = wDone+uint8(forwarding.Delivered), 0
+				st[id], hp[id] = wDone+uint8(Delivered), 0
 				if lat != nil {
 					lat[id], surv[id] = 0, 1
 				}
-				term, termHops = forwarding.Delivered, 0
+				term, termHops = Delivered, 0
 				break chain
 			case nh < 0, nh == prev:
 				if prev >= 0 {
@@ -250,10 +247,10 @@ func (w *Walker) WalkRBGP(primary []int32, dest int32, fo Failover, out *Walk) {
 			}
 			switch s := st[id]; {
 			case s >= wDone:
-				term, termHops = forwarding.Status(s-wDone), hp[id]
+				term, termHops = Status(s-wDone), hp[id]
 				break chain
 			case s == wOnStack:
-				term, termHops = forwarding.Loop, forwarding.NoHops
+				term, termHops = Loop, NoHops
 				break chain
 			}
 			st[id] = wOnStack
@@ -264,13 +261,13 @@ func (w *Walker) WalkRBGP(primary []int32, dest int32, fo Failover, out *Walk) {
 	}
 	w.stack = stack
 	for v := 0; v < n; v++ {
-		out.Status[v] = forwarding.Status(st[2*v] - wDone)
+		out.Status[v] = Status(st[2*v] - wDone)
 		out.Hops[v] = hp[2*v]
 	}
 	if w.Cost != nil {
 		out.resetCost(n)
 		for v := 0; v < n; v++ {
-			if out.Status[v] == forwarding.Delivered {
+			if out.Status[v] == Delivered {
 				out.LatMs[v], out.LossP[v] = lat[2*v], 1-surv[2*v]
 			} else {
 				out.LatMs[v], out.LossP[v] = NoLat, 1
@@ -283,16 +280,16 @@ func (w *Walker) WalkRBGP(primary []int32, dest int32, fo Failover, out *Walk) {
 // checking link liveness only: the packet is pinned to the path. With a
 // cost model attached, a delivered path's latency and survival land in
 // lat[id] and surv[id].
-func (w *Walker) walkPinned(from int32, path []topology.ASN, fo Failover, lat, surv []float32, id int32) (forwarding.Status, int32) {
+func (w *Walker) walkPinned(from int32, path []topology.ASN, fo Failover, lat, surv []float32, id int32) (Status, int32) {
 	if len(path) == 0 {
-		return forwarding.Blackhole, forwarding.NoHops
+		return Blackhole, NoHops
 	}
 	cur := topology.ASN(from)
 	var l float32
 	s := float32(1)
 	for _, next := range path {
 		if !fo.LinkUp(cur, next) {
-			return forwarding.Blackhole, forwarding.NoHops
+			return Blackhole, NoHops
 		}
 		if lat != nil {
 			l += float32(w.Cost.LinkLatMs(int32(cur), int32(next)))
@@ -303,7 +300,7 @@ func (w *Walker) walkPinned(from int32, path []topology.ASN, fo Failover, lat, s
 	if lat != nil {
 		lat[id], surv[id] = l, s
 	}
-	return forwarding.Delivered, int32(len(path))
+	return Delivered, int32(len(path))
 }
 
 // StampTables is the flat STAMP data-plane snapshot the batched walker
@@ -330,7 +327,7 @@ func stampState(v int32, color uint8, switched bool) int32 {
 // switch-once rule: a packet keeps its color while that color has a
 // usable route and either looks stable or no better option exists; it
 // may switch to the other color at most once. Semantically identical to
-// forwarding.ClassifyStamp (equivalence-tested).
+// the recursive reference oracleStamp in this package's tests.
 func (w *Walker) WalkStamp(t StampTables, dest int32, out *Walk) {
 	n := len(t.NextRed)
 	out.reset(n)
@@ -343,7 +340,7 @@ func (w *Walker) WalkStamp(t StampTables, dest int32, out *Walk) {
 	// All four destination states deliver locally, whatever the tables
 	// say (a packet sourced at the destination has arrived).
 	for _, id := range [4]int32{dest * 4, dest*4 + 1, dest*4 + 2, dest*4 + 3} {
-		st[id], hp[id] = wDone+uint8(forwarding.Delivered), 0
+		st[id], hp[id] = wDone+uint8(Delivered), 0
 		if lat != nil {
 			lat[id], surv[id] = 0, 1
 		}
@@ -354,16 +351,16 @@ func (w *Walker) WalkStamp(t StampTables, dest int32, out *Walk) {
 		if st[id] >= wDone {
 			continue
 		}
-		var term forwarding.Status
+		var term Status
 		var termHops int32
 	chain:
 		for {
 			switch s := st[id]; {
 			case s >= wDone:
-				term, termHops = forwarding.Status(s-wDone), hp[id]
+				term, termHops = Status(s-wDone), hp[id]
 				break chain
 			case s == wOnStack:
-				term, termHops = forwarding.Loop, forwarding.NoHops
+				term, termHops = Loop, NoHops
 				break chain
 			}
 			v := id / 4
@@ -392,16 +389,16 @@ func (w *Walker) WalkStamp(t StampTables, dest int32, out *Walk) {
 			case ok:
 				to = stampState(nh, color, switched)
 			default:
-				st[id], hp[id] = wDone+uint8(forwarding.Blackhole), forwarding.NoHops
-				term, termHops = forwarding.Blackhole, forwarding.NoHops
+				st[id], hp[id] = wDone+uint8(Blackhole), NoHops
+				term, termHops = Blackhole, NoHops
 				break chain
 			}
 			if nh == v {
-				st[id], hp[id] = wDone+uint8(forwarding.Delivered), 0
+				st[id], hp[id] = wDone+uint8(Delivered), 0
 				if lat != nil {
 					lat[id], surv[id] = 0, 1
 				}
-				term, termHops = forwarding.Delivered, 0
+				term, termHops = Delivered, 0
 				break chain
 			}
 			st[id] = wOnStack
@@ -413,14 +410,14 @@ func (w *Walker) WalkStamp(t StampTables, dest int32, out *Walk) {
 	w.stack = stack
 	for v := 0; v < n; v++ {
 		id := stampState(int32(v), t.Pref[v], false)
-		out.Status[v] = forwarding.Status(st[id] - wDone)
+		out.Status[v] = Status(st[id] - wDone)
 		out.Hops[v] = hp[id]
 	}
 	if w.Cost != nil {
 		out.resetCost(n)
 		for v := 0; v < n; v++ {
 			id := stampState(int32(v), t.Pref[v], false)
-			if out.Status[v] == forwarding.Delivered {
+			if out.Status[v] == Delivered {
 				out.LatMs[v], out.LossP[v] = lat[id], 1-surv[id]
 			} else {
 				out.LatMs[v], out.LossP[v] = NoLat, 1

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"stamp/internal/bgp"
-	"stamp/internal/forwarding"
 	"stamp/internal/topology"
 )
 
@@ -40,22 +39,87 @@ func TestWalkSingleEquivalence(t *testing.T) {
 		var batched, naive Walk
 		walker.WalkSingle(next, dest, &batched)
 		NaiveWalkSingle(next, dest, &naive)
-		ref := forwarding.ClassifySingle(n, topology.ASN(dest), func(v topology.ASN) (topology.ASN, bool) {
-			if next[v] < 0 {
-				return 0, false
-			}
-			return topology.ASN(next[v]), true
-		})
+		var ref Walk
+		oracleSingle(n, topology.ASN(dest), tableNextHop(next), &ref)
 
-		for v := 0; v < n; v++ {
-			if batched.Status[v] != ref[v].Status || batched.Hops[v] != ref[v].Hops {
-				t.Fatalf("trial %d: batched[%d] = %v/%d, reference %v/%d (next=%v dest=%d)",
-					trial, v, batched.Status[v], batched.Hops[v], ref[v].Status, ref[v].Hops, next, dest)
+		ctx := fmt.Sprintf("trial %d (next=%v dest=%d)", trial, next, dest)
+		sameWalk(t, "batched "+ctx, &batched, &ref)
+		sameWalk(t, "naive "+ctx, &naive, &ref)
+	}
+}
+
+// TestForwardingRules: hand-built snapshots pin each forwarding rule —
+// hop counts on delivery, loops, blackholes, local delivery at the
+// origin, and STAMP's switch-once rule — on the flat walker and the
+// reference walk alike. STAMP sources all prefer red.
+func TestForwardingRules(t *testing.T) {
+	const x = -1 // no usable route
+	for _, tc := range []struct {
+		name      string
+		dest      int32
+		next      []int32 // single-plane cases
+		red, blue []int32 // STAMP cases
+		unstable  []bool  // STAMP: red flagged unstable (nil: none)
+		both      bool    // STAMP: blue flagged wherever red is
+		want      []Status
+		hops      []int32
+	}{
+		{name: "SingleDelivery", dest: 2, next: []int32{1, 2, x},
+			want: []Status{Delivered, Delivered, Delivered}, hops: []int32{2, 1, 0}},
+		{name: "SingleLoop", dest: 3, next: []int32{1, 0, 0, x},
+			want: []Status{Loop, Loop, Loop, Delivered}, hops: []int32{NoHops, NoHops, NoHops, 0}},
+		{name: "SingleBlackhole", dest: 2, next: []int32{1, x, x},
+			want: []Status{Blackhole, Blackhole, Delivered}, hops: []int32{NoHops, NoHops, 0}},
+		// An AS naming itself is the origin: local delivery.
+		{name: "SingleSelfDelivery", dest: 1, next: []int32{0, x},
+			want: []Status{Delivered, Delivered}, hops: []int32{0, 0}},
+		// 0's red reaches 1, whose red is gone: switch to blue there.
+		{name: "StampSwitchOnce", dest: 2, red: []int32{1, x, x}, blue: []int32{x, 2, x},
+			want: []Status{Delivered, Delivered, Delivered}, hops: []int32{2, 1, 0}},
+		// Having switched to blue at 1, a packet may not switch back to
+		// red at 2.
+		{name: "StampSecondSwitchForbidden", dest: 3, red: []int32{1, x, 3, x}, blue: []int32{x, 2, x, x},
+			want: []Status{Blackhole, Blackhole, Delivered, Delivered}, hops: []int32{NoHops, NoHops, 1, 0}},
+		// 0's red is flagged and would loop; its stable blue delivers.
+		{name: "StampUnstableSwitch", dest: 2, red: []int32{1, 0, x}, blue: []int32{2, x, x},
+			unstable: []bool{true, false, false},
+			want:     []Status{Delivered, Delivered, Delivered}, hops: []int32{1, 2, 0}},
+		// Both colors flagged but red has a route: "either process that
+		// still has a route can be used" — no pointless switch.
+		{name: "StampBothUnstableKeepsRoute", dest: 2, red: []int32{1, 2, x}, blue: []int32{1, 2, x},
+			unstable: []bool{true, false, false}, both: true,
+			want: []Status{Delivered, Delivered, Delivered}, hops: []int32{2, 1, 0}},
+		{name: "StampLoopDetected", dest: 2, red: []int32{1, 0, x}, blue: []int32{x, x, x},
+			want: []Status{Loop, Loop, Delivered}, hops: []int32{NoHops, NoHops, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.want)
+			var w Walker
+			var got, ref Walk
+			if tc.next != nil {
+				w.WalkSingle(tc.next, tc.dest, &got)
+				oracleSingle(n, topology.ASN(tc.dest), tableNextHop(tc.next), &ref)
+			} else {
+				tables := StampTables{NextRed: tc.red, NextBlue: tc.blue,
+					UnstableRed: make([]bool, n), UnstableBlue: make([]bool, n), Pref: make([]uint8, n)}
+				copy(tables.UnstableRed, tc.unstable)
+				if tc.both {
+					copy(tables.UnstableBlue, tc.unstable)
+				}
+				w.WalkStamp(tables, tc.dest, &got)
+				oracleStamp(n, topology.ASN(tc.dest), stampSnapView{tables}, &ref)
 			}
-			if naive.Status[v] != ref[v].Status || naive.Hops[v] != ref[v].Hops {
-				t.Fatalf("trial %d: naive[%d] = %v/%d, reference %v/%d (next=%v dest=%d)",
-					trial, v, naive.Status[v], naive.Hops[v], ref[v].Status, ref[v].Hops, next, dest)
-			}
+			want := &Walk{Status: tc.want, Hops: tc.hops}
+			sameWalk(t, "walker", &got, want)
+			sameWalk(t, "reference", &ref, want)
+		})
+	}
+}
+
+func TestStatusString(t *testing.T) {
+	for s, want := range map[Status]string{Delivered: "delivered", Loop: "loop", Blackhole: "blackhole"} {
+		if s.String() != want {
+			t.Errorf("%d.String() = %q", s, s.String())
 		}
 	}
 }
@@ -91,7 +155,7 @@ func randStamp(rng *rand.Rand, n int) (StampTables, int32) {
 	return t, int32(rng.Intn(n))
 }
 
-// stampSnapView adapts a flat snapshot to forwarding.StampState.
+// stampSnapView adapts a flat snapshot to the reference walk's stampView.
 type stampSnapView struct{ t StampTables }
 
 func (s stampSnapView) NextHop(as topology.ASN, c bgp.Color) (topology.ASN, bool) {
@@ -114,7 +178,7 @@ func (s stampSnapView) Preferred(as topology.ASN) bgp.Color {
 	return bgp.Color(s.t.Pref[as])
 }
 
-// TestWalkStampEquivalence: batched == naive == forwarding.ClassifyStamp
+// TestWalkStampEquivalence: batched == naive == oracleStamp
 // on random color-plane snapshots.
 func TestWalkStampEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -126,18 +190,11 @@ func TestWalkStampEquivalence(t *testing.T) {
 		var batched, naive Walk
 		walker.WalkStamp(tables, dest, &batched)
 		NaiveWalkStamp(tables, dest, &naive)
-		ref := forwarding.ClassifyStamp(n, topology.ASN(dest), stampSnapView{tables})
+		var ref Walk
+		oracleStamp(n, topology.ASN(dest), stampSnapView{tables}, &ref)
 
-		for v := 0; v < n; v++ {
-			if batched.Status[v] != ref[v].Status || batched.Hops[v] != ref[v].Hops {
-				t.Fatalf("trial %d: batched[%d] = %v/%d, reference %v/%d",
-					trial, v, batched.Status[v], batched.Hops[v], ref[v].Status, ref[v].Hops)
-			}
-			if naive.Status[v] != ref[v].Status || naive.Hops[v] != ref[v].Hops {
-				t.Fatalf("trial %d: naive[%d] = %v/%d, reference %v/%d",
-					trial, v, naive.Status[v], naive.Hops[v], ref[v].Status, ref[v].Hops)
-			}
-		}
+		sameWalk(t, fmt.Sprintf("batched trial %d", trial), &batched, &ref)
+		sameWalk(t, fmt.Sprintf("naive trial %d", trial), &naive, &ref)
 	}
 }
 
@@ -250,7 +307,7 @@ func TestWalkRBGPEquivalence(t *testing.T) {
 		oracleRBGP(n, topology.ASN(dest), snapRBGP{primary, fo}, nil, &ref)
 		sameWalk(t, fmt.Sprintf("trial %d (primary=%v dest=%d)", trial, primary, dest), &flat, &ref)
 		for _, s := range ref.Status {
-			if s == forwarding.Loop {
+			if s == Loop {
 				longLoops++ // 2-cycles bounce, so any Loop is a cycle of 3+
 			}
 		}
@@ -288,14 +345,14 @@ func TestWalkRBGPDeflection(t *testing.T) {
 	var w Walker
 	var out Walk
 	w.WalkRBGP([]int32{1, -1, -1, 3}, 3, deflectTo23(1), &out)
-	if out.Status[0] != forwarding.Delivered {
+	if out.Status[0] != Delivered {
 		t.Errorf("status[0] = %v, want delivered via deflection", out.Status[0])
 	}
 	// 0 -> 1, then pinned over [2, 3]: three hops total.
 	if out.Hops[0] != 3 {
 		t.Errorf("hops[0] = %d, want 3 (one primary hop + two pinned)", out.Hops[0])
 	}
-	if out.Status[2] != forwarding.Blackhole { // 2 has no primary and no deflection
+	if out.Status[2] != Blackhole { // 2 has no primary and no deflection
 		t.Errorf("status[2] = %v, want blackhole", out.Status[2])
 	}
 }
@@ -307,7 +364,7 @@ func TestWalkRBGPPinnedPathDies(t *testing.T) {
 	var w Walker
 	var out Walk
 	w.WalkRBGP([]int32{1, -1, -1, 3}, 3, f, &out)
-	if out.Status[0] != forwarding.Blackhole {
+	if out.Status[0] != Blackhole {
 		t.Errorf("status[0] = %v, want blackhole on dead pinned path", out.Status[0])
 	}
 }
@@ -318,7 +375,7 @@ func TestWalkRBGPBounceTriggersDeflect(t *testing.T) {
 	var w Walker
 	var out Walk
 	w.WalkRBGP([]int32{1, 0, -1, 3}, 3, deflectTo23(0, 1), &out)
-	if out.Status[0] != forwarding.Delivered || out.Status[1] != forwarding.Delivered {
+	if out.Status[0] != Delivered || out.Status[1] != Delivered {
 		t.Errorf("statuses = %v, want mutual bounce resolved by deflection", out.Status)
 	}
 	if out.Hops[0] != 3 || out.Hops[1] != 3 {
@@ -363,10 +420,10 @@ func TestWalkerScratchReuse(t *testing.T) {
 	// Second, same walker: 0 and 1 now loop.
 	var b Walk
 	walker.WalkSingle([]int32{1, 0, 2}, 2, &b)
-	if b.Status[0] != forwarding.Loop || b.Status[1] != forwarding.Loop {
+	if b.Status[0] != Loop || b.Status[1] != Loop {
 		t.Errorf("scratch leaked: second walk = %v", b.Status)
 	}
-	if b.Status[2] != forwarding.Delivered {
+	if b.Status[2] != Delivered {
 		t.Errorf("dest = %v, want delivered", b.Status[2])
 	}
 }
