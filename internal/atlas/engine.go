@@ -400,7 +400,8 @@ func touchedCap(n int) int {
 // shrink them so the overflow edges run on small graphs. At 0 nothing
 // can be listed and every window runs dense from its start: each event
 // then costs the full set of N-sized passes whatever it changes, as it
-// did before touched sets existed (Replay runs that way).
+// did before touched sets existed. No production state runs that way;
+// capacity 0 is the differential tests' dense oracle.
 func (st *State) setListCap(c int) {
 	st.listCap = c
 	for gen := range st.touched {

@@ -166,11 +166,14 @@ func linkKey(ev scenario.Event) [2]topology.ASN {
 
 // Replay streams the scenario script through the incremental engine at
 // Dests destinations: one InitDest per shard, then ApplyEvent per
-// stream event, re-settling only the invalidated frontier. Shards run
-// on the worker pool with an ordered fold, so the report is
-// byte-identical for any worker count. Unlike ConvergeDest's
-// offset-grouped windows, every event is its own convergence window —
-// the per-event cost curve is the point.
+// stream event, re-settling only the invalidated frontier. Each event
+// is settled over the ASes it touches, the sparse windows serve runs;
+// a window falls back to the N-sized dense passes only when it
+// re-roots a lock chain or its touched list overflows, and the report
+// is the same either way. Shards run on the worker pool with an
+// ordered fold, so the report is byte-identical for any worker count.
+// Unlike ConvergeDest's offset-grouped windows, every event is its own
+// convergence window — the per-event cost curve is the point.
 func Replay(opts ReplayOptions) (*ReplayReport, error) {
 	g := opts.Graph
 	if g == nil {
@@ -252,20 +255,7 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 		whyJournal = prov.NewJournal(provCap)
 	}
 
-	// Replay's states run every window dense (list capacity 0), as all
-	// states did before touched sets existed: an event costs the same
-	// N-sized passes whatever it changes, on every script and seed. The
-	// sparse windows serve runs on would finish the benchmark's
-	// atlas-replay-50k call in ~0.2 s instead of ~8.5 s, most of it
-	// initial convergence, and its ops_per_s then spreads by thousands
-	// per second from run to run — too wide for the benchmark's check to
-	// read while the PR that makes the change does not claim that metric.
-	// ROADMAP.md has the follow-up that drops the next three lines.
-	pool := statePool{fresh: func() *State {
-		st := newShardState(eng)
-		st.setListCap(0)
-		return st
-	}}
+	pool := statePool{fresh: func() *State { return newShardState(eng) }}
 	spec := runner.Spec[replayShard]{
 		Name:   fmt.Sprintf("atlas-replay(%v)", opts.Scenario),
 		Trials: len(dests),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -125,4 +126,71 @@ func TestReplayRejects(t *testing.T) {
 	if _, err := Replay(ReplayOptions{Graph: g, Scenario: scenario.LinkFlap, Repeat: 3, Seed: 1, Dests: 2}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReplayReportIndependentOfListCap extends the engine's sparse ==
+// dense contract to the whole ReplayReport: with its pooled states
+// forced to capacity 0 (every window dense from its start, the
+// procedure before touched sets) or to capacities 1 and 3 (the lists
+// overflow mid-window, so the sparse → dense hand-over runs inside
+// Replay), every kind Replay accepts marshals to the same JSON as the
+// default sparse run, per-event curve and why chain included. It also
+// pins that a default Replay runs sparse states.
+func TestReplayReportIndependentOfListCap(t *testing.T) {
+	defer func() { newShardState = (*Engine).NewState }()
+	replay := func(t *testing.T, g *Graph, kind scenario.Kind, workers, c int) []byte {
+		t.Helper()
+		var made []*State
+		var mu sync.Mutex
+		newShardState = func(e *Engine) *State {
+			st := withCap(e, c)
+			mu.Lock()
+			made = append(made, st)
+			mu.Unlock()
+			return st
+		}
+		repeat := 1
+		if kind == scenario.LinkFlap || kind == scenario.FlapStorm || kind == scenario.OscillatingCongestion {
+			repeat = 3
+		}
+		rep, err := Replay(ReplayOptions{
+			Graph: g, Scenario: kind, Repeat: repeat, Dests: 6, Seed: 17, Workers: workers,
+			Why: &WhySpec{Auto: true},
+		})
+		if err != nil {
+			t.Fatalf("%v %s workers %d: %v", kind, capName(c), workers, err)
+		}
+		if c < 0 {
+			for _, st := range made {
+				if st.listCap != touchedCap(g.Len()) {
+					t.Fatalf("%v: default Replay state has list capacity %d, want touchedCap(%d) = %d",
+						kind, st.listCap, g.Len(), touchedCap(g.Len()))
+				}
+			}
+		}
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	check := func(t *testing.T, g *Graph, kind scenario.Kind) {
+		for _, workers := range []int{1, 2} {
+			want := replay(t, g, kind, workers, -1)
+			for _, c := range []int{0, 1, 3} {
+				if got := replay(t, g, kind, workers, c); !bytes.Equal(got, want) {
+					t.Errorf("%v workers %d: %s report differs from the default run:\n%.400s\n%.400s",
+						kind, workers, capName(c), got, want)
+				}
+			}
+		}
+	}
+	_, g := testGraph(t, 400, 11)
+	for _, kind := range allKinds {
+		if kind != scenario.PrefixWithdraw {
+			check(t, g, kind)
+		}
+	}
+	_, big := testGraph(t, 3000, 7)
+	check(t, big, scenario.FlapStorm)
 }

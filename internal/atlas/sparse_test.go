@@ -16,9 +16,10 @@ import (
 // sweeps and accounts over all ASes, so it is the independent oracle for
 // routes, EventCost and DestOutcome. listCaps are the capacities the
 // differential tests force through the setListCap hook: the default
-// (sparse wherever the churn allows), 0 (every window runs the dense
-// passes from its start — the procedure before touched sets, and what
-// Replay runs on), and tiny ones (lists overflow mid-cascade and mid-convergence, so the
+// (sparse wherever the churn allows — what Run, Replay and serve run
+// on), 0 (every window runs the dense passes from its start — the
+// procedure before touched sets, kept only as the dense oracle), and
+// tiny ones (lists overflow mid-cascade and mid-convergence, so the
 // sparse → dense hand-over runs at every position).
 var listCaps = []int{-1, 0, 1, 3}
 
@@ -277,9 +278,10 @@ func TestInitDestScansOnlyWhatOffersMove(t *testing.T) {
 }
 
 // TestListCapZeroRunsEveryWindowDense: a state with no list capacity —
-// what Replay runs on — settles all three windows of every event with
-// the dense passes, whether or not the event changes anything, so its
-// cost per event does not depend on the script.
+// the dense oracle the differential tests compare against — settles all
+// three windows of every event with the dense passes, whether or not
+// the event changes anything, so its cost per event does not depend on
+// the script.
 func TestListCapZeroRunsEveryWindowDense(t *testing.T) {
 	_, g := testGraph(t, 400, 11)
 	eng := NewEngine(g, DefaultParams())

@@ -57,6 +57,9 @@ func TestExitCodes(t *testing.T) {
 		{"atlas replay rejects withdraw", []string{"atlas", "-replay", "-n", "100", "-scenario", "prefix-withdraw"}, ExitFailure},
 		{"atlas replay rejects unbalanced repeat", []string{"atlas", "-replay", "-n", "100", "-scenario", "node-failure", "-repeat", "2", "-dests", "2"}, ExitFailure},
 		{"atlas -why requires -replay", []string{"atlas", "-why", "auto", "-n", "100"}, ExitUsage},
+		{"atlas -trace-sample requires -trace", []string{"atlas", "-n", "200", "-dests", "2", "-trace-sample", "5"}, ExitUsage},
+		{"atlas -trace-sample rejects negative", []string{"atlas", "-replay", "-n", "200", "-dests", "2", "-trace-sample", "-3"}, ExitUsage},
+		{"atlas -repeat requires -replay", []string{"atlas", "-n", "200", "-dests", "2", "-repeat", "3"}, ExitUsage},
 		{"atlas -why rejects bad spec", []string{"atlas", "-replay", "-why", "5", "-n", "100"}, ExitFailure},
 		{"atlas -why rejects unsampled dest", []string{"atlas", "-replay", "-why", "999999:1", "-n", "100", "-dests", "2"}, ExitFailure},
 		{"topo stats with snapshot flags", []string{"topo", "-in", "/no/such/file", "-tier1", "9"}, ExitUsage},

@@ -245,6 +245,18 @@ func (e env) cmdAtlas(args []string) int {
 		fmt.Fprintln(e.stderr, "stamp atlas: -why requires -replay (provenance is journaled on the incremental stream)")
 		return ExitUsage
 	}
+	if *f.repeat != 0 && !*replay {
+		fmt.Fprintln(e.stderr, "stamp atlas: -repeat requires -replay (only the incremental stream cycles its script)")
+		return ExitUsage
+	}
+	if *traceN < 0 {
+		fmt.Fprintln(e.stderr, "stamp atlas: -trace-sample must be 0 or positive (and requires -trace)")
+		return ExitUsage
+	}
+	if *traceN != 0 && *tracePath == "" {
+		fmt.Fprintln(e.stderr, "stamp atlas: -trace-sample requires -trace")
+		return ExitUsage
+	}
 	name := "atlas-converge"
 	if *loss {
 		name = "atlas-loss"
