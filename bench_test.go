@@ -18,11 +18,9 @@ import (
 	"time"
 
 	"stamp/internal/atlas"
-	"stamp/internal/disjoint"
 	"stamp/internal/emu"
-	"stamp/internal/experiments"
+	"stamp/internal/lab"
 	"stamp/internal/prov"
-	"stamp/internal/runner"
 	"stamp/internal/scenario"
 	"stamp/internal/sim"
 	"stamp/internal/topology"
@@ -45,12 +43,24 @@ func benchGraph(b *testing.B) *topology.Graph {
 	return g
 }
 
+// benchRun runs one registry experiment on the benchmark topology and
+// returns its payload.
+func benchRun[T any](b *testing.B, name string, trials int) T {
+	b.Helper()
+	res, err := lab.Run(lab.Request{
+		Experiment: name, Topo: lab.TopoSpec{N: benchTopoSize}, Trials: trials, Seed: benchSeed,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Data.(T)
+}
+
 // BenchmarkFigure1 regenerates the CDF of Φk under random locked-blue
 // provider selection (paper: mean ≈ 0.92).
 func BenchmarkFigure1(b *testing.B) {
-	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFigure1(g, disjoint.DefaultPhiOpts())
+		res := benchRun[*lab.Figure1Result](b, "figure1", 0)
 		b.ReportMetric(res.Mean, "meanPhi")
 		b.ReportMetric(100*res.FracAbove09, "%destPhi>0.9")
 	}
@@ -59,54 +69,52 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure1Intelligent regenerates the intelligent-selection
 // variant (paper: mean ≈ 0.97).
 func BenchmarkFigure1Intelligent(b *testing.B) {
-	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFigure1Intelligent(g, disjoint.DefaultPhiOpts())
+		res := benchRun[*lab.Figure1Result](b, "figure1-intelligent", 0)
 		b.ReportMetric(res.Mean, "meanPhi")
 	}
 }
 
 // benchTransient runs one failure scenario and reports per-protocol mean
 // affected-AS counts (the bars of Figures 2 and 3).
-func benchTransient(b *testing.B, sc experiments.Scenario) {
+func benchTransient(b *testing.B, sc scenario.Kind) {
 	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTransient(experiments.TransientOpts{
+		res, err := lab.RunTransient(lab.TransientOpts{
 			G: g, Trials: benchTrials, Seed: benchSeed, Scenario: sc,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Stats[experiments.ProtoBGP].MeanAffected, "BGP")
-		b.ReportMetric(res.Stats[experiments.ProtoRBGPNoRCI].MeanAffected, "R-BGP-noRCI")
-		b.ReportMetric(res.Stats[experiments.ProtoRBGP].MeanAffected, "R-BGP")
-		b.ReportMetric(res.Stats[experiments.ProtoSTAMP].MeanAffected, "STAMP")
+		b.ReportMetric(res.Stats[traffic.BGP].MeanAffected, "BGP")
+		b.ReportMetric(res.Stats[traffic.RBGPNoRCI].MeanAffected, "R-BGP-noRCI")
+		b.ReportMetric(res.Stats[traffic.RBGP].MeanAffected, "R-BGP")
+		b.ReportMetric(res.Stats[traffic.STAMP].MeanAffected, "STAMP")
 	}
 }
 
 // BenchmarkFigure2 is the single provider-link failure comparison
 // (paper: BGP 6604, R-BGP-noRCI 2097, R-BGP 0, STAMP 357).
-func BenchmarkFigure2(b *testing.B) { benchTransient(b, experiments.ScenarioSingleLink) }
+func BenchmarkFigure2(b *testing.B) { benchTransient(b, scenario.SingleLink) }
 
 // BenchmarkFigure3a is the two-disjoint-link failure comparison
 // (paper: BGP 10314, R-BGP-noRCI 4242, R-BGP 861, STAMP 845).
-func BenchmarkFigure3a(b *testing.B) { benchTransient(b, experiments.ScenarioTwoLinksApart) }
+func BenchmarkFigure3a(b *testing.B) { benchTransient(b, scenario.TwoLinksApart) }
 
 // BenchmarkFigure3b is the shared-AS double failure comparison
 // (paper: BGP 12071, R-BGP-noRCI 3803, R-BGP 761, STAMP 366 — STAMP wins
 // because the two failures are one routing event for it).
-func BenchmarkFigure3b(b *testing.B) { benchTransient(b, experiments.ScenarioTwoLinksShared) }
+func BenchmarkFigure3b(b *testing.B) { benchTransient(b, scenario.TwoLinksShared) }
 
 // BenchmarkNodeFailure is the single-AS failure variant mentioned in
 // §6.2.2.
-func BenchmarkNodeFailure(b *testing.B) { benchTransient(b, experiments.ScenarioNodeFailure) }
+func BenchmarkNodeFailure(b *testing.B) { benchTransient(b, scenario.NodeFailure) }
 
 // BenchmarkPartialDeployment regenerates §6.3's tier-1-only deployment
 // analysis (paper: ~75% of ASes keep two downhill-disjoint paths).
 func BenchmarkPartialDeployment(b *testing.B) {
-	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunPartialDeployment(g)
+		res := benchRun[*lab.PartialDeploymentResult](b, "partial", 0)
 		b.ReportMetric(100*res.ProtectedFrac, "%protected")
 	}
 }
@@ -116,9 +124,9 @@ func BenchmarkPartialDeployment(b *testing.B) {
 func BenchmarkOverhead(b *testing.B) {
 	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTransient(experiments.TransientOpts{
-			G: g, Trials: 5, Seed: benchSeed, Scenario: experiments.ScenarioSingleLink,
-			Protocols: []experiments.Protocol{experiments.ProtoBGP, experiments.ProtoSTAMP},
+		res, err := lab.RunTransient(lab.TransientOpts{
+			G: g, Trials: 5, Seed: benchSeed, Scenario: scenario.SingleLink,
+			Protocols: []traffic.Protocol{traffic.BGP, traffic.STAMP},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -136,9 +144,9 @@ func BenchmarkOverhead(b *testing.B) {
 func BenchmarkConvergence(b *testing.B) {
 	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTransient(experiments.TransientOpts{
-			G: g, Trials: 5, Seed: benchSeed, Scenario: experiments.ScenarioSingleLink,
-			Protocols: []experiments.Protocol{experiments.ProtoBGP, experiments.ProtoSTAMP},
+		res, err := lab.RunTransient(lab.TransientOpts{
+			G: g, Trials: 5, Seed: benchSeed, Scenario: scenario.SingleLink,
+			Protocols: []traffic.Protocol{traffic.BGP, traffic.STAMP},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -155,19 +163,8 @@ func BenchmarkConvergence(b *testing.B) {
 // BenchmarkAblationLock measures what the Lock attribute buys: blue-route
 // coverage with and without it.
 func BenchmarkAblationLock(b *testing.B) {
-	g := benchGraph(b)
-	dest := topology.ASN(-1)
-	for a := 0; a < g.Len(); a++ {
-		if g.IsMultihomed(topology.ASN(a)) {
-			dest = topology.ASN(a)
-			break
-		}
-	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunLockAblation(g, dest, benchSeed, runner.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := benchRun[*lab.LockAblationResult](b, "ablation/lock", 0)
 		b.ReportMetric(100*res.BlueCoverageWithLock, "%blueWithLock")
 		b.ReportMetric(100*res.BlueCoverageWithoutLock, "%blueNoLock")
 	}
@@ -176,12 +173,8 @@ func BenchmarkAblationLock(b *testing.B) {
 // BenchmarkAblationMRAI measures the MRAI timer's effect on BGP
 // convergence and churn.
 func BenchmarkAblationMRAI(b *testing.B) {
-	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMRAIAblation(g, 5, benchSeed, runner.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := benchRun[*lab.MRAIAblationResult](b, "ablation/mrai", 5)
 		b.ReportMetric(res.WithMRAI.MeanConvergence.Seconds(), "convMRAI-s")
 		b.ReportMetric(res.WithoutMRAI.MeanConvergence.Seconds(), "convNoMRAI-s")
 	}
@@ -190,10 +183,9 @@ func BenchmarkAblationMRAI(b *testing.B) {
 // BenchmarkAblationIntelligentPick compares random vs intelligent blue
 // provider selection on the same topology (the Φ delta of §6.1).
 func BenchmarkAblationIntelligentPick(b *testing.B) {
-	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunFigure1(g, disjoint.DefaultPhiOpts())
-		iv := experiments.RunFigure1Intelligent(g, disjoint.DefaultPhiOpts())
+		r := benchRun[*lab.Figure1Result](b, "figure1", 0)
+		iv := benchRun[*lab.Figure1Result](b, "figure1-intelligent", 0)
 		b.ReportMetric(iv.Mean-r.Mean, "phiGain")
 	}
 }
@@ -208,15 +200,15 @@ func BenchmarkScaleSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunTransient(experiments.TransientOpts{
-					G: g, Trials: 5, Seed: benchSeed, Scenario: experiments.ScenarioSingleLink,
-					Protocols: []experiments.Protocol{experiments.ProtoBGP, experiments.ProtoSTAMP},
+				res, err := lab.RunTransient(lab.TransientOpts{
+					G: g, Trials: 5, Seed: benchSeed, Scenario: scenario.SingleLink,
+					Protocols: []traffic.Protocol{traffic.BGP, traffic.STAMP},
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				bgp := res.Stats[experiments.ProtoBGP].MeanAffected
-				st := res.Stats[experiments.ProtoSTAMP].MeanAffected
+				bgp := res.Stats[traffic.BGP].MeanAffected
+				st := res.Stats[traffic.STAMP].MeanAffected
 				b.ReportMetric(bgp, "BGP")
 				b.ReportMetric(st, "STAMP")
 			}
@@ -568,9 +560,9 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	g := benchGraph(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTransient(experiments.TransientOpts{
-			G: g, Trials: 1, Seed: int64(i), Scenario: experiments.ScenarioSingleLink,
-			Protocols: []experiments.Protocol{experiments.ProtoBGP},
+		res, err := lab.RunTransient(lab.TransientOpts{
+			G: g, Trials: 1, Seed: int64(i), Scenario: scenario.SingleLink,
+			Protocols: []traffic.Protocol{traffic.BGP},
 			Params:    sim.DefaultParams(),
 		})
 		if err != nil {

@@ -11,29 +11,31 @@ import (
 	"log"
 	"os"
 
-	"stamp/internal/disjoint"
-	"stamp/internal/experiments"
-	"stamp/internal/topology"
+	"stamp/internal/lab"
 )
 
-func main() {
-	g, err := topology.GenerateDefault(1500, 21)
+// run executes one registry experiment on the example's topology.
+func run(name string) *lab.Result {
+	res, err := lab.Run(lab.Request{Experiment: name, Topo: lab.TopoSpec{N: 1500}, Seed: 21})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("topology: %d ASes, %d links, %d tier-1s\n\n", g.Len(), g.EdgeCount(), len(g.Tier1s()))
+	return res
+}
 
-	opts := disjoint.DefaultPhiOpts()
+func main() {
+	env := run("figure1")
+	random := env.Data.(*lab.Figure1Result)
+	fmt.Printf("topology: %d ASes, %d links, %d tier-1s\n\n", env.Topology.ASes, env.Topology.Links, env.Topology.Tier1s)
 
-	random := experiments.RunFigure1(g, opts)
 	random.Print(os.Stdout)
 	fmt.Println()
 
-	intelligent := experiments.RunFigure1Intelligent(g, opts)
+	intelligent := run("figure1-intelligent").Data.(*lab.Figure1Result)
 	intelligent.Print(os.Stdout)
 	fmt.Println()
 
-	partial := experiments.RunPartialDeployment(g)
+	partial := run("partial").Data.(*lab.PartialDeploymentResult)
 	partial.Print(os.Stdout)
 
 	fmt.Println()

@@ -10,7 +10,8 @@ import (
 	"log"
 	"os"
 
-	"stamp/internal/experiments"
+	"stamp/internal/lab"
+	"stamp/internal/scenario"
 	"stamp/internal/topology"
 )
 
@@ -23,8 +24,8 @@ func main() {
 
 	fmt.Println("Single provider-link failure at a multihomed destination")
 	fmt.Println("(Figure 2 workload, miniature scale):")
-	res, err := experiments.RunTransient(experiments.TransientOpts{
-		G: g, Trials: 8, Seed: 3, Scenario: experiments.ScenarioSingleLink,
+	res, err := lab.RunTransient(lab.TransientOpts{
+		G: g, Trials: 8, Seed: 3, Scenario: scenario.SingleLink,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -33,8 +34,8 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("Two link failures sharing an AS (Figure 3(b) workload):")
-	res, err = experiments.RunTransient(experiments.TransientOpts{
-		G: g, Trials: 8, Seed: 5, Scenario: experiments.ScenarioTwoLinksShared,
+	res, err = lab.RunTransient(lab.TransientOpts{
+		G: g, Trials: 8, Seed: 5, Scenario: scenario.TwoLinksShared,
 	})
 	if err != nil {
 		log.Fatal(err)

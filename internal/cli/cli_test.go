@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"os"
 	"regexp"
@@ -48,6 +49,15 @@ func TestExitCodes(t *testing.T) {
 		{"loss emu rejects non-stamp protocol", []string{"flood", "-backend", "emu", "-n", "40", "-protocol", "bgp"}, ExitFailure},
 		{"run transient rejects the steering arm", []string{"run", "transient", "-n", "40", "-protocol", "stamp-steer"}, ExitUsage},
 		{"flood rejects the steering arm", []string{"flood", "-n", "40", "-protocol", "stamp-steer"}, ExitUsage},
+		{"run transient rejects a duplicated protocol", []string{"run", "transient", "-n", "40", "-trials", "1", "-protocol", "bgp,bgp"}, ExitUsage},
+		{"flood rejects a duplicated protocol", []string{"flood", "-n", "40", "-trials", "1", "-protocol", "stamp,stamp"}, ExitUsage},
+		{"steer rejects a duplicated arm", []string{"steer", "-n", "40", "-trials", "1", "-protocol", "stamp-steer,stamp-steer"}, ExitUsage},
+		{"figure2 does not read -readers", []string{"run", "figure2", "-readers", "5", "-n", "120", "-trials", "1"}, ExitUsage},
+		{"figure2 pins its scenario", []string{"run", "figure2", "-scenario", "node-failure", "-n", "120", "-trials", "1"}, ExitUsage},
+		{"overhead does not read -protocol", []string{"run", "overhead", "-protocol", "rbgp", "-n", "60"}, ExitUsage},
+		{"lab does not read -dests", []string{"lab", "-dests", "3", "-n", "40"}, ExitUsage},
+		{"steer -loss does not read -dests", []string{"steer", "-loss", "-dests", "3", "-n", "40"}, ExitUsage},
+		{"run emu-converge reads -diff", []string{"run", "emu-converge", "-backend", "sim", "-diff=false", "-n", "40"}, ExitOK},
 		{"list", []string{"list"}, ExitOK},
 		{"run ok", []string{"run", "partial", "-n", "60"}, ExitOK},
 		{"atlas bad scenario", []string{"atlas", "-n", "100", "-scenario", "meteor-strike"}, ExitFailure},
@@ -57,6 +67,8 @@ func TestExitCodes(t *testing.T) {
 		{"atlas replay rejects withdraw", []string{"atlas", "-replay", "-n", "100", "-scenario", "prefix-withdraw"}, ExitFailure},
 		{"atlas replay rejects unbalanced repeat", []string{"atlas", "-replay", "-n", "100", "-scenario", "node-failure", "-repeat", "2", "-dests", "2"}, ExitFailure},
 		{"atlas -why requires -replay", []string{"atlas", "-why", "auto", "-n", "100"}, ExitUsage},
+		{"run atlas-replay reads -why", []string{"run", "atlas-replay", "-why", "auto", "-n", "100", "-dests", "2"}, ExitOK},
+		{"run atlas-replay -trace-sample requires -trace", []string{"run", "atlas-replay", "-n", "100", "-dests", "2", "-trace-sample", "5"}, ExitUsage},
 		{"atlas -trace-sample requires -trace", []string{"atlas", "-n", "200", "-dests", "2", "-trace-sample", "5"}, ExitUsage},
 		{"atlas -trace-sample rejects negative", []string{"atlas", "-replay", "-n", "200", "-dests", "2", "-trace-sample", "-3"}, ExitUsage},
 		{"atlas -repeat requires -replay", []string{"atlas", "-n", "200", "-dests", "2", "-repeat", "3"}, ExitUsage},
@@ -81,6 +93,51 @@ func TestExitCodes(t *testing.T) {
 			code, _, stderr := run(t, tc.argv...)
 			if code != tc.want {
 				t.Errorf("argv %v: exit %d, want %d (stderr: %s)", tc.argv, code, tc.want, stderr)
+			}
+		})
+	}
+}
+
+// TestRunFlagSurface: for every registry entry and every request flag
+// the CLI knows, `stamp run <name>` parses the flag exactly when the
+// entry declares it (or it is in the shared header), refuses it with
+// exit 2 otherwise, and `-h` lists exactly that set.
+func TestRunFlagSurface(t *testing.T) {
+	all := flag.NewFlagSet("all", flag.ContinueOnError)
+	newRequestFlags(all, nil)
+	listed := regexp.MustCompile(`(?m)^  -(\S+)`)
+	for _, name := range lab.Names() {
+		exp, _ := lab.Get(name)
+		want := map[string]bool{}
+		for _, fl := range append(append([]string{}, header...), exp.Flags...) {
+			if all.Lookup(fl) == nil {
+				t.Errorf("%s declares %q, which is no CLI flag", name, fl)
+			}
+			want[fl] = true
+		}
+		code, _, stderr := run(t, "run", name, "-h")
+		if code != ExitOK {
+			t.Fatalf("run %s -h: exit %d", name, code)
+		}
+		got := map[string]bool{}
+		for _, m := range listed.FindAllStringSubmatch(stderr, -1) {
+			got[m[1]] = true
+		}
+		if len(got) != len(want) {
+			t.Errorf("run %s -h lists %d flags, want %d:\n%s", name, len(got), len(want), stderr)
+		}
+		all.VisitAll(func(fl *flag.Flag) {
+			arg := "-" + fl.Name + "=" + fl.DefValue
+			if got[fl.Name] != want[fl.Name] {
+				t.Errorf("run %s -h: -%s listed %v, declared %v", name, fl.Name, got[fl.Name], want[fl.Name])
+			}
+			if want[fl.Name] {
+				// The flag parses; -h then stops before anything runs.
+				if code, _, stderr := run(t, "run", name, arg, "-h"); code != ExitOK {
+					t.Errorf("run %s %s: exit %d, want %d (stderr: %s)", name, arg, code, ExitOK, stderr)
+				}
+			} else if code, _, _ := run(t, "run", name, arg); code != ExitUsage {
+				t.Errorf("run %s %s: exit %d, want %d", name, arg, code, ExitUsage)
 			}
 		})
 	}

@@ -208,7 +208,7 @@ const phiStream int64 = 101
 
 // AnchorSeed returns the RNG seed for estimating anchor m's Φ, derived
 // from PhiOpts.Seed. Every Φ entry point — PhiAll here, the sharded
-// Figure 1 harness in internal/experiments — must draw anchor m's
+// Figure 1 harness in internal/lab — must draw anchor m's
 // samples from this seed, so the same PhiOpts yield the same Φ values
 // regardless of entry point, evaluation order, or worker count.
 func AnchorSeed(opts PhiOpts, m topology.ASN) int64 {

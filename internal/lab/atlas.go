@@ -11,27 +11,31 @@ import (
 )
 
 // The atlas experiments: internet-scale runs on the CSR graph + flat
-// slab engine, destination-sharded across the worker pool. They accept
-// the same -topo/-n/-seed/-scenario/-workers surface as every other
-// experiment plus -dests, and ingest CAIDA snapshots (plain or gzip)
-// directly into CSR form without building the adjacency-list graph.
+// slab engine, destination-sharded across the worker pool. They read
+// -scenario and -dests beside the header, and ingest CAIDA snapshots
+// (plain or gzip) directly into CSR form without building the
+// adjacency-list graph. Only the incremental stream (atlas-replay)
+// cycles its script, journals provenance and records spans.
 func init() {
 	Register(Experiment{
 		Name: "atlas-converge", Desc: "internet-scale convergence on the flat CSR engine: per-destination rounds, churn, and loss under a scripted workload",
 		DefaultN:        10000,
 		DefaultScenario: "flap-storm",
+		Flags:           []string{"scenario", "dests"},
 		Run:             func(req Request) (*Result, error) { return runAtlas(req, false) },
 	})
 	Register(Experiment{
 		Name: "atlas-loss", Desc: "internet-scale BGP-vs-STAMP transient-loss comparison on the flat CSR engine",
 		DefaultN:        10000,
 		DefaultScenario: "flap-storm",
+		Flags:           []string{"scenario", "dests"},
 		Run:             func(req Request) (*Result, error) { return runAtlas(req, true) },
 	})
 	Register(Experiment{
 		Name: "atlas-replay", Desc: "event-stream replay through the incremental engine: per-event convergence cost and time-resolved loss, settled from the invalidated frontier",
 		DefaultN:        10000,
 		DefaultScenario: "flap-storm",
+		Flags:           []string{"scenario", "dests", "repeat", "why", "trace", "trace-sample"},
 		Run:             runAtlasReplay,
 	})
 }
@@ -109,24 +113,7 @@ func runAtlas(req Request, loss bool) (*Result, error) {
 		}
 		data = l
 	}
-	res := &Result{
-		SchemaVersion: SchemaVersion,
-		Experiment:    req.Experiment,
-		Backend:       "sim",
-		Scenario:      req.Scenario,
-		Seed:          req.Seed,
-		Topology: TopoInfo{
-			ASes:   g.Len(),
-			Links:  g.EdgeCount(),
-			Tier1s: g.Tier1Count(),
-			Loaded: req.Topo.Path != "",
-		},
-		Data: data,
-	}
-	// Destinations are the sampling dimension; the trials knob does not
-	// apply.
-	res.Trials = 0
-	return res, nil
+	return req.envelope("sim", atlasInfo(g), data), nil
 }
 
 // writeReplayTrace renders the tracer's retained spans as a Chrome
@@ -161,6 +148,12 @@ func writeReplayTrace(req Request, tracer *trace.Tracer) error {
 // instead of the grouped from-scratch driver: the payload is the full
 // per-event cost curve.
 func runAtlasReplay(req Request) (*Result, error) {
+	if req.TraceSample < 0 {
+		return nil, fmt.Errorf("%w: -trace-sample must be 0 or positive", ErrUsage)
+	}
+	if req.TraceSample != 0 && req.TracePath == "" {
+		return nil, fmt.Errorf("%w: -trace-sample requires -trace", ErrUsage)
+	}
 	kind, err := scenario.ParseKind(req.Scenario)
 	if err != nil {
 		return nil, err
@@ -194,20 +187,5 @@ func runAtlasReplay(req Request) (*Result, error) {
 			return nil, err
 		}
 	}
-	res := &Result{
-		SchemaVersion: SchemaVersion,
-		Experiment:    req.Experiment,
-		Backend:       "sim",
-		Scenario:      req.Scenario,
-		Seed:          req.Seed,
-		Topology: TopoInfo{
-			ASes:   g.Len(),
-			Links:  g.EdgeCount(),
-			Tier1s: g.Tier1Count(),
-			Loaded: req.Topo.Path != "",
-		},
-		Data: rep,
-	}
-	res.Trials = 0
-	return res, nil
+	return req.envelope("sim", atlasInfo(g), rep), nil
 }

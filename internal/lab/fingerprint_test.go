@@ -1,4 +1,4 @@
-package experiments
+package lab
 
 import (
 	"encoding/binary"
@@ -44,10 +44,7 @@ func TestTransientFingerprintPinned(t *testing.T) {
 		}
 		shards := 0
 		for _, kind := range kinds {
-			spec, err := TransientSpec(TransientOpts{G: g, Trials: 3, Seed: tc.seed, Scenario: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
+			spec := transientSpec(TransientOpts{G: g, Trials: 3, Seed: tc.seed, Scenario: kind}.normalized())
 			outs, err := runner.Run(spec, runner.Options{})
 			if err != nil {
 				t.Fatalf("%v: %v", kind, err)

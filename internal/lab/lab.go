@@ -1,18 +1,24 @@
-// Package lab is the single experiment surface of the repository: one
+// Package lab is the single experiment layer of the repository: one
 // uniform Request (topology spec, scenario script, protocol set, trials,
 // seed, workers, backend), one versioned Result envelope (named,
 // mergeable metrics under a schema_version), a registry of named
-// experiments so harnesses are data rather than bespoke APIs, and a
-// first-class Backend interface — the simulator in virtual time and the
-// live emulation in wall-clock time — so every harness that can run live
-// does so through one switch instead of per-package forks.
+// experiments whose entries run their harnesses straight from the
+// Request, and a Backend interface — the simulator in virtual time and
+// the live emulation in wall-clock time — so every harness that can run
+// live does so through one switch.
 //
 // The paper's evaluation is one grid — {BGP, R-BGP±RCI, STAMP} ×
 // {failure scenarios} × {topologies} × {metrics} — and this package
 // exposes it as one: `Run(Request{Experiment: "transient", ...})` is the
 // only entry point cmd/stamp (and anything else) needs. Adding a
-// workload is one registry entry, not a new Opts struct, CLI fork, and
-// runner-plumbing copy.
+// workload is one Register call. The entry names the command-line
+// flags it reads in Experiment.Flags, beyond the header every entry
+// shares (-n, -seed, -topo, -workers, -json, -progress); `stamp run
+// <name>` offers exactly those, so a flag the experiment would ignore
+// is a usage error rather than a silent no-op. Run zeroes the trial
+// count of an entry that does not declare "trials" and pins the
+// scenario of one that does not declare "scenario" to its default, so
+// the envelope reports only what the run read.
 package lab
 
 import (
@@ -20,10 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
-	"stamp/internal/experiments"
+	"stamp/internal/atlas"
+	"stamp/internal/runner"
 	"stamp/internal/steer"
 	"stamp/internal/topology"
 	"stamp/internal/traffic"
@@ -56,15 +64,15 @@ type Request struct {
 	// Topo selects the topology.
 	Topo TopoSpec
 	// Scenario is the failure-script name (scenario.Names); "" picks the
-	// experiment's default. Preset experiments (figure2, …) ignore it.
+	// experiment's default. Preset experiments (figure2, …) pin it.
 	Scenario string
 	// Trials is the number of random workload instances (<= 0: 10).
 	Trials int
 	// Seed is the master seed; every trial derives its own workload and
 	// engine seeds from it, so results never depend on Workers.
 	Seed int64
-	// Protocols under test by CLI name (bgp, rbgp-norci, rbgp, stamp);
-	// nil means all four.
+	// Protocols under test by CLI name (bgp, rbgp-norci, rbgp, stamp),
+	// each at most once; nil means all four.
 	Protocols []string
 	// Backend selects the execution engine: "sim" (virtual time) or
 	// "emu" (wall-clock live fleet); "" picks the experiment's default.
@@ -134,6 +142,9 @@ func (r Request) normalized() Request {
 	if r.Trials <= 0 {
 		r.Trials = 10
 	}
+	if len(r.TopoSeeds) == 0 {
+		r.TopoSeeds = []int64{1, 2, 3}
+	}
 	if r.Topo.Seed == 0 {
 		r.Topo.Seed = r.Seed
 	}
@@ -154,12 +165,18 @@ func (r Request) ctx() context.Context {
 	return r.Context
 }
 
+// runner returns the pool options every sharded harness runs under.
+func (r Request) runner() runner.Options {
+	return runner.Options{Workers: r.Workers, Progress: r.Progress, Context: r.ctx()}
+}
+
 // graphCache memoizes loaded/generated topologies per process. Graphs
 // are read-only once built (the runner relies on that already), so
-// sharing one instance across experiments is safe; it saves the legacy
-// `stampsim -exp all` path from regenerating the identical topology
-// once per experiment. Keyed by the full TopoSpec — a reloaded file
-// path is assumed stable for the process lifetime (true for a CLI run).
+// sharing one instance across experiments is safe; it saves a process
+// that runs several experiments on one topology (the benchmarks, the
+// tests) from regenerating it each time. Keyed by the full TopoSpec — a
+// reloaded file path is assumed stable for the process lifetime (true
+// for a CLI run).
 var graphCache sync.Map // TopoSpec -> *topology.Graph
 
 // graph loads or generates the request's topology, memoized per
@@ -185,36 +202,38 @@ func (r Request) buildGraph() (*topology.Graph, error) {
 	return topology.GenerateDefault(r.Topo.N, r.Topo.Seed)
 }
 
-// protocols parses the request's protocol names (nil = all four).
-func (r Request) protocols() ([]experiments.Protocol, error) {
-	if len(r.Protocols) == 0 {
-		return experiments.AllProtocols(), nil
-	}
-	out := make([]experiments.Protocol, len(r.Protocols))
-	for i, name := range r.Protocols {
-		p, err := ParseProtocol(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
 // ErrUsage marks a request that asks for something no run can give, as
 // opposed to a run that failed; cmd/stamp exits 2 on it.
 var ErrUsage = errors.New("usage")
 
-// ParseProtocol maps the CLI spelling of a protocol (traffic.ParseProtocol)
-// to a protocol every experiment but the steer grid can run. The
-// steering arm is a usage error here: it needs the link-cost model and
-// policy that only steer-latency and steer-loss supply.
-func ParseProtocol(s string) (experiments.Protocol, error) {
-	p, err := traffic.ParseProtocol(s)
-	if err == nil && p == traffic.STAMPSteer {
-		return 0, fmt.Errorf("%w: protocol %q runs only in the steer experiments (steer-latency, steer-loss)", ErrUsage, s)
+// protocols parses the request's protocol names; none means the four
+// of the paper's evaluation, or for steer nil (the grid's default
+// arms). A protocol named twice is a usage error: its shards would
+// merge into one row and count every trial twice. The steering arm
+// needs the link-cost model and policy that only the steer grid
+// supplies, so only steer admits it.
+func (r Request) protocols(steer bool) ([]traffic.Protocol, error) {
+	if len(r.Protocols) == 0 {
+		if steer {
+			return nil, nil
+		}
+		return traffic.AllProtocols(), nil
 	}
-	return p, err
+	out := make([]traffic.Protocol, 0, len(r.Protocols))
+	for _, name := range r.Protocols {
+		p, err := traffic.ParseProtocol(name)
+		if err != nil {
+			return nil, err
+		}
+		if p == traffic.STAMPSteer && !steer {
+			return nil, fmt.Errorf("%w: protocol %q runs only in the steer experiments (steer-latency, steer-loss)", ErrUsage, name)
+		}
+		if slices.Contains(out, p) {
+			return nil, fmt.Errorf("%w: protocol %q named twice", ErrUsage, name)
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // TopoInfo describes the topology a result was measured on.
@@ -260,21 +279,28 @@ func (r *Result) Print(w io.Writer) {
 	}
 }
 
-// envelope builds the Result shell for a request on a topology.
-func (r Request) envelope(name, backend string, g *topology.Graph, data any) *Result {
+// envelope builds the Result shell for the request, measured on the
+// topology topo describes.
+func (r Request) envelope(backend string, topo TopoInfo, data any) *Result {
+	topo.Loaded = r.Topo.Path != ""
 	return &Result{
 		SchemaVersion: SchemaVersion,
-		Experiment:    name,
+		Experiment:    r.Experiment,
 		Backend:       backend,
 		Scenario:      r.Scenario,
 		Trials:        r.Trials,
 		Seed:          r.Seed,
-		Topology: TopoInfo{
-			ASes:   g.Len(),
-			Links:  g.EdgeCount(),
-			Tier1s: len(g.Tier1s()),
-			Loaded: r.Topo.Path != "",
-		},
-		Data: data,
+		Topology:      topo,
+		Data:          data,
 	}
+}
+
+// graphInfo describes an adjacency-list topology.
+func graphInfo(g *topology.Graph) TopoInfo {
+	return TopoInfo{ASes: g.Len(), Links: g.EdgeCount(), Tier1s: len(g.Tier1s())}
+}
+
+// atlasInfo describes a CSR topology.
+func atlasInfo(g *atlas.Graph) TopoInfo {
+	return TopoInfo{ASes: g.Len(), Links: g.EdgeCount(), Tier1s: g.Tier1Count()}
 }

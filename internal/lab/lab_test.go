@@ -7,7 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"stamp/internal/experiments"
+	"stamp/internal/scenario"
+	"stamp/internal/traffic"
 )
 
 // TestRegistryLookup: the registry resolves names, rejects unknowns,
@@ -34,14 +35,56 @@ func TestRegistryLookup(t *testing.T) {
 
 // TestParseProtocol: the CLI spellings map onto the experiment enum.
 func TestParseProtocol(t *testing.T) {
-	for name, want := range map[string]experiments.Protocol{
-		"bgp": experiments.ProtoBGP, "rbgp-norci": experiments.ProtoRBGPNoRCI,
-		"rbgp": experiments.ProtoRBGP, "stamp": experiments.ProtoSTAMP,
+	for name, want := range map[string]traffic.Protocol{
+		"bgp": traffic.BGP, "rbgp-norci": traffic.RBGPNoRCI,
+		"rbgp": traffic.RBGP, "stamp": traffic.STAMP,
 	} {
-		got, err := ParseProtocol(name)
-		if err != nil || got != want {
-			t.Errorf("ParseProtocol(%q) = %v, %v", name, got, err)
+		got, err := Request{Protocols: []string{name}}.protocols(false)
+		if err != nil || len(got) != 1 || got[0] != want {
+			t.Errorf("protocols(%q) = %v, %v", name, got, err)
 		}
+	}
+}
+
+// TestDuplicateProtocolIsUsage: a protocol named twice would merge two
+// shard streams into one row and count every trial twice, so every
+// experiment that takes -protocol refuses it as a usage error before
+// running anything.
+func TestDuplicateProtocolIsUsage(t *testing.T) {
+	for _, req := range []Request{
+		{Experiment: "transient", Protocols: []string{"bgp", "bgp"}},
+		{Experiment: "sweep", TopoSeeds: []int64{1}, Protocols: []string{"stamp", "rbgp", "stamp"}},
+		{Experiment: "loss", Backend: "sim", Protocols: []string{"stamp", "stamp"}},
+		{Experiment: "loss", Backend: "emu", Protocols: []string{"stamp", "stamp"}},
+		{Experiment: "steer-latency", Protocols: []string{"stamp-steer", "stamp-steer"}},
+	} {
+		req.Topo.N, req.Trials, req.Ticks = 40, 1, 10
+		_, err := Run(req)
+		if !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), "named twice") {
+			t.Errorf("%s/%s %v: err = %v, want a usage error", req.Experiment, req.Backend, req.Protocols, err)
+		}
+	}
+}
+
+// TestRunDropsUndeclared: an entry that does not read trials reports
+// none, and a preset pins its scenario whatever the request says.
+func TestRunDropsUndeclared(t *testing.T) {
+	res, err := Run(Request{Experiment: "partial", Topo: TopoSpec{N: 60}, Trials: 5, Scenario: "node-failure"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trials != 0 || res.Scenario != "" {
+		t.Errorf("partial envelope trials %d, scenario %q; want neither", res.Trials, res.Scenario)
+	}
+	if testing.Short() {
+		return
+	}
+	res, err = Run(Request{Experiment: "figure2", Topo: TopoSpec{N: 60}, Trials: 1, Scenario: "node-failure", Protocols: []string{"bgp"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data := res.Data.(*TransientResult); res.Scenario != "single-link" || data.Scenario != scenario.SingleLink {
+		t.Errorf("figure2 ran scenario %q (%v), want its preset single-link", res.Scenario, data.Scenario)
 	}
 }
 
@@ -79,11 +122,11 @@ func TestTransientLinkFlapViaRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, ok := res.Data.(*experiments.TransientResult)
+	data, ok := res.Data.(*TransientResult)
 	if !ok {
 		t.Fatalf("Data is %T, want *TransientResult", res.Data)
 	}
-	if data.Scenario != experiments.ScenarioLinkFlap {
+	if data.Scenario != scenario.LinkFlap {
 		t.Errorf("scenario = %v", data.Scenario)
 	}
 }

@@ -1,9 +1,12 @@
-package experiments
+package lab
 
 import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"stamp/internal/scenario"
+	"stamp/internal/traffic"
 )
 
 // TestLossCurvesDeterministicAcrossWorkers: the aggregated loss-curve
@@ -11,19 +14,12 @@ import (
 // same guarantee the transient harness pins, extended to the packet
 // engine's TimeSeries merges.
 func TestLossCurvesDeterministicAcrossWorkers(t *testing.T) {
-	g := smokeGraph(t, 150, 3)
-	opts := LossOpts{
-		G: g, Trials: 3, Seed: 11, Scenario: "two-links-shared",
-		Tick: 25 * time.Millisecond, Ticks: 400,
-	}
 	var snaps [][]byte
 	for _, workers := range []int{1, 4} {
-		o := opts
-		o.Workers = workers
-		res, err := RunLossCurves(o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		res := runData[*LossResult](t, Request{
+			Experiment: "loss", Topo: TopoSpec{N: 150, Seed: 3}, Trials: 3, Seed: 11,
+			Scenario: "two-links-shared", Tick: 25 * time.Millisecond, Ticks: 400, Workers: workers,
+		})
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
@@ -46,12 +42,12 @@ func TestTransientRunsLinkFlap(t *testing.T) {
 		t.Skip("multi-round flap simulation")
 	}
 	g := smokeGraph(t, 120, 7)
-	res, err := RunTransient(TransientOpts{G: g, Trials: 2, Seed: 1, Scenario: ScenarioLinkFlap,
-		Protocols: []Protocol{ProtoBGP, ProtoSTAMP}})
+	res, err := RunTransient(TransientOpts{G: g, Trials: 2, Seed: 1, Scenario: scenario.LinkFlap,
+		Protocols: []traffic.Protocol{traffic.BGP, traffic.STAMP}})
 	if err != nil {
 		t.Fatalf("RunTransient(link-flap): %v", err)
 	}
-	if res.Scenario != ScenarioLinkFlap || len(res.Stats) != 2 {
+	if res.Scenario != scenario.LinkFlap || len(res.Stats) != 2 {
 		t.Fatalf("unexpected result shape: %+v", res)
 	}
 	for p, st := range res.Stats {
@@ -59,15 +55,11 @@ func TestTransientRunsLinkFlap(t *testing.T) {
 			t.Errorf("%v: %d per-trial counts, want %d", p, len(st.Affected), res.Trials)
 		}
 	}
-	sw, err := RunSweep(SweepOpts{
-		TopoSeeds: []int64{7}, N: 120, Trials: 1, Seed: 1,
-		Scenarios: []Scenario{ScenarioLinkFlap},
-		Protocols: []Protocol{ProtoBGP},
+	sw := runData[*SweepResult](t, Request{
+		Experiment: "sweep", TopoSeeds: []int64{7}, Topo: TopoSpec{N: 120}, Trials: 1, Seed: 1,
+		Scenario: "link-flap", Protocols: []string{"bgp"},
 	})
-	if err != nil {
-		t.Fatalf("RunSweep(link-flap): %v", err)
-	}
-	if len(sw.Cells) != 1 || sw.Cells[0].Scenario != ScenarioLinkFlap {
+	if len(sw.Cells) != 1 || sw.Cells[0].Scenario != scenario.LinkFlap {
 		t.Fatalf("unexpected sweep shape: %+v", sw)
 	}
 }
@@ -84,24 +76,21 @@ func TestLossOrderingPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial packet-level simulation")
 	}
-	g := smokeGraph(t, 400, 9)
-	res, err := RunLossCurves(LossOpts{
-		G: g, Trials: 8, Seed: 123, Scenario: "two-links-shared", Workers: 4,
+	res := runData[*LossResult](t, Request{
+		Experiment: "loss", Topo: TopoSpec{N: 400, Seed: 9}, Trials: 8, Seed: 123,
+		Scenario: "two-links-shared", Workers: 4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgp := res.Stats[ProtoBGP].TransientLost.Mean()
-	rbgp := res.Stats[ProtoRBGP].TransientLost.Mean()
-	stamp := res.Stats[ProtoSTAMP].TransientLost.Mean()
+	bgp := res.Stats[traffic.BGP].TransientLost.Mean()
+	rbgp := res.Stats[traffic.RBGP].TransientLost.Mean()
+	stamp := res.Stats[traffic.STAMP].TransientLost.Mean()
 	t.Logf("transient packet-ticks lost: BGP=%.1f R-BGP=%.1f STAMP=%.1f", bgp, rbgp, stamp)
 	if !(stamp < rbgp && rbgp < bgp) {
 		t.Errorf("loss ordering broken: want STAMP(%.1f) < R-BGP(%.1f) < BGP(%.1f)", stamp, rbgp, bgp)
 	}
 	// The loss window must also be visible in the time series: BGP's
 	// pooled loss curve has mass, and strictly more than STAMP's.
-	if res.Stats[ProtoBGP].Lost.Total() <= res.Stats[ProtoSTAMP].Lost.Total() {
+	if res.Stats[traffic.BGP].Lost.Total() <= res.Stats[traffic.STAMP].Lost.Total() {
 		t.Errorf("BGP pooled loss curve (%.0f) not above STAMP's (%.0f)",
-			res.Stats[ProtoBGP].Lost.Total(), res.Stats[ProtoSTAMP].Lost.Total())
+			res.Stats[traffic.BGP].Lost.Total(), res.Stats[traffic.STAMP].Lost.Total())
 	}
 }

@@ -1,4 +1,4 @@
-package experiments
+package lab
 
 import (
 	"bytes"
@@ -8,6 +8,8 @@ import (
 	"stamp/internal/disjoint"
 	"stamp/internal/metrics"
 	"stamp/internal/runner"
+	"stamp/internal/scenario"
+	"stamp/internal/traffic"
 )
 
 // These tests pin the runner's headline guarantee at the experiment
@@ -37,7 +39,7 @@ func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("multi-second simulation")
 	}
 	g := smokeGraph(t, 150, 3)
-	base := TransientOpts{G: g, Trials: 6, Seed: 42, Scenario: ScenarioSingleLink}
+	base := TransientOpts{G: g, Trials: 6, Seed: 42, Scenario: scenario.SingleLink}
 
 	opts1 := base
 	opts1.Workers = 1
@@ -58,13 +60,9 @@ func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 // TestFigure1DeterministicAcrossWorkers: the sharded Φ CDF must be
 // byte-identical for any pool size.
 func TestFigure1DeterministicAcrossWorkers(t *testing.T) {
-	g := smokeGraph(t, 300, 5)
 	var outs [][]byte
 	for _, w := range []int{1, 8} {
-		res, err := RunFigure1With(g, disjoint.DefaultPhiOpts(), false, runner.Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runData[*Figure1Result](t, Request{Experiment: "figure1", Topo: TopoSpec{N: 300, Seed: 5}, Workers: w})
 		var buf bytes.Buffer
 		res.Print(&buf)
 		outs = append(outs, buf.Bytes())
@@ -82,14 +80,11 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var texts, jsons [][]byte
 	for _, w := range []int{1, 4} {
-		res, err := RunSweep(SweepOpts{
-			N: 120, TopoSeeds: []int64{1, 2}, Scenarios: []Scenario{ScenarioSingleLink},
+		res := runData[*SweepResult](t, Request{
+			Experiment: "sweep", Topo: TopoSpec{N: 120}, TopoSeeds: []int64{1, 2}, Scenario: "single-link",
 			Trials: 2, Seed: 7, Workers: w,
-			Protocols: []Protocol{ProtoBGP, ProtoSTAMP},
+			Protocols: []string{"bgp", "stamp"},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
 		res.Print(&buf)
 		raw, err := json.Marshal(res)
@@ -114,17 +109,17 @@ func TestFigure1MatchesPhiAll(t *testing.T) {
 	g := smokeGraph(t, 250, 9)
 	opts := disjoint.DefaultPhiOpts()
 	serial := metrics.NewCDF(disjoint.PhiAll(g, opts))
-	sharded := RunFigure1(g, opts)
+	sharded := runData[*Figure1Result](t, Request{Experiment: "figure1", Topo: TopoSpec{N: 250, Seed: 9}})
 	if serial.Len() != sharded.CDF.Len() {
 		t.Fatalf("sample counts differ: %d vs %d", serial.Len(), sharded.CDF.Len())
 	}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
 		if serial.Quantile(q) != sharded.CDF.Quantile(q) {
-			t.Errorf("quantile %v differs: PhiAll %v vs RunFigure1 %v", q, serial.Quantile(q), sharded.CDF.Quantile(q))
+			t.Errorf("quantile %v differs: PhiAll %v vs figure1 %v", q, serial.Quantile(q), sharded.CDF.Quantile(q))
 		}
 	}
 	if serial.Mean() != sharded.Mean {
-		t.Errorf("mean differs: PhiAll %v vs RunFigure1 %v", serial.Mean(), sharded.Mean)
+		t.Errorf("mean differs: PhiAll %v vs figure1 %v", serial.Mean(), sharded.Mean)
 	}
 }
 
@@ -134,8 +129,8 @@ func TestTransientProgress(t *testing.T) {
 	g := smokeGraph(t, 120, 7)
 	last, finals := 0, 0
 	res, err := RunTransient(TransientOpts{
-		G: g, Trials: 2, Seed: 1, Scenario: ScenarioSingleLink,
-		Protocols: []Protocol{ProtoBGP}, Workers: 2,
+		G: g, Trials: 2, Seed: 1, Scenario: scenario.SingleLink,
+		Protocols: []traffic.Protocol{traffic.BGP}, Workers: 2,
 		Progress: func(done, total int) {
 			if total != 2 {
 				t.Errorf("total = %d, want 2", total)
@@ -155,8 +150,8 @@ func TestTransientProgress(t *testing.T) {
 	if finals != 1 {
 		t.Errorf("saw %d final progress calls, want 1", finals)
 	}
-	if res.Stats[ProtoBGP].AffectedHist.Total() != 2 {
-		t.Errorf("affected histogram holds %d observations, want 2", res.Stats[ProtoBGP].AffectedHist.Total())
+	if res.Stats[traffic.BGP].AffectedHist.Total() != 2 {
+		t.Errorf("affected histogram holds %d observations, want 2", res.Stats[traffic.BGP].AffectedHist.Total())
 	}
 }
 
@@ -164,12 +159,8 @@ func TestTransientProgress(t *testing.T) {
 // protocol-minor, with workload seeds shared across a trial's protocols.
 func TestTransientSpecEnumeration(t *testing.T) {
 	g := smokeGraph(t, 60, 1)
-	opts := TransientOpts{G: g, Trials: 3, Seed: 5, Scenario: ScenarioSingleLink}.normalized()
-	spec, err := TransientSpec(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 3 * len(AllProtocols()); spec.Trials != want {
+	spec := transientSpec(TransientOpts{G: g, Trials: 3, Seed: 5, Scenario: scenario.SingleLink}.normalized())
+	if want := 3 * len(traffic.AllProtocols()); spec.Trials != want {
 		t.Fatalf("spec.Trials = %d, want %d", spec.Trials, want)
 	}
 	// Shards 0..3 are trial 0 under each protocol: same workload seed by
@@ -187,14 +178,14 @@ func TestTransientSpecEnumeration(t *testing.T) {
 	if out1 != out2 {
 		t.Errorf("re-running shard 0 differed: %+v vs %+v", out1, out2)
 	}
-	if out1.Trial != 0 || out1.Proto != ProtoBGP {
+	if out1.Trial != 0 || out1.Proto != traffic.BGP {
 		t.Errorf("shard 0 = (trial %d, %v), want (0, BGP)", out1.Trial, out1.Proto)
 	}
 	last, err := spec.Run(runner.Trial{Index: spec.Trials - 1, Seed: runner.DeriveSeed(5, int64(spec.Trials-1))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last.Trial != 2 || last.Proto != ProtoSTAMP {
+	if last.Trial != 2 || last.Proto != traffic.STAMP {
 		t.Errorf("last shard = (trial %d, %v), want (2, STAMP)", last.Trial, last.Proto)
 	}
 }

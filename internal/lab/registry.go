@@ -2,12 +2,13 @@ package lab
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Experiment is one registry entry: a named harness expressed as data —
-// its defaults plus a run function over the uniform Request — rather
-// than a bespoke Opts struct and entry point.
+// its defaults, the flags it reads, and a run function over the uniform
+// Request.
 type Experiment struct {
 	// Name is the registry key ("transient", "ablation/lock", …).
 	Name string
@@ -22,6 +23,13 @@ type Experiment struct {
 	// DefaultScenario fills Request.Scenario when empty (experiments
 	// that take no scenario leave it blank).
 	DefaultScenario string
+	// Flags names the command-line flags the run reads beyond the
+	// shared header (-n, -seed, -topo, -workers, -json, -progress):
+	// "trials", "scenario", "protocol", "backend", "transport", "flows",
+	// "tick", "ticks", "dests", "repeat", "topo-seeds", "readers",
+	// "load-for", "diff", "quiet", "timeout", "why", "trace",
+	// "trace-sample" and the "steer-*" policy knobs.
+	Flags []string
 	// Run executes the experiment on an already-normalized request.
 	Run func(req Request) (*Result, error)
 }
@@ -32,12 +40,7 @@ func (e Experiment) BackendNames() []string { return e.backends() }
 
 // backendSupported reports whether the entry can run on the backend.
 func (e Experiment) backendSupported(name string) bool {
-	for _, b := range e.backends() {
-		if b == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(e.backends(), name)
 }
 
 func (e Experiment) backends() []string {
@@ -79,7 +82,8 @@ func Names() []string {
 
 // Run is the lab's single entry point: it resolves the request's
 // experiment, fills experiment-level defaults (topology size, scenario,
-// backend), validates the backend, and executes.
+// backend), drops the trials and scenario of an entry that does not
+// read them, validates the backend, and executes.
 func Run(req Request) (*Result, error) {
 	e, ok := Get(req.Experiment)
 	if !ok {
@@ -92,8 +96,11 @@ func Run(req Request) (*Result, error) {
 			req.Topo.N = 1000
 		}
 	}
-	if req.Scenario == "" {
+	if req.Scenario == "" || !slices.Contains(e.Flags, "scenario") {
 		req.Scenario = e.DefaultScenario
+	}
+	if !slices.Contains(e.Flags, "trials") {
+		req.Trials = 0
 	}
 	if req.Backend == "" {
 		req.Backend = e.backends()[0]

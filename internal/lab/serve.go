@@ -18,6 +18,7 @@ func init() {
 		Name: "serve-load", Desc: "service-mode load harness: live replay + concurrent read swarm against stamp serve, reporting read/scrape latency quantiles and counter monotonicity",
 		DefaultN:        2000,
 		DefaultScenario: "flap-storm",
+		Flags:           []string{"scenario", "dests", "readers", "load-for"},
 		Run:             runServeLoad,
 	})
 }
@@ -75,21 +76,5 @@ func runServeLoad(req Request) (*Result, error) {
 		return nil, swarmErr
 	}
 
-	res := &Result{
-		SchemaVersion: SchemaVersion,
-		Experiment:    req.Experiment,
-		Backend:       "live",
-		Scenario:      req.Scenario,
-		Seed:          req.Seed,
-		Topology: TopoInfo{
-			ASes:   g.Len(),
-			Links:  g.EdgeCount(),
-			Tier1s: g.Tier1Count(),
-			Loaded: req.Topo.Path != "",
-		},
-		Data: rep,
-	}
-	// Readers are the load dimension; the trials knob does not apply.
-	res.Trials = 0
-	return res, nil
+	return req.envelope("live", atlasInfo(g), rep), nil
 }

@@ -1,10 +1,11 @@
-package experiments
+package lab
 
 import (
 	"testing"
 
-	"stamp/internal/disjoint"
+	"stamp/internal/scenario"
 	"stamp/internal/sim"
+	"stamp/internal/traffic"
 )
 
 // TestFigure2Shape asserts the qualitative result of Figure 2 on a
@@ -16,15 +17,15 @@ func TestFigure2Shape(t *testing.T) {
 	}
 	g := smokeGraph(t, 800, 9)
 	res, err := RunTransient(TransientOpts{
-		G: g, Trials: 12, Seed: 2, Scenario: ScenarioSingleLink,
+		G: g, Trials: 12, Seed: 2, Scenario: scenario.SingleLink,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bgp := res.Stats[ProtoBGP].MeanAffected
-	noRCI := res.Stats[ProtoRBGPNoRCI].MeanAffected
-	rbgp := res.Stats[ProtoRBGP].MeanAffected
-	stamp := res.Stats[ProtoSTAMP].MeanAffected
+	bgp := res.Stats[traffic.BGP].MeanAffected
+	noRCI := res.Stats[traffic.RBGPNoRCI].MeanAffected
+	rbgp := res.Stats[traffic.RBGP].MeanAffected
+	stamp := res.Stats[traffic.STAMP].MeanAffected
 	t.Logf("BGP=%.1f noRCI=%.1f R-BGP=%.1f STAMP=%.1f", bgp, noRCI, rbgp, stamp)
 	if bgp < 20 {
 		t.Fatalf("BGP suffered too few transient problems (%.1f) for a meaningful comparison", bgp)
@@ -52,15 +53,15 @@ func TestFigure3bShape(t *testing.T) {
 	}
 	g := smokeGraph(t, 800, 9)
 	res, err := RunTransient(TransientOpts{
-		G: g, Trials: 100, Seed: 3, Scenario: ScenarioTwoLinksShared,
-		Protocols: []Protocol{ProtoBGP, ProtoRBGP, ProtoSTAMP},
+		G: g, Trials: 100, Seed: 3, Scenario: scenario.TwoLinksShared,
+		Protocols: []traffic.Protocol{traffic.BGP, traffic.RBGP, traffic.STAMP},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bgp := res.Stats[ProtoBGP].MeanAffected
-	rbgp := res.Stats[ProtoRBGP].MeanAffected
-	stamp := res.Stats[ProtoSTAMP].MeanAffected
+	bgp := res.Stats[traffic.BGP].MeanAffected
+	rbgp := res.Stats[traffic.RBGP].MeanAffected
+	stamp := res.Stats[traffic.STAMP].MeanAffected
 	t.Logf("BGP=%.1f R-BGP=%.1f STAMP=%.1f", bgp, rbgp, stamp)
 	if stamp > bgp/2 {
 		t.Errorf("STAMP (%.1f) should be far below BGP (%.1f)", stamp, bgp)
@@ -78,8 +79,8 @@ func TestOverheadShape(t *testing.T) {
 	}
 	g := smokeGraph(t, 600, 15)
 	res, err := RunTransient(TransientOpts{
-		G: g, Trials: 6, Seed: 5, Scenario: ScenarioSingleLink,
-		Protocols: []Protocol{ProtoBGP, ProtoSTAMP},
+		G: g, Trials: 6, Seed: 5, Scenario: scenario.SingleLink,
+		Protocols: []traffic.Protocol{traffic.BGP, traffic.STAMP},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +107,8 @@ func TestConvergenceShape(t *testing.T) {
 	}
 	g := smokeGraph(t, 600, 15)
 	res, err := RunTransient(TransientOpts{
-		G: g, Trials: 8, Seed: 7, Scenario: ScenarioSingleLink,
-		Protocols: []Protocol{ProtoBGP, ProtoSTAMP},
+		G: g, Trials: 8, Seed: 7, Scenario: scenario.SingleLink,
+		Protocols: []traffic.Protocol{traffic.BGP, traffic.STAMP},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +127,7 @@ func TestConvergenceShape(t *testing.T) {
 // tier-1-only deployment still protects a majority of ASes, but fewer
 // than full deployment.
 func TestPartialDeploymentShape(t *testing.T) {
-	g := smokeGraph(t, 800, 9)
-	res := RunPartialDeployment(g)
+	res := runData[*PartialDeploymentResult](t, Request{Experiment: "partial", Topo: TopoSpec{N: 800, Seed: 9}})
 	t.Logf("partial=%.2f full=%.2f (deployed at %d tier-1s)", res.ProtectedFrac, res.FullFrac, res.DeployedCount)
 	if res.ProtectedFrac < 0.4 {
 		t.Errorf("tier-1 deployment protects only %.2f, expected a majority", res.ProtectedFrac)
@@ -140,10 +140,9 @@ func TestPartialDeploymentShape(t *testing.T) {
 // TestFigure1Shape asserts §6.1: mean Φ lands in the high-0.8s or better
 // on Internet-like topologies, and intelligent selection improves it.
 func TestFigure1Shape(t *testing.T) {
-	g := smokeGraph(t, 1500, 25)
-	opts := disjoint.DefaultPhiOpts()
-	random := RunFigure1(g, opts)
-	intel := RunFigure1Intelligent(g, opts)
+	topo := TopoSpec{N: 1500, Seed: 25}
+	random := runData[*Figure1Result](t, Request{Experiment: "figure1", Topo: topo})
+	intel := runData[*Figure1Result](t, Request{Experiment: "figure1-intelligent", Topo: topo})
 	t.Logf("random mean Φ=%.3f (≤0.7: %.1f%%, >0.9: %.1f%%); intelligent mean Φ=%.3f",
 		random.Mean, 100*random.FracBelow07, 100*random.FracAbove09, intel.Mean)
 	if random.Mean < 0.8 {
@@ -160,7 +159,7 @@ func TestFigure1Shape(t *testing.T) {
 // TestTransientResultPrint exercises the report rendering.
 func TestTransientResultPrint(t *testing.T) {
 	g := smokeGraph(t, 120, 7)
-	res, err := RunTransient(TransientOpts{G: g, Trials: 1, Seed: 1, Scenario: ScenarioSingleLink})
+	res, err := RunTransient(TransientOpts{G: g, Trials: 1, Seed: 1, Scenario: scenario.SingleLink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,25 +178,26 @@ func TestTransientResultPrint(t *testing.T) {
 	} else {
 		c.Print(&sb)
 	}
-	RunFigure1(g, disjoint.DefaultPhiOpts()).Print(&sb)
-	RunPartialDeployment(g).Print(&sb)
+	topo := TopoSpec{N: 120, Seed: 7}
+	runData[*Figure1Result](t, Request{Experiment: "figure1", Topo: topo}).Print(&sb)
+	runData[*PartialDeploymentResult](t, Request{Experiment: "partial", Topo: topo}).Print(&sb)
 }
 
-// TestNodeFailureScenario exercises the ScenarioNodeFailure workload.
+// TestNodeFailureScenario exercises the scenario.NodeFailure workload.
 func TestNodeFailureScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
 	g := smokeGraph(t, 300, 5)
 	res, err := RunTransient(TransientOpts{
-		G: g, Trials: 3, Seed: 11, Scenario: ScenarioNodeFailure,
-		Protocols: []Protocol{ProtoBGP, ProtoSTAMP},
+		G: g, Trials: 3, Seed: 11, Scenario: scenario.NodeFailure,
+		Protocols: []traffic.Protocol{traffic.BGP, traffic.STAMP},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("node failure: BGP=%.1f STAMP=%.1f",
-		res.Stats[ProtoBGP].MeanAffected, res.Stats[ProtoSTAMP].MeanAffected)
+		res.Stats[traffic.BGP].MeanAffected, res.Stats[traffic.STAMP].MeanAffected)
 }
 
 // TestRunTransientValidation covers option validation.
@@ -207,8 +207,8 @@ func TestRunTransientValidation(t *testing.T) {
 	}
 	g := smokeGraph(t, 60, 1)
 	res, err := RunTransient(TransientOpts{
-		G: g, Scenario: ScenarioSingleLink, Seed: 1,
-		Protocols: []Protocol{ProtoBGP},
+		G: g, Scenario: scenario.SingleLink, Seed: 1,
+		Protocols: []traffic.Protocol{traffic.BGP},
 		Params:    sim.Params{MinDelay: 1, MaxDelay: 2, MRAIEnabled: false},
 	})
 	if err != nil {

@@ -1,10 +1,11 @@
-package experiments
+package lab
 
 import (
 	"testing"
 
-	"stamp/internal/disjoint"
+	"stamp/internal/scenario"
 	"stamp/internal/topology"
+	"stamp/internal/traffic"
 )
 
 // smokeGraph builds a small but nontrivial topology for pipeline tests.
@@ -25,16 +26,16 @@ func TestSmokeTransient(t *testing.T) {
 	}
 	g := smokeGraph(t, 150, 3)
 	res, err := RunTransient(TransientOpts{
-		G: g, Trials: 4, Seed: 42, Scenario: ScenarioSingleLink,
+		G: g, Trials: 4, Seed: 42, Scenario: scenario.SingleLink,
 	})
 	if err != nil {
 		t.Fatalf("RunTransient: %v", err)
 	}
-	bgpA := res.Stats[ProtoBGP].MeanAffected
-	stampA := res.Stats[ProtoSTAMP].MeanAffected
-	rbgpA := res.Stats[ProtoRBGP].MeanAffected
+	bgpA := res.Stats[traffic.BGP].MeanAffected
+	stampA := res.Stats[traffic.STAMP].MeanAffected
+	rbgpA := res.Stats[traffic.RBGP].MeanAffected
 	t.Logf("BGP=%.1f R-BGP-noRCI=%.1f R-BGP=%.1f STAMP=%.1f",
-		bgpA, res.Stats[ProtoRBGPNoRCI].MeanAffected, rbgpA, stampA)
+		bgpA, res.Stats[traffic.RBGPNoRCI].MeanAffected, rbgpA, stampA)
 	// The 150-AS smoke topology yields tiny counts where single-AS noise
 	// dominates; only assert the ordering when BGP suffers visibly. The
 	// full-shape assertions live in TestFigure2Shape on a larger graph.
@@ -48,10 +49,23 @@ func TestSmokeTransient(t *testing.T) {
 	}
 }
 
+// runData runs req through the registry and returns its payload.
+func runData[T any](t testing.TB, req Request) T {
+	t.Helper()
+	res, err := Run(req)
+	if err != nil {
+		t.Fatalf("%s: %v", req.Experiment, err)
+	}
+	data, ok := res.Data.(T)
+	if !ok {
+		t.Fatalf("%s: Data is %T", req.Experiment, res.Data)
+	}
+	return data
+}
+
 // TestSmokeFigure1 exercises the Φ analysis pipeline.
 func TestSmokeFigure1(t *testing.T) {
-	g := smokeGraph(t, 200, 5)
-	res := RunFigure1(g, disjoint.DefaultPhiOpts())
+	res := runData[*Figure1Result](t, Request{Experiment: "figure1", Topo: TopoSpec{N: 200, Seed: 5}})
 	if res.Mean < 0 || res.Mean > 1 {
 		t.Fatalf("mean Φ out of range: %v", res.Mean)
 	}

@@ -1,9 +1,6 @@
 package lab
 
-import (
-	"stamp/internal/steer"
-	"stamp/internal/traffic"
-)
+import "stamp/internal/steer"
 
 // The steering experiments: the four-arm user-perceived-latency grid
 // (BGP / R-BGP / color-locked STAMP / STAMP-steer) from internal/steer,
@@ -11,35 +8,22 @@ import (
 // `stamp run steer-latency -scenario oscillating-congestion` measures
 // flap damping without a third registry entry.
 func init() {
+	flags := []string{"trials", "scenario", "protocol", "flows", "tick", "ticks",
+		"steer-degrade-ms", "steer-comfort-ms", "steer-max-ms", "steer-n", "steer-cooldown"}
 	Register(Experiment{
 		Name: "steer-latency", Desc: "four-arm latency steering grid: does health-driven color steering beat locked STAMP under latency brownouts?",
 		DefaultN:        400,
 		DefaultScenario: "latency-brownout",
+		Flags:           flags,
 		Run:             runSteer,
 	})
 	Register(Experiment{
 		Name: "steer-loss", Desc: "four-arm latency steering grid under gray failures (silent packet loss instead of latency inflation)",
 		DefaultN:        400,
 		DefaultScenario: "gray-failure",
+		Flags:           flags,
 		Run:             runSteer,
 	})
-}
-
-// steerProtocols parses the request's arms for the steering grid (nil =
-// the default four: bgp, rbgp, stamp, stamp-steer).
-func (r Request) steerProtocols() ([]traffic.Protocol, error) {
-	if len(r.Protocols) == 0 {
-		return nil, nil
-	}
-	out := make([]traffic.Protocol, len(r.Protocols))
-	for i, name := range r.Protocols {
-		p, err := traffic.ParseProtocol(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
 }
 
 func runSteer(req Request) (*Result, error) {
@@ -47,7 +31,7 @@ func runSteer(req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	protos, err := req.steerProtocols()
+	protos, err := req.protocols(true)
 	if err != nil {
 		return nil, err
 	}
@@ -60,5 +44,5 @@ func runSteer(req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return req.envelope(req.Experiment, "sim", g, res), nil
+	return req.envelope("sim", graphInfo(g), res), nil
 }

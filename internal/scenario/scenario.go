@@ -1,5 +1,5 @@
 // Package scenario is the single source of failure workloads shared by
-// the discrete-event simulator (internal/sim via internal/experiments)
+// the discrete-event simulator (internal/sim via internal/lab)
 // and the live emulation (internal/emu): the paper's §6.2 failure kinds,
 // the random workload picker that instantiates them on a topology, and a
 // small scripting layer (events at scheduled offsets) that both engines

@@ -62,7 +62,7 @@ func (s Status) String() string {
 const NoHops int32 = -1
 
 // Protocol selects the routing protocol under test. It is the one
-// protocol enum of the module: internal/experiments aliases it.
+// protocol enum of the module: internal/lab's harnesses use it directly.
 type Protocol int
 
 const (
