@@ -6,8 +6,11 @@ import (
 	"math"
 	"testing"
 
+	"stamp/internal/metrics"
 	"stamp/internal/runner"
 	"stamp/internal/scenario"
+	"stamp/internal/steer"
+	"stamp/internal/traffic"
 )
 
 // TestTransientFingerprintPinned pins every field of every transient
@@ -62,6 +65,82 @@ func TestTransientFingerprintPinned(t *testing.T) {
 		}
 		if got := h.Sum64(); got != tc.want {
 			t.Errorf("GenerateDefault(%d, %d): transient fingerprint = %#x over %d shards, want %#x",
+				tc.n, tc.seed, got, shards, tc.want)
+		}
+	}
+}
+
+// TestCurveFingerprintPinned pins every shard's curve, in shard order,
+// of the two packet-level harnesses at two (n, seed) pairs: the loss
+// experiment's four protocols on link-failure and two-links-shared, and
+// the steering grid's four arms on latency-brownout and gray-failure. A
+// change to how a curve shard picks its script, seeds its engine or
+// configures its arm that moves any loss integral, affected count,
+// per-tick sum, user-latency bit or switch count fails here.
+func TestCurveFingerprintPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	for _, tc := range []struct {
+		n    int
+		seed int64
+		want uint64
+	}{
+		{150, 3, 0xa0038162cad03119},
+		{300, 11, 0x4e650d541de09170},
+	} {
+		g := smokeGraph(t, tc.n, tc.seed)
+		h := fnv.New64a()
+		var buf [8]byte
+		put := func(vs ...int64) {
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(buf[:], uint64(v))
+				h.Write(buf[:])
+			}
+		}
+		putCurve := func(c *traffic.Curve, switches, unhealthy int64) {
+			put(int64(c.Proto), c.LostPacketTicks, c.TransientLostPacketTicks,
+				int64(c.EverAffected), int64(c.TransientAffected))
+			for _, ts := range []*metrics.TimeSeries{c.Lost, c.Delivered, c.Stretch, c.UserLatency} {
+				if ts == nil {
+					put(-1)
+					continue
+				}
+				put(int64(ts.Len()))
+				for i := 0; i < ts.Len(); i++ {
+					put(int64(math.Float64bits(ts.Sum(i))), ts.Count(i))
+				}
+			}
+			put(int64(math.Float64bits(c.UserLatencyMeanMs)), c.SteerSwitches, switches, unhealthy)
+		}
+		shards := 0
+		for _, sc := range []string{"link-failure", "two-links-shared"} {
+			req := Request{Scenario: sc, Trials: 3, Seed: tc.seed, Flows: 1}
+			outs, err := runner.Run(lossSpec(req, g, traffic.AllProtocols(), traffic.DefaultTick, traffic.DefaultTicks), runner.Options{})
+			if err != nil {
+				t.Fatalf("loss %s: %v", sc, err)
+			}
+			for _, o := range outs {
+				putCurve(o.curve, 0, 0)
+			}
+			shards += len(outs)
+		}
+		for _, sc := range []string{"latency-brownout", "gray-failure"} {
+			spec, err := steer.GridSpec(steer.GridOpts{G: g, Trials: 3, Seed: tc.seed, Scenario: sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, err := runner.Run(spec, runner.Options{})
+			if err != nil {
+				t.Fatalf("grid %s: %v", sc, err)
+			}
+			for _, o := range outs {
+				putCurve(o.Curve, o.Switches, o.Unhealthy)
+			}
+			shards += len(outs)
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("GenerateDefault(%d, %d): curve fingerprint = %#x over %d shards, want %#x",
 				tc.n, tc.seed, got, shards, tc.want)
 		}
 	}

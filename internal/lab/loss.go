@@ -113,7 +113,16 @@ func runLoss(req Request) (*Result, error) {
 	for _, p := range protos {
 		res.Stats[p] = &LossStats{Lost: series(), Delivered: series(), Stretch: series()}
 	}
-	spec := runner.Spec[lossOutcome]{
+	if _, err := runner.Fold(lossSpec(req, g, protos, res.Tick, res.Ticks), req.runner(), res, (*LossResult).merge); err != nil {
+		return nil, err
+	}
+	return req.envelope("sim", graphInfo(g), res), nil
+}
+
+// lossSpec expresses the loss run as runner shards, one per (trial,
+// protocol) pair ordered trial-major.
+func lossSpec(req Request, g *topology.Graph, protos []traffic.Protocol, tick time.Duration, ticks int) runner.Spec[lossOutcome] {
+	return runner.Spec[lossOutcome]{
 		Name:   fmt.Sprintf("loss(%s)", req.Scenario),
 		Trials: req.Trials * len(protos),
 		Seed:   req.Seed,
@@ -127,7 +136,7 @@ func runLoss(req Request) (*Result, error) {
 			}
 			cur, err := traffic.RunSim(traffic.SimOpts{
 				G: g, Proto: p, Script: script,
-				Flows: req.Flows, Tick: res.Tick, Ticks: res.Ticks,
+				Flows: req.Flows, Tick: tick, Ticks: ticks,
 				Seed:    runner.DeriveSeed(req.Seed, streamEngine, int64(trial), int64(p)),
 				Context: t.Ctx,
 			})
@@ -137,10 +146,6 @@ func runLoss(req Request) (*Result, error) {
 			return lossOutcome{proto: p, curve: cur}, nil
 		},
 	}
-	if _, err := runner.Fold(spec, req.runner(), res, (*LossResult).merge); err != nil {
-		return nil, err
-	}
-	return req.envelope("sim", graphInfo(g), res), nil
 }
 
 // Print renders the per-protocol loss summary in the paper's
