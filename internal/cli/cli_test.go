@@ -72,6 +72,22 @@ func TestExitCodes(t *testing.T) {
 		{"atlas -trace-sample requires -trace", []string{"atlas", "-n", "200", "-dests", "2", "-trace-sample", "5"}, ExitUsage},
 		{"atlas -trace-sample rejects negative", []string{"atlas", "-replay", "-n", "200", "-dests", "2", "-trace-sample", "-3"}, ExitUsage},
 		{"atlas -repeat requires -replay", []string{"atlas", "-n", "200", "-dests", "2", "-repeat", "3"}, ExitUsage},
+		// Zero means "default"; a negative count, duration or steering
+		// threshold is refused instead of silently becoming the default.
+		{"figure2 rejects negative -trials", []string{"run", "figure2", "-n", "120", "-trials", "-3"}, ExitUsage},
+		{"loss rejects negative -ticks", []string{"run", "loss", "-n", "120", "-trials", "1", "-ticks", "-5"}, ExitUsage},
+		{"loss rejects negative -tick", []string{"run", "loss", "-n", "120", "-trials", "1", "-tick", "-3ms"}, ExitUsage},
+		{"flood rejects negative -flows", []string{"flood", "-n", "120", "-trials", "1", "-flows", "-2"}, ExitUsage},
+		{"steer rejects negative -steer-n", []string{"run", "steer-latency", "-n", "120", "-trials", "1", "-steer-n", "-4"}, ExitUsage},
+		{"steer rejects negative -steer-max-ms", []string{"run", "steer-latency", "-n", "120", "-trials", "1", "-steer-max-ms", "-1"}, ExitUsage},
+		{"steer rejects negative -steer-degrade-ms", []string{"steer", "-loss", "-n", "120", "-trials", "1", "-steer-degrade-ms", "-7"}, ExitUsage},
+		{"steer rejects negative -steer-comfort-ms", []string{"steer", "-n", "120", "-trials", "1", "-steer-comfort-ms", "-2"}, ExitUsage},
+		{"steer keeps a negative -steer-cooldown", []string{"steer", "-n", "60", "-trials", "1", "-ticks", "20", "-steer-cooldown", "-1"}, ExitOK},
+		{"atlas rejects negative -dests", []string{"atlas", "-n", "300", "-dests", "-2"}, ExitUsage},
+		{"atlas replay rejects negative -repeat", []string{"atlas", "-replay", "-n", "200", "-dests", "2", "-repeat", "-1"}, ExitUsage},
+		{"serve-load rejects negative -readers", []string{"run", "serve-load", "-n", "200", "-readers", "-1"}, ExitUsage},
+		{"serve-load rejects negative -load-for", []string{"run", "serve-load", "-n", "200", "-load-for", "-1s"}, ExitUsage},
+		{"lab rejects negative -timeout", []string{"lab", "-n", "40", "-timeout", "-1s"}, ExitUsage},
 		{"atlas -why rejects bad spec", []string{"atlas", "-replay", "-why", "5", "-n", "100"}, ExitFailure},
 		{"atlas -why rejects unsampled dest", []string{"atlas", "-replay", "-why", "999999:1", "-n", "100", "-dests", "2"}, ExitFailure},
 		{"topo stats with snapshot flags", []string{"topo", "-in", "/no/such/file", "-tier1", "9"}, ExitUsage},

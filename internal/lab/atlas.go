@@ -148,9 +148,6 @@ func writeReplayTrace(req Request, tracer *trace.Tracer) error {
 // instead of the grouped from-scratch driver: the payload is the full
 // per-event cost curve.
 func runAtlasReplay(req Request) (*Result, error) {
-	if req.TraceSample < 0 {
-		return nil, fmt.Errorf("%w: -trace-sample must be 0 or positive", ErrUsage)
-	}
 	if req.TraceSample != 0 && req.TracePath == "" {
 		return nil, fmt.Errorf("%w: -trace-sample requires -trace", ErrUsage)
 	}

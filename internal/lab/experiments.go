@@ -171,12 +171,6 @@ type SweepResult struct {
 	Cells []*SweepCell
 }
 
-// sweepShard is one unit of sweep work, addressed by grid coordinates.
-type sweepShard struct {
-	cell int
-	out  trialOutcome
-}
-
 // runSweep generates one topology per TopoSeed, then shards every
 // (topology, scenario, trial, protocol) combination across one worker
 // pool. An empty scenario runs the three link-failure workloads of
@@ -199,51 +193,41 @@ func runSweep(req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	seeds := req.TopoSeeds
-	graphs := make([]*topology.Graph, len(seeds))
-	multihomed := make([][]topology.ASN, len(seeds))
-	for i, ts := range seeds {
+	// One workload per cell, topology-major like SweepResult.Cells.
+	var cells []workload
+	for _, ts := range req.TopoSeeds {
 		g, err := topology.GenerateDefault(req.Topo.N, ts)
 		if err != nil {
 			return nil, fmt.Errorf("sweep topology seed %d: %w", ts, err)
 		}
-		graphs[i] = g
-		multihomed[i] = scenario.Multihomed(g)
+		for _, sc := range kinds {
+			cells = append(cells, newWorkload(g, sc, protos, req.Seed, ts, int64(sc)))
+		}
 	}
 
-	params := sim.DefaultParams()
-	nCells := len(seeds) * len(kinds)
+	run := transientRun(sim.DefaultParams())
 	perCell := req.Trials * len(protos)
-	spec := runner.Spec[sweepShard]{
+	spec := runner.Spec[trialOutcome]{
 		Name:   "sweep",
-		Trials: nCells * perCell,
+		Trials: len(cells) * perCell,
 		Seed:   req.Seed,
-		Run: func(t runner.Trial) (sweepShard, error) {
-			cell := t.Index / perCell
-			rem := t.Index % perCell
-			trial := rem / len(protos)
-			proto := protos[rem%len(protos)]
-			ti := cell / len(kinds)
-			sc := kinds[cell%len(kinds)]
-			topoSeed := seeds[ti]
-			out, err := runTransientShard(t.Ctx, graphs[ti], params, sc, multihomed[ti],
-				trial, proto,
-				runner.DeriveSeed(req.Seed, topoSeed, int64(sc), streamWorkload, int64(trial)),
-				runner.DeriveSeed(req.Seed, topoSeed, int64(sc), streamEngine, int64(trial), int64(proto)))
+		Run: func(t runner.Trial) (trialOutcome, error) {
+			c := cells[t.Index/perCell]
+			out, err := runShard(t.Ctx, c, t.Index%perCell, run)
 			if err != nil {
-				return sweepShard{}, fmt.Errorf("topo %d, %v: %w", topoSeed, sc, err)
+				return out, fmt.Errorf("topo %d, %v: %w", c.coords[0], c.kind, err)
 			}
-			return sweepShard{cell: cell, out: out}, nil
+			return out, nil
 		},
 	}
 
-	accs := make([]*transientAccum, nCells)
-	for i := range accs {
-		accs[i] = newTransientAccum(graphs[i/len(kinds)].Len(), protos)
+	accs := make([]*transientAccum, len(cells))
+	for i, c := range cells {
+		accs[i] = newTransientAccum(c.g.Len(), protos)
 	}
 	_, err = runner.Fold(spec, req.runner(),
-		accs, func(a []*transientAccum, _ runner.Trial, s sweepShard) []*transientAccum {
-			a[s.cell].merge(s.out)
+		accs, func(a []*transientAccum, t runner.Trial, out trialOutcome) []*transientAccum {
+			a[t.Index/perCell].merge(out)
 			return a
 		})
 	if err != nil {
@@ -251,12 +235,11 @@ func runSweep(req Request) (*Result, error) {
 	}
 
 	res := &SweepResult{N: req.Topo.N, Trials: req.Trials}
-	for i, acc := range accs {
-		sc := kinds[i%len(kinds)]
+	for i, c := range cells {
 		res.Cells = append(res.Cells, &SweepCell{
-			TopoSeed: seeds[i/len(kinds)],
-			Scenario: sc,
-			Result:   acc.result(sc, req.Trials),
+			TopoSeed: c.coords[0],
+			Scenario: c.kind,
+			Result:   accs[i].result(c.kind, req.Trials),
 		})
 	}
 	// The sweep builds its own grid of topologies; the envelope describes

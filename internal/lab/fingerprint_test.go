@@ -9,6 +9,7 @@ import (
 	"stamp/internal/metrics"
 	"stamp/internal/runner"
 	"stamp/internal/scenario"
+	"stamp/internal/sim"
 	"stamp/internal/steer"
 	"stamp/internal/traffic"
 )
@@ -47,8 +48,8 @@ func TestTransientFingerprintPinned(t *testing.T) {
 		}
 		shards := 0
 		for _, kind := range kinds {
-			spec := transientSpec(TransientOpts{G: g, Trials: 3, Seed: tc.seed, Scenario: kind}.normalized())
-			outs, err := runner.Run(spec, runner.Options{})
+			w := newWorkload(g, kind, traffic.AllProtocols(), tc.seed)
+			outs, err := runner.Run(shardSpec("transient", w, 3, transientRun(sim.DefaultParams())), runner.Options{})
 			if err != nil {
 				t.Fatalf("%v: %v", kind, err)
 			}
@@ -114,28 +115,28 @@ func TestCurveFingerprintPinned(t *testing.T) {
 			put(int64(math.Float64bits(c.UserLatencyMeanMs)), c.SteerSwitches, switches, unhealthy)
 		}
 		shards := 0
-		for _, sc := range []string{"link-failure", "two-links-shared"} {
-			req := Request{Scenario: sc, Trials: 3, Seed: tc.seed, Flows: 1}
-			outs, err := runner.Run(lossSpec(req, g, traffic.AllProtocols(), traffic.DefaultTick, traffic.DefaultTicks), runner.Options{})
+		for _, kind := range []scenario.Kind{scenario.SingleLink, scenario.TwoLinksShared} {
+			w := newWorkload(g, kind, traffic.AllProtocols(), tc.seed)
+			loss := &LossResult{Flows: 1, Tick: traffic.DefaultTick, Ticks: traffic.DefaultTicks}
+			outs, err := runner.Run(shardSpec("loss", w, 3, loss.run), runner.Options{})
 			if err != nil {
-				t.Fatalf("loss %s: %v", sc, err)
+				t.Fatalf("loss %v: %v", kind, err)
 			}
-			for _, o := range outs {
-				putCurve(o.curve, 0, 0)
+			for _, c := range outs {
+				putCurve(c, 0, 0)
 			}
 			shards += len(outs)
 		}
-		for _, sc := range []string{"latency-brownout", "gray-failure"} {
-			spec, err := steer.GridSpec(steer.GridOpts{G: g, Trials: 3, Seed: tc.seed, Scenario: sc})
+		for _, kind := range []scenario.Kind{scenario.LatencyBrownout, scenario.GrayFailure} {
+			w := newWorkload(g, kind, traffic.GridProtocols(), tc.seed)
+			grid := &SteerResult{Flows: 1, Tick: traffic.DefaultTick, Ticks: steerTicks,
+				TimeoutMs: traffic.DefaultTimeoutMs, Config: steer.DefaultConfig(), seed: tc.seed}
+			outs, err := runner.Run(shardSpec("steer", w, 3, grid.run), runner.Options{})
 			if err != nil {
-				t.Fatal(err)
-			}
-			outs, err := runner.Run(spec, runner.Options{})
-			if err != nil {
-				t.Fatalf("grid %s: %v", sc, err)
+				t.Fatalf("grid %v: %v", kind, err)
 			}
 			for _, o := range outs {
-				putCurve(o.Curve, o.Switches, o.Unhealthy)
+				putCurve(o.curve, o.curve.SteerSwitches, o.unhealthy)
 			}
 			shards += len(outs)
 		}

@@ -3,9 +3,10 @@
 // seed, workers, backend), one versioned Result envelope (named,
 // mergeable metrics under a schema_version), a registry of named
 // experiments whose entries run their harnesses straight from the
-// Request, and a Backend interface — the simulator in virtual time and
-// the live emulation in wall-clock time — so every harness that can run
-// live does so through one switch.
+// Request, and one (trial, protocol) shard enumeration that every
+// trial-based harness runs on the worker pool. Entries that can also run
+// live (loss, emu-converge) switch on Request.Backend between the
+// simulator in virtual time and the emulated fleet in wall-clock time.
 //
 // The paper's evaluation is one grid — {BGP, R-BGP±RCI, STAMP} ×
 // {failure scenarios} × {topologies} × {metrics} — and this package
@@ -32,6 +33,7 @@ import (
 
 	"stamp/internal/atlas"
 	"stamp/internal/runner"
+	"stamp/internal/scenario"
 	"stamp/internal/steer"
 	"stamp/internal/topology"
 	"stamp/internal/traffic"
@@ -135,10 +137,29 @@ type Request struct {
 }
 
 // normalized fills request-level defaults (experiment-level ones — N,
-// scenario, backend — are filled by Run from the registry entry). Seed
-// is used as given: 0 is a valid master seed (the CLI's own default is
-// 1), so coercing it would silently mislabel an explicit -seed 0 run.
-func (r Request) normalized() Request {
+// scenario, backend — are filled by Run from the registry entry). Zero
+// means "default"; a negative count, duration or steering threshold is
+// a usage error rather than silently becoming the default. Seed is used
+// as given: 0 is a valid master seed (the CLI's own default is 1), so
+// coercing it would silently mislabel an explicit -seed 0 run.
+// Steer.CooldownTicks stays signed: negative disables the cooldown.
+func (r Request) normalized() (Request, error) {
+	for _, f := range []struct {
+		flag string
+		v    float64
+	}{
+		{"trials", float64(r.Trials)}, {"flows", float64(r.Flows)},
+		{"tick", float64(r.Tick)}, {"ticks", float64(r.Ticks)},
+		{"dests", float64(r.Dests)}, {"repeat", float64(r.Repeat)},
+		{"readers", float64(r.Readers)}, {"load-for", float64(r.LoadFor)},
+		{"timeout", float64(r.ConvergeTimeout)}, {"trace-sample", float64(r.TraceSample)},
+		{"steer-degrade-ms", r.Steer.DegradeMs}, {"steer-comfort-ms", r.Steer.ComfortMs},
+		{"steer-max-ms", r.Steer.AbsMaxMs}, {"steer-n", float64(r.Steer.Consecutive)},
+	} {
+		if f.v < 0 {
+			return r, fmt.Errorf("%w: -%s must be 0 or positive", ErrUsage, f.flag)
+		}
+	}
 	if r.Trials <= 0 {
 		r.Trials = 10
 	}
@@ -154,7 +175,7 @@ func (r Request) normalized() Request {
 	if r.Flows <= 0 {
 		r.Flows = 1
 	}
-	return r
+	return r, nil
 }
 
 // ctx returns the request context, never nil.
@@ -168,6 +189,18 @@ func (r Request) ctx() context.Context {
 // runner returns the pool options every sharded harness runs under.
 func (r Request) runner() runner.Options {
 	return runner.Options{Workers: r.Workers, Progress: r.Progress, Context: r.ctx()}
+}
+
+// sampling returns the request's traffic sampling layout, zero values
+// replaced by the experiment's defaults.
+func (r Request) sampling(tick time.Duration, ticks int) (time.Duration, int) {
+	if r.Tick > 0 {
+		tick = r.Tick
+	}
+	if r.Ticks > 0 {
+		ticks = r.Ticks
+	}
+	return tick, ticks
 }
 
 // graphCache memoizes loaded/generated topologies per process. Graphs
@@ -207,15 +240,15 @@ func (r Request) buildGraph() (*topology.Graph, error) {
 var ErrUsage = errors.New("usage")
 
 // protocols parses the request's protocol names; none means the four
-// of the paper's evaluation, or for steer nil (the grid's default
-// arms). A protocol named twice is a usage error: its shards would
-// merge into one row and count every trial twice. The steering arm
-// needs the link-cost model and policy that only the steer grid
-// supplies, so only steer admits it.
+// of the paper's evaluation, or for steer the grid's four arms. A
+// protocol named twice is a usage error: its shards would merge into
+// one row and count every trial twice. The steering arm needs the
+// link-cost model and policy that only the steer grid supplies, so only
+// steer admits it.
 func (r Request) protocols(steer bool) ([]traffic.Protocol, error) {
 	if len(r.Protocols) == 0 {
 		if steer {
-			return nil, nil
+			return traffic.GridProtocols(), nil
 		}
 		return traffic.AllProtocols(), nil
 	}
@@ -234,6 +267,20 @@ func (r Request) protocols(steer bool) ([]traffic.Protocol, error) {
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// workload is the request's scenario on g, faced by its protocols
+// (steer: see protocols) and seeded by its master seed.
+func (r Request) workload(g *topology.Graph, steer bool) (workload, error) {
+	kind, err := scenario.ParseKind(r.Scenario)
+	if err != nil {
+		return workload{}, err
+	}
+	protos, err := r.protocols(steer)
+	if err != nil {
+		return workload{}, err
+	}
+	return newWorkload(g, kind, protos, r.Seed), nil
 }
 
 // TopoInfo describes the topology a result was measured on.

@@ -1,11 +1,13 @@
 package lab
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
 	"stamp/internal/bgp"
+	"stamp/internal/core"
 	"stamp/internal/emu"
 	"stamp/internal/metrics"
 	"stamp/internal/runner"
@@ -51,29 +53,41 @@ type LossResult struct {
 	protos []traffic.Protocol
 }
 
-// lossOutcome is the result of one (trial, protocol) loss shard.
-type lossOutcome struct {
-	proto traffic.Protocol
-	curve *traffic.Curve
-}
-
 // merge folds one shard's curve into its protocol's aggregates. Layout
 // mismatches are impossible: every curve and every aggregate series is
 // built from the same (Tick, Ticks).
-func (r *LossResult) merge(_ runner.Trial, out lossOutcome) *LossResult {
-	st := r.Stats[out.proto]
+func (r *LossResult) merge(_ runner.Trial, c *traffic.Curve) *LossResult {
+	st := r.Stats[c.Proto]
 	for _, m := range [][2]*metrics.TimeSeries{
-		{st.Lost, out.curve.Lost}, {st.Delivered, out.curve.Delivered}, {st.Stretch, out.curve.Stretch},
+		{st.Lost, c.Lost}, {st.Delivered, c.Delivered}, {st.Stretch, c.Stretch},
 	} {
 		if err := m[0].Merge(m[1]); err != nil {
 			panic(err)
 		}
 	}
-	st.LostPacketTicks.Add(float64(out.curve.LostPacketTicks))
-	st.TransientLost.Add(float64(out.curve.TransientLostPacketTicks))
-	st.EverAffected.Add(float64(out.curve.EverAffected))
-	st.TransientAffected.Add(float64(out.curve.TransientAffected))
+	st.LostPacketTicks.Add(float64(c.LostPacketTicks))
+	st.TransientLost.Add(float64(c.TransientLostPacketTicks))
+	st.EverAffected.Add(float64(c.EverAffected))
+	st.TransientAffected.Add(float64(c.TransientAffected))
 	return r
+}
+
+// run measures one shard's curve on the result's sampling layout.
+func (r *LossResult) run(ctx context.Context, s shard) (*traffic.Curve, error) {
+	return traffic.RunSim(traffic.SimOpts{
+		G: s.g, Proto: s.proto, Script: s.script,
+		Flows: r.Flows, Tick: r.Tick, Ticks: r.Ticks, Seed: s.seed, Context: ctx,
+	})
+}
+
+// newSeries builds one per-tick aggregate series of the layout.
+func newSeries(tick time.Duration, ticks int) *metrics.TimeSeries {
+	ts, err := metrics.NewTimeSeries(tick.Seconds(), ticks)
+	if err != nil {
+		// A positive tick and tick count always yield a valid layout.
+		panic(err)
+	}
+	return ts
 }
 
 // runLoss dispatches the loss experiment across the backend switch:
@@ -86,66 +100,28 @@ func runLoss(req Request) (*Result, error) {
 	if req.Backend == "emu" {
 		return runLossParity(req, g)
 	}
-	protos, err := req.protocols(false)
+	w, err := req.workload(g, false)
 	if err != nil {
 		return nil, err
 	}
 	res := &LossResult{
 		Scenario: req.Scenario, Trials: req.Trials, Flows: req.Flows,
-		Tick: req.Tick, Ticks: req.Ticks,
-		Stats:  make(map[traffic.Protocol]*LossStats, len(protos)),
-		protos: protos,
+		Stats:  make(map[traffic.Protocol]*LossStats, len(w.protos)),
+		protos: w.protos,
 	}
-	if res.Tick <= 0 {
-		res.Tick = traffic.DefaultTick
-	}
-	if res.Ticks <= 0 {
-		res.Ticks = traffic.DefaultTicks
-	}
-	series := func() *metrics.TimeSeries {
-		ts, err := metrics.NewTimeSeries(res.Tick.Seconds(), res.Ticks)
-		if err != nil {
-			// A positive tick and tick count always yield a valid layout.
-			panic(err)
+	res.Tick, res.Ticks = req.sampling(traffic.DefaultTick, traffic.DefaultTicks)
+	for _, p := range w.protos {
+		res.Stats[p] = &LossStats{
+			Lost:      newSeries(res.Tick, res.Ticks),
+			Delivered: newSeries(res.Tick, res.Ticks),
+			Stretch:   newSeries(res.Tick, res.Ticks),
 		}
-		return ts
 	}
-	for _, p := range protos {
-		res.Stats[p] = &LossStats{Lost: series(), Delivered: series(), Stretch: series()}
-	}
-	if _, err := runner.Fold(lossSpec(req, g, protos, res.Tick, res.Ticks), req.runner(), res, (*LossResult).merge); err != nil {
+	spec := shardSpec(fmt.Sprintf("loss(%s)", req.Scenario), w, req.Trials, res.run)
+	if _, err := runner.Fold(spec, req.runner(), res, (*LossResult).merge); err != nil {
 		return nil, err
 	}
 	return req.envelope("sim", graphInfo(g), res), nil
-}
-
-// lossSpec expresses the loss run as runner shards, one per (trial,
-// protocol) pair ordered trial-major.
-func lossSpec(req Request, g *topology.Graph, protos []traffic.Protocol, tick time.Duration, ticks int) runner.Spec[lossOutcome] {
-	return runner.Spec[lossOutcome]{
-		Name:   fmt.Sprintf("loss(%s)", req.Scenario),
-		Trials: req.Trials * len(protos),
-		Seed:   req.Seed,
-		Run: func(t runner.Trial) (lossOutcome, error) {
-			trial := t.Index / len(protos)
-			p := protos[t.Index%len(protos)]
-			script, err := scenario.Named(req.Scenario, g,
-				runner.DeriveSeed(req.Seed, streamWorkload, int64(trial)))
-			if err != nil {
-				return lossOutcome{}, err
-			}
-			cur, err := traffic.RunSim(traffic.SimOpts{
-				G: g, Proto: p, Script: script,
-				Flows: req.Flows, Tick: tick, Ticks: ticks,
-				Seed:    runner.DeriveSeed(req.Seed, streamEngine, int64(trial), int64(p)),
-				Context: t.Ctx,
-			})
-			if err != nil {
-				return lossOutcome{}, fmt.Errorf("%v trial %d: %w", p, trial, err)
-			}
-			return lossOutcome{proto: p, curve: cur}, nil
-		},
-	}
 }
 
 // Print renders the per-protocol loss summary in the paper's
@@ -215,9 +191,8 @@ func (p *LossParity) Print(w io.Writer) {
 // runLossParity runs one live instance of the scenario, differentially
 // validated against the sim reference on the identical script — the
 // sampling layout shared so the curves line up tick for tick. The live
-// fleet is a STAMP deployment; an explicit protocol request is honored
-// by passing it through to the backend, whose guard rejects non-STAMP
-// rather than silently measuring the wrong protocol.
+// fleet is a STAMP deployment; an explicit request for another protocol
+// is refused rather than silently measuring the wrong one.
 func runLossParity(req Request, g *topology.Graph) (*Result, error) {
 	proto := traffic.STAMP
 	if len(req.Protocols) > 0 {
@@ -234,23 +209,26 @@ func runLossParity(req Request, g *topology.Graph) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := CurveSpec{
-		G: g, Script: script, Proto: proto,
-		Flows: req.Flows, Tick: req.Tick, Ticks: req.Ticks, Seed: req.Seed,
-		Transport: req.Transport, Workers: req.Workers,
+	if proto != traffic.STAMP {
+		return nil, fmt.Errorf("the emu backend is a STAMP fleet; protocol %v needs -backend sim", proto)
 	}
-	if spec.Tick <= 0 {
-		spec.Tick = traffic.DefaultEmuTick
-	}
-	if spec.Ticks <= 0 {
-		spec.Ticks = traffic.DefaultEmuTicks
-	}
-	live, err := EmuBackend{}.Curve(req.ctx(), spec)
+	tick, ticks := req.sampling(traffic.DefaultEmuTick, traffic.DefaultEmuTicks)
+	live, err := emuAwait(req.ctx(), func() (*traffic.Curve, error) {
+		return traffic.RunEmu(traffic.EmuOpts{
+			Fabric: emu.Options{Graph: g, Transport: req.Transport, Workers: req.Workers},
+			Script: script, Flows: req.Flows, Tick: tick, Ticks: ticks,
+		})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("emu backend: %w", err)
 	}
-	spec.Reference = true
-	ref, err := SimBackend{}.Curve(req.ctx(), spec)
+	// The reference runs the live fleet's deterministic configuration:
+	// its timing and first-candidate lock picks.
+	ref, err := traffic.RunSim(traffic.SimOpts{
+		G: g, Proto: proto, Params: emu.ReferenceParams(), Script: script,
+		Flows: req.Flows, Tick: tick, Ticks: ticks, Seed: req.Seed,
+		BluePick: core.FirstBluePicker(), Context: req.ctx(),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sim reference: %w", err)
 	}
@@ -265,6 +243,31 @@ func runLossParity(req Request, g *topology.Graph) (*Result, error) {
 	})
 	env.Divergences = len(divs)
 	return env, nil
+}
+
+// emuAwait runs a blocking emu operation on its own goroutine and
+// returns early on cancellation, so Ctrl-C is honored even though the
+// fleet itself has no cancellation hooks. An abandoned run keeps its
+// goroutine until the fleet converges or times out, then tears the
+// fabric down itself — acceptable for the CLI (the process exits) and
+// bounded by the fleet's ConvergeTimeout everywhere else.
+func emuAwait[T any](ctx context.Context, run func() (T, error)) (T, error) {
+	type outcome struct {
+		v   T
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		v, err := run()
+		ch <- outcome{v, err}
+	}()
+	select {
+	case <-ctx.Done():
+		var zero T
+		return zero, ctx.Err()
+	case o := <-ch:
+		return o.v, o.err
+	}
 }
 
 // CDFSummary condenses a per-AS wall-clock convergence CDF.
@@ -339,9 +342,10 @@ func (r *EmuConverge) Print(w io.Writer) {
 	}
 }
 
-// runEmuConverge converges the scenario on the requested backend; on
-// emu the live tables are differentially validated against the sim
-// reference run on the identical script.
+// runEmuConverge converges the scenario on the requested backend: the
+// simulator reference run (the deterministic configuration the
+// differential validator uses), or a live fleet whose quiesced tables
+// are validated against that reference on the identical script.
 func runEmuConverge(req Request) (*Result, error) {
 	g, err := req.graph()
 	if err != nil {
@@ -351,41 +355,44 @@ func runEmuConverge(req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	be, err := BackendByName(req.Backend)
-	if err != nil {
-		return nil, err
+	reference := func() (*emu.Tables, error) {
+		return emu.SimTables(req.ctx(), g, script, emu.ReferenceParams(), req.Seed)
 	}
-	spec := ConvergeSpec{
-		G: g, Script: script, Seed: req.Seed, Transport: req.Transport, Workers: req.Workers,
-		QuietWindow: req.QuietWindow, ConvergeTimeout: req.ConvergeTimeout,
-	}
-	conv, err := be.Converge(req.ctx(), spec)
-	if err != nil {
-		return nil, err
-	}
-	payload := &EmuConverge{
-		Dest:        script.Dest,
-		RedRoutes:   conv.Tables.Routes(bgp.ColorRed),
-		BlueRoutes:  conv.Tables.Routes(bgp.ColorBlue),
-		Divergences: []emu.Divergence{},
-	}
-	if conv.Live != nil {
+	payload := &EmuConverge{Dest: script.Dest, Divergences: []emu.Divergence{}}
+	var tables *emu.Tables
+	if req.Backend == "sim" {
+		if tables, err = reference(); err != nil {
+			return nil, err
+		}
+	} else {
+		live, err := emuAwait(req.ctx(), func() (*emu.Result, error) {
+			return emu.Run(emu.Options{
+				Graph: g, Transport: req.Transport, Workers: req.Workers,
+				QuietWindow: req.QuietWindow, ConvergeTimeout: req.ConvergeTimeout,
+			}, script)
+		})
+		if err != nil {
+			return nil, err
+		}
+		tables = live.Tables
 		payload.Transport = req.Transport
-		payload.Stats = conv.Live.Stats
-		payload.BootMs = float64(conv.Live.Boot) / 1e6
-		payload.InitialMs = float64(conv.Live.InitialConvergence) / 1e6
-		payload.ScenarioMs = float64(conv.Live.ScenarioConvergence) / 1e6
-		payload.ConvCDF = summarizeCDF(conv.Live.ConvCDF)
+		payload.Stats = live.Stats
+		payload.BootMs = float64(live.Boot) / 1e6
+		payload.InitialMs = float64(live.InitialConvergence) / 1e6
+		payload.ScenarioMs = float64(live.ScenarioConvergence) / 1e6
+		payload.ConvCDF = summarizeCDF(live.ConvCDF)
 
 		if !req.NoDiff {
-			ref, err := SimBackend{}.Converge(req.ctx(), spec)
+			ref, err := reference()
 			if err != nil {
 				return nil, fmt.Errorf("sim reference: %w", err)
 			}
 			payload.DiffRan = true
-			payload.Divergences = append(payload.Divergences, ref.Tables.Diff(conv.Tables)...)
+			payload.Divergences = append(payload.Divergences, ref.Diff(tables)...)
 		}
 	}
+	payload.RedRoutes = tables.Routes(bgp.ColorRed)
+	payload.BlueRoutes = tables.Routes(bgp.ColorBlue)
 	env := req.envelope(req.Backend, graphInfo(g), payload)
 	env.Divergences = len(payload.Divergences)
 	return env, nil

@@ -3,12 +3,14 @@ package lab
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"stamp/internal/disjoint"
 	"stamp/internal/metrics"
 	"stamp/internal/runner"
 	"stamp/internal/scenario"
+	"stamp/internal/sim"
 	"stamp/internal/traffic"
 )
 
@@ -156,17 +158,36 @@ func TestTransientProgress(t *testing.T) {
 }
 
 // TestTransientSpecEnumeration pins the shard enumeration: trial-major,
-// protocol-minor, with workload seeds shared across a trial's protocols.
+// protocol-minor, with the workload shared across a trial's protocols
+// and engine seeds private per shard.
 func TestTransientSpecEnumeration(t *testing.T) {
 	g := smokeGraph(t, 60, 1)
-	spec := transientSpec(TransientOpts{G: g, Trials: 3, Seed: 5, Scenario: scenario.SingleLink}.normalized())
+	w := newWorkload(g, scenario.SingleLink, traffic.AllProtocols(), 5)
+	spec := shardSpec("transient", w, 3, transientRun(sim.DefaultParams()))
 	if want := 3 * len(traffic.AllProtocols()); spec.Trials != want {
 		t.Fatalf("spec.Trials = %d, want %d", spec.Trials, want)
 	}
-	// Shards 0..3 are trial 0 under each protocol: same workload seed by
-	// derivation, so they must report identical failure workloads. We
-	// can't observe the failureSet directly, but identical InitialUpdates
-	// across runs of the same shard pins reproducibility.
+	// Shards 0..3 are trial 0 under each protocol: one script, four
+	// engine seeds.
+	first, err := w.shard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := map[int64]bool{first.seed: true}
+	for i := 1; i < len(w.protos); i++ {
+		s, err := w.shard(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.trial != 0 || !reflect.DeepEqual(s.script, first.script) {
+			t.Errorf("shard %d: trial %d, script %+v; want trial 0's script %+v", i, s.trial, s.script, first.script)
+		}
+		seeds[s.seed] = true
+	}
+	if len(seeds) != len(w.protos) {
+		t.Errorf("trial 0's %d protocols share engine seeds: %v", len(w.protos), seeds)
+	}
+	// Re-running a shard reproduces it.
 	out1, err := spec.Run(runner.Trial{Index: 0, Seed: runner.DeriveSeed(5, 0)})
 	if err != nil {
 		t.Fatal(err)

@@ -89,7 +89,10 @@ func Run(req Request) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("lab: unknown experiment %q (stamp list prints the registry)", req.Experiment)
 	}
-	req = req.normalized()
+	req, err := req.normalized()
+	if err != nil {
+		return nil, fmt.Errorf("lab: %w", err)
+	}
 	if req.Topo.N <= 0 {
 		req.Topo.N = e.DefaultN
 		if req.Topo.N <= 0 {

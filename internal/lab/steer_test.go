@@ -1,28 +1,25 @@
-package steer
+package lab
 
 import (
 	"bytes"
 	"encoding/json"
 	"testing"
 
+	"stamp/internal/steer"
 	"stamp/internal/traffic"
 )
 
-// TestSteerBeatsLockedOnBrownout is the subsystem's acceptance
+// TestSteerBeatsLockedOnBrownout is the steering subsystem's acceptance
 // headline: under latency brownouts the steering arm's user-perceived
 // latency must be strictly better than color-locked STAMP's — same
 // control plane, same workloads, same latency model; only the
 // per-source color decisions differ.
 func TestSteerBeatsLockedOnBrownout(t *testing.T) {
-	g := genGraph(t, 80, 3)
-	res, err := RunGrid(GridOpts{
-		G: g, Trials: 4, Seed: 5,
+	res := runData[*SteerResult](t, Request{
+		Experiment: "steer-latency", Topo: TopoSpec{N: 80, Seed: 3}, Trials: 4, Seed: 5,
 		Scenario: "latency-brownout",
 		Ticks:    160,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.SteerLatencyMs <= 0 || res.LockedLatencyMs <= 0 {
 		t.Fatalf("missing headline latencies: steer %v, locked %v", res.SteerLatencyMs, res.LockedLatencyMs)
 	}
@@ -33,14 +30,14 @@ func TestSteerBeatsLockedOnBrownout(t *testing.T) {
 	if res.SteerVsLockedRatio <= 0 || res.SteerVsLockedRatio >= 1 {
 		t.Fatalf("ratio %v inconsistent with a steering win", res.SteerVsLockedRatio)
 	}
-	steer := res.Arm(traffic.STAMPSteer)
-	if steer == nil || steer.Switches.Sum == 0 {
+	arm := res.Arm(traffic.STAMPSteer)
+	if arm == nil || arm.Switches.Sum == 0 {
 		t.Fatal("the steering arm never switched — the win has no mechanism")
 	}
 	// The non-STAMP arms rode along: all four must have measurements.
-	for _, arm := range res.Arms {
-		if arm.UserLatencyMs.Count != int64(res.Trials) {
-			t.Fatalf("%v: %v trials accumulated, want %d", arm.Proto, arm.UserLatencyMs.Count, res.Trials)
+	for _, a := range res.Arms {
+		if a.UserLatencyMs.Count != int64(res.Trials) {
+			t.Fatalf("%v: %v trials accumulated, want %d", a.Proto, a.UserLatencyMs.Count, res.Trials)
 		}
 	}
 }
@@ -49,24 +46,16 @@ func TestSteerBeatsLockedOnBrownout(t *testing.T) {
 // between two provider links, the cooldown must bound the switch count;
 // a hair-trigger policy (no debounce, no cooldown) flaps strictly more.
 func TestOscillationCooldownBoundsSwitches(t *testing.T) {
-	g := genGraph(t, 80, 3)
-	opts := GridOpts{
-		G: g, Trials: 3, Seed: 11,
+	req := Request{
+		Experiment: "steer-latency", Topo: TopoSpec{N: 80, Seed: 3}, Trials: 3, Seed: 11,
 		Scenario:  "oscillating-congestion",
 		Ticks:     120,
-		Protocols: []traffic.Protocol{traffic.STAMP, traffic.STAMPSteer},
+		Protocols: []string{"stamp", "stamp-steer"},
 	}
-
-	def, err := RunGrid(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hair := opts
-	hair.Config = Config{Consecutive: 1, CooldownTicks: -1}
-	flappy, err := RunGrid(hair)
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := runData[*SteerResult](t, req)
+	hair := req
+	hair.Steer = steer.Config{Consecutive: 1, CooldownTicks: -1}
+	flappy := runData[*SteerResult](t, hair)
 
 	defSw := def.Arm(traffic.STAMPSteer).Switches
 	hairSw := flappy.Arm(traffic.STAMPSteer).Switches
@@ -79,8 +68,8 @@ func TestOscillationCooldownBoundsSwitches(t *testing.T) {
 	// Hard bound: after every switch a source is frozen for
 	// CooldownTicks, so per trial it can switch at most
 	// 1 + Ticks/CooldownTicks times.
-	perSource := 1 + opts.Ticks/def.Config.CooldownTicks
-	bound := float64(g.Len() * perSource)
+	perSource := 1 + req.Ticks/def.Config.CooldownTicks
+	bound := float64(smokeGraph(t, 80, 3).Len() * perSource)
 	if defSw.Max > bound {
 		t.Fatalf("a trial switched %v times, above the cooldown bound %v", defSw.Max, bound)
 	}
@@ -89,19 +78,13 @@ func TestOscillationCooldownBoundsSwitches(t *testing.T) {
 // TestGridWorkersDeterminism: the aggregated grid result must be
 // byte-identical for any worker count.
 func TestGridWorkersDeterminism(t *testing.T) {
-	g := genGraph(t, 60, 5)
-	opts := GridOpts{
-		G: g, Trials: 2, Seed: 9,
-		Scenario: "gray-failure",
-		Ticks:    80,
-	}
 	run := func(workers int) []byte {
-		o := opts
-		o.Workers = workers
-		res, err := RunGrid(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runData[*SteerResult](t, Request{
+			Experiment: "steer-loss", Topo: TopoSpec{N: 60, Seed: 5}, Trials: 2, Seed: 9,
+			Scenario: "gray-failure",
+			Ticks:    80,
+			Workers:  workers,
+		})
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"stamp/internal/metrics"
@@ -24,6 +25,84 @@ const (
 	streamWorkload int64 = iota + 1
 	streamEngine
 )
+
+// workload is one failure scenario on one graph, faced by each protocol
+// in every trial: the (trial, protocol) enumeration every harness of
+// the paper's §6.2 kind — transient, sweep, loss and steer — shards
+// across the runner.
+type workload struct {
+	g          *topology.Graph
+	kind       scenario.Kind
+	multihomed []topology.ASN
+	protos     []traffic.Protocol
+	// Every shard seed derives from the master seed along a path that
+	// starts with coords, the grid coordinates above the trial (the
+	// sweep's topology seed and scenario; none elsewhere).
+	master int64
+	coords []int64
+}
+
+func newWorkload(g *topology.Graph, kind scenario.Kind, protos []traffic.Protocol, master int64, coords ...int64) workload {
+	return workload{g: g, kind: kind, multihomed: scenario.Multihomed(g), protos: protos, master: master, coords: coords}
+}
+
+// shard is one (trial, protocol) unit of a workload: everything one
+// engine run needs.
+type shard struct {
+	g      *topology.Graph
+	trial  int
+	proto  traffic.Protocol
+	script scenario.Script
+	// seed drives the engine.
+	seed int64
+}
+
+// derive extends the workload's seed path by labels.
+func (w workload) derive(labels ...int64) int64 {
+	return runner.DeriveSeed(w.master, slices.Concat(w.coords, labels)...)
+}
+
+// shard derives shard i of the trial-major order. The script of trial
+// t is drawn from (master, coords…, streamWorkload, t) — shared by all
+// protocols of that trial, and in canonical Script form, so restores
+// (link flaps) work exactly like plain failures — and each shard's
+// engine seed from (master, coords…, streamEngine, t, protocol), so any
+// shard can run on any worker in any order.
+func (w workload) shard(i int) (shard, error) {
+	trial := i / len(w.protos)
+	proto := w.protos[i%len(w.protos)]
+	script, err := scenario.PickScript(w.g, w.multihomed, w.kind,
+		rand.New(rand.NewSource(w.derive(streamWorkload, int64(trial)))))
+	if err != nil {
+		return shard{}, err
+	}
+	return shard{g: w.g, trial: trial, proto: proto, script: script,
+		seed: w.derive(streamEngine, int64(trial), int64(proto))}, nil
+}
+
+// runShard derives shard i of w and measures it with run.
+func runShard[T any](ctx context.Context, w workload, i int, run func(context.Context, shard) (T, error)) (T, error) {
+	s, err := w.shard(i)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	out, err := run(ctx, s)
+	if err != nil {
+		return out, fmt.Errorf("%v trial %d: %w", s.proto, s.trial, err)
+	}
+	return out, nil
+}
+
+// shardSpec expresses trials of w as runner shards, measured by run.
+func shardSpec[T any](name string, w workload, trials int, run func(context.Context, shard) (T, error)) runner.Spec[T] {
+	return runner.Spec[T]{
+		Name:   name,
+		Trials: trials * len(w.protos),
+		Seed:   w.master,
+		Run:    func(t runner.Trial) (T, error) { return runShard(t.Ctx, w, t.Index, run) },
+	}
+}
 
 // TransientOpts configures a transient-problem run on a given graph:
 // the entry point the registry's transient experiments, the MRAI
@@ -114,45 +193,12 @@ type trialOutcome struct {
 	traffic.Transient
 }
 
-// transientSpec expresses a transient run as enumerable runner shards,
-// one per (trial, protocol) pair ordered trial-major. The workload of
-// trial t is derived from (Seed, streamWorkload, t) — shared by all
-// protocols of that trial — and each shard's engine seed from (Seed,
-// streamEngine, t, protocol), so any shard can run on any worker in any
-// order. opts must be normalized.
-func transientSpec(opts TransientOpts) runner.Spec[trialOutcome] {
-	multihomed := scenario.Multihomed(opts.G)
-	protos := opts.Protocols
-	return runner.Spec[trialOutcome]{
-		Name:   fmt.Sprintf("transient(%v)", opts.Scenario),
-		Trials: opts.Trials * len(protos),
-		Seed:   opts.Seed,
-		Run: func(t runner.Trial) (trialOutcome, error) {
-			trial := t.Index / len(protos)
-			proto := protos[t.Index%len(protos)]
-			return runTransientShard(t.Ctx, opts.G, opts.Params, opts.Scenario, multihomed,
-				trial, proto,
-				runner.DeriveSeed(opts.Seed, streamWorkload, int64(trial)),
-				runner.DeriveSeed(opts.Seed, streamEngine, int64(trial), int64(proto)))
-		},
+// transientRun measures one shard's transient problems under params.
+func transientRun(params sim.Params) func(context.Context, shard) (trialOutcome, error) {
+	return func(ctx context.Context, s shard) (trialOutcome, error) {
+		out, err := traffic.RunTransientTrial(ctx, s.g, params, s.proto, s.script, s.seed)
+		return trialOutcome{Trial: s.trial, Proto: s.proto, Transient: out}, err
 	}
-}
-
-// runTransientShard regenerates trial's workload from wlSeed — in
-// canonical Script form, so restores (link flaps) work exactly like
-// plain failures — and runs one protocol through it with engSeed driving
-// the engine.
-func runTransientShard(ctx context.Context, g *topology.Graph, params sim.Params, sc scenario.Kind, multihomed []topology.ASN,
-	trial int, proto traffic.Protocol, wlSeed, engSeed int64) (trialOutcome, error) {
-	script, err := scenario.PickScript(g, multihomed, sc, rand.New(rand.NewSource(wlSeed)))
-	if err != nil {
-		return trialOutcome{}, err
-	}
-	out, err := traffic.RunTransientTrial(ctx, g, params, proto, script, engSeed)
-	if err != nil {
-		return trialOutcome{}, fmt.Errorf("%v trial %d: %w", proto, trial, err)
-	}
-	return trialOutcome{Trial: trial, Proto: proto, Transient: out}, nil
 }
 
 // affectedBuckets sizes power-of-two histogram buckets to the topology so
@@ -241,7 +287,9 @@ func RunTransient(opts TransientOpts) (*TransientResult, error) {
 		return nil, fmt.Errorf("transient: nil topology")
 	}
 	opts = opts.normalized()
-	acc, err := runner.Fold(transientSpec(opts), runner.Options{Workers: opts.Workers, Progress: opts.Progress, Context: opts.Context},
+	spec := shardSpec(fmt.Sprintf("transient(%v)", opts.Scenario),
+		newWorkload(opts.G, opts.Scenario, opts.Protocols, opts.Seed), opts.Trials, transientRun(opts.Params))
+	acc, err := runner.Fold(spec, runner.Options{Workers: opts.Workers, Progress: opts.Progress, Context: opts.Context},
 		newTransientAccum(opts.G.Len(), opts.Protocols),
 		func(a *transientAccum, _ runner.Trial, out trialOutcome) *transientAccum { return a.merge(out) })
 	if err != nil {

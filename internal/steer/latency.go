@@ -1,10 +1,11 @@
 // Package steer is the latency-aware color-steering subsystem: a link
-// latency/RTT model attached to the topology, a per-source health-
+// latency/RTT model attached to the topology and a per-source health-
 // monitoring policy over STAMP's red/blue planes (ported from the
 // lagbuster recipe: static baselines, comfort zones, consecutive-
-// unhealthy counters, switch cooldowns), and a four-arm experiment grid
+// unhealthy counters, switch cooldowns). The four-arm experiment grid
 // (BGP / R-BGP / STAMP / STAMP-steer) measuring whether intelligent
-// steering beats static color locking on user-perceived latency.
+// steering beats static color locking on user-perceived latency is the
+// lab package's steer-latency and steer-loss experiments.
 package steer
 
 import (

@@ -8,7 +8,7 @@ import (
 
 // Metrics is the steering subsystem's obs instrumentation. Counters are
 // atomic, so one Metrics may be shared across concurrently stepping
-// policies (the grid's parallel shards do exactly that).
+// policies.
 type Metrics struct {
 	// Switches counts color switches (stamp_steer_switches_total).
 	Switches *obs.Counter

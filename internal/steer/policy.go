@@ -53,9 +53,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// defaultTimeoutMs mirrors traffic.DefaultTimeoutMs without importing
-// traffic here (steer imports traffic elsewhere; kept as a plain const
-// and pinned by a test).
+// defaultTimeoutMs mirrors traffic.DefaultTimeoutMs, which the steer
+// package does not import; a test pins the two equal.
 const defaultTimeoutMs = 400.0
 
 func (c Config) withDefaults() Config {
