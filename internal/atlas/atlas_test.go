@@ -70,6 +70,11 @@ func TestCSRMatchesTopology(t *testing.T) {
 			}
 		}
 	}
+	mustReverseIndex(t, g)
+	for _, seed := range []int64{1, 7, 42} {
+		_, big := testGraph(t, 3000, seed)
+		mustReverseIndex(t, big)
+	}
 	// DegreeOrder is degree-descending with ascending-id ties.
 	ord := g.DegreeOrder()
 	if len(ord) != g.Len() {
@@ -81,6 +86,47 @@ func TestCSRMatchesTopology(t *testing.T) {
 			t.Fatalf("DegreeOrder violated at %d: AS %d (deg %d) before AS %d (deg %d)", i, ord[i-1], di, ord[i], dj)
 		}
 	}
+}
+
+// mustReverseIndex checks rev entry by entry: it is an involution, it
+// leads back to the row's owner from the inverse relationship group, and
+// it names the entry the binary search over that row finds.
+func mustReverseIndex(t *testing.T, g *Graph) {
+	t.Helper()
+	if len(g.rev) != len(g.nbr) {
+		t.Fatalf("rev has %d entries, nbr %d", len(g.rev), len(g.nbr))
+	}
+	for a := topology.ASN(0); a < topology.ASN(g.n); a++ {
+		for e := g.off[a]; e < g.off[a+1]; e++ {
+			b, r := g.nbr[e], g.rev[e]
+			if r < g.off[b] || r >= g.off[b+1] {
+				t.Fatalf("rev[%d] = %d (edge %d->%d) lies outside %d's row [%d, %d)", e, r, a, b, b, g.off[b], g.off[b+1])
+			}
+			if g.rev[r] != e {
+				t.Fatalf("rev[rev[%d]] = %d, want %d (edge %d->%d)", e, g.rev[r], e, a, b)
+			}
+			if g.nbr[r] != a {
+				t.Fatalf("nbr[rev[%d]] = %d, want the row owner %d", e, g.nbr[r], a)
+			}
+			if got, want := entryRel(g, b, r), entryRel(g, a, e).Invert(); got != want {
+				t.Fatalf("rev[%d] sits in %d's %v group; edge %d->%d is %v, so want %v", e, b, got, a, b, entryRel(g, a, e), want)
+			}
+			if want := g.entryIndex(b, a); r != want {
+				t.Fatalf("rev[%d] = %d, entryIndex(%d, %d) = %d", e, r, b, a, want)
+			}
+		}
+	}
+}
+
+// entryRel is the relationship group entry e of a's row sits in.
+func entryRel(g *Graph, a topology.ASN, e int32) topology.Rel {
+	switch {
+	case e < g.provEnd[a]:
+		return topology.RelProvider
+	case e < g.peerEnd[a]:
+		return topology.RelPeer
+	}
+	return topology.RelCustomer
 }
 
 // csrFingerprint hashes every array freeze produces: the row bounds,

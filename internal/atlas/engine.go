@@ -47,8 +47,9 @@ const (
 )
 
 // Frontier slot states: how much re-evaluation the next round owes an
-// AS. Every reached AS keeps its frontier slot whatever its state, so a
-// round's frontier order and the loop's round count do not depend on it.
+// AS. With a journal attached every reached AS keeps its frontier slot
+// whatever its state, so a round's frontier order does not depend on it;
+// without one, publish skips the entries that carry no offer at all.
 const (
 	frontOut     = int8(0) // not in the frontier
 	frontReached = int8(1) // reached, but no advertisement can move its route
@@ -174,11 +175,14 @@ type State struct {
 	// Shared per-window scratch (one plane converges at a time). inFront
 	// is an AS's frontier slot state (frontOut … frontScan); cand is its
 	// round candidate while the slot is frontOffer: the best offer pushed
-	// to it this round, packed sender<<2 | kind.
+	// to it this round (packCand). live records that this round's
+	// publications reached a live neighbor publish gave no slot, so the
+	// next round runs even if the frontier is empty.
 	ready     []int32
 	front     []int32
 	inFront   []int8
-	cand      []int32
+	cand      []int64
+	live      bool
 	frontLen  int
 	pend      []int32
 	inPend    []bool
@@ -360,7 +364,7 @@ func (e *Engine) NewState() *State {
 		ready:     make([]int32, n),
 		front:     make([]int32, 0, n),
 		inFront:   make([]int8, n),
-		cand:      make([]int32, n),
+		cand:      make([]int64, n),
 		pend:      make([]int32, 0, n),
 		inPend:    make([]bool, n),
 		wantPub:   make([]bool, n),
@@ -476,7 +480,7 @@ func (st *State) reset(dest topology.ASN) {
 		clear(st.changedStamp[p])
 	}
 	st.epoch = 0
-	st.frontLen, st.pendLen = 0, 0
+	st.frontLen, st.pendLen, st.live = 0, 0, false
 	clear(st.inFront)
 	clear(st.inPend)
 	clear(st.wantPub)
@@ -589,26 +593,55 @@ func (st *State) frontAdd(a int32) {
 // offer a neighbor hears: a's customers take anything as a provider
 // route, its peers and providers only customer routes, and a provider
 // only under the export rules.
+//
+// An entry that carries neither an offer nor an old offer can move no
+// route; reach would only give its neighbor a frontReached slot. Only the
+// journal observes that slot (it fixes each entry's position within its
+// round), so without one such entries are skipped and visit nothing. The
+// slot also kept the loop running one more round when the frontier held
+// nothing else; st.live stands in for it, so the round count is the same.
 func (st *State) publish(p int, a int32, oldKind int8, oldDist int32) {
 	g := st.g
 	kind, dist := st.advKind[p][a], st.advDist[p][a]
-	st.visited += int64(g.off[a+1] - g.off[a])
 	up, wasUp := kind == kindCustomer, oldKind == kindCustomer
-	for e := g.off[a]; e < g.provEnd[a]; e++ {
-		k, ok := kindNone, kindNone
-		if (up || wasUp) && st.climbs(p, topology.ASN(a), int32(g.nbr[e])) {
-			k, ok = kindIf(up, kindCustomer), kindIf(wasUp, kindCustomer)
+	if up || wasUp {
+		for e := g.off[a]; e < g.provEnd[a]; e++ {
+			k, ok := kindNone, kindNone
+			if st.climbs(p, topology.ASN(a), int32(g.nbr[e])) {
+				k, ok = kindIf(up, kindCustomer), kindIf(wasUp, kindCustomer)
+			}
+			st.fanOut(p, a, e, e+1, k, dist, ok, oldDist)
 		}
-		st.reach(p, a, e, k, dist, ok, oldDist)
+	} else {
+		st.fanOut(p, a, g.off[a], g.provEnd[a], kindNone, dist, kindNone, oldDist)
 	}
-	k, ok := kindIf(up, kindPeer), kindIf(wasUp, kindPeer)
-	for e := g.provEnd[a]; e < g.peerEnd[a]; e++ {
-		st.reach(p, a, e, k, dist, ok, oldDist)
+	st.fanOut(p, a, g.provEnd[a], g.peerEnd[a], kindIf(up, kindPeer), dist, kindIf(wasUp, kindPeer), oldDist)
+	st.fanOut(p, a, g.peerEnd[a], g.off[a+1], kindIf(kind != kindNone, kindProvider), dist, kindIf(oldKind != kindNone, kindProvider), oldDist)
+}
+
+// fanOut reaches the neighbors in entries [lo, hi) of a's row, all of
+// which hear the same offer k and old offer oldKind, or skips them when
+// neither is an offer and no journal is attached (see publish).
+func (st *State) fanOut(p int, a, lo, hi int32, k int8, dist int32, oldKind int8, oldDist int32) {
+	if k == kindNone && oldKind == kindNone && st.j == nil {
+		st.live = st.live || st.anyLive(lo, hi)
+		return
 	}
-	k, ok = kindIf(kind != kindNone, kindProvider), kindIf(oldKind != kindNone, kindProvider)
-	for e := g.peerEnd[a]; e < g.off[a+1]; e++ {
-		st.reach(p, a, e, k, dist, ok, oldDist)
+	st.visited += int64(hi - lo)
+	for e := lo; e < hi; e++ {
+		st.reach(p, a, e, k, dist, oldKind, oldDist)
 	}
+}
+
+// anyLive reports whether any entry in [lo, hi) leads over a live link to
+// a live AS: one reach would have given a frontier slot.
+func (st *State) anyLive(lo, hi int32) bool {
+	for e := lo; e < hi; e++ {
+		if !st.down[e] && !st.nodeDown[st.g.nbr[e]] {
+			return true
+		}
+	}
+	return false
 }
 
 // kindIf returns k when cond holds, else kindNone.
@@ -630,6 +663,9 @@ func kindIf(cond bool, k int8) int8 {
 // as its round candidate). Anything else leaves w's route where it is;
 // w still keeps its frontier slot, which keeps every journal entry's
 // within-round position and the round count.
+//
+// The candidate carries the via entry it would install, rev[e]: the
+// entry of a in w's row.
 func (st *State) reach(p int, a, e int32, k int8, dist int32, oldKind int8, oldDist int32) {
 	w := int32(st.g.nbr[e])
 	if st.down[e] || st.nodeDown[w] {
@@ -652,35 +688,46 @@ func (st *State) reach(p int, a, e int32, k int8, dist int32, oldKind int8, oldD
 		return
 	}
 	if k != kindNone {
-		var bs int32 // the best route's sender, read only to break a tie
 		if slot == frontOffer {
-			c := st.cand[w]
-			bs, bk = c>>2, int8(c&3)
-			bd = st.advDist[p][bs] + 1
-		} else if k == bk && dist+1 == bd {
-			bs = st.nextHopAS(st.curVia[p][w])
+			_, bd, bk = unpackCand(st.cand[w])
 		}
 		// recompute's order: kind, then length, then the lower sender. The
 		// origin's pinned (customer, 0) route is beaten by no offer.
-		if d := dist + 1; bk == kindNone || k < bk || (k == bk && (d < bd || (d == bd && a < bs))) {
-			st.cand[w] = a<<2 | int32(k)
+		if d := dist + 1; bk == kindNone || k < bk || (k == bk && (d < bd || (d == bd && a < st.bestSender(p, w, slot)))) {
+			st.cand[w] = packCand(st.g.rev[e], d, k)
 			slot = frontOffer
 		}
 	}
 	st.inFront[w] = slot
 }
 
+// bestSender is the sender of the best route w holds this round: its
+// candidate's while its slot is frontOffer, else its route's next hop.
+// reach reads it only to break a tie.
+func (st *State) bestSender(p int, w int32, slot int8) int32 {
+	v := st.curVia[p][w]
+	if slot == frontOffer {
+		v, _, _ = unpackCand(st.cand[w])
+	}
+	return st.nextHopAS(v)
+}
+
 // takeOffer installs a's round candidate as its route. The candidate
 // strictly beats a's route and did not come from a's next hop, so it is
-// what recompute would pick, found without the row scan; the via entry
-// is a binary search within the one group the candidate's kind names.
+// what recompute would pick, found without the row scan.
 func (st *State) takeOffer(p int, a int32) {
-	c := st.cand[a]
-	sender, kind := c>>2, int8(c&3)
-	lo, hi := st.g.group(a, kind)
-	st.curKind[p][a] = kind
-	st.curDist[p][a] = st.advDist[p][sender] + 1
-	st.curVia[p][a] = st.g.search(lo, hi, topology.ASN(sender))
+	st.curVia[p][a], st.curDist[p][a], st.curKind[p][a] = unpackCand(st.cand[a])
+}
+
+// packCand packs a round candidate: the via entry in the receiver's row,
+// the path length and the route kind. The length is below inf (1<<30), so
+// it fits beside the kind's two bits.
+func packCand(via, dist int32, kind int8) int64 {
+	return int64(via)<<32 | int64(dist)<<2 | int64(kind)
+}
+
+func unpackCand(c int64) (via, dist int32, kind int8) {
+	return int32(c >> 32), int32(uint32(c) >> 2), int8(c & 3)
 }
 
 func (st *State) pendAdd(a int32) {
@@ -849,8 +896,9 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 	// activation order, so this fires only on an engine bug.
 	maxRounds := int32(10_000) + 16*int32(g.Len())
 	round := int32(0)
-	for st.frontLen > 0 || st.pendLen > 0 {
+	for st.frontLen > 0 || st.pendLen > 0 || st.live {
 		round++
+		st.live = false
 		if round > maxRounds {
 			sp.End()
 			return round, fmt.Errorf("atlas: plane %d exceeded %d rounds at dest %d; engine bug", p, maxRounds, st.dest)
@@ -1194,10 +1242,10 @@ func (st *State) apply(ev scenario.Event) error {
 	switch ev.Op {
 	case scenario.OpFailLink, scenario.OpRestoreLink:
 		e1 := g.entryIndex(ev.A, ev.B)
-		e2 := g.entryIndex(ev.B, ev.A)
-		if e1 < 0 || e2 < 0 {
+		if e1 < 0 {
 			return fmt.Errorf("atlas: no link %d--%d", ev.A, ev.B)
 		}
+		e2 := g.rev[e1]
 		down := ev.Op == scenario.OpFailLink
 		if st.down[e1] == down {
 			state := "up"
@@ -1588,7 +1636,7 @@ func (st *State) beginGroup() {
 func (st *State) beginWindow(p int, reroot bool) int32 {
 	st.epoch++
 	st.winEpoch[p] = st.epoch
-	st.frontLen, st.pendLen = 0, 0
+	st.frontLen, st.pendLen, st.live = 0, 0, false
 	if reroot || st.listCap == 0 {
 		st.densify(p, true)
 	}

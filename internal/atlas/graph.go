@@ -37,6 +37,7 @@ type Graph struct {
 	provEnd []int32 // providers of a occupy [off[a], provEnd[a])
 	peerEnd []int32 // peers of a occupy [provEnd[a], peerEnd[a])
 	nbr     []topology.ASN
+	rev     []int32 // rev[e]: the entry of the opposite direction, in nbr[e]'s row
 
 	orig     []int64        // dense id -> original ASN (nil when built from a generated graph)
 	byDegree []topology.ASN // AS ids sorted by degree descending, then id ascending
@@ -211,6 +212,7 @@ func (b *builder) freeze() (*Graph, error) {
 		provEnd: make([]int32, n),
 		peerEnd: make([]int32, n),
 		nbr:     make([]topology.ASN, len(b.from)),
+		rev:     make([]int32, len(b.from)),
 		orig:    b.orig,
 	}
 	for _, f := range b.from {
@@ -256,14 +258,15 @@ func (b *builder) freeze() (*Graph, error) {
 				g.peerEnd[a] = e + 1
 			}
 		}
-		if dup, ok := rowDuplicate(
+		if dup, ok := rowDuplicate([3][]topology.ASN{
 			g.nbr[lo:g.provEnd[a]],
 			g.nbr[g.provEnd[a]:g.peerEnd[a]],
 			g.nbr[g.peerEnd[a]:hi],
-		); ok {
+		}); ok {
 			return nil, fmt.Errorf("atlas: duplicate or conflicting link between %d and %d", a, dup)
 		}
 	}
+	g.linkReverse(fill)
 	// Degree descending, then id ascending: one ascending sort on
 	// (^degree, id).
 	byDeg := make([]uint64, n)
@@ -278,13 +281,37 @@ func (b *builder) freeze() (*Graph, error) {
 	return g, nil
 }
 
+// linkReverse fills rev. A row's entry for b names b's row entry for it,
+// which sits in the inverse group: a provider's row lists a as a
+// customer, a peer's as a peer, a customer's as a provider. One pass per
+// group visits the rows in ascending order, so the rows that list b in
+// that group come in ascending order, which is the order of b's inverse
+// group: its entries are handed out by a cursor per AS (cur, len n) that
+// starts at the group's first slot.
+func (g *Graph) linkReverse(cur []int32) {
+	n := g.n
+	// group k of a row is [bound[k][a], bound[k+1][a]).
+	bound := [4][]int32{g.off[:n], g.provEnd, g.peerEnd, g.off[1:]}
+	for k := 0; k < 3; k++ {
+		copy(cur, bound[2-k])
+		lo, hi := bound[k], bound[k+1]
+		for a := int32(0); a < n; a++ {
+			for e := lo[a]; e < hi[a]; e++ {
+				b := g.nbr[e]
+				g.rev[e] = cur[b]
+				cur[b]++
+			}
+		}
+	}
+}
+
 // rowDuplicate reports a neighbor id appearing twice across the three
 // ascending-sorted relationship groups of one row.
-func rowDuplicate(groups ...[]topology.ASN) (topology.ASN, bool) {
+func rowDuplicate(groups [3][]topology.ASN) (topology.ASN, bool) {
 	prev := topology.ASN(-1)
 	first := true
 	// 3-way merge over sorted groups.
-	pos := make([]int, len(groups))
+	var pos [3]int
 	for {
 		best := -1
 		for i, p := range pos {
@@ -308,7 +335,13 @@ func rowDuplicate(groups ...[]topology.ASN) (topology.ASN, bool) {
 // generated topologies run on the atlas engine alongside ingested
 // snapshots.
 func FromTopology(t *topology.Graph) (*Graph, error) {
-	b := &builder{n: int32(t.Len())}
+	m := 2 * t.EdgeCount()
+	b := &builder{
+		n:    int32(t.Len()),
+		from: make([]topology.ASN, 0, m),
+		to:   make([]topology.ASN, 0, m),
+		rel:  make([]topology.Rel, 0, m),
+	}
 	for a := 0; a < t.Len(); a++ {
 		v := topology.ASN(a)
 		for _, p := range t.Providers(v) {

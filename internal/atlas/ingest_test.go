@@ -59,6 +59,7 @@ func TestIngestFixture(t *testing.T) {
 	if !g.IsMultihomed(4) {
 		t.Fatal("65002 should be multihomed")
 	}
+	mustReverseIndex(t, g)
 }
 
 // TestIngestGzip: the same bytes gzip-compressed ingest identically —
@@ -107,6 +108,7 @@ func TestIngestRoundTripGenerated(t *testing.T) {
 	if got.Len() != want.Len() || got.EdgeCount() != want.EdgeCount() {
 		t.Fatalf("size mismatch: %d/%d vs %d/%d", got.Len(), got.EdgeCount(), want.Len(), want.EdgeCount())
 	}
+	mustReverseIndex(t, got)
 	// WriteASRel emits graph-internal ASNs, and Ingest renumbers in
 	// first-seen order; relationships must agree under that mapping.
 	for a := 0; a < want.Len(); a++ {

@@ -3,8 +3,10 @@ package atlas
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stamp/internal/prov"
@@ -366,4 +368,112 @@ func TestParseWhy(t *testing.T) {
 			t.Errorf("ParseWhy(%q) accepted", bad)
 		}
 	}
+}
+
+// TestJournalDoesNotChangeOutcomes: without a journal, publish gives no
+// frontier slot to a neighbor no advertisement can move and a liveness
+// bit keeps the round count; with one, every reached neighbor keeps its
+// slot so the journal's within-round order holds. The two paths must
+// agree on everything but the journal: outcomes with their round
+// counts, every EventCost, the routes, the window sequence and each
+// retained window's touched sets, for every kind Run and Replay accept,
+// on the grouped driver and on InitDest plus an event stream, sparse and
+// always dense.
+func TestJournalDoesNotChangeOutcomes(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+	}{{400, 11}, {3000, 3}} {
+		tg, g := testGraph(t, tc.n, tc.seed)
+		eng := NewEngine(g, DefaultParams())
+		multihomed := scenario.Multihomed(g)
+		dests, err := Destinations(g, 2, 31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range allKinds {
+			if kind == scenario.PrefixWithdraw {
+				continue // Run and Replay refuse it
+			}
+			script, err := scenario.PickScript(tg, multihomed, kind, rand.New(rand.NewSource(21)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups := groupEvents(script)
+			for _, dest := range dests {
+				for _, c := range []int{-1, 0} {
+					name := fmt.Sprintf("N=%d %v dest %d %s", tc.n, kind, dest, capName(c))
+					bare, seen := withCap(eng, c), withCap(eng, c)
+					seen.SetJournal(prov.NewJournal(1 << 12))
+					ob, err := eng.ConvergeDest(bare, dest, groups)
+					if err != nil {
+						t.Fatal(err)
+					}
+					oj, err := eng.ConvergeDest(seen, dest, groups)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ob != oj {
+						t.Fatalf("%s ConvergeDest: without a journal %+v, with %+v", name, ob, oj)
+					}
+					mustSameState(t, name+" ConvergeDest", bare, seen)
+					for _, st := range []*State{bare, seen} {
+						if err := eng.InitDest(st, dest); err != nil {
+							t.Fatal(err)
+						}
+					}
+					mustSameState(t, name+" InitDest", bare, seen)
+					for i, ev := range script.Sorted() {
+						cb, err := eng.ApplyEvent(bare, ev)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cs, err := eng.ApplyEvent(seen, ev)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if cb != cs {
+							t.Fatalf("%s event %d %v: EventCost without a journal %+v, with %+v", name, i, ev, cb, cs)
+						}
+						mustSameState(t, fmt.Sprintf("%s event %d %v", name, i, ev), bare, seen)
+					}
+					if fb, fs := eng.FinishDest(bare), eng.FinishDest(seen); fb != fs {
+						t.Fatalf("%s FinishDest: without a journal %+v, with %+v", name, fb, fs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// mustSameState fails unless a and b are at the same window, hold the
+// same routes on every plane, and report the same touched set (or the
+// same refusal) for each window they retain.
+func mustSameState(t *testing.T, name string, a, b *State) {
+	t.Helper()
+	if a.Windows() != b.Windows() {
+		t.Fatalf("%s: window %d vs %d", name, a.Windows(), b.Windows())
+	}
+	for p := 0; p < planeCount; p++ {
+		for seq := a.Windows() - 1; seq <= a.Windows(); seq++ {
+			ta, oka := a.Touched(seq, p)
+			tb, okb := b.Touched(seq, p)
+			if oka != okb || !slices.Equal(slices.Sorted(slices.Values(ta)), slices.Sorted(slices.Values(tb))) {
+				t.Fatalf("%s: window %d %s touched %v (%v) vs %v (%v)", name, seq, PlaneName(p), ta, oka, tb, okb)
+			}
+		}
+		ka, da, na := snapshotPlane(a, p)
+		kb, db, nb := snapshotPlane(b, p)
+		if !slices.Equal(ka, kb) || !slices.Equal(da, db) || !slices.Equal(na, nb) {
+			t.Fatalf("%s: %s routes differ", name, PlaneName(p))
+		}
+	}
+}
+
+// snapshotPlane copies plane p's routes out of st with SnapshotRoutes.
+func snapshotPlane(st *State, p int) (kind []int8, dist, next []int32) {
+	n := st.g.Len()
+	kind, dist, next = make([]int8, n), make([]int32, n), make([]int32, n)
+	st.SnapshotRoutes(p, kind, dist, next)
+	return kind, dist, next
 }

@@ -251,13 +251,14 @@ func TestLinkFlapWorkIsChurnProportional(t *testing.T) {
 
 // TestInitDestScansOnlyWhatOffersMove is the work-counter gate on
 // from-scratch convergence: a reached AS rescans its row only when its
-// next hop's offer changed, and takes a strictly better offer without a
-// scan. Four InitDests at N=3,000 must examine fewer than half the ASes
-// and adjacency entries they did when every reached AS rescanned its row
-// (969,309, counted the same way: frontier slots, scanned and published
-// rows).
+// next hop's offer changed, takes a strictly better offer without a
+// scan, and, with no journal attached, a neighbor no advertisement can
+// move is not reached at all. Four InitDests at N=3,000 examined 228,165
+// ASes and adjacency entries (frontier slots, scanned rows, reached
+// entries), 23.5 % of the 969,309 they did when every reached AS
+// rescanned its row; the gate fails if that count grows.
 func TestInitDestScansOnlyWhatOffersMove(t *testing.T) {
-	const unfiltered = 969_309
+	const measured = 228_165
 	_, g := testGraph(t, 3000, 3)
 	eng := NewEngine(g, DefaultParams())
 	st := eng.NewState()
@@ -272,8 +273,8 @@ func TestInitDestScansOnlyWhatOffersMove(t *testing.T) {
 		}
 		visited += st.Visited()
 	}
-	if visited >= unfiltered/2 {
-		t.Fatalf("4 InitDests at N=3000 visited %d ASes and entries; want < %d, half the unfiltered frontier's", visited, unfiltered/2)
+	if visited > measured {
+		t.Fatalf("4 InitDests at N=3000 visited %d ASes and entries; want at most %d", visited, measured)
 	}
 }
 

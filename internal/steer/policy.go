@@ -1,9 +1,5 @@
 package steer
 
-import (
-	"time"
-)
-
 // Policy defaults. The comfort/degrade split gives the monitor
 // hysteresis (a source between the two thresholds neither accumulates
 // nor sheds suspicion), Consecutive debounces one-tick blips, and the
@@ -100,8 +96,6 @@ type Policy struct {
 	unhealthy int64 // total unhealthy (source, tick) samples
 	ticks     int64 // Step calls
 
-	m *Metrics
-
 	// OnSwitch, when non-nil, observes every switch: source AS, the
 	// color switched to, and the effective latencies (current color,
 	// other color) that triggered it. Used by serve's steer-flap flight
@@ -116,9 +110,6 @@ func NewPolicy(cfg Config) *Policy {
 
 // Config returns the effective (defaulted) tuning.
 func (p *Policy) Config() Config { return p.cfg }
-
-// Instrument attaches obs metrics (nil-safe; see NewMetrics).
-func (p *Policy) Instrument(m *Metrics) { p.m = m }
 
 // SwitchCount is the total number of color switches so far.
 func (p *Policy) SwitchCount() int64 { return p.switches }
@@ -177,10 +168,6 @@ func (p *Policy) Colors() []uint8 { return p.colors }
 //	                          least-bad keeps the current color only
 //	                          when it is strictly no worse
 func (p *Policy) Step(redLat, redLossP, blueLat, blueLossP []float32) {
-	var t0 time.Time
-	if p.m != nil {
-		t0 = time.Now()
-	}
 	cfg := p.cfg
 	var switched, bad int64
 	for v := range p.colors {
@@ -225,7 +212,4 @@ func (p *Policy) Step(redLat, redLossP, blueLat, blueLossP []float32) {
 	p.switches += switched
 	p.unhealthy += bad
 	p.ticks++
-	if p.m != nil {
-		p.m.observe(switched, bad, time.Since(t0))
-	}
 }

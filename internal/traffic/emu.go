@@ -114,6 +114,6 @@ func RunEmu(o EmuOpts) (*Curve, error) {
 // The sim-vs-live transient-deliverability parity recipe — the live
 // curve diffed against the simulator in the deterministic reference
 // configuration (emu.ReferenceParams, first-candidate lock picks) —
-// lives in internal/lab's loss experiment (emu backend), where both
-// curves run through the shared lab.Backend interface. Its fixture test
+// lives in internal/lab's runLossParity (the loss experiment on the emu
+// backend), which runs RunEmu and RunSim side by side. Its fixture test
 // is internal/lab's TestSimEmuTransientParity.
