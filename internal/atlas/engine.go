@@ -47,14 +47,11 @@ const (
 )
 
 // Frontier slot states: how much re-evaluation the next round owes an
-// AS. With a journal attached every reached AS keeps its frontier slot
-// whatever its state, so a round's frontier order does not depend on it;
-// without one, publish skips the entries that carry no offer at all.
+// AS. An AS joins the frontier only when something can move its route.
 const (
-	frontOut     = int8(0) // not in the frontier
-	frontReached = int8(1) // reached, but no advertisement can move its route
-	frontOffer   = int8(2) // takes its round candidate without a row scan
-	frontScan    = int8(3) // full recompute
+	frontOut   = int8(0) // not in the frontier
+	frontOffer = int8(1) // takes its round candidate without a row scan
+	frontScan  = int8(2) // full recompute
 )
 
 const inf = int32(1 << 30)
@@ -176,8 +173,8 @@ type State struct {
 	// is an AS's frontier slot state (frontOut … frontScan); cand is its
 	// round candidate while the slot is frontOffer: the best offer pushed
 	// to it this round (packCand). live records that this round's
-	// publications reached a live neighbor publish gave no slot, so the
-	// next round runs even if the frontier is empty.
+	// publications reached a live neighbor they gave no slot, so the next
+	// round runs even if the frontier is empty.
 	ready     []int32
 	front     []int32
 	inFront   []int8
@@ -226,9 +223,8 @@ type State struct {
 	seq     uint64
 	touched [2][planeCount][]int32
 	dense   [2][planeCount]bool
-	// casc is the cascade worklist: a binary min-heap of
-	// (sweep << 32 | AS) keys, capacity listCap.
-	casc []int64
+	// casc is the cascade worklist, a stack of capacity listCap.
+	casc []int32
 	// visited counts the ASes the current group's window machinery
 	// examined (cascade pops and dependent scans, frontier recomputes,
 	// advertisement fan-out, accounting passes; a dense pass adds N);
@@ -257,7 +253,7 @@ type State struct {
 	// external parent span an owner like serve wants atlas roots nested
 	// under, trcRoot the current apply/converge root the plane spans
 	// parent to, traceShard the ring the state's spans land in. NOT
-	// cleared by reset — the lifetime is owned by ApplyEvent/ConvergeDest
+	// cleared by reset — the lifetime is owned by openRoot/closeRoot
 	// (engine tracer) or SetTrace/ClearTrace (external owner).
 	trc        trace.Ctx
 	trcParent  uint64
@@ -337,6 +333,30 @@ func (st *State) ClearTrace() {
 // sets the Chrome thread id traces render under.
 func (st *State) SetTraceShard(i int) { st.traceShard = i }
 
+// openRoot starts the root span of one engine call, which the plane and
+// cascade spans parent to: in the externally attached trace context when
+// there is one (see SetTrace), else in a fresh sampling decision of the
+// engine's tracer. ext reports the former; pass it to closeRoot.
+func (e *Engine) openRoot(st *State, name string) (sp trace.Span, ext bool) {
+	ext = st.trc.Live()
+	if !ext {
+		st.trc = e.tracer.Event(st.traceShard)
+	}
+	sp = st.trc.StartChild(trace.SpanID(st.trcParent), name)
+	st.trcRoot = uint64(sp.ID())
+	return sp, ext
+}
+
+// closeRoot ends the root span openRoot started and drops the engine's
+// own trace context; an external one stays until ClearTrace.
+func (st *State) closeRoot(sp *trace.Span, ext bool) {
+	sp.End()
+	st.trcRoot = 0
+	if !ext {
+		st.trc = trace.Ctx{}
+	}
+}
+
 // planeSpanNames and roundArgKeys are the static span/arg names the
 // hot loop uses — indexed, never formatted, so tracing stays 0 allocs.
 var planeSpanNames = [planeCount]string{"atlas.plane_bgp", "atlas.plane_red", "atlas.plane_blue"}
@@ -384,7 +404,7 @@ func (e *Engine) NewState() *State {
 			st.touched[gen][p] = make([]int32, 0, st.listCap)
 		}
 	}
-	st.casc = make([]int64, 0, st.listCap)
+	st.casc = make([]int32, 0, st.listCap)
 	for i := range st.lockNext {
 		st.lockNext[i] = -1
 	}
@@ -413,7 +433,7 @@ func (st *State) setListCap(c int) {
 			st.touched[gen][p] = make([]int32, 0, c)
 		}
 	}
-	st.casc = make([]int64, 0, c)
+	st.casc = make([]int32, 0, c)
 }
 
 // Windows returns the state's window sequence number: it advances by
@@ -579,27 +599,22 @@ func (st *State) initPlane(p int) {
 // frontAdd seeds a for a full recompute: cascade victims, event
 // endpoints and red dependents changed what a's route is computed from
 // in ways no advertisement announces.
-func (st *State) frontAdd(a int32) {
+func (st *State) frontAdd(a int32) { st.frontSet(a, frontScan) }
+
+// frontSet puts a in the frontier, if it is not there yet, with slot.
+func (st *State) frontSet(a int32, slot int8) {
 	if st.inFront[a] == frontOut {
 		st.front = append(st.front[:st.frontLen], a)
 		st.frontLen++
 	}
-	st.inFront[a] = frontScan
+	st.inFront[a] = slot
 }
 
-// publish fans a's new plane-p advertisement out to its live neighbors
-// in row order, which is the order they join the next round's frontier.
+// publish fans a's new plane-p advertisement out to its live neighbors.
 // oldKind and oldDist are the advertisement it replaces. Per group, the
 // offer a neighbor hears: a's customers take anything as a provider
 // route, its peers and providers only customer routes, and a provider
 // only under the export rules.
-//
-// An entry that carries neither an offer nor an old offer can move no
-// route; reach would only give its neighbor a frontReached slot. Only the
-// journal observes that slot (it fixes each entry's position within its
-// round), so without one such entries are skipped and visit nothing. The
-// slot also kept the loop running one more round when the frontier held
-// nothing else; st.live stands in for it, so the round count is the same.
 func (st *State) publish(p int, a int32, oldKind int8, oldDist int32) {
 	g := st.g
 	kind, dist := st.advKind[p][a], st.advDist[p][a]
@@ -620,10 +635,11 @@ func (st *State) publish(p int, a int32, oldKind int8, oldDist int32) {
 }
 
 // fanOut reaches the neighbors in entries [lo, hi) of a's row, all of
-// which hear the same offer k and old offer oldKind, or skips them when
-// neither is an offer and no journal is attached (see publish).
+// which hear the same offer k and old offer oldKind. When neither is an
+// offer the group can move no route and visits nothing; it only sets
+// st.live if a neighbor is live (see reach).
 func (st *State) fanOut(p int, a, lo, hi int32, k int8, dist int32, oldKind int8, oldDist int32) {
-	if k == kindNone && oldKind == kindNone && st.j == nil {
+	if k == kindNone && oldKind == kindNone {
 		st.live = st.live || st.anyLive(lo, hi)
 		return
 	}
@@ -634,7 +650,7 @@ func (st *State) fanOut(p int, a, lo, hi int32, k int8, dist int32, oldKind int8
 }
 
 // anyLive reports whether any entry in [lo, hi) leads over a live link to
-// a live AS: one reach would have given a frontier slot.
+// a live AS.
 func (st *State) anyLive(lo, hi int32) bool {
 	for e := lo; e < hi; e++ {
 		if !st.down[e] && !st.nodeDown[st.g.nbr[e]] {
@@ -653,16 +669,16 @@ func kindIf(cond bool, k int8) int8 {
 }
 
 // reach queues neighbor w = nbr[e] for the next round on a's
-// publication, and records how much re-evaluation that can force. a now
-// offers w a route of kind k (kindNone: nothing) advertised at length
-// dist, where it offered oldKind at oldDist. Phase 1 reads only
-// advertisements, and w's route was the best of them when last computed,
-// so only two things can move it: its next hop's offer changed (a is
-// that next hop: full recompute), or an offer arrived that strictly
-// beats the best w holds or was already offered this round (w takes it
-// as its round candidate). Anything else leaves w's route where it is;
-// w still keeps its frontier slot, which keeps every journal entry's
-// within-round position and the round count.
+// publication, as far as that can move w's route. a now offers w a route
+// of kind k (kindNone: nothing) advertised at length dist, where it
+// offered oldKind at oldDist. Phase 1 reads only advertisements, and w's
+// route was the best of them when last computed, so only two things can
+// move it: its next hop's offer changed (a is that next hop: full
+// recompute), or an offer arrived that strictly beats the best w holds
+// or was already offered this round (w takes it as its round candidate).
+// Anything else leaves w's route where it is and w out of the frontier;
+// st.live still runs the next round, so the round count does not depend
+// on which reached ASes could move.
 //
 // The candidate carries the via entry it would install, rev[e]: the
 // entry of a in w's row.
@@ -672,19 +688,14 @@ func (st *State) reach(p int, a, e int32, k int8, dist int32, oldKind int8, oldD
 		return
 	}
 	slot := st.inFront[w]
-	switch slot {
-	case frontScan:
+	if slot == frontScan {
 		return
-	case frontOut:
-		st.front = append(st.front[:st.frontLen], w)
-		st.frontLen++
-		slot = frontReached
 	}
 	bk, bd := st.curKind[p][w], st.curDist[p][w]
 	// A route through a is a's old offer, so only a route that equals it
 	// needs its next hop read.
 	if oldKind != kindNone && bk == oldKind && bd == oldDist+1 && st.nextHopAS(st.curVia[p][w]) == a {
-		st.inFront[w] = frontScan
+		st.frontSet(w, frontScan)
 		return
 	}
 	if k != kindNone {
@@ -695,10 +706,11 @@ func (st *State) reach(p int, a, e int32, k int8, dist int32, oldKind int8, oldD
 		// origin's pinned (customer, 0) route is beaten by no offer.
 		if d := dist + 1; bk == kindNone || k < bk || (k == bk && (d < bd || (d == bd && a < st.bestSender(p, w, slot)))) {
 			st.cand[w] = packCand(st.g.rev[e], d, k)
-			slot = frontOffer
+			st.frontSet(w, frontOffer)
+			return
 		}
 	}
-	st.inFront[w] = slot
+	st.live = true
 }
 
 // bestSender is the sender of the best route w holds this round: its
@@ -917,9 +929,6 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			a := st.front[i]
 			slot := st.inFront[a]
 			st.inFront[a] = frontOut
-			if slot == frontReached {
-				continue
-			}
 			if topology.ASN(a) == st.dest && !st.withdrawn && !st.nodeDown[a] {
 				continue // the origin's route is pinned
 			}
@@ -1006,16 +1015,14 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 // propagates withdrawals instantaneously — see the package comment) and
 // queueing the victims for re-convergence.
 //
-// The reference procedure sweeps all ASes in ascending order, repeatedly,
-// until a sweep invalidates nothing. Before the group's events the state
-// was a fixpoint with no dead route in it, so the only routes that can be
-// dead on arrival are at the events' endpoints, and every later victim
-// lost its next hop to an earlier one. The worklist therefore starts at
-// the endpoints and follows reverse next-hop dependencies, keyed
-// (sweep, AS) in a min-heap so victims fall in exactly the order the
-// sweeps would find them — the journal and the frontier order are
-// unchanged. A worklist that outgrows its fixed capacity hands over to
-// the sweeps from the position it had reached.
+// Before the group's events the state was a fixpoint with no dead route
+// in it, so the only routes that can be dead on arrival are at the
+// events' endpoints, and every later victim lost its next hop to an
+// earlier one. The worklist therefore starts at the endpoints and
+// follows reverse next-hop dependencies. The victims are the closure of
+// that relation, so the order they are visited in cannot change which
+// they are. A worklist that outgrows its fixed capacity hands over to
+// the dense sweeps.
 func (st *State) cascade(p int, group []scenario.Event, out *PlaneOutcome) {
 	g := st.g
 	sp := st.trc.StartChild(trace.SpanID(st.trcRoot), "atlas.cascade")
@@ -1025,48 +1032,38 @@ func (st *State) cascade(p int, group []scenario.Event, out *PlaneOutcome) {
 	for _, ev := range group {
 		switch ev.Op {
 		case scenario.OpFailLink:
-			seeded = seeded && st.cascPush(1, int32(ev.A)) && st.cascPush(1, int32(ev.B))
+			seeded = seeded && st.cascPush(int32(ev.A)) && st.cascPush(int32(ev.B))
 		case scenario.OpFailNode:
-			seeded = seeded && st.cascPush(1, int32(ev.Node))
+			seeded = seeded && st.cascPush(int32(ev.Node))
 			for e := g.off[ev.Node]; seeded && e < g.off[ev.Node+1]; e++ {
-				seeded = st.cascPush(1, int32(g.nbr[e]))
+				seeded = st.cascPush(int32(g.nbr[e]))
 			}
 		case scenario.OpWithdraw:
-			seeded = seeded && st.cascPush(1, int32(ev.Node))
+			seeded = seeded && st.cascPush(int32(ev.Node))
 		}
 	}
-	if !seeded {
-		st.cascadeSweeps(p, 0, out)
-	}
 	for seeded && len(st.casc) > 0 {
-		sweep, a := st.cascPop()
+		a := st.casc[len(st.casc)-1]
+		st.casc = st.casc[:len(st.casc)-1]
 		st.visited++
 		if !st.routeDead(p, a) {
 			continue
 		}
 		st.invalidate(p, a, out)
 		// a's dependents — neighbors forwarding through a — are dead now.
-		// The sweep reaches a higher-numbered one later in the same pass
-		// and a lower-numbered one in the next.
 		st.visited += int64(g.off[a+1] - g.off[a])
-		for e := g.off[a]; e < g.off[a+1]; e++ {
+		for e := g.off[a]; seeded && e < g.off[a+1]; e++ {
 			w := int32(g.nbr[e])
 			if st.curKind[p][w] == kindNone {
 				continue
 			}
-			if v := st.curVia[p][w]; v < 0 || int32(g.nbr[v]) != a {
-				continue
-			}
-			next := sweep
-			if w < a {
-				next++
-			}
-			if !st.cascPush(next, w) {
-				st.cascadeSweeps(p, a+1, out)
-				seeded = false
-				break
+			if v := st.curVia[p][w]; v >= 0 && int32(g.nbr[v]) == a {
+				seeded = st.cascPush(w)
 			}
 		}
+	}
+	if !seeded {
+		st.cascadeSweeps(p, out)
 	}
 	if sp.Live() {
 		sp.Arg("plane", int64(p))
@@ -1076,53 +1073,13 @@ func (st *State) cascade(p int, group []scenario.Event, out *PlaneOutcome) {
 	}
 }
 
-// cascPush adds (sweep, a) to the cascade worklist; false means it is
-// full.
-func (st *State) cascPush(sweep int64, a int32) bool {
-	h := st.casc
-	if len(h) == st.listCap {
+// cascPush adds a to the cascade worklist; false means it is full.
+func (st *State) cascPush(a int32) bool {
+	if len(st.casc) == st.listCap {
 		return false
 	}
-	key := sweep<<32 | int64(a)
-	i := len(h)
-	h = append(h, key)
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= key {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = key
-	st.casc = h
+	st.casc = append(st.casc, a)
 	return true
-}
-
-// cascPop removes and returns the worklist's smallest (sweep, AS).
-func (st *State) cascPop() (sweep int64, a int32) {
-	h := st.casc
-	top := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	for i := 0; len(h) > 0; {
-		child := 2*i + 1
-		if child >= len(h) {
-			h[i] = last
-			break
-		}
-		if child+1 < len(h) && h[child+1] < h[child] {
-			child++
-		}
-		if last <= h[child] {
-			h[i] = last
-			break
-		}
-		h[i] = h[child]
-		i = child
-	}
-	st.casc = h
-	return top >> 32, int32(top)
 }
 
 // routeDead reports whether a's plane-p route (if any) crosses a dead
@@ -1162,23 +1119,21 @@ func (st *State) invalidate(p int, a int32, out *PlaneOutcome) {
 }
 
 // cascadeSweeps is the dense cascade: ascending sweeps over all ASes
-// until one invalidates nothing. The first sweep starts at AS from —
-// where an overflowed worklist left off, or 0.
-func (st *State) cascadeSweeps(p int, from int32, out *PlaneOutcome) {
+// until one invalidates nothing.
+func (st *State) cascadeSweeps(p int, out *PlaneOutcome) {
 	n := int32(st.g.Len())
 	for {
-		st.visited += int64(n - from)
+		st.visited += int64(n)
 		any := false
-		for a := from; a < n; a++ {
+		for a := int32(0); a < n; a++ {
 			if st.routeDead(p, a) {
 				st.invalidate(p, a, out)
 				any = true
 			}
 		}
-		if !any && from == 0 {
+		if !any {
 			return
 		}
-		from = 0
 	}
 }
 
@@ -1320,22 +1275,11 @@ type engineState interface {
 // node events are applied globally; its Dest field is ignored (each
 // shard is its own origin).
 func (e *Engine) ConvergeDest(st *State, dest topology.ASN, groups [][]scenario.Event) (DestOutcome, error) {
-	ext := st.trc.Live()
-	if !ext {
-		st.trc = e.tracer.Event(st.traceShard)
-	}
-	sp := st.trc.StartChild(trace.SpanID(st.trcParent), "atlas.converge_dest")
-	st.trcRoot = uint64(sp.ID())
+	sp, ext := e.openRoot(st, "atlas.converge_dest")
 	out, err := convergeDest(st, e.p, dest, groups)
-	if sp.Live() {
-		sp.Arg("dest", int64(dest))
-		sp.Arg("groups", int64(len(groups)))
-		sp.End()
-	}
-	st.trcRoot = 0
-	if !ext {
-		st.trc = trace.Ctx{}
-	}
+	sp.Arg("dest", int64(dest))
+	sp.Arg("groups", int64(len(groups)))
+	st.closeRoot(&sp, ext)
 	st.inited = err == nil
 	return out, err
 }
@@ -1520,21 +1464,10 @@ func applyEventGroup(st engineState, params Params, group []scenario.Event) (Eve
 // stream events incrementally. The outcome accumulates in the state;
 // FinishDest reads it out.
 func (e *Engine) InitDest(st *State, dest topology.ASN) error {
-	ext := st.trc.Live()
-	if !ext {
-		st.trc = e.tracer.Event(st.traceShard)
-	}
-	sp := st.trc.StartChild(trace.SpanID(st.trcParent), "atlas.init_dest")
-	st.trcRoot = uint64(sp.ID())
+	sp, ext := e.openRoot(st, "atlas.init_dest")
 	err := initConverge(st, e.p, dest, nil)
-	if sp.Live() {
-		sp.Arg("dest", int64(dest))
-		sp.End()
-	}
-	st.trcRoot = 0
-	if !ext {
-		st.trc = trace.Ctx{}
-	}
+	sp.Arg("dest", int64(dest))
+	st.closeRoot(&sp, ext)
 	st.inited = err == nil
 	return err
 }
@@ -1555,12 +1488,7 @@ func (e *Engine) ApplyEvent(st *State, ev scenario.Event) (EventCost, error) {
 	if e.metrics != nil {
 		start = time.Now()
 	}
-	ext := st.trc.Live()
-	if !ext {
-		st.trc = e.tracer.Event(st.traceShard)
-	}
-	sp := st.trc.StartChild(trace.SpanID(st.trcParent), "atlas.apply_event")
-	st.trcRoot = uint64(sp.ID())
+	sp, ext := e.openRoot(st, "atlas.apply_event")
 	st.evScratch[0] = ev
 	cost, err := applyEventGroup(st, e.p, st.evScratch[:1])
 	if sp.Live() {
@@ -1578,12 +1506,8 @@ func (e *Engine) ApplyEvent(st *State, ev scenario.Event) (EventCost, error) {
 			// entries are the ones at or below this seq with its event id).
 			sp.Arg("prov_seq", int64(st.j.LastSeq()))
 		}
-		sp.End()
 	}
-	st.trcRoot = 0
-	if !ext {
-		st.trc = trace.Ctx{}
-	}
+	st.closeRoot(&sp, ext)
 	if err == nil && e.metrics != nil {
 		e.metrics.record(st, cost, start)
 	}
@@ -1747,13 +1671,11 @@ func (st *State) accumulateFinal(out *DestOutcome) {
 
 // seedRedDependents queues the providers of every AS whose red route
 // changed in the red window (stamped with that window's epoch), plus
-// the AS itself, for blue re-evaluation — in ascending AS order, which
-// is the order blue's first round journals them in.
+// the AS itself, for blue re-evaluation.
 func (st *State) seedRedDependents(redEpoch int32) {
 	gen := st.seq & 1
 	if !st.dense[gen][planeRed] {
 		red := st.touched[gen][planeRed]
-		slices.Sort(red)
 		st.visited += int64(len(red))
 		for _, a := range red {
 			st.seedRedDependent(a)

@@ -73,9 +73,9 @@ func graphEdges(g *Graph) [][2]topology.ASN {
 // a from-scratch convergence (on the flat engine and the map
 // reference); the flat engine's sparse windows — at the default
 // touched-list capacity, at 0 (always dense) and at tiny ones (overflow
-// part-way) — report the EventCost, DestOutcome and routes of the map
-// engine's dense passes, and one and the same journal; and the flat
-// incremental hot loop allocates nothing.
+// part-way) — report the EventCost, DestOutcome, routes and canonical
+// journal of the map engine's dense passes; and the flat incremental hot
+// loop allocates nothing.
 //
 // Run long with: go test -fuzz=FuzzIncrementalConverge ./internal/atlas/
 func FuzzIncrementalConverge(f *testing.F) {

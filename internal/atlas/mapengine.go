@@ -20,8 +20,9 @@ import (
 // route, clear every accumulator, cascade by sweeping all ASes, account
 // for loss over all ASes — with none of State's touched-set
 // bookkeeping, so the differential tests compare two different ways of
-// arriving at the same routes, EventCost and DestOutcome. It is
-// deliberately not optimized; it is the "before" picture.
+// arriving at the same routes, EventCost, DestOutcome and journal in
+// canonical form. It is deliberately not optimized; it is the "before"
+// picture.
 type MapEngine struct {
 	g *Graph
 	p Params
@@ -73,9 +74,9 @@ type MapState struct {
 	evScratch [1]scenario.Event
 
 	// j mirrors State.j: the optional route-provenance journal. Entry
-	// ORDER within a window differs from the flat engine (map iteration
-	// is unordered) but the latest-entry-per-(plane, AS) semantics every
-	// query uses are identical.
+	// order within one (event, plane, round) follows map iteration, so
+	// it differs from the flat engine's, as the journal's order contract
+	// allows; the entries themselves are the same.
 	j *prov.Journal
 }
 
