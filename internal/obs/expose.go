@@ -51,9 +51,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 func writeHistogram(bw *bufio.Writer, f *family, c *child) {
 	h := c.hist
 	var cum uint64
-	for i, ub := range h.bounds {
+	for i, le := range f.les {
 		cum += h.counts[i].Load()
-		writeSeries(bw, f.name+"_bucket", f.labelNames, c.labelValues, "le", formatFloat(ub), formatUint(cum))
+		writeSeries(bw, f.name+"_bucket", f.labelNames, c.labelValues, "le", le, formatUint(cum))
 	}
 	cum += h.counts[len(h.bounds)].Load()
 	writeSeries(bw, f.name+"_bucket", f.labelNames, c.labelValues, "le", "+Inf", formatUint(cum))

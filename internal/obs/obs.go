@@ -193,6 +193,7 @@ type family struct {
 	kind       kind
 	labelNames []string
 	bounds     []float64 // histogram families only
+	les        []string  // bounds formatted as `le` label values, once
 
 	mu       sync.Mutex
 	children []*child
@@ -260,6 +261,9 @@ func (r *Registry) register(name, help string, k kind, labels []string, bounds [
 	}
 	f := &family{name: name, help: help, kind: k, labelNames: labels, bounds: bounds,
 		index: make(map[string]*child)}
+	for _, ub := range bounds {
+		f.les = append(f.les, formatFloat(ub))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byName[name]; dup {

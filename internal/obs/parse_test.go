@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -230,5 +231,39 @@ func TestEventLogOldestSeq(t *testing.T) {
 	}
 	if evs := l.Since(0); evs[0].Seq != 3 {
 		t.Fatalf("Since(0) starts at %d, want 3", evs[0].Seq)
+	}
+}
+
+// TestRuntimeGCPausesObservedOnce holds the pause histogram to the GC
+// counter: with fewer than 256 cycles between scrapes (the runtime's
+// pause ring), every cycle adds exactly one observation — none missed,
+// none counted twice.
+func TestRuntimeGCPausesObservedOnce(t *testing.T) {
+	reg := NewRegistry()
+	RegisterRuntime(reg)
+	counts := func() (gcs, pauses float64) {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := ParseText(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gcs, _ = sc.Value("stamp_runtime_num_gc_total")
+		pauses, _ = sc.Value("stamp_runtime_gc_pause_seconds_count")
+		return gcs, pauses
+	}
+	g0, p0 := counts()
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+	}
+	g1, p1 := counts()
+	g2, p2 := counts()
+	if g1-g0 < 5 {
+		t.Fatalf("num_gc advanced %v over 5 forced cycles", g1-g0)
+	}
+	if g1-g0 != p1-p0 || g2-g1 != p2-p1 {
+		t.Fatalf("GC cycles %v, %v but pauses observed %v, %v", g1-g0, g2-g1, p1-p0, p2-p1)
 	}
 }

@@ -84,20 +84,29 @@ type Entry struct {
 
 // Journal is a bounded route-change ring for ONE destination's state.
 // It is not internally synchronized: the engine writes it from the
-// single goroutine converging that destination, and concurrent readers
-// must hold whatever lock orders them against ApplyEvent (see
-// internal/serve's per-shard provMu).
+// single goroutine converging that destination. Queries are not
+// read-only either — Latest and Chain may rebuild the (plane, AS)
+// index — so callers must serialize every query with the writer AND
+// with each other (internal/serve's per-shard provMu does both).
 //
 // A nil *Journal is a valid no-op receiver for every method, so the
 // engine hooks cost one predictable branch when provenance is off.
 type Journal struct {
 	ring  []Entry
 	count uint64 // total appends ever; Seq of the newest entry
+	gen   uint64 // bumped by Reset, so a stale index never survives one
 
 	// Staged per-window context stamped onto every Note.
 	event  uint64
 	plane  int8
 	reroot bool
+
+	// Query index (see index.go): built lazily by the first query after
+	// the journal changed, valid while count and gen match the build.
+	idx      []int32
+	idxShift uint8
+	idxCount uint64
+	idxGen   uint64
 }
 
 // NewJournal builds a journal retaining the last capacity entries.
@@ -116,6 +125,7 @@ func (j *Journal) Reset() {
 		return
 	}
 	j.count = 0
+	j.gen++
 	j.event = 0
 	j.plane = 0
 	j.reroot = false

@@ -30,16 +30,15 @@ func (j *Journal) Tail(n int) []Entry {
 // Latest returns the newest retained entry for (plane, as): per the
 // journal invariant, the AS's current route in that plane. ok is false
 // when no entry is retained — the AS has been routeless and untouched
-// since Reset, or its history was evicted.
+// since Reset, or its history was evicted. The first query after the
+// journal changed rebuilds the (plane, AS) index in O(cap); later ones
+// are O(1).
 func (j *Journal) Latest(plane int, as int32) (Entry, bool) {
-	if j == nil || j.count == 0 {
+	if j == nil || j.count == 0 || int(int8(plane)) != plane {
 		return Entry{}, false
 	}
-	for seq := j.count; seq > j.Evicted(); seq-- {
-		e := j.at(seq)
-		if int(e.Plane) == plane && e.AS == as {
-			return e, true
-		}
+	if slot, ok := j.find(int8(plane), as); ok {
+		return j.ring[slot], true
 	}
 	return Entry{}, false
 }
@@ -55,7 +54,8 @@ func (j *Journal) Latest(plane int, as int32) (Entry, bool) {
 // is its current route, and current routes at a settled fixpoint form
 // a forest rooted at the origin (dist strictly decreases hop by hop),
 // so the walk terminates. The step bound is a defensive cycle guard,
-// not a correctness requirement.
+// not a correctness requirement. Each hop is one Latest, so once the
+// index is current a walk costs O(hops), not O(hops × cap).
 func (j *Journal) Chain(plane int, as int32) (chain []Entry, truncated bool) {
 	if j == nil {
 		return nil, false

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"stamp/internal/atlas"
@@ -320,18 +322,12 @@ func (s *Server) handleStateRead(w http.ResponseWriter, r *http.Request) error {
 	if asParam == "" {
 		// Summary read: per-plane reachability at the published epoch.
 		snap := sh.acquire()
-		sum := StateSummary{
-			Dest:             snap.destASN,
-			Epoch:            snap.epoch,
-			ASes:             s.g.Len(),
-			Reachable:        map[string]int32{},
-			StampUnreachable: snap.stampUnreachable,
-		}
-		for p := 0; p < atlas.PlaneCount; p++ {
-			sum.Reachable[planeNames[p]] = snap.reachable[p]
-		}
+		dest, epoch, reach, unreach := snap.destASN, snap.epoch, snap.reachable, snap.stampUnreachable
 		sh.release(snap)
-		writeJSON(w, http.StatusOK, sum)
+		bp := stateBufs.Get().(*[]byte)
+		*bp = appendStateSummary((*bp)[:0], dest, epoch, s.g.Len(), &reach, unreach)
+		writeEncoded(w, *bp)
+		stateBufs.Put(bp)
 		return nil
 	}
 
@@ -344,23 +340,106 @@ func (s *Server) handleStateRead(w http.ResponseWriter, r *http.Request) error {
 		return errf(http.StatusNotFound, "unknown AS %d", asn)
 	}
 	// Extract under the snapshot pin, release before serialization.
+	var planes [atlas.PlaneCount]PlaneRoute
 	snap := sh.acquire()
-	read := StateRead{Dest: snap.destASN, AS: asn, Epoch: snap.epoch,
-		Planes: make([]PlaneRoute, atlas.PlaneCount)}
-	for p := 0; p < atlas.PlaneCount; p++ {
-		pr := PlaneRoute{
-			Plane: planeNames[p],
-			Kind:  atlas.KindName(snap.kind[p][dense]),
-			Dist:  snap.dist[p][dense],
-		}
+	read := StateRead{Dest: snap.destASN, AS: asn, Epoch: snap.epoch, Planes: planes[:]}
+	for p := range planes {
+		pr := &planes[p]
+		pr.Plane = planeNames[p]
+		pr.Kind = atlas.KindName(snap.kind[p][dense])
+		pr.Dist = snap.dist[p][dense]
 		if next := snap.next[p][dense]; next >= 0 {
 			pr.Next = s.g.OriginalASN(topology.ASN(next))
 		}
-		read.Planes[p] = pr
 	}
 	sh.release(snap)
-	writeJSON(w, http.StatusOK, read)
+	bp := stateBufs.Get().(*[]byte)
+	*bp = appendStateRead((*bp)[:0], &read)
+	writeEncoded(w, *bp)
+	stateBufs.Put(bp)
 	return nil
+}
+
+// stateBufs recycles the buffers point and summary reads encode into.
+var stateBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// writeEncoded sends a payload the append encoders below built, with
+// the status and Content-Type writeJSON would have set.
+func writeEncoded(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+}
+
+// The state-read encoders append exactly the bytes writeJSON's
+// json.Encoder with SetIndent("", "  ") writes for the same value —
+// field order, `next` omitted when 0, map keys sorted, trailing
+// newline — without reflection or a second indenting pass. A wire test
+// holds them to encoding/json.
+
+// appendStateRead appends a point-read payload; r.Planes is never
+// empty.
+func appendStateRead(b []byte, r *StateRead) []byte {
+	b = append(b, "{\n  \"dest\": "...)
+	b = strconv.AppendInt(b, r.Dest, 10)
+	b = append(b, ",\n  \"as\": "...)
+	b = strconv.AppendInt(b, r.AS, 10)
+	b = append(b, ",\n  \"epoch\": "...)
+	b = strconv.AppendUint(b, r.Epoch, 10)
+	b = append(b, ",\n  \"planes\": ["...)
+	for i := range r.Planes {
+		p := &r.Planes[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"plane\": "...)
+		b = appendJSONString(b, p.Plane)
+		b = append(b, ",\n      \"kind\": "...)
+		b = appendJSONString(b, p.Kind)
+		b = append(b, ",\n      \"dist\": "...)
+		b = strconv.AppendInt(b, int64(p.Dist), 10)
+		if p.Next != 0 {
+			b = append(b, ",\n      \"next\": "...)
+			b = strconv.AppendInt(b, p.Next, 10)
+		}
+		b = append(b, "\n    }"...)
+	}
+	return append(b, "\n  ]\n}\n"...)
+}
+
+// summaryOrder lists the planes in the order encoding/json writes
+// StateSummary.Reachable's keys: sorted, so bgp, blue, red.
+var summaryOrder = [atlas.PlaneCount]int{0, 2, 1}
+
+// appendStateSummary appends a summary-read payload (a StateSummary).
+func appendStateSummary(b []byte, dest int64, epoch uint64, ases int, reachable *[atlas.PlaneCount]int32, stampUnreachable int32) []byte {
+	b = append(b, "{\n  \"dest\": "...)
+	b = strconv.AppendInt(b, dest, 10)
+	b = append(b, ",\n  \"epoch\": "...)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, ",\n  \"ases\": "...)
+	b = strconv.AppendInt(b, int64(ases), 10)
+	b = append(b, ",\n  \"reachable\": {"...)
+	for i, p := range summaryOrder {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    "...)
+		b = appendJSONString(b, planeNames[p])
+		b = append(b, ": "...)
+		b = strconv.AppendInt(b, int64(reachable[p]), 10)
+	}
+	b = append(b, "\n  },\n  \"stamp_unreachable\": "...)
+	b = strconv.AppendInt(b, int64(stampUnreachable), 10)
+	return append(b, "\n}\n"...)
+}
+
+// appendJSONString appends s quoted. Plane and kind names are plain
+// ASCII identifiers, which JSON quotes verbatim.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // WhyResponse is the GET /state/{dest}/{as}/why payload: the causal
@@ -390,9 +469,10 @@ func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) error {
 		return errf(http.StatusNotFound, "unknown AS %d", asn)
 	}
 	sh := s.shards[i]
-	// The chain walk reads the whole ring, so it takes the shard's
-	// journal lock rather than the snapshot pin; the epoch is read
-	// after the walk so the pair is consistent under the single writer.
+	// The chain walk reads the journal — and may rebuild its index, one
+	// O(cap) pass after each event — so it takes the shard's journal
+	// lock rather than the snapshot pin; the epoch is read after the
+	// walk so the pair is consistent under the single writer.
 	sh.provMu.Lock()
 	rep := atlas.BuildWhy(s.g, sh.j, sh.dest, topology.ASN(dense))
 	sh.provMu.Unlock()
@@ -462,10 +542,37 @@ func parseOp(s string) (scenario.Op, error) {
 	return 0, fmt.Errorf("unknown op %q (want fail-link, restore-link, or fail-node)", s)
 }
 
+// maxAdminBody bounds an admin request body.
+const maxAdminBody = 64 << 10
+
+// decodeAdmin decodes an admin request body into v, or writes the error
+// response and returns false: 413 when the body exceeds maxAdminBody,
+// 400 when it is not JSON or names a field v does not have.
+func decodeAdmin(w http.ResponseWriter, r *http.Request, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, maxAdminBody)
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		// Drain what follows the value, so an oversized body is refused
+		// whatever its first maxAdminBody bytes hold.
+		_, err = io.Copy(io.Discard, body)
+	}
+	if err == nil {
+		return true
+	}
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]string{"error": fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	return false
+}
+
 func (s *Server) handleAdminEvent(w http.ResponseWriter, r *http.Request) {
 	var req AdminEvent
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	if !decodeAdmin(w, r, &req) {
 		return
 	}
 	op, err := parseOp(req.Op)
@@ -503,8 +610,7 @@ type SteerSwitchAck struct {
 
 func (s *Server) handleSteerSwitch(w http.ResponseWriter, r *http.Request) {
 	var req SteerSwitch
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	if !decodeAdmin(w, r, &req) {
 		return
 	}
 	if _, ok := s.byASN[req.Source]; !ok {

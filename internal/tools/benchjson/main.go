@@ -149,6 +149,10 @@ func Summarize(doc *Doc) {
 			if v, ok := b.Metrics["queries/s"]; ok {
 				set("why_queries_per_s", v)
 			}
+		case "BenchmarkProvWhyAfterNote":
+			if v, ok := b.Metrics["queries/s"]; ok {
+				set("why_after_note_queries_per_s", v)
+			}
 		}
 	}
 	if incNs > 0 && scratchNs > 0 {

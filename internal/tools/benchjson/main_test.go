@@ -106,6 +106,29 @@ func TestSummarizeProvWhy(t *testing.T) {
 	}
 }
 
+const provWhyAfterNoteSample = `goos: linux
+pkg: stamp/internal/prov
+BenchmarkProvWhy-2            	  357548	      3533 ns/op	    283066 queries/s	    3024 B/op	       6 allocs/op
+BenchmarkProvWhyAfterNote-2   	   39626	     30511 ns/op	     32775 queries/s	    3024 B/op	       6 allocs/op
+PASS
+`
+
+func TestSummarizeProvWhyAfterNote(t *testing.T) {
+	doc, err := Parse(bufio.NewScanner(strings.NewReader(provWhyAfterNoteSample)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	Summarize(doc)
+	// The rebuild-worst-case arm lands under its own key and leaves the
+	// plain chain walk's key to BenchmarkProvWhy.
+	if got := doc.Summary["why_after_note_queries_per_s"]; got != 32775 {
+		t.Errorf("why_after_note_queries_per_s = %v, want 32775", got)
+	}
+	if got := doc.Summary["why_queries_per_s"]; got != 283066 {
+		t.Errorf("why_queries_per_s = %v, want 283066", got)
+	}
+}
+
 func TestMergeServe(t *testing.T) {
 	doc := &Doc{SchemaVersion: SchemaVersion}
 	serveResult := `{
