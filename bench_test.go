@@ -268,100 +268,6 @@ func BenchmarkEmuConvergence(b *testing.B) {
 	}
 }
 
-// BenchmarkTrafficWalk measures the packet engine's hot path: one full
-// multi-source classification of a 1000-AS forwarding snapshot, batched
-// (memoized, flat arrays — every walk state resolved once) vs naive
-// (per-packet hop-by-hop walking, the literal model). Two regimes: a
-// converged snapshot (short paths, where the naive model is adequate)
-// and a transient one with a routing loop between two tier-1s — the
-// snapshots the engine actually samples during failures, where naive
-// walking pays O(n) per looping source and the memoized walker's
-// O(states) bound is what keeps dense tick sampling cheap. The report
-// metric is packet-walks per second.
-func BenchmarkTrafficWalk(b *testing.B) {
-	g := benchGraph(b)
-	n := g.Len()
-	dest := topology.ASN(-1)
-	for a := 0; a < n; a++ {
-		if g.IsMultihomed(topology.ASN(a)) {
-			dest = topology.ASN(a)
-			break
-		}
-	}
-	routes := topology.StaticRoutes(g, dest)
-	next := make([]int32, n)
-	for a := 0; a < n; a++ {
-		switch {
-		case topology.ASN(a) == dest:
-			next[a] = int32(a)
-		case routes[a] == nil:
-			next[a] = -1
-		default:
-			next[a] = int32(routes[a][0])
-		}
-	}
-	// The transient variant mimics mutual staleness during a withdrawal
-	// wave: two tier-1s point at each other, so every source whose path
-	// crosses either one loops.
-	t1s := g.Tier1s()
-	if len(t1s) < 2 {
-		b.Fatal("bench topology has fewer than two tier-1s")
-	}
-	looped := append([]int32(nil), next...)
-	looped[t1s[0]], looped[t1s[1]] = int32(t1s[1]), int32(t1s[0])
-
-	var out traffic.Walk
-	for _, snap := range []struct {
-		name string
-		next []int32
-	}{{"converged", next}, {"transient-loop", looped}} {
-		b.Run(snap.name+"/batched", func(b *testing.B) {
-			var w traffic.Walker
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w.WalkSingle(snap.next, int32(dest), &out)
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "walks/s")
-		})
-		b.Run(snap.name+"/naive", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				traffic.NaiveWalkSingle(snap.next, int32(dest), &out)
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "walks/s")
-		})
-		// The same tables as R-BGP primaries. Converged, the failover
-		// view is never consulted; on the transient snapshot each
-		// tier-1 bounces the other's packets and deflects them onto its
-		// pre-staleness route, so the crossing sources deliver pinned.
-		b.Run(snap.name+"/rbgp", func(b *testing.B) {
-			var w traffic.Walker
-			var fo traffic.Failover = staticFailover{routes} // boxed once, not per walk
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w.WalkRBGP(snap.next, int32(dest), fo, &out)
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "walks/s")
-		})
-	}
-}
-
-// staticFailover is a traffic.Failover over converged routes: an AS
-// deflects onto its own stable path unless that path crosses the
-// neighbor the packet came from, and every link is up.
-type staticFailover struct{ routes [][]topology.ASN }
-
-func (f staticFailover) Deflect(as, prev topology.ASN) []topology.ASN {
-	for _, hop := range f.routes[as] {
-		if hop == prev {
-			return nil
-		}
-	}
-	return f.routes[as]
-}
-
-func (f staticFailover) LinkUp(a, b topology.ASN) bool { return true }
-
 // BenchmarkLossCurve measures one packet-level loss-curve trial end to
 // end (single link failure, 2400 ticks of 25ms) per protocol: the cost
 // the loss experiment pays per (trial, protocol) shard.
@@ -388,63 +294,6 @@ func BenchmarkLossCurve(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAtlasConverge prices the atlas tentpole on a 10,000-AS
-// topology: one full destination shard — three-plane initial
-// convergence plus a flap-storm script — on the flat slab engine vs the
-// map-based reference (identical algorithm and outcomes, classic
-// per-AS-map storage). The flat/map ns-per-op ratio is the subsystem's
-// headline speedup; the flat variant must report 0 allocs/op (also
-// pinned by TestConvergeHotLoopAllocs).
-func BenchmarkAtlasConverge(b *testing.B) {
-	const n = 10_000
-	tg, err := topology.GenerateDefault(n, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := atlas.FromTopology(tg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	script, err := scenario.PickScript(g, scenario.Multihomed(g), scenario.FlapStorm,
-		rand.New(rand.NewSource(benchSeed)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	groups := atlas.GroupEvents(script)
-	dests, err := atlas.Destinations(g, 1, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dest := dests[0]
-
-	b.Run("flat", func(b *testing.B) {
-		eng := atlas.NewEngine(g, atlas.DefaultParams())
-		st := eng.NewState()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var rounds int32
-		for i := 0; i < b.N; i++ {
-			out, err := eng.ConvergeDest(st, dest, groups)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rounds = out.BGP.InitRounds + out.BGP.ReconvRounds
-		}
-		b.ReportMetric(float64(rounds), "bgp-rounds")
-	})
-	b.Run("map", func(b *testing.B) {
-		eng := atlas.NewMapEngine(g, atlas.DefaultParams())
-		st := eng.NewState()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.ConvergeDest(st, dest, groups); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAtlasIncremental prices the incremental convergence tentpole

@@ -11,12 +11,12 @@ import (
 // from-scratch convergence on the same damaged topology produces
 // (ConvergeScratch). DiffStates is the comparator; the table-driven and
 // fuzz tests in incremental_test.go / fuzz_test.go drive it after every
-// event of every scenario kind, on both the flat and map engines — the
-// same discipline that pins flat-vs-map and sim-vs-emu elsewhere in the
-// repository.
+// event of every scenario kind, on both the flat engine and the
+// test-only map-backed reference — the same discipline that pins
+// sim-vs-emu elsewhere in the repository.
 
 // StateView is the read-only route surface DiffStates compares. *State
-// and *MapState both implement it.
+// implements it, and so does the tests' map-backed reference state.
 type StateView interface {
 	// Dest is the destination the state converged.
 	Dest() topology.ASN
@@ -95,19 +95,4 @@ func (st *State) RouteAt(p int, a int32) (int8, int32, int32) {
 		return kindNone, 0, -1
 	}
 	return k, st.curDist[p][a], st.curVia[p][a]
-}
-
-// Dest implements StateView.
-func (st *MapState) Dest() topology.ASN { return st.dest }
-
-// ASCount implements StateView.
-func (st *MapState) ASCount() int { return st.g.Len() }
-
-// RouteAt implements StateView.
-func (st *MapState) RouteAt(p int, a int32) (int8, int32, int32) {
-	r, ok := st.cur[p][a]
-	if !ok {
-		return kindNone, 0, -1
-	}
-	return r.kind, r.dist, r.via
 }

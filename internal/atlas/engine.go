@@ -420,22 +420,6 @@ func touchedCap(n int) int {
 	return min(max(n/32, 64), 2048)
 }
 
-// setListCap resizes the touched lists and the cascade worklist. Tests
-// shrink them so the overflow edges run on small graphs. At 0 nothing
-// can be listed and every window runs dense from its start: each event
-// then costs the full set of N-sized passes whatever it changes, as it
-// did before touched sets existed. No production state runs that way;
-// capacity 0 is the differential tests' dense oracle.
-func (st *State) setListCap(c int) {
-	st.listCap = c
-	for gen := range st.touched {
-		for p := range st.touched[gen] {
-			st.touched[gen][p] = make([]int32, 0, c)
-		}
-	}
-	st.casc = make([]int32, 0, c)
-}
-
 // Windows returns the state's window sequence number: it advances by
 // one per settled event group (one ApplyEvent, or one ConvergeDest
 // group) and by one per from-scratch convergence. A consumer that
@@ -1234,9 +1218,9 @@ func (st *State) apply(ev scenario.Event) error {
 }
 
 // engineState is the per-window contract the shared destination driver
-// runs against. The flat slab State and the map-based reference state
-// both implement it, so the two engines cannot drift semantically: only
-// the storage layout differs. Methods are window-granular — interface
+// runs against. The flat slab State and the tests' map-backed reference
+// state both implement it, so the two engines cannot drift semantically:
+// only the storage layout differs. Methods are window-granular — interface
 // dispatch never appears inside a convergence loop.
 type engineState interface {
 	// outcome returns state-owned scratch for the shard result, so the

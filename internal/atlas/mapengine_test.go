@@ -620,3 +620,34 @@ func (st *MapState) accumulateFinal(out *DestOutcome) {
 		}
 	}
 }
+
+// Dest implements StateView.
+func (st *MapState) Dest() topology.ASN { return st.dest }
+
+// ASCount implements StateView.
+func (st *MapState) ASCount() int { return st.g.Len() }
+
+// RouteAt implements StateView.
+func (st *MapState) RouteAt(p int, a int32) (int8, int32, int32) {
+	r, ok := st.cur[p][a]
+	if !ok {
+		return kindNone, 0, -1
+	}
+	return r.kind, r.dist, r.via
+}
+
+// setListCap resizes the touched lists and the cascade worklist. Tests
+// shrink them so the overflow edges run on small graphs. At 0 nothing
+// can be listed and every window runs dense from its start: each event
+// then costs the full set of N-sized passes whatever it changes, as it
+// did before touched sets existed. No production state runs that way;
+// capacity 0 is the differential tests' dense oracle.
+func (st *State) setListCap(c int) {
+	st.listCap = c
+	for gen := range st.touched {
+		for p := range st.touched[gen] {
+			st.touched[gen][p] = make([]int32, 0, c)
+		}
+	}
+	st.casc = make([]int32, 0, c)
+}

@@ -366,9 +366,6 @@ func (s *Speaker) pump(nbr topology.ASN, p *peer) {
 	})
 }
 
-// HasRoute reports whether the process currently has any route.
-func (s *Speaker) HasRoute() bool { return s.best != nil }
-
 // NextHop returns the forwarding next hop of the best route. For an
 // originated route ok is true with the AS itself, which callers treat as
 // "delivered".

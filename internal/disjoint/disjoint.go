@@ -287,18 +287,6 @@ func PhiIntelligent(g *topology.Graph, counts []float64, m topology.ASN, opts Ph
 	return bestVal, bestProv
 }
 
-// PhiAllIntelligent computes the intelligent-selection Φ for every AS as
-// destination, mirroring PhiAll.
-func PhiAllIntelligent(g *topology.Graph, opts PhiOpts) []float64 {
-	counts := UphillCounts(g)
-	anchorOf, anchors := Anchors(g)
-	phiOf := make(map[topology.ASN]float64, len(anchors))
-	for _, m := range anchors {
-		phiOf[m], _ = PhiIntelligent(g, counts, m, opts, rand.New(rand.NewSource(AnchorSeed(opts, m))))
-	}
-	return AssemblePhi(anchorOf, phiOf)
-}
-
 // BestBlueProvider returns the intelligent locked-blue-provider choice for
 // m, for wiring into the simulator's origin nodes.
 func BestBlueProvider(g *topology.Graph, m topology.ASN, opts PhiOpts) topology.ASN {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"sync"
 	"time"
+
+	"stamp/internal/ring"
 )
 
 // Event is one structured entry in the event log. Seq is a process-wide
@@ -24,8 +26,7 @@ type Event struct {
 // late-joining streamer simply starts from what is still retained).
 type EventLog struct {
 	mu     sync.Mutex
-	buf    []Event
-	next   uint64 // next sequence number to assign (first is 1)
+	ring   ring.Ring[Event]
 	notify chan struct{}
 
 	now func() int64 // injectable clock for deterministic tests
@@ -33,12 +34,8 @@ type EventLog struct {
 
 // NewEventLog returns a ring retaining the last capacity events.
 func NewEventLog(capacity int) *EventLog {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &EventLog{
-		buf:    make([]Event, 0, capacity),
-		next:   1,
+		ring:   ring.New[Event](capacity),
 		notify: make(chan struct{}),
 		now:    func() int64 { return time.Now().UnixNano() },
 	}
@@ -49,14 +46,8 @@ func NewEventLog(capacity int) *EventLog {
 // structs). Returns the assigned sequence number.
 func (l *EventLog) Append(kind, detail string, data json.RawMessage) uint64 {
 	l.mu.Lock()
-	seq := l.next
-	l.next++
-	ev := Event{Seq: seq, UnixNs: l.now(), Kind: kind, Detail: detail, Data: data}
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, ev)
-	} else {
-		l.buf[int((seq-1))%cap(l.buf)] = ev
-	}
+	seq := l.ring.Last() + 1
+	*l.ring.Push() = Event{Seq: seq, UnixNs: l.now(), Kind: kind, Detail: detail, Data: data}
 	ch := l.notify
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
@@ -68,7 +59,7 @@ func (l *EventLog) Append(kind, detail string, data json.RawMessage) uint64 {
 func (l *EventLog) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.next - 1
+	return l.ring.Last()
 }
 
 // OldestSeq returns the sequence number of the oldest event still
@@ -77,14 +68,7 @@ func (l *EventLog) LastSeq() uint64 {
 func (l *EventLog) OldestSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	last := l.next - 1
-	if last == 0 {
-		return 0
-	}
-	if last > uint64(cap(l.buf)) {
-		return last - uint64(cap(l.buf)) + 1
-	}
-	return 1
+	return l.ring.Oldest()
 }
 
 // Evicted returns how many events the ring has dropped — the gap
@@ -94,11 +78,7 @@ func (l *EventLog) OldestSeq() uint64 {
 func (l *EventLog) Evicted() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	last := l.next - 1
-	if last > uint64(cap(l.buf)) {
-		return last - uint64(cap(l.buf))
-	}
-	return 0
+	return l.ring.Evicted()
 }
 
 // Since returns a copy of every retained event with Seq > after, in
@@ -106,23 +86,7 @@ func (l *EventLog) Evicted() uint64 {
 func (l *EventLog) Since(after uint64) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	last := l.next - 1
-	if last == 0 || after >= last {
-		return nil
-	}
-	oldest := uint64(1)
-	if last > uint64(cap(l.buf)) {
-		oldest = last - uint64(cap(l.buf)) + 1
-	}
-	from := after + 1
-	if from < oldest {
-		from = oldest
-	}
-	out := make([]Event, 0, last-from+1)
-	for seq := from; seq <= last; seq++ {
-		out = append(out, l.buf[int(seq-1)%cap(l.buf)])
-	}
-	return out
+	return l.ring.AppendSince(nil, after)
 }
 
 // Wait blocks until an event with Seq > after exists (returning true)
@@ -131,7 +95,7 @@ func (l *EventLog) Since(after uint64) []Event {
 func (l *EventLog) Wait(ctx context.Context, after uint64) bool {
 	for {
 		l.mu.Lock()
-		if l.next-1 > after {
+		if l.ring.Last() > after {
 			l.mu.Unlock()
 			return true
 		}

@@ -27,7 +27,7 @@ func indexHash(plane int8, as int32, shift uint8) uint64 {
 // (plane, as), rebuilding the index first when the journal changed
 // since the last build.
 func (j *Journal) find(plane int8, as int32) (int, bool) {
-	if j.idx == nil || j.idxCount != j.count || j.idxGen != j.gen {
+	if j.idx == nil || j.idxCount != j.ring.Last() || j.idxGen != j.gen {
 		j.rebuildIndex()
 	}
 	mask := uint64(len(j.idx) - 1)
@@ -36,7 +36,7 @@ func (j *Journal) find(plane int8, as int32) (int, bool) {
 		if c == 0 {
 			return 0, false
 		}
-		if e := &j.ring[c-1]; e.Plane == plane && e.AS == as {
+		if e := j.ring.At(int(c - 1)); e.Plane == plane && e.AS == as {
 			return int(c - 1), true
 		}
 	}
@@ -47,7 +47,7 @@ func (j *Journal) find(plane int8, as int32) (int, bool) {
 func (j *Journal) rebuildIndex() {
 	if j.idx == nil {
 		n := 2
-		for n < 2*len(j.ring) {
+		for n < 2*j.ring.Cap() {
 			n <<= 1
 		}
 		j.idx = make([]int32, n)
@@ -56,23 +56,19 @@ func (j *Journal) rebuildIndex() {
 		clear(j.idx)
 	}
 	mask := uint64(len(j.idx) - 1)
-	slot := int((j.count - 1) % uint64(len(j.ring)))
-	for k := j.Len(); k > 0; k-- {
-		e := &j.ring[slot]
+	slot := j.ring.Slot(j.ring.Last())
+	for n := j.ring.Len(); n > 0; n, slot = n-1, j.ring.Prev(slot) {
+		e := j.ring.At(slot)
 		for h := indexHash(e.Plane, e.AS, j.idxShift); ; h = (h + 1) & mask {
 			c := j.idx[h]
 			if c == 0 {
 				j.idx[h] = int32(slot + 1)
 				break
 			}
-			if o := &j.ring[c-1]; o.Plane == e.Plane && o.AS == e.AS {
+			if o := j.ring.At(int(c - 1)); o.Plane == e.Plane && o.AS == e.AS {
 				break // a newer entry for this key is already indexed
 			}
 		}
-		if slot == 0 {
-			slot = len(j.ring)
-		}
-		slot--
 	}
-	j.idxCount, j.idxGen = j.count, j.gen
+	j.idxCount, j.idxGen = j.ring.Last(), j.gen
 }

@@ -9,8 +9,8 @@ import (
 // scanLatest is the reference for Latest: a backward scan of the
 // retained ring, newest entry first — the algorithm the index replaced.
 func scanLatest(j *Journal, plane int, as int32) (Entry, bool) {
-	for seq := j.count; seq > j.Evicted(); seq-- {
-		if e := &j.ring[(seq-1)%uint64(len(j.ring))]; int(e.Plane) == plane && e.AS == as {
+	for seq := j.LastSeq(); seq > j.Evicted(); seq-- {
+		if e := j.ring.Get(seq); int(e.Plane) == plane && e.AS == as {
 			return *e, true
 		}
 	}
@@ -43,8 +43,8 @@ func checkQueries(t *testing.T, j *Journal, rnd *rand.Rand, ases int32, step int
 		as    int32
 	}
 	keys := []key{{rnd.Intn(3), rnd.Int31n(ases)}}
-	if j.count > 0 {
-		e := j.at(j.count)
+	if j.LastSeq() > 0 {
+		e := j.ring.Get(j.LastSeq())
 		keys = append(keys, key{int(e.Plane), e.AS})
 	}
 	if rnd.Intn(16) == 0 {

@@ -25,7 +25,11 @@
 // event, never a formatting decision.
 package prov
 
-import "fmt"
+import (
+	"fmt"
+
+	"stamp/internal/ring"
+)
 
 // Cause says which engine mechanism changed the route.
 type Cause uint8
@@ -92,9 +96,8 @@ type Entry struct {
 // A nil *Journal is a valid no-op receiver for every method, so the
 // engine hooks cost one predictable branch when provenance is off.
 type Journal struct {
-	ring  []Entry
-	count uint64 // total appends ever; Seq of the newest entry
-	gen   uint64 // bumped by Reset, so a stale index never survives one
+	ring ring.Ring[Entry] // Seq is the ring's sequence number
+	gen  uint64           // bumped by Reset, so a stale index never survives one
 
 	// Staged per-window context stamped onto every Note.
 	event  uint64
@@ -102,7 +105,7 @@ type Journal struct {
 	reroot bool
 
 	// Query index (see index.go): built lazily by the first query after
-	// the journal changed, valid while count and gen match the build.
+	// the journal changed, valid while ring.Last() and gen match.
 	idx      []int32
 	idxShift uint8
 	idxCount uint64
@@ -111,10 +114,7 @@ type Journal struct {
 
 // NewJournal builds a journal retaining the last capacity entries.
 func NewJournal(capacity int) *Journal {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Journal{ring: make([]Entry, capacity)}
+	return &Journal{ring: ring.New[Entry](capacity)}
 }
 
 // Reset clears all entries and counters but keeps the ring slab. The
@@ -124,7 +124,7 @@ func (j *Journal) Reset() {
 	if j == nil {
 		return
 	}
-	j.count = 0
+	j.ring.Reset()
 	j.gen++
 	j.event = 0
 	j.plane = 0
@@ -167,25 +167,16 @@ func (j *Journal) WindowCause(round int32) Cause {
 }
 
 // Note appends one route change. This is the hot-loop entry point: one
-// ring-slot write, no allocation, no branch beyond the ring wrap.
+// ring-slot write, no allocation, no branch. The fields are set in two
+// tuple assignments because that keeps Note within the compiler's
+// inlining budget, and the engine's hot loop relies on it inlining.
 func (j *Journal) Note(as, round int32, cause Cause, prevKind int8, prevDist, prevNext int32, newKind int8, newDist, newNext int32) {
 	if j == nil {
 		return
 	}
-	e := &j.ring[j.count%uint64(len(j.ring))]
-	j.count++
-	e.Seq = j.count
-	e.Event = j.event
-	e.Round = round
-	e.AS = as
-	e.PrevDist = prevDist
-	e.NewDist = newDist
-	e.PrevNext = prevNext
-	e.NewNext = newNext
-	e.Plane = j.plane
-	e.Cause = cause
-	e.PrevKind = prevKind
-	e.NewKind = newKind
+	e := j.ring.Push()
+	e.Seq, e.Event, e.Round, e.AS, e.PrevDist, e.NewDist = j.ring.Last(), j.event, round, as, prevDist, newDist
+	e.PrevNext, e.NewNext, e.Plane, e.Cause, e.PrevKind, e.NewKind = prevNext, newNext, j.plane, cause, prevKind, newKind
 }
 
 // Event returns the currently staged event id.
@@ -201,7 +192,7 @@ func (j *Journal) Cap() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.ring)
+	return j.ring.Cap()
 }
 
 // Len returns the number of retained entries.
@@ -209,10 +200,7 @@ func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	if j.count < uint64(len(j.ring)) {
-		return int(j.count)
-	}
-	return len(j.ring)
+	return j.ring.Len()
 }
 
 // Appends returns the total number of entries ever appended.
@@ -220,7 +208,7 @@ func (j *Journal) Appends() uint64 {
 	if j == nil {
 		return 0
 	}
-	return j.count
+	return j.ring.Last()
 }
 
 // Evicted returns how many entries the ring has overwritten.
@@ -228,10 +216,7 @@ func (j *Journal) Evicted() uint64 {
 	if j == nil {
 		return 0
 	}
-	if n := uint64(len(j.ring)); j.count > n {
-		return j.count - n
-	}
-	return 0
+	return j.ring.Evicted()
 }
 
 // LastSeq returns the newest retained Seq (0 when empty).
@@ -239,13 +224,13 @@ func (j *Journal) LastSeq() uint64 {
 	if j == nil {
 		return 0
 	}
-	return j.count
+	return j.ring.Last()
 }
 
 // OldestSeq returns the oldest retained Seq (0 when empty).
 func (j *Journal) OldestSeq() uint64 {
-	if j == nil || j.count == 0 {
+	if j == nil {
 		return 0
 	}
-	return j.Evicted() + 1
+	return j.ring.Oldest()
 }

@@ -2,29 +2,13 @@ package prov
 
 import "sort"
 
-// at returns the retained entry with the given Seq. Valid only for
-// Evicted() < seq <= LastSeq().
-func (j *Journal) at(seq uint64) Entry {
-	return j.ring[(seq-1)%uint64(len(j.ring))]
-}
-
 // Tail returns the newest min(n, Len) entries in append order (oldest
 // of the tail first). Allocates the result; query path only.
 func (j *Journal) Tail(n int) []Entry {
 	if j == nil || n <= 0 {
 		return nil
 	}
-	if l := j.Len(); n > l {
-		n = l
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Entry, 0, n)
-	for seq := j.count - uint64(n) + 1; seq <= j.count; seq++ {
-		out = append(out, j.at(seq))
-	}
-	return out
+	return j.ring.AppendSince(nil, j.ring.Last()-uint64(min(n, j.Len())))
 }
 
 // Latest returns the newest retained entry for (plane, as): per the
@@ -34,11 +18,11 @@ func (j *Journal) Tail(n int) []Entry {
 // journal changed rebuilds the (plane, AS) index in O(cap); later ones
 // are O(1).
 func (j *Journal) Latest(plane int, as int32) (Entry, bool) {
-	if j == nil || j.count == 0 || int(int8(plane)) != plane {
+	if j == nil || j.ring.Last() == 0 || int(int8(plane)) != plane {
 		return Entry{}, false
 	}
 	if slot, ok := j.find(int8(plane), as); ok {
-		return j.ring[slot], true
+		return *j.ring.At(slot), true
 	}
 	return Entry{}, false
 }
@@ -84,7 +68,7 @@ func (j *Journal) Chain(plane int, as int32) (chain []Entry, truncated bool) {
 // already evicted are silently absent; check Evicted() against the
 // event's seq range when completeness matters.
 func (j *Journal) EventDiff(event uint64) []Entry {
-	if j == nil || j.count == 0 {
+	if j == nil || j.ring.Last() == 0 {
 		return nil
 	}
 	type key struct {
@@ -92,12 +76,12 @@ func (j *Journal) EventDiff(event uint64) []Entry {
 		as    int32
 	}
 	last := make(map[key]Entry)
-	for seq := j.Evicted() + 1; seq <= j.count; seq++ {
-		e := j.at(seq)
+	for seq := j.ring.Oldest(); seq <= j.ring.Last(); seq++ {
+		e := j.ring.Get(seq)
 		if e.Event != event {
 			continue
 		}
-		last[key{e.Plane, e.AS}] = e
+		last[key{e.Plane, e.AS}] = *e
 	}
 	out := make([]Entry, 0, len(last))
 	for _, e := range last {

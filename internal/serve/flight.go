@@ -17,10 +17,10 @@ import (
 // read blows the SLO, a counter goes non-monotonic, or an event reroots
 // the blue chain, it dumps the tracer's retained spans — the traces of
 // the events and reads in flight around the anomaly — as a Chrome
-// trace-event JSON with the breach context in its metadata. Dumps are
-// kept in a small in-memory ring (served at GET /debug/flight), written
-// to TraceDir when configured, and rate-limited so an anomaly storm
-// produces a few dumps, not a disk full.
+// trace-event JSON with the breach context in its metadata. The latest
+// dump is kept in memory (served at GET /debug/flight), every dump is
+// written to TraceDir when configured, and dumps are rate-limited so an
+// anomaly storm produces a few, not a disk full.
 type flightRecorder struct {
 	tracer   *trace.Tracer
 	dir      string
@@ -32,15 +32,14 @@ type flightRecorder struct {
 	// into each dump's metadata.
 	meta func() map[string]any
 
-	mu   sync.Mutex
-	seq  uint64
-	last time.Time
-	ring [flightKeep][]byte // rendered Chrome JSON documents
-	now  func() time.Time   // injectable for rate-limit tests
+	mu     sync.Mutex
+	seq    uint64
+	last   time.Time
+	latest []byte           // the newest rendered Chrome JSON document
+	now    func() time.Time // injectable for rate-limit tests
 }
 
 const (
-	flightKeep     = 4               // dumps retained in memory
 	flightMinGap   = 1 * time.Second // rate limit between dumps
 	flightTailSize = 16              // event-log tail entries in metadata
 )
@@ -77,10 +76,7 @@ func (f *flightRecorder) Latest() []byte {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.seq == 0 {
-		return nil
-	}
-	return f.ring[(f.seq-1)%flightKeep]
+	return f.latest
 }
 
 // trigger takes a dump unless one was taken within the rate-limit
@@ -136,7 +132,7 @@ func (f *flightRecorder) triggerMeta(reason, detail string, extra map[string]any
 		return
 	}
 	f.mu.Lock()
-	f.ring[(seq-1)%flightKeep] = buf.Bytes()
+	f.latest = buf.Bytes()
 	f.mu.Unlock()
 	f.dumps.Inc()
 	if f.events != nil {

@@ -80,7 +80,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // sseHandler streams the event log as server-sent events. Each event is
 // an `id:`/`event:`/`data:` frame; ?from=<seq> resumes after a known
 // sequence number (older entries may have been evicted from the ring —
-// the `id:` lines tell the client what it actually got).
+// the `id:` lines tell the client what it actually got). A cursor past
+// the newest seq can only come from an earlier process: 400, not a wait.
 func sseHandler(c MuxConfig) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		fl, ok := w.(http.Flusher)
@@ -96,6 +97,10 @@ func sseHandler(c MuxConfig) http.HandlerFunc {
 				return
 			}
 			after = v
+		}
+		if newest := c.Events.LastSeq(); after > newest {
+			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "from= is past the newest event", "newest": newest})
+			return
 		}
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"stamp/internal/atlas"
+	"stamp/internal/obs"
 	"stamp/internal/scenario"
 	"stamp/internal/topology"
 )
@@ -285,6 +287,51 @@ func TestSSEStreamAndResume(t *testing.T) {
 		}
 	}
 	cancel()
+}
+
+// TestSSEFromCursor table-tests the ?from= cursor on the handler both
+// muxes mount: a cursor at or below the newest seq streams (status 200,
+// then waiting for events), a malformed one is refused, and one past
+// the newest seq — only possible from an earlier process — is refused
+// with the newest seq in the body instead of blocking.
+func TestSSEFromCursor(t *testing.T) {
+	events := obs.NewEventLog(8)
+	for i := 0; i < 5; i++ {
+		events.Append("event-applied", "", nil)
+	}
+	h := sseHandler(MuxConfig{Events: events})
+	for _, tc := range []struct {
+		from   string
+		code   int
+		newest uint64 // checked on 400s with a JSON body
+	}{
+		{"", http.StatusOK, 0},
+		{"0", http.StatusOK, 0},
+		{"3", http.StatusOK, 0},
+		{"5", http.StatusOK, 0},
+		{"abc", http.StatusBadRequest, 0},
+		{"6", http.StatusBadRequest, 5},
+		{"1000", http.StatusBadRequest, 5},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		req := httptest.NewRequest(http.MethodGet, "/events?from="+tc.from, nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h(rec, req)
+		cancel()
+		if rec.Code != tc.code {
+			t.Errorf("from=%q: status %d, want %d (body %q)", tc.from, rec.Code, tc.code, rec.Body)
+			continue
+		}
+		if tc.newest == 0 {
+			continue
+		}
+		var body struct {
+			Newest uint64 `json:"newest"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Newest != tc.newest {
+			t.Errorf("from=%q: body %q, want newest %d", tc.from, rec.Body, tc.newest)
+		}
+	}
 }
 
 // TestConcurrentReadersAndWriter is the race gate: a paced replay

@@ -88,12 +88,6 @@ type Config struct {
 	// ReadSLO, when > 0, is the per-read latency budget; a single read
 	// exceeding it triggers a flight-recorder dump.
 	ReadSLO time.Duration
-	// SteerFlapK and SteerFlapWindow tune the steer-flap detector: a
-	// source reporting more than K color switches (POST
-	// /admin/steer-switch) inside the window triggers a "steer-flap"
-	// flight dump (defaults: 4 switches, 10s).
-	SteerFlapK      int
-	SteerFlapWindow time.Duration
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the HTTP
 	// surface.
 	Pprof bool
@@ -342,8 +336,7 @@ func New(cfg Config) (*Server, error) {
 				"sample_every":   s.tracer.SampleEvery(),
 			}
 		})
-	s.steer = newSteerFlap(s.flight, s.events, cfg.Registry,
-		cfg.SteerFlapK, cfg.SteerFlapWindow)
+	s.steer = newSteerFlap(s.flight, s.events, cfg.Registry)
 	s.eng = atlas.NewEngine(g, cfg.Params)
 	s.eng.Instrument(atlas.NewMetrics(cfg.Registry))
 

@@ -10,18 +10,18 @@ import (
 
 // steerFlap watches per-source color-switch reports from a steering
 // agent (internal/steer's policy, running beside or in front of this
-// server) and turns a flapping source — more than K switches inside a
-// sliding window — into a flight-recorder dump. A healthy policy
-// switches rarely (its cooldown bounds the rate by construction), so a
-// burst of switches from one source is exactly the kind of anomaly the
-// flight recorder exists for: something is oscillating faster than the
-// damping, and the traces plus the reported latency samples say which
-// plane looked bad when.
+// server) and turns a flapping source — more than steerFlapK switches
+// inside the sliding steerFlapWindow — into a flight-recorder dump. A
+// healthy policy switches rarely (its cooldown bounds the rate by
+// construction), so a burst of switches from one source is exactly the
+// kind of anomaly the flight recorder exists for: something is
+// oscillating faster than the damping, and the traces plus the reported
+// latency samples say which plane looked bad when.
 type steerFlap struct {
 	flight *flightRecorder
 	events *obs.EventLog
-	k      int           // switches strictly above this flag a flap
-	window time.Duration // sliding window the switches must fall in
+	k      int           // steerFlapK: switches strictly above this flag a flap
+	window time.Duration // steerFlapWindow: the switches' sliding window
 	now    func() time.Time
 
 	switches *obs.Counter
@@ -40,24 +40,17 @@ type flapTrack struct {
 }
 
 const (
-	defaultSteerFlapK      = 4
-	defaultSteerFlapWindow = 10 * time.Second
-	steerFlapKeepSamples   = 16 // latency samples carried into dump metadata
+	steerFlapK           = 4
+	steerFlapWindow      = 10 * time.Second
+	steerFlapKeepSamples = 16 // latency samples carried into dump metadata
 )
 
-func newSteerFlap(flight *flightRecorder, events *obs.EventLog, reg *obs.Registry,
-	k int, window time.Duration) *steerFlap {
-	if k <= 0 {
-		k = defaultSteerFlapK
-	}
-	if window <= 0 {
-		window = defaultSteerFlapWindow
-	}
+func newSteerFlap(flight *flightRecorder, events *obs.EventLog, reg *obs.Registry) *steerFlap {
 	return &steerFlap{
 		flight: flight,
 		events: events,
-		k:      k,
-		window: window,
+		k:      steerFlapK,
+		window: steerFlapWindow,
 		now:    time.Now,
 		switches: reg.Counter("stamp_serve_steer_switches_total",
 			"Color-switch reports received from steering agents."),

@@ -74,9 +74,6 @@ func (n *Network) Register(a topology.ASN, node Node) {
 	n.nodes[a] = node
 }
 
-// NodeOf returns the node registered for a (nil if none).
-func (n *Network) NodeOf(a topology.ASN) Node { return n.nodes[a] }
-
 // LinkUp reports whether the link between a and b is operational. Links
 // absent from the topology are never up.
 func (n *Network) LinkUp(a, b topology.ASN) bool {

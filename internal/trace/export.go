@@ -20,15 +20,7 @@ func (t *Tracer) Snapshot() []Record {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		n := sh.next
-		capn := uint64(len(sh.recs))
-		from := uint64(0)
-		if n > capn {
-			from = n - capn
-		}
-		for seq := from; seq < n; seq++ {
-			out = append(out, sh.recs[seq%capn])
-		}
+		out = sh.ring.AppendSince(out, 0)
 		sh.mu.Unlock()
 	}
 	sort.SliceStable(out, func(i, j int) bool {

@@ -22,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"stamp/internal/ring"
 )
 
 // MaxArgs bounds the integer annotations one span can carry; MaxStrs
@@ -66,13 +68,11 @@ type Record struct {
 	NStrs  int32
 }
 
-// shard is one preallocated span ring. A mutex (never contended on the
-// fast path — appends hold it for one slot copy) keeps concurrent
-// writers safe without allocation.
+// shard is one preallocated span ring. Its mutex is held for one slot
+// copy per append, so concurrent writers stay safe without allocation.
 type shard struct {
 	mu   sync.Mutex
-	recs []Record
-	next uint64 // total spans ever appended; next%len is the slot
+	ring ring.Ring[Record]
 }
 
 // Options configures a Tracer.
@@ -97,7 +97,6 @@ type Tracer struct {
 	sampleEvery uint64
 	seq         atomic.Uint64 // sampling decisions taken
 	ids         atomic.Uint64 // span ids handed out
-	dropped     atomic.Uint64 // spans overwritten by ring wrap
 	shards      []shard
 	now         func() int64 // ns clock, injectable for deterministic tests
 }
@@ -118,7 +117,7 @@ func New(o Options) *Tracer {
 		shards:      make([]shard, o.Shards),
 	}
 	for i := range t.shards {
-		t.shards[i].recs = make([]Record, o.BufferPerShard)
+		t.shards[i].ring = ring.New[Record](o.BufferPerShard)
 	}
 	base := time.Now()
 	t.now = func() int64 { return time.Since(base).Nanoseconds() }
@@ -171,12 +170,18 @@ func (t *Tracer) Traces() (decisions, sampled uint64) {
 }
 
 // Dropped reports spans overwritten by ring wrap before a Snapshot
-// retained them.
+// retained them: the sum of the shard rings' evictions.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	var n uint64
+	for i := range t.shards {
+		t.shards[i].mu.Lock()
+		n += t.shards[i].ring.Evicted()
+		t.shards[i].mu.Unlock()
+	}
+	return n
 }
 
 // Ctx is one trace's recording context. The zero value is dead: Start
@@ -264,11 +269,7 @@ func (s *Span) End() {
 	end := s.c.t.now()
 	sh := s.c.sh
 	sh.mu.Lock()
-	slot := &sh.recs[sh.next%uint64(len(sh.recs))]
-	if sh.next >= uint64(len(sh.recs)) {
-		s.c.t.dropped.Add(1)
-	}
-	sh.next++
+	slot := sh.ring.Push()
 	slot.Trace = s.c.trace
 	slot.Span = s.id
 	slot.Parent = s.parent

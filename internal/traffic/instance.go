@@ -262,25 +262,12 @@ func nextHop32(nh topology.ASN, ok bool) int32 {
 	return int32(nh)
 }
 
-// RBGPView adapts simulated R-BGP nodes to Walker.WalkRBGP: Primaries
-// snapshots the table half of their forwarding state, and the view
-// itself is the Failover half.
+// RBGPView adapts simulated R-BGP nodes to Walker.WalkRBGP as its
+// Failover: the table half of their forwarding state, the primary next
+// hops, is snapshotted per AS by instance.snapshotAS.
 type RBGPView struct {
 	Nodes []*rbgp.Node
 	Net   *sim.Network
-}
-
-// Primaries flattens every node's primary next hop into dst (reused
-// when large enough) in the walker encoding.
-func (v RBGPView) Primaries(dst []int32) []int32 {
-	if cap(dst) < len(v.Nodes) {
-		dst = make([]int32, len(v.Nodes))
-	}
-	dst = dst[:len(v.Nodes)]
-	for a, node := range v.Nodes {
-		dst[a] = nextHop32(node.Primary())
-	}
-	return dst
 }
 
 // Deflect implements Failover.
