@@ -2,7 +2,9 @@ package atlas
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"stamp/internal/prov"
@@ -27,7 +29,11 @@ import (
 // the fixpoints agree exactly (pinned against topology.StaticRoutes).
 //
 // All state lives in preallocated slabs indexed by AS; the convergence
-// loop performs no allocation (pinned by TestConvergeHotLoopAllocs).
+// loop performs no allocation (pinned by TestConvergeHotLoopAllocs). The
+// slabs come in two lifetimes: a State holds what one destination owns
+// between calls (routes, link and node state, lock chain, touched sets),
+// and a window holds the scratch one call converges in, which the Engine
+// lends to the call and takes back when it returns.
 
 // Plane indices.
 const (
@@ -76,12 +82,18 @@ type Params struct {
 // granularity.
 func DefaultParams() Params { return Params{MRAIRounds: 2} }
 
-// Engine converges destinations on one immutable CSR graph.
+// Engine converges destinations on one immutable CSR graph. It takes
+// concurrent calls on distinct States: each call borrows a window from
+// the free list (one is allocated when none is idle), so an engine holds
+// as many windows as it has ever had calls in flight at once.
 type Engine struct {
 	g       *Graph
 	p       Params
 	metrics *Metrics
 	tracer  *trace.Tracer
+
+	mu   sync.Mutex
+	free []*window
 }
 
 // NewEngine builds an engine over g.
@@ -141,10 +153,13 @@ type DestOutcome struct {
 	StampUnreachableFinal int32 `json:"stamp_unreachable_final"`
 }
 
-// State is one worker's preallocated slab set: every per-(AS, plane)
-// quantity the convergence loop touches, sized once for the graph and
-// reused across destination shards. Not goroutine-safe; use one State
-// per worker.
+// State is one destination: its routes in every plane, the link and node
+// state its events left, the lock chain and the touched sets, sized once
+// for the graph and reusable across destinations. One call at a time per
+// State; an Engine takes concurrent calls on distinct States. The
+// convergence scratch is not the State's: the engine lends each call a
+// window (see window), reachable through the embedded pointer only while
+// the call runs.
 type State struct {
 	g    *Graph
 	dest topology.ASN
@@ -169,44 +184,16 @@ type State struct {
 	advKind [planeCount][]int8
 	advDist [planeCount][]int32
 
-	// Shared per-window scratch (one plane converges at a time). inFront
-	// is an AS's frontier slot state (frontOut … frontScan); cand is its
-	// round candidate while the slot is frontOffer: the best offer pushed
-	// to it this round (packCand). live records that this round's
-	// publications reached a live neighbor they gave no slot, so the next
-	// round runs even if the frontier is empty.
-	ready     []int32
-	front     []int32
-	inFront   []int8
-	cand      []int64
-	live      bool
-	frontLen  int
-	pend      []int32
-	inPend    []bool
-	wantPub   []bool
-	pendLen   int
-	lostSince []int32
+	// The frontier and publication queue lengths, and live, which records
+	// that this round's publications reached a live neighbor they gave no
+	// slot, so the next round runs even if the frontier is empty. The
+	// queues themselves are in the window.
+	frontLen int
+	pendLen  int
+	live     bool
 
-	// Per-group accounting. hadStart records, per plane, whether the AS
-	// had a route when the group's events hit: loss is only counted for
-	// ASes that actually lost service, not for ones a plane never
-	// covered (blue legitimately serves a subset of the graph).
-	// permMark flags ASes a plane failed to re-serve by group end;
-	// their lostAcc then holds the full window outage (gaps + tail) so
-	// the STAMP min() sees the dead plane as down all window, while the
-	// per-plane transient integral excludes them.
-	//
-	// In a sparse window (see the touched-set fields below) these slabs
-	// are valid only at ASes stamped with the window's epoch: the first
-	// markChanged of a window initializes the AS's entries, and every
-	// reader goes through windowLoss or a touched list. A dense window
-	// makes them valid everywhere (densify).
-	lostAcc      [planeCount][]int32
-	hadStart     [planeCount][]bool
-	permMark     [planeCount][]bool
-	changedStamp [planeCount][]int32
-	epoch        int32
-	winEpoch     [planeCount]int32 // epoch of plane p's window in the current group
+	// The window lent to the call in progress; nil between calls.
+	*window
 
 	// Touched sets: what makes an event's cost proportional to its churn.
 	// seq numbers the event groups settled (and from-scratch resets, so a
@@ -223,8 +210,6 @@ type State struct {
 	seq     uint64
 	touched [2][planeCount][]int32
 	dense   [2][planeCount]bool
-	// casc is the cascade worklist, a stack of capacity listCap.
-	casc []int32
 	// visited counts the ASes the current group's window machinery
 	// examined (cascade pops and dependent scans, frontier recomputes,
 	// advertisement fan-out, accounting passes; a dense pass adds N);
@@ -369,7 +354,9 @@ var roundArgKeys = [...]string{
 // outcome implements engineState.
 func (st *State) outcome() *DestOutcome { return &st.out }
 
-// NewState allocates the slab set for the engine's graph.
+// NewState allocates a destination's slabs for the engine's graph. The
+// engine keeps at least one idle window in stock, so a single State's
+// calls allocate nothing.
 func (e *Engine) NewState() *State {
 	n := e.g.Len()
 	st := &State{
@@ -381,14 +368,6 @@ func (e *Engine) NewState() *State {
 		onChain:   make([]bool, n),
 		chain:     make([]int32, 0, 64),
 		prevChain: make([]int32, 0, 64),
-		ready:     make([]int32, n),
-		front:     make([]int32, 0, n),
-		inFront:   make([]int8, n),
-		cand:      make([]int64, n),
-		pend:      make([]int32, 0, n),
-		inPend:    make([]bool, n),
-		wantPub:   make([]bool, n),
-		lostSince: make([]int32, n),
 	}
 	for p := 0; p < planeCount; p++ {
 		st.curKind[p] = make([]int8, n)
@@ -396,18 +375,18 @@ func (e *Engine) NewState() *State {
 		st.curVia[p] = make([]int32, n)
 		st.advKind[p] = make([]int8, n)
 		st.advDist[p] = make([]int32, n)
-		st.lostAcc[p] = make([]int32, n)
-		st.hadStart[p] = make([]bool, n)
-		st.permMark[p] = make([]bool, n)
-		st.changedStamp[p] = make([]int32, n)
 		for gen := range st.touched {
 			st.touched[gen][p] = make([]int32, 0, st.listCap)
 		}
 	}
-	st.casc = make([]int32, 0, st.listCap)
 	for i := range st.lockNext {
 		st.lockNext[i] = -1
 	}
+	e.mu.Lock()
+	if len(e.free) == 0 {
+		e.free = append(e.free, newWindow(n))
+	}
+	e.mu.Unlock()
 	return st
 }
 
@@ -418,6 +397,127 @@ func (e *Engine) NewState() *State {
 // error next to the N-sized slabs.
 func touchedCap(n int) int {
 	return min(max(n/32, 64), 2048)
+}
+
+// window is the scratch of one engine call: the frontier and
+// publication queues, the MRAI gates, the cascade worklist and the loss
+// accounting. Its contents mean something only inside the call, and
+// every call leaves them in the same state, so any State may borrow any
+// idle window of its engine:
+//
+//   - every MRAI gate is open (converge reopens the gates it closed);
+//   - front and pend are empty, every slot is frontOut, inPend and
+//     wantPub are false;
+//   - cand is read only under frontOffer, and lostSince is written
+//     before it is read (invalidate, route loss, the re-root clear);
+//   - the accounting slabs are valid only at ASes stamped with the
+//     current epoch, and the epoch is the window's own counter, so the
+//     stamps another State left are always older.
+//
+// A call that fails before its first window opens (apply errors)
+// returns the window untouched; a converge that trips its round guard
+// leaves it mid-flight, so it is dropped (broken).
+type window struct {
+	// inFront is an AS's frontier slot state (frontOut … frontScan);
+	// cand is its round candidate while the slot is frontOffer: the best
+	// offer pushed to it this round (packCand).
+	ready     []int32
+	front     []int32
+	inFront   []int8
+	cand      []int64
+	pend      []int32
+	inPend    []bool
+	wantPub   []bool
+	lostSince []int32
+	// casc is the cascade worklist, a stack of capacity touchedCap(n): at
+	// least the State's listCap, where cascPush stops.
+	casc []int32
+
+	// Per-group accounting. hadStart records, per plane, whether the AS
+	// had a route when the group's events hit: loss is only counted for
+	// ASes that actually lost service, not for ones a plane never
+	// covered (blue legitimately serves a subset of the graph).
+	// permMark flags ASes a plane failed to re-serve by group end;
+	// their lostAcc then holds the full window outage (gaps + tail) so
+	// the STAMP min() sees the dead plane as down all window, while the
+	// per-plane transient integral excludes them.
+	//
+	// In a sparse window (see the State's touched sets) these slabs are
+	// valid only at ASes stamped with the window's epoch: the first
+	// markChanged of a window initializes the AS's entries, and every
+	// reader goes through windowLoss or a touched list. A dense window
+	// makes them valid everywhere (densify).
+	lostAcc      [planeCount][]int32
+	hadStart     [planeCount][]bool
+	permMark     [planeCount][]bool
+	changedStamp [planeCount][]int32
+	epoch        int32
+	winEpoch     [planeCount]int32 // epoch of plane p's window in the current group
+
+	broken bool // set by the round guard; takeBack drops the window
+}
+
+func newWindow(n int) *window {
+	w := &window{
+		ready:     make([]int32, n),
+		front:     make([]int32, 0, n),
+		inFront:   make([]int8, n),
+		cand:      make([]int64, n),
+		pend:      make([]int32, 0, n),
+		inPend:    make([]bool, n),
+		wantPub:   make([]bool, n),
+		lostSince: make([]int32, n),
+		casc:      make([]int32, 0, touchedCap(n)),
+	}
+	for p := 0; p < planeCount; p++ {
+		w.lostAcc[p] = make([]int32, n)
+		w.hadStart[p] = make([]bool, n)
+		w.permMark[p] = make([]bool, n)
+		w.changedStamp[p] = make([]int32, n)
+	}
+	return w
+}
+
+// lend gives st an idle window for the call that is starting, allocating
+// one when every window is out.
+func (e *Engine) lend(st *State) {
+	var w *window
+	e.mu.Lock()
+	if k := len(e.free); k > 0 {
+		w, e.free[k-1], e.free = e.free[k-1], nil, e.free[:k-1]
+	}
+	e.mu.Unlock()
+	if w == nil {
+		w = newWindow(e.g.Len())
+	}
+	st.window = w
+}
+
+// takeBack returns st's window to the free list when the call ends. A
+// broken window is dropped.
+func (e *Engine) takeBack(st *State) {
+	w := st.window
+	st.window = nil
+	if w.broken {
+		return
+	}
+	e.mu.Lock()
+	e.free = append(e.free, w)
+	e.mu.Unlock()
+}
+
+// rewindEpoch restarts the epoch before it can wrap: a wrapped counter
+// would meet stamps it wrote 2^32 windows ago and read their accounting
+// as this window's. It runs only at a group boundary, since a group's
+// windows compare their epochs (winEpoch, redEpoch) with each other,
+// and it leaves room for every window of the group.
+func (w *window) rewindEpoch() {
+	if w.epoch > math.MaxInt32-(planeCount+1) {
+		for p := range w.changedStamp {
+			clear(w.changedStamp[p])
+		}
+		w.epoch = 0
+	}
 }
 
 // Windows returns the state's window sequence number: it advances by
@@ -478,17 +578,9 @@ func (st *State) reset(dest topology.ASN) {
 	for p := 0; p < planeCount; p++ {
 		clear(st.curKind[p])
 		clear(st.advKind[p])
-		clear(st.lostAcc[p])
-		clear(st.hadStart[p])
-		clear(st.permMark[p])
-		clear(st.changedStamp[p])
 	}
-	st.epoch = 0
 	st.frontLen, st.pendLen, st.live = 0, 0, false
-	clear(st.inFront)
-	clear(st.inPend)
-	clear(st.wantPub)
-	clear(st.ready)
+	st.rewindEpoch()
 	// A reset is a window of its own that retains no touched set: no
 	// consumer may patch across it.
 	st.seq++
@@ -1260,7 +1352,9 @@ type engineState interface {
 // shard is its own origin).
 func (e *Engine) ConvergeDest(st *State, dest topology.ASN, groups [][]scenario.Event) (DestOutcome, error) {
 	sp, ext := e.openRoot(st, "atlas.converge_dest")
+	e.lend(st)
 	out, err := convergeDest(st, e.p, dest, groups)
+	e.takeBack(st)
 	sp.Arg("dest", int64(dest))
 	sp.Arg("groups", int64(len(groups)))
 	st.closeRoot(&sp, ext)
@@ -1449,7 +1543,9 @@ func applyEventGroup(st engineState, params Params, group []scenario.Event) (Eve
 // FinishDest reads it out.
 func (e *Engine) InitDest(st *State, dest topology.ASN) error {
 	sp, ext := e.openRoot(st, "atlas.init_dest")
+	e.lend(st)
 	err := initConverge(st, e.p, dest, nil)
+	e.takeBack(st)
 	sp.Arg("dest", int64(dest))
 	st.closeRoot(&sp, ext)
 	st.inited = err == nil
@@ -1474,7 +1570,9 @@ func (e *Engine) ApplyEvent(st *State, ev scenario.Event) (EventCost, error) {
 	}
 	sp, ext := e.openRoot(st, "atlas.apply_event")
 	st.evScratch[0] = ev
+	e.lend(st)
 	cost, err := applyEventGroup(st, e.p, st.evScratch[:1])
+	e.takeBack(st)
 	if sp.Live() {
 		sp.ArgStr("op", ev.Op.String())
 		sp.Arg("dest", int64(st.dest))
@@ -1514,7 +1612,9 @@ func (e *Engine) FinishDest(st *State) DestOutcome {
 // fixpoint ApplyEvent is differentially validated (DiffStates) and
 // benchmarked (BenchmarkAtlasIncremental) against.
 func (e *Engine) ConvergeScratch(st *State, dest topology.ASN, events []scenario.Event) error {
+	e.lend(st)
 	err := initConverge(st, e.p, dest, events)
+	e.takeBack(st)
 	st.inited = err == nil
 	return err
 }
@@ -1531,6 +1631,7 @@ func (st *State) beginGroup() {
 		st.dense[gen][p] = false
 	}
 	st.visited, st.denseWindows = 0, 0
+	st.rewindEpoch()
 }
 
 // beginWindow implements engineState. A sparse window needs no clearing

@@ -3,6 +3,8 @@ package atlas
 import (
 	"bytes"
 	"compress/gzip"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,24 +141,27 @@ func (g *Graph) origIndex(orig int64) int32 {
 	return -1
 }
 
+// ingestErrorCases are malformed snapshots and the error each must
+// name.
+var ingestErrorCases = []struct {
+	name, input, wantErr string
+}{
+	{"sibling code", "1|2|2\n", "sibling"},
+	{"p2c spelling", "1|2|1\n", "sibling"},
+	{"unknown code", "1|2|7\n", "unknown relationship"},
+	{"short line", "1|2\n", "want a|b|rel"},
+	{"bad asn", "x|2|-1\n", "bad ASN"},
+	{"bad rel", "1|2|zz\n", "bad relationship"},
+	{"empty", "# only comments\n", "no links"},
+	{"provider cycle", "1|2|-1\n2|3|-1\n3|1|-1\n", "cycle"},
+	{"duplicate link", "1|2|-1\n1|2|0\n", "duplicate"},
+	{"self link", "1|1|-1\n", "self link"},
+}
+
 // TestIngestErrors: malformed snapshots fail loudly with the offending
 // line, never silently drop links.
 func TestIngestErrors(t *testing.T) {
-	cases := []struct {
-		name, input, wantErr string
-	}{
-		{"sibling code", "1|2|2\n", "sibling"},
-		{"p2c spelling", "1|2|1\n", "sibling"},
-		{"unknown code", "1|2|7\n", "unknown relationship"},
-		{"short line", "1|2\n", "want a|b|rel"},
-		{"bad asn", "x|2|-1\n", "bad ASN"},
-		{"bad rel", "1|2|zz\n", "bad relationship"},
-		{"empty", "# only comments\n", "no links"},
-		{"provider cycle", "1|2|-1\n2|3|-1\n3|1|-1\n", "cycle"},
-		{"duplicate link", "1|2|-1\n1|2|0\n", "duplicate"},
-		{"self link", "1|1|-1\n", "self link"},
-	}
-	for _, tc := range cases {
+	for _, tc := range ingestErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Ingest(strings.NewReader(tc.input))
 			if err == nil {
@@ -184,4 +189,66 @@ func TestIngestTruncatedGzip(t *testing.T) {
 	if _, err := Ingest(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated gzip ingested without error")
 	}
+}
+
+// FuzzIngest feeds arbitrary bytes, plain or gzip, to Ingest. It must
+// never panic. A graph it accepts must hold its CSR invariants: rev is
+// an involution that leads back to the row owner, every relationship
+// group is sorted, provider/customer and peer entries come in inverse
+// pairs, and the same bytes ingest to the same graph. A small accepted
+// graph must also converge at a multihomed destination.
+//
+// Run long with: go test -fuzz=FuzzIngest ./internal/atlas/
+func FuzzIngest(f *testing.F) {
+	f.Add([]byte(caidaFixture))
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write([]byte(caidaFixture))
+	zw.Close()
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	for _, tc := range ingestErrorCases {
+		f.Add([]byte(tc.input))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Ingest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for a := topology.ASN(0); a < topology.ASN(g.n); a++ {
+			for _, grp := range [][]topology.ASN{g.Providers(a), g.Peers(a), g.Customers(a)} {
+				if !slices.IsSorted(grp) {
+					t.Fatalf("AS %d has an unsorted relationship group %v", a, grp)
+				}
+			}
+			for e := g.off[a]; e < g.off[a+1]; e++ {
+				b, r := g.nbr[e], g.rev[e]
+				if r < 0 || int(r) >= len(g.nbr) || g.rev[r] != e {
+					t.Fatalf("rev is not an involution at entry %d (edge %d->%d)", e, a, b)
+				}
+				if g.nbr[r] != a {
+					t.Fatalf("nbr[rev[%d]] = %d, want the row owner %d", e, g.nbr[r], a)
+				}
+				if got, want := entryRel(g, b, r), entryRel(g, a, e).Invert(); got != want {
+					t.Fatalf("edge %d->%d is %v but its reverse sits in %d's %v group", a, b, entryRel(g, a, e), b, got)
+				}
+			}
+		}
+		again, err := Ingest(bytes.NewReader(data))
+		if err != nil || !reflect.DeepEqual(g, again) {
+			t.Fatalf("the same bytes ingested differently (second error %v)", err)
+		}
+		if g.Len() > 200 {
+			return
+		}
+		for a := topology.ASN(0); a < topology.ASN(g.n); a++ {
+			if g.IsMultihomed(a) {
+				eng := NewEngine(g, DefaultParams())
+				if err := eng.InitDest(eng.NewState(), a); err != nil {
+					t.Fatalf("InitDest at multihomed AS %d: %v", a, err)
+				}
+				return
+			}
+		}
+	})
 }

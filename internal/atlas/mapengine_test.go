@@ -636,12 +636,14 @@ func (st *MapState) RouteAt(p int, a int32) (int8, int32, int32) {
 	return r.kind, r.dist, r.via
 }
 
-// setListCap resizes the touched lists and the cascade worklist. Tests
-// shrink them so the overflow edges run on small graphs. At 0 nothing
-// can be listed and every window runs dense from its start: each event
-// then costs the full set of N-sized passes whatever it changes, as it
-// did before touched sets existed. No production state runs that way;
-// capacity 0 is the differential tests' dense oracle.
+// setListCap resizes the touched lists; the cascade worklist stops at
+// the same capacity (its window's is touchedCap(n), above any the tests
+// force). Tests shrink them so the overflow edges run on small graphs.
+// At 0 nothing can be listed and every window runs dense from its
+// start: each event then costs the full set of N-sized passes whatever
+// it changes, as it did before touched sets existed. No production
+// state runs that way; capacity 0 is the differential tests' dense
+// oracle.
 func (st *State) setListCap(c int) {
 	st.listCap = c
 	for gen := range st.touched {
@@ -649,5 +651,4 @@ func (st *State) setListCap(c int) {
 			st.touched[gen][p] = make([]int32, 0, c)
 		}
 	}
-	st.casc = make([]int32, 0, c)
 }

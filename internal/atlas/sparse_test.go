@@ -509,6 +509,10 @@ func TestSeedRedDependentsOrder(t *testing.T) {
 		if err := eng.InitDest(st, dests[0]); err != nil {
 			t.Fatal(err)
 		}
+		// The window methods run inside an engine call; this drives them
+		// directly, so it holds a window of its own (and never returns it:
+		// the seeded frontier stays queued).
+		eng.lend(st)
 		st.beginGroup()
 		redEpoch := st.beginWindow(planeRed, false)
 		for _, a := range []int32{150, 42, 97, 7} {

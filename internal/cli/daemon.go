@@ -72,8 +72,7 @@ func (e env) cmdDaemon(args []string) int {
 	obs.RegisterRuntime(reg)
 	wireMetrics := netd.NewMetrics(reg)
 	events := obs.NewEventLog(1024)
-	routeChanges := reg.Counter("stamp_daemon_route_changes_total",
-		"Best-route changes (including losses) observed by this daemon.")
+	routeChanges := daemonRouteChanges(reg)
 	sp := netd.NewSpeaker(netd.SpeakerConfig{
 		AS:       uint16(*asn),
 		RouterID: uint32(*id),
@@ -247,4 +246,11 @@ func parseRel(s string) (topology.Rel, error) {
 		return topology.RelProvider, nil
 	}
 	return topology.RelNone, fmt.Errorf("bad relationship %q (customer|peer|provider)", s)
+}
+
+// daemonRouteChanges registers the daemon's own metric family; the rest
+// of its /metrics surface is the runtime and netd families.
+func daemonRouteChanges(reg *obs.Registry) *obs.Counter {
+	return reg.Counter("stamp_daemon_route_changes_total",
+		"Best-route changes (including losses) observed by this daemon.")
 }
