@@ -228,19 +228,19 @@ func TestBGPFixpointMatchesStaticRoutes(t *testing.T) {
 		}
 		want := topology.StaticRoutes(tg, dest)
 		for a := 0; a < g.Len(); a++ {
-			has := st.curKind[planeBGP][a] != kindNone
+			has := st.cur[planeBGP][a].pref != prefNone
 			if has != (want[a] != nil) {
 				t.Fatalf("dest %d AS %d: atlas reachable=%v, static=%v", dest, a, has, want[a] != nil)
 			}
 			if !has || topology.ASN(a) == dest {
 				continue
 			}
-			next := g.nbr[st.curVia[planeBGP][a]]
+			next := g.nbr[st.cur[planeBGP][a].via]
 			if next != want[a][0] {
 				t.Fatalf("dest %d AS %d: atlas next %d, static %d", dest, a, next, want[a][0])
 			}
-			if int(st.curDist[planeBGP][a]) != len(want[a]) {
-				t.Fatalf("dest %d AS %d: atlas dist %d, static %d", dest, a, st.curDist[planeBGP][a], len(want[a]))
+			if int(distOf(st.cur[planeBGP][a].pref)) != len(want[a]) {
+				t.Fatalf("dest %d AS %d: atlas dist %d, static %d", dest, a, distOf(st.cur[planeBGP][a].pref), len(want[a]))
 			}
 		}
 	}
@@ -265,8 +265,8 @@ func TestStampPlanesSane(t *testing.T) {
 			t.Fatalf("dest %d: lock chain %v too short for a multi-homed dest", dest, st.chain)
 		}
 		for a := 0; a < g.Len(); a++ {
-			bgpHas := st.curKind[planeBGP][a] != kindNone
-			stampHas := st.curKind[planeRed][a] != kindNone || st.curKind[planeBlue][a] != kindNone
+			bgpHas := st.cur[planeBGP][a].pref != prefNone
+			stampHas := st.cur[planeRed][a].pref != prefNone || st.cur[planeBlue][a].pref != prefNone
 			if bgpHas != stampHas {
 				t.Fatalf("dest %d AS %d: bgp reachable=%v but red∪blue=%v", dest, a, bgpHas, stampHas)
 			}
@@ -274,7 +274,7 @@ func TestStampPlanesSane(t *testing.T) {
 		// Every chain member has a blue route, and the chain's locked
 		// providers heard blue.
 		for _, v := range st.chain {
-			if st.curKind[planeBlue][v] == kindNone {
+			if st.cur[planeBlue][v].pref == prefNone {
 				t.Fatalf("dest %d: chain member %d has no blue route", dest, v)
 			}
 		}
@@ -545,9 +545,9 @@ func TestStampLossAtSingleCoveredAS(t *testing.T) {
 	if _, err := flat.ConvergeDest(st, nD, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st.curKind[planeRed][nY] == kindNone || st.curKind[planeBlue][nY] != kindNone {
+	if st.cur[planeRed][nY].pref == prefNone || st.cur[planeBlue][nY].pref != prefNone {
 		t.Fatalf("fixture broken: Y should be red-only (red=%d blue=%d)",
-			st.curKind[planeRed][nY], st.curKind[planeBlue][nY])
+			kindOf(st.cur[planeRed][nY].pref), kindOf(st.cur[planeBlue][nY].pref))
 	}
 	groups := [][]scenario.Event{{{Op: scenario.OpFailLink, A: nD, B: nP2}}}
 	out, err := flat.ConvergeDest(st, nD, groups)

@@ -90,9 +90,5 @@ func (st *State) ASCount() int { return st.g.Len() }
 
 // RouteAt implements StateView.
 func (st *State) RouteAt(p int, a int32) (int8, int32, int32) {
-	k := st.curKind[p][a]
-	if k == kindNone {
-		return kindNone, 0, -1
-	}
-	return k, st.curDist[p][a], st.curVia[p][a]
+	return st.cur[p][a].split()
 }

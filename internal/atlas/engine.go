@@ -52,6 +52,71 @@ const (
 	kindProvider = int8(3)
 )
 
+// A route is one word of preference and one of next hop. pref packs
+// the kind rank above the path length, kind<<kindShift | dist, so the
+// lower pref is the better Gao-Rexford route: kind first, then length.
+// A routeless AS holds exactly noRoute, whose prefNone loses to every
+// route, so two routes are equal iff their structs are. Path lengths
+// stay below the AS count, which freeze caps under 1<<kindShift.
+type route struct {
+	pref int32
+	via  int32 // adjacency-entry index of the next hop (-1 none, -2 origin)
+}
+
+const (
+	kindShift = 28
+	distMask  = 1<<kindShift - 1
+	prefNone  = int32(math.MaxInt32) // shifts to kind 7: never kindCustomer
+)
+
+var noRoute = route{prefNone, -1}
+
+func mkPref(k int8, dist int32) int32 { return int32(k)<<kindShift | dist }
+
+// kindOf and distOf split a pref; prefNone is kindNone.
+func kindOf(pref int32) int8 {
+	if pref == prefNone {
+		return kindNone
+	}
+	return int8(pref >> kindShift)
+}
+
+func distOf(pref int32) int32 { return pref & distMask }
+
+// split returns r's kind rank, path length and via, with a routeless r
+// normalized to (kindNone, 0, -1): the form every boundary reports.
+func (r route) split() (kind int8, dist, via int32) {
+	if r.pref == prefNone {
+		return kindNone, 0, -1
+	}
+	return kindOf(r.pref), distOf(r.pref), r.via
+}
+
+// The offers an advertisement wp makes, by how the receiver sees the
+// sender: a provider hears a customer route one hop longer, a peer a
+// peer route, and both only when wp is itself a customer route; a
+// customer hears any route as a provider route. prefNone is no offer.
+func custOffer(wp int32) int32 {
+	if wp>>kindShift != int32(kindCustomer) {
+		return prefNone
+	}
+	return wp + 1
+}
+
+func peerOffer(wp int32) int32 {
+	if wp>>kindShift != int32(kindCustomer) {
+		return prefNone
+	}
+	return wp + 1<<kindShift + 1
+}
+
+func provOffer(wp int32) int32 {
+	if wp == prefNone {
+		return prefNone
+	}
+	return distOf(wp) + 1 | int32(kindProvider)<<kindShift
+}
+
 // Frontier slot states: how much re-evaluation the next round owes an
 // AS. An AS joins the frontier only when something can move its route.
 const (
@@ -59,8 +124,6 @@ const (
 	frontOffer = int8(1) // takes its round candidate without a row scan
 	frontScan  = int8(2) // full recompute
 )
-
-const inf = int32(1 << 30)
 
 // NoMRAI disables advertisement pacing when assigned to
 // Params.MRAIRounds. The zero Params value means "defaults" at the
@@ -165,24 +228,21 @@ type State struct {
 	dest topology.ASN
 
 	withdrawn bool
-	down      []bool // per directed adjacency entry
-	nodeDown  []bool
+	down      bitset // per directed adjacency entry
+	nodeDown  bitset
 
-	// Blue lock chain: lockNext[a] is the locked provider of chain
-	// member a (-1 off-chain); chain holds the members in order.
-	lockNext  []int32
-	onChain   []bool
+	// Blue lock chain: chain holds the members from dest upward, and
+	// member chain[i] locks chain[i+1]; the top locks nothing. onChain
+	// flags the members, so only a member pays for the chain scan.
+	onChain   bitset
 	chain     []int32
 	prevChain []int32
 
 	// Per-plane route state. cur is the route in use (the forwarding
-	// state); adv is the advertised route neighbors see; via is the
-	// adjacency-entry index of the next hop (-1 none, -2 origin).
-	curKind [planeCount][]int8
-	curDist [planeCount][]int32
-	curVia  [planeCount][]int32
-	advKind [planeCount][]int8
-	advDist [planeCount][]int32
+	// state); adv is the preference of the advertised route neighbors
+	// see (prefNone: nothing advertised).
+	cur [planeCount][]route
+	adv [planeCount][]int32
 
 	// The frontier and publication queue lengths, and live, which records
 	// that this round's publications reached a live neighbor they gave no
@@ -281,19 +341,10 @@ func (st *State) nextHopAS(v int32) int32 {
 // captured before the mutation, the new route is read from the slabs.
 // Routeless sides normalize to (kind 0, dist 0, next -1), matching
 // StateView.RouteAt. Callers guard on st.j != nil.
-func (st *State) note(p int, a, round int32, cause prov.Cause, pk int8, pd, pv int32) {
-	nk, nd, nv := st.curKind[p][a], st.curDist[p][a], st.curVia[p][a]
-	if pk == kindNone {
-		pd, pv = 0, -1
-	} else {
-		pv = st.nextHopAS(pv)
-	}
-	if nk == kindNone {
-		nd, nv = 0, -1
-	} else {
-		nv = st.nextHopAS(nv)
-	}
-	st.j.Note(a, round, cause, pk, pd, pv, nk, nd, nv)
+func (st *State) note(p int, a, round int32, cause prov.Cause, prev route) {
+	pk, pd, pv := prev.split()
+	nk, nd, nv := st.cur[p][a].split()
+	st.j.Note(a, round, cause, pk, pd, st.nextHopAS(pv), nk, nd, st.nextHopAS(nv))
 }
 
 // SetTrace attaches an externally-owned trace context: the next
@@ -362,26 +413,20 @@ func (e *Engine) NewState() *State {
 	st := &State{
 		g:         e.g,
 		listCap:   touchedCap(n),
-		down:      make([]bool, e.g.Edges()),
-		nodeDown:  make([]bool, n),
-		lockNext:  make([]int32, n),
-		onChain:   make([]bool, n),
+		down:      newBitset(e.g.Edges()),
+		nodeDown:  newBitset(n),
+		onChain:   newBitset(n),
 		chain:     make([]int32, 0, 64),
 		prevChain: make([]int32, 0, 64),
 	}
 	for p := 0; p < planeCount; p++ {
-		st.curKind[p] = make([]int8, n)
-		st.curDist[p] = make([]int32, n)
-		st.curVia[p] = make([]int32, n)
-		st.advKind[p] = make([]int8, n)
-		st.advDist[p] = make([]int32, n)
+		st.cur[p] = make([]route, n)
+		st.adv[p] = make([]int32, n)
 		for gen := range st.touched {
 			st.touched[gen][p] = make([]int32, 0, st.listCap)
 		}
 	}
-	for i := range st.lockNext {
-		st.lockNext[i] = -1
-	}
+	st.clearRoutes()
 	e.mu.Lock()
 	if len(e.free) == 0 {
 		e.free = append(e.free, newWindow(n))
@@ -420,11 +465,11 @@ func touchedCap(n int) int {
 type window struct {
 	// inFront is an AS's frontier slot state (frontOut … frontScan);
 	// cand is its round candidate while the slot is frontOffer: the best
-	// offer pushed to it this round (packCand).
+	// offer pushed to it this round, with the via it would install.
 	ready     []int32
 	front     []int32
 	inFront   []int8
-	cand      []int64
+	cand      []route
 	pend      []int32
 	inPend    []bool
 	wantPub   []bool
@@ -462,7 +507,7 @@ func newWindow(n int) *window {
 		ready:     make([]int32, n),
 		front:     make([]int32, 0, n),
 		inFront:   make([]int8, n),
-		cand:      make([]int64, n),
+		cand:      make([]route, n),
 		pend:      make([]int32, 0, n),
 		inPend:    make([]bool, n),
 		wantPub:   make([]bool, n),
@@ -549,11 +594,8 @@ func (st *State) Touched(seq uint64, p int) (as []int32, ok bool) {
 // kind rank (0 none), path length, and the next hop resolved to a dense
 // AS id (-1 none, -2 origin).
 func (st *State) SnapshotRoute(p int, a int32) (kind int8, dist, next int32) {
-	k := st.curKind[p][a]
-	if k == kindNone {
-		return kindNone, 0, -1
-	}
-	return k, st.curDist[p][a], st.nextHopAS(st.curVia[p][a])
+	kind, dist, via := st.cur[p][a].split()
+	return kind, dist, st.nextHopAS(via)
 }
 
 // Visited returns how many ASes and adjacency entries the latest event
@@ -575,10 +617,7 @@ func (st *State) reset(dest topology.ASN) {
 	clear(st.down)
 	clear(st.nodeDown)
 	st.clearChain()
-	for p := 0; p < planeCount; p++ {
-		clear(st.curKind[p])
-		clear(st.advKind[p])
-	}
+	st.clearRoutes()
 	st.frontLen, st.pendLen, st.live = 0, 0, false
 	st.rewindEpoch()
 	// A reset is a window of its own that retains no touched set: no
@@ -591,10 +630,19 @@ func (st *State) reset(dest topology.ASN) {
 	}
 }
 
+// clearRoutes leaves every plane routeless.
+func (st *State) clearRoutes() {
+	for p := 0; p < planeCount; p++ {
+		for a := range st.cur[p] {
+			st.cur[p][a] = noRoute
+			st.adv[p][a] = prefNone
+		}
+	}
+}
+
 func (st *State) clearChain() {
 	for _, v := range st.chain {
-		st.lockNext[v] = -1
-		st.onChain[v] = false
+		st.onChain.unset(v)
 	}
 	st.chain = st.chain[:0]
 }
@@ -606,29 +654,25 @@ func (st *State) clearChain() {
 func (st *State) computeChain() bool {
 	st.prevChain = append(st.prevChain[:0], st.chain...)
 	st.clearChain()
-	if st.withdrawn || st.nodeDown[st.dest] {
+	if st.withdrawn || st.nodeDown.has(int32(st.dest)) {
 		return !slices.Equal(st.chain, st.prevChain)
 	}
-	v := st.dest
+	v := int32(st.dest)
 	for {
-		st.chain = append(st.chain, int32(v))
-		st.onChain[v] = true
-		lp := topology.ASN(-1)
-		provs := st.g.Providers(v)
+		st.chain = append(st.chain, v)
+		st.onChain.set(v)
+		lp := int32(-1)
+		provs := st.g.Providers(topology.ASN(v))
 		base := st.g.off[v]
 		for i, p := range provs {
-			if st.down[base+int32(i)] || st.nodeDown[p] {
+			if st.down.has(base+int32(i)) || st.nodeDown.has(int32(p)) {
 				continue
 			}
-			lp = p
+			lp = int32(p)
 			break // providers are sorted ascending: first live is lowest
 		}
-		if lp < 0 {
-			break
-		}
-		st.lockNext[v] = int32(lp)
-		if st.onChain[lp] {
-			break // unreachable in a DAG; guard anyway
+		if lp < 0 || st.onChain.has(lp) {
+			break // the second is unreachable in a DAG; guard anyway
 		}
 		v = lp
 	}
@@ -642,32 +686,27 @@ func (st *State) computeChain() bool {
 // latest-entry-per-AS invariant survives re-roots), except the origin
 // when its pinned route carries over unchanged.
 func (st *State) initPlane(p int) {
-	n := st.g.Len()
 	j := st.j
-	origin := !st.withdrawn && !st.nodeDown[st.dest]
+	origin := !st.withdrawn && !st.nodeDown.has(int32(st.dest))
 	d := int32(st.dest)
-	keptOrigin := origin && st.curKind[p][d] != kindNone && st.curVia[p][d] == -2
-	for a := 0; a < n; a++ {
-		if j != nil && st.curKind[p][a] != kindNone && (int32(a) != d || !keptOrigin) {
-			pk, pd, pv := st.curKind[p][a], st.curDist[p][a], st.curVia[p][a]
-			st.curKind[p][a] = kindNone
-			st.note(p, int32(a), 0, j.WindowCause(0), pk, pd, pv)
+	keptOrigin := origin && st.cur[p][d].pref != prefNone && st.cur[p][d].via == -2
+	cur, adv := st.cur[p], st.adv[p]
+	for a := range cur {
+		if j != nil && cur[a].pref != prefNone && (int32(a) != d || !keptOrigin) {
+			prev := cur[a]
+			cur[a] = noRoute
+			st.note(p, int32(a), 0, j.WindowCause(0), prev)
 		}
-		st.curKind[p][a] = kindNone
-		st.curDist[p][a] = inf
-		st.curVia[p][a] = -1
-		st.advKind[p][a] = kindNone
-		st.advDist[p][a] = inf
+		cur[a] = noRoute
+		adv[a] = prefNone
 	}
 	st.frontLen, st.pendLen = 0, 0
 	if !origin {
 		return
 	}
-	st.curKind[p][d] = kindCustomer
-	st.curDist[p][d] = 0
-	st.curVia[p][d] = -2
+	cur[d] = route{mkPref(kindCustomer, 0), -2}
 	if j != nil && !keptOrigin {
-		st.note(p, d, 0, j.WindowCause(0), kindNone, 0, -1)
+		st.note(p, d, 0, j.WindowCause(0), noRoute)
 	}
 	st.pendAdd(d)
 }
@@ -687,41 +726,40 @@ func (st *State) frontSet(a int32, slot int8) {
 }
 
 // publish fans a's new plane-p advertisement out to its live neighbors.
-// oldKind and oldDist are the advertisement it replaces. Per group, the
-// offer a neighbor hears: a's customers take anything as a provider
-// route, its peers and providers only customer routes, and a provider
-// only under the export rules.
-func (st *State) publish(p int, a int32, oldKind int8, oldDist int32) {
+// old is the advertisement it replaces. Per group, the offer a neighbor
+// hears: a's customers take anything as a provider route, its peers and
+// providers only customer routes, and a provider only under the export
+// rules.
+func (st *State) publish(p int, a int32, old int32) {
 	g := st.g
-	kind, dist := st.advKind[p][a], st.advDist[p][a]
-	up, wasUp := kind == kindCustomer, oldKind == kindCustomer
-	if up || wasUp {
+	adv := st.adv[p][a]
+	if o, oldO := custOffer(adv), custOffer(old); o != prefNone || oldO != prefNone {
 		for e := g.off[a]; e < g.provEnd[a]; e++ {
-			k, ok := kindNone, kindNone
-			if st.climbs(p, topology.ASN(a), int32(g.nbr[e])) {
-				k, ok = kindIf(up, kindCustomer), kindIf(wasUp, kindCustomer)
+			if st.climbs(p, a, int32(g.nbr[e])) {
+				st.fanOut(p, a, e, e+1, o, oldO)
+			} else {
+				st.fanOut(p, a, e, e+1, prefNone, prefNone)
 			}
-			st.fanOut(p, a, e, e+1, k, dist, ok, oldDist)
 		}
 	} else {
-		st.fanOut(p, a, g.off[a], g.provEnd[a], kindNone, dist, kindNone, oldDist)
+		st.fanOut(p, a, g.off[a], g.provEnd[a], prefNone, prefNone)
 	}
-	st.fanOut(p, a, g.provEnd[a], g.peerEnd[a], kindIf(up, kindPeer), dist, kindIf(wasUp, kindPeer), oldDist)
-	st.fanOut(p, a, g.peerEnd[a], g.off[a+1], kindIf(kind != kindNone, kindProvider), dist, kindIf(oldKind != kindNone, kindProvider), oldDist)
+	st.fanOut(p, a, g.provEnd[a], g.peerEnd[a], peerOffer(adv), peerOffer(old))
+	st.fanOut(p, a, g.peerEnd[a], g.off[a+1], provOffer(adv), provOffer(old))
 }
 
 // fanOut reaches the neighbors in entries [lo, hi) of a's row, all of
-// which hear the same offer k and old offer oldKind. When neither is an
+// which hear the same offer o where they heard old. When neither is an
 // offer the group can move no route and visits nothing; it only sets
 // st.live if a neighbor is live (see reach).
-func (st *State) fanOut(p int, a, lo, hi int32, k int8, dist int32, oldKind int8, oldDist int32) {
-	if k == kindNone && oldKind == kindNone {
+func (st *State) fanOut(p int, a, lo, hi int32, o, old int32) {
+	if o == prefNone && old == prefNone {
 		st.live = st.live || st.anyLive(lo, hi)
 		return
 	}
 	st.visited += int64(hi - lo)
 	for e := lo; e < hi; e++ {
-		st.reach(p, a, e, k, dist, oldKind, oldDist)
+		st.reach(p, a, e, o, old)
 	}
 }
 
@@ -729,94 +767,60 @@ func (st *State) fanOut(p int, a, lo, hi int32, k int8, dist int32, oldKind int8
 // a live AS.
 func (st *State) anyLive(lo, hi int32) bool {
 	for e := lo; e < hi; e++ {
-		if !st.down[e] && !st.nodeDown[st.g.nbr[e]] {
+		if !st.down.has(e) && !st.nodeDown.has(int32(st.g.nbr[e])) {
 			return true
 		}
 	}
 	return false
 }
 
-// kindIf returns k when cond holds, else kindNone.
-func kindIf(cond bool, k int8) int8 {
-	if cond {
-		return k
-	}
-	return kindNone
-}
-
 // reach queues neighbor w = nbr[e] for the next round on a's
-// publication, as far as that can move w's route. a now offers w a route
-// of kind k (kindNone: nothing) advertised at length dist, where it
-// offered oldKind at oldDist. Phase 1 reads only advertisements, and w's
-// route was the best of them when last computed, so only two things can
-// move it: its next hop's offer changed (a is that next hop: full
-// recompute), or an offer arrived that strictly beats the best w holds
-// or was already offered this round (w takes it as its round candidate).
-// Anything else leaves w's route where it is and w out of the frontier;
-// st.live still runs the next round, so the round count does not depend
-// on which reached ASes could move.
+// publication, as far as that can move w's route. a now offers w the
+// route preference o (prefNone: nothing), where it offered old. Phase 1
+// reads only advertisements, and w's route was the best of them when
+// last computed, so only two things can move it: its next hop's offer
+// changed (a is that next hop: full recompute), or an offer arrived that
+// strictly beats the best w holds or was already offered this round (w
+// takes it as its round candidate). Anything else leaves w's route where
+// it is and w out of the frontier; st.live still runs the next round, so
+// the round count does not depend on which reached ASes could move.
 //
 // The candidate carries the via entry it would install, rev[e]: the
 // entry of a in w's row.
-func (st *State) reach(p int, a, e int32, k int8, dist int32, oldKind int8, oldDist int32) {
+func (st *State) reach(p int, a, e int32, o, old int32) {
 	w := int32(st.g.nbr[e])
-	if st.down[e] || st.nodeDown[w] {
+	if st.down.has(e) || st.nodeDown.has(w) {
 		return
 	}
 	slot := st.inFront[w]
 	if slot == frontScan {
 		return
 	}
-	bk, bd := st.curKind[p][w], st.curDist[p][w]
+	best := st.cur[p][w]
 	// A route through a is a's old offer, so only a route that equals it
 	// needs its next hop read.
-	if oldKind != kindNone && bk == oldKind && bd == oldDist+1 && st.nextHopAS(st.curVia[p][w]) == a {
+	if old != prefNone && best.pref == old && st.nextHopAS(best.via) == a {
 		st.frontSet(w, frontScan)
 		return
 	}
-	if k != kindNone {
-		if slot == frontOffer {
-			_, bd, bk = unpackCand(st.cand[w])
-		}
-		// recompute's order: kind, then length, then the lower sender. The
-		// origin's pinned (customer, 0) route is beaten by no offer.
-		if d := dist + 1; bk == kindNone || k < bk || (k == bk && (d < bd || (d == bd && a < st.bestSender(p, w, slot)))) {
-			st.cand[w] = packCand(st.g.rev[e], d, k)
-			st.frontSet(w, frontOffer)
-			return
-		}
+	if slot == frontOffer {
+		best = st.cand[w]
+	}
+	// recompute's order: preference, then the lower sender. prefNone
+	// offers nothing, and the origin's pinned route is beaten by no
+	// offer (nor tied: its via resolves to -2).
+	if o < best.pref || (o == best.pref && a < st.nextHopAS(best.via)) {
+		st.cand[w] = route{o, st.g.rev[e]}
+		st.frontSet(w, frontOffer)
+		return
 	}
 	st.live = true
-}
-
-// bestSender is the sender of the best route w holds this round: its
-// candidate's while its slot is frontOffer, else its route's next hop.
-// reach reads it only to break a tie.
-func (st *State) bestSender(p int, w int32, slot int8) int32 {
-	v := st.curVia[p][w]
-	if slot == frontOffer {
-		v, _, _ = unpackCand(st.cand[w])
-	}
-	return st.nextHopAS(v)
 }
 
 // takeOffer installs a's round candidate as its route. The candidate
 // strictly beats a's route and did not come from a's next hop, so it is
 // what recompute would pick, found without the row scan.
-func (st *State) takeOffer(p int, a int32) {
-	st.curVia[p][a], st.curDist[p][a], st.curKind[p][a] = unpackCand(st.cand[a])
-}
-
-// packCand packs a round candidate: the via entry in the receiver's row,
-// the path length and the route kind. The length is below inf (1<<30), so
-// it fits beside the kind's two bits.
-func packCand(via, dist int32, kind int8) int64 {
-	return int64(via)<<32 | int64(dist)<<2 | int64(kind)
-}
-
-func unpackCand(c int64) (via, dist int32, kind int8) {
-	return int32(c >> 32), int32(uint32(c) >> 2), int8(c & 3)
-}
+func (st *State) takeOffer(p int, a int32) { st.cur[p][a] = st.cand[a] }
 
 func (st *State) pendAdd(a int32) {
 	st.wantPub[a] = true
@@ -827,89 +831,92 @@ func (st *State) pendAdd(a int32) {
 	}
 }
 
-// exportsUp reports whether customer w would announce its plane-p
-// route up to its provider a: valley-free (only customer-learned or
-// originated routes climb) plus STAMP's selective announcement rules.
-// Downhill and lateral exports are unrestricted and are handled inline
-// in recompute.
-func (st *State) exportsUp(p int, w topology.ASN, a int32) bool {
-	return st.advKind[p][w] == kindCustomer && st.climbs(p, w, a)
-}
-
 // climbs reports whether STAMP's selective announcement rules let
-// customer w's customer route climb to its provider a.
-func (st *State) climbs(p int, w topology.ASN, a int32) bool {
+// customer w's customer route climb to its provider a. Valley-freedom
+// (only customer routes climb) is the caller's test.
+func (st *State) climbs(p int, w, a int32) bool {
 	switch p {
 	case planeRed:
 		// The locked blue provider receives no red.
-		return st.lockNext[w] != a
+		return !st.onChain.has(w) || st.lockOf(w) != a
 	case planeBlue:
-		if st.onChain[w] {
+		if st.onChain.has(w) {
 			// Locked blue climbs exactly one provider edge.
-			return st.lockNext[w] == a
+			return st.lockOf(w) == a
 		}
 		// Red precedence: an off-chain AS whose red route is exportable
 		// up sends red to every provider, so blue stays home. (Red has
 		// already converged for this window.)
-		return st.curKind[planeRed][w] != kindCustomer
+		return st.cur[planeRed][w].pref>>kindShift != int32(kindCustomer)
 	}
 	return true
 }
 
+// lockOf returns the provider chain member w locks: the next member up,
+// or -1 at the top.
+func (st *State) lockOf(w int32) int32 {
+	for i := 0; i+1 < len(st.chain); i++ {
+		if st.chain[i] == w {
+			return st.chain[i+1]
+		}
+	}
+	return -1
+}
+
 // recompute evaluates a's best plane-p route from its neighbors'
-// advertisements, returning true when the current route changed.
+// advertisements, returning true when the current route changed. Any
+// customer offer beats every peer and provider offer, and any peer offer
+// every provider offer, so the row is scanned customers first and the
+// scan stops at the first class that offers a route. Within a class the
+// entries ascend by neighbor, so the first of equal offers is the lower
+// sender's.
 func (st *State) recompute(p int, a int32) bool {
 	g := st.g
-	bestKind, bestDist, bestVia := kindNone, inf, int32(-1)
-	if !st.nodeDown[a] {
+	best := noRoute
+	if !st.nodeDown.has(a) {
 		lo, hi := g.off[a], g.off[a+1]
-		st.visited += int64(hi - lo)
 		provEnd, peerEnd := g.provEnd[a], g.peerEnd[a]
-		for e := lo; e < hi; e++ {
-			if st.down[e] {
+		st.visited += int64(hi - lo)
+		adv := st.adv[p]
+		// Customers announcing up, under the export rules.
+		for e := peerEnd; e < hi; e++ {
+			w := int32(g.nbr[e])
+			if st.down.has(e) || st.nodeDown.has(w) {
 				continue
 			}
-			w := g.nbr[e]
-			if st.nodeDown[w] {
-				continue
+			if o := custOffer(adv[w]); o < best.pref && st.climbs(p, w, a) {
+				best = route{o, e}
 			}
-			wk := st.advKind[p][w]
-			if wk == kindNone {
-				continue
-			}
-			var offerKind int8
-			switch {
-			case e < provEnd:
-				// w is a's provider; w exports anything downhill; a
-				// imports it as a provider route.
-				offerKind = kindProvider
-			case e < peerEnd:
-				if wk != kindCustomer {
+		}
+		// Peers pass on only customer routes.
+		if best.pref == prefNone {
+			for e := provEnd; e < peerEnd; e++ {
+				w := int32(g.nbr[e])
+				if st.down.has(e) || st.nodeDown.has(w) {
 					continue
 				}
-				offerKind = kindPeer
-			default:
-				// w is a's customer announcing up.
-				if !st.exportsUp(p, w, a) {
+				if o := peerOffer(adv[w]); o < best.pref {
+					best = route{o, e}
+				}
+			}
+		}
+		// Providers export anything downhill.
+		if best.pref == prefNone {
+			for e := lo; e < provEnd; e++ {
+				w := int32(g.nbr[e])
+				if st.down.has(e) || st.nodeDown.has(w) {
 					continue
 				}
-				offerKind = kindCustomer
-			}
-			d := st.advDist[p][w] + 1
-			if bestKind == kindNone || offerKind < bestKind ||
-				(offerKind == bestKind && (d < bestDist ||
-					(d == bestDist && w < g.nbr[bestVia]))) {
-				bestKind, bestDist, bestVia = offerKind, d, e
+				if o := provOffer(adv[w]); o < best.pref {
+					best = route{o, e}
+				}
 			}
 		}
 	}
-	if bestKind == st.curKind[p][a] && bestVia == st.curVia[p][a] &&
-		(bestKind == kindNone || bestDist == st.curDist[p][a]) {
+	if best == st.cur[p][a] {
 		return false
 	}
-	st.curKind[p][a] = bestKind
-	st.curDist[p][a] = bestDist
-	st.curVia[p][a] = bestVia
+	st.cur[p][a] = best
 	return true
 }
 
@@ -948,19 +955,19 @@ func (st *State) densify(p int, fresh bool) {
 	st.dense[st.seq&1][p] = true
 	st.denseWindows++
 	st.visited += int64(st.g.Len())
-	cur, had := st.curKind[p], st.hadStart[p]
+	cur, had := st.cur[p], st.hadStart[p]
 	if fresh {
 		clear(st.lostAcc[p])
 		clear(st.permMark[p])
-		for a, k := range cur {
-			had[a] = k != kindNone
+		for a, r := range cur {
+			had[a] = r.pref != prefNone
 		}
 		return
 	}
 	stamp := st.changedStamp[p]
 	for a := range stamp {
 		if stamp[a] != st.epoch {
-			had[a] = cur[a] != kindNone
+			had[a] = cur[a].pref != prefNone
 			st.lostAcc[p][a] = 0
 			st.permMark[p][a] = false
 		}
@@ -1005,27 +1012,24 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			a := st.front[i]
 			slot := st.inFront[a]
 			st.inFront[a] = frontOut
-			if topology.ASN(a) == st.dest && !st.withdrawn && !st.nodeDown[a] {
+			if topology.ASN(a) == st.dest && !st.withdrawn && !st.nodeDown.has(a) {
 				continue // the origin's route is pinned
 			}
-			had := st.curKind[p][a] != kindNone
-			var pk int8
-			var pd, pv int32
-			if j != nil {
-				pk, pd, pv = st.curKind[p][a], st.curDist[p][a], st.curVia[p][a]
-			}
+			prev := st.cur[p][a]
+			had := prev.pref != prefNone
 			if slot == frontOffer {
 				st.takeOffer(p, a)
 			} else if !st.recompute(p, a) {
 				continue
 			}
 			if j != nil {
-				st.note(p, a, round, cause, pk, pd, pv)
+				st.note(p, a, round, cause, prev)
 			}
 			if st.markChanged(p, a, had) {
 				out.Changed++
 			}
-			has := st.curKind[p][a] != kindNone
+			pref := st.cur[p][a].pref
+			has := pref != prefNone
 			if st.hadStart[p][a] {
 				if had && !has {
 					st.lostSince[a] = round
@@ -1034,8 +1038,7 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 					st.lostAcc[p][a] += round - st.lostSince[a]
 				}
 			}
-			if st.curKind[p][a] != st.advKind[p][a] ||
-				(st.curKind[p][a] != kindNone && st.curDist[p][a] != st.advDist[p][a]) {
+			if pref != st.adv[p][a] {
 				st.pendAdd(a)
 			} else {
 				st.wantPub[a] = false
@@ -1056,11 +1059,10 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			}
 			st.inPend[a] = false
 			st.wantPub[a] = false
-			oldKind, oldDist := st.advKind[p][a], st.advDist[p][a]
-			st.advKind[p][a] = st.curKind[p][a]
-			st.advDist[p][a] = st.curDist[p][a]
+			old := st.adv[p][a]
+			st.adv[p][a] = st.cur[p][a].pref
 			st.ready[a] = round + mrai
-			st.publish(p, a, oldKind, oldDist)
+			st.publish(p, a, old)
 		}
 		st.pendLen = w
 		if traced && round <= int32(len(roundArgKeys)) {
@@ -1130,10 +1132,11 @@ func (st *State) cascade(p int, group []scenario.Event, out *PlaneOutcome) {
 		st.visited += int64(g.off[a+1] - g.off[a])
 		for e := g.off[a]; seeded && e < g.off[a+1]; e++ {
 			w := int32(g.nbr[e])
-			if st.curKind[p][w] == kindNone {
+			r := st.cur[p][w]
+			if r.pref == prefNone {
 				continue
 			}
-			if v := st.curVia[p][w]; v >= 0 && int32(g.nbr[v]) == a {
+			if v := r.via; v >= 0 && int32(g.nbr[v]) == a {
 				seeded = st.cascPush(w)
 			}
 		}
@@ -1161,32 +1164,30 @@ func (st *State) cascPush(a int32) bool {
 // routeDead reports whether a's plane-p route (if any) crosses a dead
 // link or AS, or leads to a neighbor that has lost its own route.
 func (st *State) routeDead(p int, a int32) bool {
-	if st.curKind[p][a] == kindNone {
+	r := st.cur[p][a]
+	if r.pref == prefNone {
 		return false
 	}
-	if st.nodeDown[a] {
+	if st.nodeDown.has(a) {
 		return true
 	}
-	e := st.curVia[p][a]
+	e := r.via
 	if topology.ASN(a) == st.dest && e == -2 {
 		return st.withdrawn
 	}
-	next := st.g.nbr[e]
-	return st.down[e] || st.nodeDown[next] || st.curKind[p][next] == kindNone
+	next := int32(st.g.nbr[e])
+	return st.down.has(e) || st.nodeDown.has(next) || st.cur[p][next].pref == prefNone
 }
 
 // invalidate withdraws a's plane-p route (cur and adv together) and
 // queues a for re-convergence.
 func (st *State) invalidate(p int, a int32, out *PlaneOutcome) {
-	pk, pd, pv := st.curKind[p][a], st.curDist[p][a], st.curVia[p][a]
-	st.curKind[p][a] = kindNone
-	st.curDist[p][a] = inf
-	st.curVia[p][a] = -1
-	st.advKind[p][a] = kindNone
-	st.advDist[p][a] = inf
+	prev := st.cur[p][a]
+	st.cur[p][a] = noRoute
+	st.adv[p][a] = prefNone
 	st.lostSince[a] = 0
 	if st.j != nil {
-		st.note(p, a, 0, prov.CauseCascade, pk, pd, pv)
+		st.note(p, a, 0, prov.CauseCascade, prev)
 	}
 	if st.markChanged(p, a, true) {
 		out.Changed++
@@ -1238,7 +1239,7 @@ func (st *State) settleGroup(p int, endRound int32, out *PlaneOutcome) {
 }
 
 func (st *State) settleAS(p int, a, endRound int32, out *PlaneOutcome) {
-	if st.hadStart[p][a] && st.curKind[p][a] == kindNone {
+	if st.hadStart[p][a] && st.cur[p][a].pref == prefNone {
 		tail := endRound - st.lostSince[a]
 		out.PermLostASRounds += int64(st.lostAcc[p][a]) + int64(tail)
 		st.lostAcc[p][a] += tail
@@ -1278,19 +1279,20 @@ func (st *State) apply(ev scenario.Event) error {
 		}
 		e2 := g.rev[e1]
 		down := ev.Op == scenario.OpFailLink
-		if st.down[e1] == down {
+		if st.down.has(e1) == down {
 			state := "up"
 			if down {
 				state = "down"
 			}
 			return fmt.Errorf("atlas: link %d--%d already %s", ev.A, ev.B, state)
 		}
-		st.down[e1], st.down[e2] = down, down
+		st.down.put(e1, down)
+		st.down.put(e2, down)
 	case scenario.OpFailNode:
-		if st.nodeDown[ev.Node] {
+		if st.nodeDown.has(int32(ev.Node)) {
 			return fmt.Errorf("atlas: AS %d already down", ev.Node)
 		}
-		st.nodeDown[ev.Node] = true
+		st.nodeDown.set(int32(ev.Node))
 	case scenario.OpWithdraw:
 		if ev.Node != st.dest {
 			return fmt.Errorf("atlas: withdraw at %d but shard destination is %d (atlas scripts must be destination-independent)", ev.Node, st.dest)
@@ -1668,7 +1670,7 @@ func (st *State) windowLoss(p int, a int32) (lost int32, had, perm bool) {
 	if st.dense[st.seq&1][p] || st.changedStamp[p][a] == st.winEpoch[p] {
 		return st.lostAcc[p][a], st.hadStart[p][a], st.permMark[p][a]
 	}
-	return 0, st.curKind[p][a] != kindNone, false
+	return 0, st.cur[p][a].pref != prefNone, false
 }
 
 // accumulateGroupLoss implements engineState: the per-group transient
@@ -1719,7 +1721,7 @@ func (st *State) addPlaneLoss(p int, a int32, out *PlaneOutcome) {
 }
 
 func (st *State) addStampLoss(a int32, out *DestOutcome) {
-	if st.curKind[planeRed][a] == kindNone && st.curKind[planeBlue][a] == kindNone {
+	if st.cur[planeRed][a].pref == prefNone && st.cur[planeBlue][a].pref == prefNone {
 		return
 	}
 	r, hadRed, _ := st.windowLoss(planeRed, a)
@@ -1737,9 +1739,9 @@ func (st *State) addStampLoss(a int32, out *DestOutcome) {
 // accumulateFinal implements engineState.
 func (st *State) accumulateFinal(out *DestOutcome) {
 	for a := 0; a < st.g.Len(); a++ {
-		hasRed := st.curKind[planeRed][a] != kindNone
-		hasBlue := st.curKind[planeBlue][a] != kindNone
-		if st.curKind[planeBGP][a] == kindNone {
+		hasRed := st.cur[planeRed][a].pref != prefNone
+		hasBlue := st.cur[planeBlue][a].pref != prefNone
+		if st.cur[planeBGP][a].pref == prefNone {
 			out.BGP.UnreachableFinal++
 		}
 		if !hasRed {

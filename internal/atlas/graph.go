@@ -206,6 +206,9 @@ func (b *builder) addLink(a, p topology.ASN, rel topology.Rel) {
 // each row is then sorted on a packed (group rank, neighbor) key.
 func (b *builder) freeze() (*Graph, error) {
 	n := b.n
+	if err := checkASCount(int64(n)); err != nil {
+		return nil, err
+	}
 	g := &Graph{
 		n:       n,
 		off:     make([]int32, n+1),
@@ -279,6 +282,16 @@ func (b *builder) freeze() (*Graph, error) {
 		g.byDegree[i] = topology.ASN(uint32(k))
 	}
 	return g, nil
+}
+
+// checkASCount refuses graphs the engine cannot route: a path is
+// shorter than the AS count, and a route's preference word packs the
+// path length under the kind bits (see route).
+func checkASCount(n int64) error {
+	if n >= 1<<kindShift {
+		return fmt.Errorf("atlas: %d ASes, the engine routes fewer than %d", n, 1<<kindShift)
+	}
+	return nil
 }
 
 // linkReverse fills rev. A row's entry for b names b's row entry for it,

@@ -31,6 +31,9 @@ type MapEngine struct {
 // NewMapEngine builds the reference engine over g.
 func NewMapEngine(g *Graph, p Params) *MapEngine { return &MapEngine{g: g, p: p} }
 
+// inf is the map engine's routeless path length.
+const inf = int32(1 << 30)
+
 // mapRoute is one plane's route at one AS.
 type mapRoute struct {
 	kind int8
@@ -330,7 +333,9 @@ func (st *MapState) markChanged(p int, a int32) bool {
 	return true
 }
 
-// exportsUp mirrors State.exportsUp over map storage.
+// exportsUp reports whether customer w announces its plane-p route up
+// to provider a: a customer route that the selective announcement rules
+// (State.climbs) let climb.
 func (st *MapState) exportsUp(p int, w topology.ASN, a int32) bool {
 	wr, ok := st.adv[p][int32(w)]
 	if !ok || wr.kind != kindCustomer {

@@ -49,12 +49,12 @@ func TestEmuParityCappedN(t *testing.T) {
 		}
 		for a := 0; a < n; a++ {
 			liveServed := live.Tables.Red[a] != nil || live.Tables.Blue[a] != nil
-			atlasServed := st.curKind[planeRed][a] != kindNone || st.curKind[planeBlue][a] != kindNone
+			atlasServed := st.cur[planeRed][a].pref != prefNone || st.cur[planeBlue][a].pref != prefNone
 			if liveServed != atlasServed {
 				t.Errorf("dest %d AS %d: live served=%v (red=%v blue=%v), atlas served=%v",
 					dest, a, liveServed, live.Tables.Red[a], live.Tables.Blue[a], atlasServed)
 			}
-			bgpServed := st.curKind[planeBGP][a] != kindNone
+			bgpServed := st.cur[planeBGP][a].pref != prefNone
 			if liveServed != bgpServed {
 				t.Errorf("dest %d AS %d: live served=%v but atlas BGP served=%v", dest, a, liveServed, bgpServed)
 			}

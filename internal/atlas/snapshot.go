@@ -28,20 +28,9 @@ func (st *State) SnapshotRoutes(p int, kind []int8, dist []int32, next []int32) 
 	if len(kind) < n || len(dist) < n || len(next) < n {
 		panic(fmt.Sprintf("atlas: SnapshotRoutes buffers shorter than %d ASes", n))
 	}
-	srcKind, srcDist, srcVia := st.curKind[p], st.curDist[p], st.curVia[p]
-	for a := 0; a < n; a++ {
-		k := srcKind[a]
-		if k == kindNone {
-			kind[a], dist[a], next[a] = kindNone, 0, -1
-			continue
-		}
-		kind[a] = k
-		dist[a] = srcDist[a]
-		if v := srcVia[a]; v >= 0 {
-			next[a] = int32(st.g.nbr[v])
-		} else {
-			next[a] = v // -2 origin
-		}
+	for a, r := range st.cur[p][:n] {
+		k, d, v := r.split()
+		kind[a], dist[a], next[a] = k, d, st.nextHopAS(v)
 	}
 }
 

@@ -533,3 +533,18 @@ func TestAtlasReplayCLI(t *testing.T) {
 		t.Errorf("why payload = %+v, want three-plane chains with journal appends", env.Data.Why)
 	}
 }
+
+// TestDaemonListenerTimeouts: the daemon's -metrics listener bounds how
+// long a request may take to arrive and its response to leave, as
+// stamp serve's does, so a slow client cannot hold a connection for
+// ever.
+func TestDaemonListenerTimeouts(t *testing.T) {
+	srv, _, err := serveMux(http.NewServeMux(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 {
+		t.Fatalf("daemon listener timeouts: read %v, write %v", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}

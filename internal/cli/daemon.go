@@ -178,7 +178,13 @@ func serveMux(mux http.Handler, addr string) (*http.Server, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("metrics listener: %w", err)
 	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	// The same limits as stamp serve's listener; /events streams outlive
+	// them.
+	srv := &http.Server{
+		Handler:      mux,
+		ReadTimeout:  10 * time.Second,
+		WriteTimeout: time.Minute,
+	}
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
 }

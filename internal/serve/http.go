@@ -102,6 +102,19 @@ func sseHandler(c MuxConfig) http.HandlerFunc {
 			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "from= is past the newest event", "newest": newest})
 			return
 		}
+		// A stream outlives the server's timeouts. net/http lifts the read
+		// deadline when it starts its background read, before a GET's
+		// handler runs, and each burst here gets a fresh write window.
+		rc := http.NewResponseController(w)
+		var writeWindow time.Duration
+		if srv, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
+			writeWindow = srv.WriteTimeout
+		}
+		extendWrite := func() {
+			if writeWindow > 0 {
+				rc.SetWriteDeadline(time.Now().Add(writeWindow))
+			}
+		}
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 		w.WriteHeader(http.StatusOK)
@@ -126,6 +139,7 @@ func sseHandler(c MuxConfig) http.HandlerFunc {
 		for {
 			evs := c.Events.Since(after)
 			if len(evs) > 0 {
+				extendWrite()
 				sp := c.Tracer.Event(0).Start("serve.sse_broadcast")
 				if after > 0 && evs[0].Seq > after+1 {
 					// The ring evicted entries between the client's resume
@@ -641,6 +655,22 @@ type webState struct {
 	done    chan error
 }
 
+// newHTTPServer is Start's server for h. A request must arrive whole,
+// body included, within ReadTimeout, so a client cannot trickle an admin
+// body for ever. With no ReadHeaderTimeout, net/http bounds the headers
+// by the same deadline and sets the connection's read deadline once per
+// request. A response must be written within WriteTimeout, which leaves
+// room for pprof's default 30 s profile. /events streams outlive both
+// (see sseHandler).
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:      h,
+		ReadTimeout:  10 * time.Second,
+		WriteTimeout: time.Minute,
+		IdleTimeout:  time.Minute,
+	}
+}
+
 // Start binds addr and serves the HTTP surface in the background,
 // returning the bound address (useful with a :0 port).
 func (s *Server) Start(addr string) (string, error) {
@@ -649,11 +679,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("serve: bind %s: %w", addr, err)
 	}
 	s.web.closing = make(chan struct{})
-	s.web.srv = &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       time.Minute,
-	}
+	s.web.srv = newHTTPServer(s.Handler())
 	s.web.done = make(chan error, 1)
 	go func() { s.web.done <- s.web.srv.Serve(ln) }()
 	go s.flight.monitor(s.web.closing, 2*time.Second)

@@ -1,0 +1,111 @@
+package stamp
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// Checks on the repository as a whole: what the prose docs cite and
+// what production code may name. Both read the source tree from the
+// module root, the bench/ module included.
+
+// goFiles returns the repository's .go files, test files or the rest,
+// skipping hidden directories (.git and build caches).
+func goFiles(t *testing.T, tests bool) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && strings.HasSuffix(path, "_test.go") == tests {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestDocsNameOnlyTestsThatExist: every Test, Benchmark or Fuzz function
+// the prose docs cite is a top-level function of some _test.go file, so
+// a rename cannot leave a dangling reference.
+func TestDocsNameOnlyTestsThatExist(t *testing.T) {
+	defined := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range goFiles(t, true) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				defined[fn.Name.Name] = true
+			}
+		}
+	}
+	cite := regexp.MustCompile(`\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*`)
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := cite.FindAllString(string(text), -1)
+		sort.Strings(names)
+		for i, name := range names {
+			if (i == 0 || name != names[i-1]) && !defined[name] {
+				t.Errorf("%s cites %s, which no _test.go defines", doc, name)
+			}
+		}
+	}
+}
+
+// TestProductionCodeNamesNoTestOracle: the map-backed reference engine
+// and the naive walkers are test oracles. They live in _test.go files,
+// and no other file names them — not in code, comments or strings — so
+// they cannot creep back into the build.
+func TestProductionCodeNamesNoTestOracle(t *testing.T) {
+	oracle := regexp.MustCompile(`MapEngine|MapState|NaiveWalk`)
+	fset := token.NewFileSet()
+	for _, path := range goFiles(t, false) {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report := func(pos token.Pos, text string) {
+			if m := oracle.FindString(text); m != "" {
+				t.Errorf("%s: production code names the test-only oracle %s", fset.Position(pos), m)
+			}
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				report(c.Pos(), c.Text)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				report(n.Pos(), n.Name)
+			case *ast.BasicLit:
+				report(n.Pos(), n.Value)
+			}
+			return true
+		})
+	}
+}
