@@ -261,7 +261,8 @@ type State struct {
 	// sync with); generation seq&1 holds, per plane, the ASes whose route
 	// changed in that group's window, in first-change order. The previous
 	// group's generation is retained so a consumer that lags two groups
-	// (serve's spare snapshot buffer) can patch instead of copy. Lists
+	// (serve's snapshot buffer, after an event that failed on another
+	// shard) can patch instead of copy. Lists
 	// have fixed capacity listCap; a window that would overflow one, or
 	// that re-roots its plane, runs dense instead: dense[gen][p] is set,
 	// the accounting slabs are made valid for every AS, and the window's

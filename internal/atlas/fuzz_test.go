@@ -206,3 +206,56 @@ func TestIncrementalHotLoopAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestSteadyApplyEventAllocs is BenchmarkAtlasIncremental's allocs/op
+// gate as a test, one subtest per benchmark variant: after one InitDest,
+// cycling the restore-balanced storm script through ApplyEvent allocates
+// nothing — bare, with the span tracer sampling 1 event in 64, and with
+// the provenance journal recording.
+func TestSteadyApplyEventAllocs(t *testing.T) {
+	_, g := testGraph(t, 2000, 5)
+	var events []scenario.Event
+	for _, group := range stormGroups(t, g, 19) {
+		events = append(events, group...)
+	}
+	dests, err := Destinations(g, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		tracer  *trace.Tracer
+		journal bool
+	}{
+		{"incremental", nil, false},
+		{"traced64", trace.New(trace.Options{SampleEvery: 64}), false},
+		{"prov", nil, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := NewEngine(g, DefaultParams())
+			eng.Trace(tc.tracer)
+			st := eng.NewState()
+			if tc.journal {
+				st.SetJournal(prov.NewJournal(1 << 16))
+			}
+			if err := eng.InitDest(st, dests[0]); err != nil {
+				t.Fatal(err)
+			}
+			// A run is 256 events, so that each holds sampled events: an
+			// allocation on the sampled path alone counts too.
+			next := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				for range 256 {
+					if _, err := eng.ApplyEvent(st, events[next%len(events)]); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("256 cycled events allocate %v times, want 0", allocs)
+			}
+		})
+	}
+}

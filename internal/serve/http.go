@@ -337,12 +337,11 @@ func (s *Server) handleStateRead(w http.ResponseWriter, r *http.Request) error {
 	}
 	sh := s.shards[i]
 
+	dest := s.g.OriginalASN(sh.dest)
 	asParam := r.URL.Query().Get("as")
 	if asParam == "" {
 		// Summary read: per-plane reachability at the published epoch.
-		snap := sh.acquire()
-		dest, epoch, reach, unreach := snap.destASN, snap.epoch, snap.reachable, snap.stampUnreachable
-		sh.release(snap)
+		epoch, reach, unreach := sh.snap.summary()
 		bp := stateBufs.Get().(*[]byte)
 		*bp = appendStateSummary((*bp)[:0], dest, epoch, s.g.Len(), &reach, unreach)
 		writeEncoded(w, *bp)
@@ -358,20 +357,19 @@ func (s *Server) handleStateRead(w http.ResponseWriter, r *http.Request) error {
 	if !ok {
 		return errf(http.StatusNotFound, "unknown AS %d", asn)
 	}
-	// Extract under the snapshot pin, release before serialization.
+	epoch, routes := sh.snap.read(dense)
 	var planes [atlas.PlaneCount]PlaneRoute
-	snap := sh.acquire()
-	read := StateRead{Dest: snap.destASN, AS: asn, Epoch: snap.epoch, Planes: planes[:]}
+	read := StateRead{Dest: dest, AS: asn, Epoch: epoch, Planes: planes[:]}
 	for p := range planes {
+		kind, dist, next := unpackRoute(routes[p])
 		pr := &planes[p]
 		pr.Plane = planeNames[p]
-		pr.Kind = atlas.KindName(snap.kind[p][dense])
-		pr.Dist = snap.dist[p][dense]
-		if next := snap.next[p][dense]; next >= 0 {
+		pr.Kind = atlas.KindName(kind)
+		pr.Dist = dist
+		if next >= 0 {
 			pr.Next = s.g.OriginalASN(topology.ASN(next))
 		}
 	}
-	sh.release(snap)
 	bp := stateBufs.Get().(*[]byte)
 	*bp = appendStateRead((*bp)[:0], &read)
 	writeEncoded(w, *bp)
@@ -490,7 +488,7 @@ func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) error {
 	sh := s.shards[i]
 	// The chain walk reads the journal — and may rebuild its index, one
 	// O(cap) pass after each event — so it takes the shard's journal
-	// lock rather than the snapshot pin; the epoch is read after the
+	// lock rather than the snapshot seqlock; the epoch is read after the
 	// walk so the pair is consistent under the single writer.
 	sh.provMu.Lock()
 	rep := atlas.BuildWhy(s.g, sh.j, sh.dest, topology.ASN(dense))

@@ -5,17 +5,12 @@
 // state over HTTP — Prometheus /metrics, an SSE /events stream of
 // per-event convergence costs, and snapshot-isolated /state JSON reads.
 //
-// Snapshot isolation is patch-on-converge epochs: each destination shard
-// keeps two preallocated route-snapshot buffers and an atomic published
-// pointer. Readers acquire the published buffer with a refcount
-// (acquire, recheck, release — never a lock); the writer brings the
-// spare buffer — which still shows the epoch before the published one —
-// up to date by rewriting only the routes the last two events changed,
-// and publishes it with one atomic pointer swap. Readers never block
-// the writer, the writer never tears a reader's view, and steady-state
-// memory is bounded by two epochs per shard (the writer falls back to a
-// fresh allocation, and a full copy, only while a slow reader still
-// pins the spare).
+// Snapshot isolation is one buffer per destination shard, one packed
+// word per (plane, AS), behind a seqlock: a counter that is odd while
+// the writer patches the words the last event touched and stores the
+// new epoch. A reader loads an even counter, then the epoch and the
+// words it needs, and retries if the counter moved meanwhile. Readers
+// never block the writer, and the writer never waits for a reader.
 package serve
 
 import (
@@ -95,38 +90,48 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// destSnap is one published epoch of one destination shard: the dense
-// route slabs for all three planes plus the reachability summary. refs
-// counts readers currently holding the buffer.
+// destSnap is one destination shard's published routes, a packed word
+// per (plane, AS), and reachability summary, behind the seqlock seq:
+// the writer (publish) holds seq odd while it changes anything here,
+// and a reader (stable) keeps only what it loaded between two equal
+// even values of seq, counting in retries the reads that tried again.
 type destSnap struct {
-	refs    atomic.Int64
-	epoch   uint64
-	dest    topology.ASN
-	destASN int64
+	seq     atomic.Uint64
+	retries *obs.Counter
+	epoch   atomic.Uint64
 	// window is the shard state's window sequence (atlas.State.Windows)
-	// the routes below were taken at: what the writer needs to know to
-	// patch this buffer forward instead of re-copying it.
-	window uint64
-
-	kind [atlas.PlaneCount][]int8
-	dist [atlas.PlaneCount][]int32
-	next [atlas.PlaneCount][]int32
-
-	reachable        [atlas.PlaneCount]int32
-	stampUnreachable int32
+	// the words were taken at: what the writer needs to know to patch
+	// the buffer forward instead of re-copying it. Writer-only.
+	window           uint64
+	routes           [atlas.PlaneCount][]atomic.Uint64
+	reachable        [atlas.PlaneCount]atomic.Int32
+	stampUnreachable atomic.Int32
 }
 
-// shard is one destination's live state plus its two-buffer epoch
-// publication slot and its route-provenance journal. provMu orders
-// `why` reads against the single writer's engine mutations: the
-// journal is written from inside the convergence hot loop, so unlike
-// the published snapshots it cannot be read lock-free mid-event.
+// packRoute packs a route in State.SnapshotRoute form into one word:
+// kind<<62 | dist<<32 | uint32(next+2). atlas keeps N, and so dist,
+// below 2^28, and next+2 >= 0 (-2 is the origin, -1 none).
+func packRoute(kind int8, dist, next int32) uint64 {
+	return uint64(kind)<<62 | uint64(dist)<<32 | uint64(uint32(next+2))
+}
+
+// unpackRoute inverts packRoute.
+func unpackRoute(w uint64) (kind int8, dist, next int32) {
+	return int8(w >> 62), int32(w >> 32 & (1<<30 - 1)), int32(uint32(w)) - 2
+}
+
+// routed reports whether a packed word holds a route.
+func routed(w uint64) bool { return w>>62 != 0 }
+
+// shard is one destination's live state plus its published snapshot
+// and its route-provenance journal. provMu orders `why` reads against
+// the single writer's engine mutations: the journal is written from
+// inside the convergence hot loop, so unlike the published snapshot it
+// cannot be read lock-free mid-event.
 type shard struct {
 	dest topology.ASN
 	st   *atlas.State
-
-	pub   atomic.Pointer[destSnap]
-	spare *destSnap // writer-owned candidate for the next publish
+	snap destSnap
 
 	provMu sync.Mutex
 	j      *prov.Journal
@@ -198,7 +203,6 @@ type serverMetrics struct {
 	pool         *runner.Metrics
 	applySeconds *obs.Histogram
 	epochGauge   *obs.Gauge
-	fallbacks    *obs.Counter
 
 	publishSeconds *obs.Histogram
 	publishPatched *obs.Counter
@@ -207,6 +211,7 @@ type serverMetrics struct {
 	readSeconds *obs.Histogram
 	readsTotal  *obs.Counter
 	readErrors  *obs.Counter
+	readRetries *obs.Counter
 	inFlight    *obs.Gauge
 	sseClients  *obs.Gauge
 
@@ -226,21 +231,21 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 			obs.LatencyBuckets()),
 		epochGauge: reg.Gauge("stamp_serve_epoch",
 			"Published snapshot epoch (events applied since boot)."),
-		fallbacks: reg.Counter("stamp_serve_snapshot_fallbacks_total",
-			"Epoch publishes that allocated a fresh buffer because a reader still pinned the spare."),
 		publishSeconds: reg.Histogram("stamp_serve_publish_seconds",
 			"Wall-clock cost of publishing one settled event's snapshot epoch on every shard.",
 			obs.LatencyBuckets()),
 		publishPatched: reg.Counter("stamp_serve_publish_patched_total",
-			"Shard publishes that patched the spare buffer from the engine's touched sets."),
+			"Shard publishes that patched the snapshot buffer from the engine's touched sets."),
 		publishFull: reg.Counter("stamp_serve_publish_full_total",
-			"Shard publishes that copied all three planes: boot, a reader-pinned spare, or a missed, re-rooted or overflowed window."),
+			"Shard publishes that copied all three planes: boot, or a missed, re-rooted or overflowed window."),
 		readSeconds: reg.Histogram("stamp_serve_read_seconds",
 			"Latency of state/health read requests.", obs.LatencyBuckets()),
 		readsTotal: reg.Counter("stamp_serve_reads_total",
 			"State/health read requests served."),
 		readErrors: reg.Counter("stamp_serve_read_errors_total",
 			"Read requests rejected (bad path, unknown AS)."),
+		readRetries: reg.Counter("stamp_serve_read_retries_total",
+			"Snapshot reads that met the writer mid-publish and retried."),
 		inFlight: reg.Gauge("stamp_serve_http_inflight",
 			"HTTP requests currently being served."),
 		sseClients: reg.Gauge("stamp_serve_sse_clients",
@@ -343,6 +348,10 @@ func New(cfg Config) (*Server, error) {
 	for i, dest := range dests {
 		sh := &shard{dest: dest, st: s.eng.NewState(), j: prov.NewJournal(cfg.ProvCap)}
 		sh.st.SetJournal(sh.j)
+		sh.snap.retries = s.metrics.readRetries
+		for p := range sh.snap.routes {
+			sh.snap.routes[p] = make([]atomic.Uint64, g.Len())
+		}
 		s.shards[i] = sh
 		s.destIdx[g.OriginalASN(dest)] = i
 	}
@@ -386,63 +395,25 @@ func (s *Server) EventLog() *obs.EventLog { return s.events }
 // Epoch returns the currently published snapshot epoch.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-// newSnap allocates one snapshot buffer sized for the graph.
-func (s *Server) newSnap() *destSnap {
-	n := s.g.Len()
-	snap := &destSnap{}
-	for p := 0; p < atlas.PlaneCount; p++ {
-		snap.kind[p] = make([]int8, n)
-		snap.dist[p] = make([]int32, n)
-		snap.next[p] = make([]int32, n)
-	}
-	return snap
-}
-
-// publish brings a free buffer up to sh.st's converged routes and swaps
-// it in as the published epoch. Writer-only. The previous epoch's
-// buffer becomes the next spare; if a slow reader still pins the spare,
-// a fresh buffer is allocated instead (counted, and the pinned one is
-// garbage-collected once its readers release).
-//
-// The spare was the published buffer two events ago, so in steady state
-// it is exactly two engine windows behind and is patched: only the ASes
-// in those windows' touched sets are rewritten, and the reachability
-// counters move by the before/after difference. Anything else — a fresh
-// buffer, a window that ran dense (re-root, overflow), a window this
-// buffer missed because an event failed on another shard — is a full
-// copy and recount.
+// publish brings sh's snapshot up to sh.st's converged routes and
+// stamps it with epoch. Writer-only: ApplyEvent calls it under applyMu,
+// and boot before any reader can reach the shard. In steady state the
+// buffer is one engine window behind and is patched: only that window's
+// touched ASes are rewritten, and the reachability counters move by the
+// difference. Anything else — boot, a window that ran dense (re-root,
+// overflow), or one State.Touched no longer retains — is a full copy.
 func (s *Server) publish(sh *shard, epoch uint64) {
-	snap := sh.spare
-	if snap != nil {
-		// The spare must be reader-free before the writer may overwrite
-		// it. Readers hold it only for microseconds (extract-then-
-		// release), so a short spin almost always succeeds.
-		for i := 0; snap.refs.Load() != 0; i++ {
-			if i >= 128 {
-				snap = nil
-				break
-			}
-			runtime.Gosched()
-		}
-	}
-	fresh := snap == nil
-	if fresh {
-		if sh.spare != nil { // only count post-boot fallbacks
-			s.metrics.fallbacks.Inc()
-		}
-		snap = s.newSnap()
-	}
-	snap.epoch = epoch
-	snap.dest = sh.dest
-	snap.destASN = s.g.OriginalASN(sh.dest)
-	if !fresh && snap.patch(sh.st) {
+	snap := &sh.snap
+	snap.seq.Add(1) // odd: readers retry until the buffer is whole
+	if snap.patch(sh.st) {
 		s.metrics.publishPatched.Inc()
 	} else {
 		snap.copyAll(sh.st)
 		s.metrics.publishFull.Inc()
 	}
 	snap.window = sh.st.Windows()
-	sh.spare = sh.pub.Swap(snap)
+	snap.epoch.Store(epoch)
+	snap.seq.Add(1)
 }
 
 // patch rewrites the routes st changed in the windows after snap.window
@@ -468,62 +439,88 @@ func (snap *destSnap) patch(st *atlas.State) bool {
 // the reachability counters by the difference. Idempotent, so an AS
 // touched in both windows being patched is simply written twice.
 func (snap *destSnap) patchRoute(st *atlas.State, p int, a int32) {
-	red, blue := snap.kind[atlas.PlaneRed], snap.kind[atlas.PlaneBlue]
-	wasDark := red[a] == 0 && blue[a] == 0
-	k, d, next := st.SnapshotRoute(p, a)
-	switch had := snap.kind[p][a] != 0; {
-	case k != 0 && !had:
-		snap.reachable[p]++
-	case k == 0 && had:
-		snap.reachable[p]--
+	red, blue := &snap.routes[atlas.PlaneRed][a], &snap.routes[atlas.PlaneBlue][a]
+	wasDark := !routed(red.Load()) && !routed(blue.Load())
+	w := packRoute(st.SnapshotRoute(p, a))
+	switch had, has := routed(snap.routes[p][a].Load()), routed(w); {
+	case has && !had:
+		snap.reachable[p].Add(1)
+	case had && !has:
+		snap.reachable[p].Add(-1)
 	}
-	snap.kind[p][a], snap.dist[p][a], snap.next[p][a] = k, d, next
-	switch dark := red[a] == 0 && blue[a] == 0; {
+	snap.routes[p][a].Store(w)
+	switch dark := !routed(red.Load()) && !routed(blue.Load()); {
 	case dark && !wasDark:
-		snap.stampUnreachable++
+		snap.stampUnreachable.Add(1)
 	case wasDark && !dark:
-		snap.stampUnreachable--
+		snap.stampUnreachable.Add(-1)
 	}
 }
 
 // copyAll copies all three planes out of st and recounts reachability.
 func (snap *destSnap) copyAll(st *atlas.State) {
-	snap.stampUnreachable = 0
-	for p := 0; p < atlas.PlaneCount; p++ {
-		st.SnapshotRoutes(p, snap.kind[p], snap.dist[p], snap.next[p])
-		reach := int32(0)
-		for _, k := range snap.kind[p] {
-			if k != 0 {
-				reach++
+	var reach [atlas.PlaneCount]int32
+	dark := int32(0)
+	for a := range snap.routes[0] {
+		var w [atlas.PlaneCount]uint64
+		for p := range w {
+			w[p] = packRoute(st.SnapshotRoute(p, int32(a)))
+			snap.routes[p][a].Store(w[p])
+			if routed(w[p]) {
+				reach[p]++
 			}
 		}
-		snap.reachable[p] = reach
-	}
-	red, blue := snap.kind[atlas.PlaneRed], snap.kind[atlas.PlaneBlue]
-	for a := range red {
-		if red[a] == 0 && blue[a] == 0 {
-			snap.stampUnreachable++
+		if !routed(w[atlas.PlaneRed]) && !routed(w[atlas.PlaneBlue]) {
+			dark++
 		}
+	}
+	for p := range reach {
+		snap.reachable[p].Store(reach[p])
+	}
+	snap.stampUnreachable.Store(dark)
+}
+
+// stable runs load until one run falls wholly between two publishes:
+// seq even before it and unchanged after.
+func (snap *destSnap) stable(load func()) {
+	for retried := false; ; retried = true {
+		if seq := snap.seq.Load(); seq&1 == 0 {
+			load()
+			if snap.seq.Load() == seq {
+				return
+			}
+		}
+		if !retried {
+			snap.retries.Inc()
+		}
+		runtime.Gosched()
 	}
 }
 
-// acquire pins the shard's published snapshot for reading. The caller
-// MUST call release exactly once, and should extract what it needs and
-// release before any serialization work.
-func (sh *shard) acquire() *destSnap {
-	for {
-		b := sh.pub.Load()
-		b.refs.Add(1)
-		if sh.pub.Load() == b {
-			return b
+// read returns the published epoch and AS a's packed route on every
+// plane, all from the same publish.
+func (snap *destSnap) read(a int32) (epoch uint64, routes [atlas.PlaneCount]uint64) {
+	snap.stable(func() {
+		epoch = snap.epoch.Load()
+		for p := range routes {
+			routes[p] = snap.routes[p][a].Load()
 		}
-		// The writer republished between our load and our pin: this
-		// buffer may be the writer's next spare. Back off and retry.
-		b.refs.Add(-1)
-	}
+	})
+	return epoch, routes
 }
 
-func (sh *shard) release(b *destSnap) { b.refs.Add(-1) }
+// summary returns the published epoch and reachability counters, all
+// from the same publish.
+func (snap *destSnap) summary() (epoch uint64, reachable [atlas.PlaneCount]int32, stampUnreachable int32) {
+	snap.stable(func() {
+		epoch = snap.epoch.Load()
+		for p := range reachable {
+			reachable[p] = snap.reachable[p].Load()
+		}
+		stampUnreachable = snap.stampUnreachable.Load()
+	})
+	return epoch, reachable, stampUnreachable
+}
 
 // ApplyEvent settles one scenario event across every destination shard
 // (in parallel), publishes the new snapshot epoch, and appends the
