@@ -29,7 +29,7 @@ type StateView interface {
 	RouteAt(p int, a int32) (kind int8, dist int32, via int32)
 }
 
-// PlaneName names a plane index in diff output.
+// PlaneName names a plane index in diff output and in reports.
 func PlaneName(p int) string {
 	switch p {
 	case planeBGP:

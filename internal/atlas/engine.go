@@ -126,8 +126,8 @@ const (
 )
 
 // NoMRAI disables advertisement pacing when assigned to
-// Params.MRAIRounds. The zero Params value means "defaults" at the
-// Run/Options layer, so "off" needs an explicit sentinel.
+// Params.MRAIRounds. The zero Params value means "defaults" (see
+// NewEngine), so "off" needs an explicit sentinel.
 const NoMRAI = -1
 
 // Params tunes the engine.
@@ -137,7 +137,7 @@ type Params struct {
 	// MRAI timer (a minimum inter-advertisement interval). A value of
 	// 1 adds no damping beyond the natural one-publication-per-round
 	// cadence; use NoMRAI (or 1) to disable pacing, and note a zero
-	// Params struct passed to Run means DefaultParams.
+	// Params struct passed to NewEngine means DefaultParams.
 	MRAIRounds int
 }
 
@@ -159,8 +159,13 @@ type Engine struct {
 	free []*window
 }
 
-// NewEngine builds an engine over g.
-func NewEngine(g *Graph, p Params) *Engine { return &Engine{g: g, p: p} }
+// NewEngine builds an engine over g; zero Params mean DefaultParams.
+func NewEngine(g *Graph, p Params) *Engine {
+	if p == (Params{}) {
+		p = DefaultParams()
+	}
+	return &Engine{g: g, p: p}
+}
 
 // Trace attaches a tracer: each subsequent ApplyEvent, InitDest, or
 // ConvergeDest takes one sampling decision and, when sampled, records a

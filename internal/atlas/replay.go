@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"stamp/internal/prov"
@@ -66,6 +65,12 @@ type EventReport struct {
 	Cycle int           `json:"cycle"`
 	At    time.Duration `json:"at_ns"`
 	Op    string        `json:"op"`
+	EventTotals
+}
+
+// EventTotals sums one event's EventCost over destination shards:
+// EventReport and the serve layer's per-event record embed it.
+type EventTotals struct {
 	// Rounds sums the three planes' re-convergence rounds over all
 	// dests; MaxRounds is the worst single dest.
 	Rounds    int64 `json:"rounds"`
@@ -80,6 +85,21 @@ type EventReport struct {
 	Reroots int `json:"reroots"`
 }
 
+// Add folds one destination's cost of the event in.
+func (t *EventTotals) Add(c EventCost) {
+	rounds := c.Rounds()
+	t.Rounds += int64(rounds)
+	t.MaxRounds = max(t.MaxRounds, rounds)
+	t.Changed += c.Changed
+	t.BGPLost += c.BGPLost
+	t.RedLost += c.RedLost
+	t.BlueLost += c.BlueLost
+	t.StampLost += c.StampLost
+	if c.Reroot {
+		t.Reroots++
+	}
+}
+
 // ReplayReport is the aggregated outcome of an incremental replay.
 type ReplayReport struct {
 	ASes  int `json:"ases"`
@@ -87,17 +107,12 @@ type ReplayReport struct {
 	Dests int `json:"dests"`
 	// Scenario names the workload; Events counts one cycle's scripted
 	// events, TotalEvents the full stream (Events × Repeat).
-	Scenario    string      `json:"scenario"`
-	Events      int         `json:"events"`
-	Repeat      int         `json:"repeat"`
-	TotalEvents int         `json:"total_events"`
-	BGP         PlaneReport `json:"bgp"`
-	Red         PlaneReport `json:"red"`
-	Blue        PlaneReport `json:"blue"`
-	// StampLostASRounds is the STAMP data-plane transient loss (both
-	// planes down simultaneously) summed over the stream.
-	StampLostASRounds     int64 `json:"stamp_lost_as_rounds"`
-	StampUnreachableFinal int64 `json:"stamp_unreachable_final"`
+	Scenario    string `json:"scenario"`
+	Events      int    `json:"events"`
+	Repeat      int    `json:"repeat"`
+	TotalEvents int    `json:"total_events"`
+	// PlaneTotals sums the stream's outcome over destinations.
+	PlaneTotals
 	// PerEvent is the time-resolved cost curve in stream order; PerDest
 	// each shard's outcome in destination (fold) order. Both are
 	// independent of worker count.
@@ -114,17 +129,13 @@ type replayShard struct {
 	costs []EventCost
 }
 
-// Repeatable reports whether a script can be cycled indefinitely —
-// the check behind ReplayOptions.Repeat, exported for the serve layer's
-// endless replay mode.
-func Repeatable(events []scenario.Event) error { return repeatableScript(events) }
-
-// repeatableScript reports whether a script can be cycled: link events
-// only (node failures are permanent, withdrawals single-shot) and every
-// link restore-balanced, so each cycle ends on the topology the next
-// one expects. Link-quality events cycle when every degraded or grayed
-// link ends cleared.
-func repeatableScript(events []scenario.Event) error {
+// Repeatable reports whether a script can be cycled indefinitely — the
+// check behind ReplayOptions.Repeat and the serve layer's endless
+// replay mode: link events only (node failures are permanent,
+// withdrawals single-shot) and every link restore-balanced, so each
+// cycle ends on the topology the next one expects. Link-quality events
+// cycle when every degraded or grayed link ends cleared.
+func Repeatable(events []scenario.Event) error {
 	balance := make(map[[2]topology.ASN]int)
 	quality := make(map[[2]topology.ASN]bool)
 	for _, ev := range events {
@@ -176,22 +187,7 @@ func linkKey(ev scenario.Event) [2]topology.ASN {
 // convergence window — the per-event cost curve is the point.
 func Replay(opts ReplayOptions) (*ReplayReport, error) {
 	g := opts.Graph
-	if g == nil {
-		return nil, fmt.Errorf("atlas: nil graph")
-	}
-	if opts.Scenario == scenario.PrefixWithdraw {
-		return nil, fmt.Errorf("atlas: prefix-withdraw is single-origin; destination-sharded atlas replays need a link or node workload")
-	}
-	if opts.Params == (Params{}) {
-		opts.Params = DefaultParams()
-	}
-	multihomed := scenario.Multihomed(g)
-	script, err := scenario.PickScript(g, multihomed, opts.Scenario,
-		rand.New(rand.NewSource(runner.DeriveSeed(opts.Seed, streamScript))))
-	if err != nil {
-		return nil, err
-	}
-	dests, err := destinations(multihomed, opts.Dests, runner.DeriveSeed(opts.Seed, streamDests))
+	script, dests, err := DrawWorkload(g, opts.Scenario, opts.Dests, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +197,7 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 		repeat = 1
 	}
 	if repeat > 1 {
-		if err := repeatableScript(events); err != nil {
+		if err := Repeatable(events); err != nil {
 			return nil, err
 		}
 	}
@@ -293,7 +289,6 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 		Dests:    len(dests),
 		Scenario: opts.Scenario.String(),
 		Events:   len(events), Repeat: repeat, TotalEvents: total,
-		BGP: PlaneReport{Name: "bgp"}, Red: PlaneReport{Name: "red"}, Blue: PlaneReport{Name: "blue"},
 		PerEvent: make([]EventReport, total),
 	}
 	for r := 0; r < repeat; r++ {
@@ -306,35 +301,16 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 		rep, func(r *ReplayReport, _ runner.Trial, shard replayShard) *ReplayReport {
 			shard.out.DestASN = g.OriginalASN(shard.out.Dest)
 			r.PerDest = append(r.PerDest, shard.out)
-			mergePlane(&r.BGP, shard.out.BGP)
-			mergePlane(&r.Red, shard.out.Red)
-			mergePlane(&r.Blue, shard.out.Blue)
-			r.StampLostASRounds += shard.out.StampLostASRounds
-			r.StampUnreachableFinal += int64(shard.out.StampUnreachableFinal)
+			r.add(&shard.out)
 			for i, c := range shard.costs {
-				er := &r.PerEvent[i]
-				rounds := c.Rounds()
-				er.Rounds += int64(rounds)
-				if rounds > er.MaxRounds {
-					er.MaxRounds = rounds
-				}
-				er.Changed += c.Changed
-				er.BGPLost += c.BGPLost
-				er.RedLost += c.RedLost
-				er.BlueLost += c.BlueLost
-				er.StampLost += c.StampLost
-				if c.Reroot {
-					er.Reroots++
-				}
+				r.PerEvent[i].Add(c)
 			}
 			return r
 		})
 	if err != nil {
 		return nil, err
 	}
-	finishPlane(&rep.BGP, len(dests))
-	finishPlane(&rep.Red, len(dests))
-	finishPlane(&rep.Blue, len(dests))
+	rep.finish(len(dests))
 	if whyJournal != nil {
 		rep.Why = BuildWhy(g, whyJournal, whyDest, whyAS)
 	}
@@ -345,15 +321,7 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 func (r *ReplayReport) Print(w io.Writer) {
 	fmt.Fprintf(w, "atlas replay: %d ASes, %d links, %d destination shards, scenario %s × %d (%d events/cycle, %d total)\n",
 		r.ASes, r.Links, r.Dests, r.Scenario, r.Repeat, r.Events, r.TotalEvents)
-	fmt.Fprintf(w, "  %-5s %13s %15s %11s %13s %13s %12s\n",
-		"plane", "init rounds", "reconv rounds", "max window", "changed", "lost AS-rnd", "unreachable")
-	for _, p := range []*PlaneReport{&r.BGP, &r.Red, &r.Blue} {
-		fmt.Fprintf(w, "  %-5s %13.1f %15.1f %11d %13d %13d %12d\n",
-			p.Name, p.InitRoundsMean, p.ReconvRoundsMean, p.MaxReconvRounds,
-			p.Changed, p.LostASRounds, p.UnreachableFinal)
-	}
-	fmt.Fprintf(w, "  STAMP data plane (min of red/blue): %d lost AS-rounds, %d unreachable — vs BGP %d lost\n",
-		r.StampLostASRounds, r.StampUnreachableFinal, r.BGP.LostASRounds)
+	r.print(w)
 	if len(r.PerEvent) > 0 {
 		worst := &r.PerEvent[0]
 		reroots := 0

@@ -62,6 +62,19 @@ type PlaneReport struct {
 	UnreachableFinal int64 `json:"unreachable_final"`
 }
 
+// PlaneTotals folds destination outcomes into per-plane aggregates and
+// STAMP's data-plane totals; Report and ReplayReport embed it.
+type PlaneTotals struct {
+	BGP  PlaneReport `json:"bgp"`
+	Red  PlaneReport `json:"red"`
+	Blue PlaneReport `json:"blue"`
+	// StampLostASRounds is the STAMP data-plane transient loss (both
+	// planes down simultaneously); compare against BGP.LostASRounds for
+	// the paper's ordering.
+	StampLostASRounds     int64 `json:"stamp_lost_as_rounds"`
+	StampUnreachableFinal int64 `json:"stamp_unreachable_final"`
+}
+
 // Report is the aggregated outcome of an atlas run.
 type Report struct {
 	ASes  int `json:"ases"`
@@ -71,16 +84,9 @@ type Report struct {
 	Dests  int `json:"dests"`
 	Groups int `json:"groups"`
 	// Scenario names the workload; Events counts scripted events.
-	Scenario string      `json:"scenario"`
-	Events   int         `json:"events"`
-	BGP      PlaneReport `json:"bgp"`
-	Red      PlaneReport `json:"red"`
-	Blue     PlaneReport `json:"blue"`
-	// StampLostASRounds is the STAMP data-plane transient loss (both
-	// planes down simultaneously); compare against BGP.LostASRounds for
-	// the paper's ordering.
-	StampLostASRounds     int64 `json:"stamp_lost_as_rounds"`
-	StampUnreachableFinal int64 `json:"stamp_unreachable_final"`
+	Scenario string `json:"scenario"`
+	Events   int    `json:"events"`
+	PlaneTotals
 	// PerDest keeps each shard's outcome in destination order (the fold
 	// order), so downstream analysis does not depend on worker count.
 	PerDest []DestOutcome `json:"per_dest"`
@@ -95,7 +101,7 @@ func Destinations(g *Graph, n int, seed int64) ([]topology.ASN, error) {
 }
 
 // destinations is Destinations over a precomputed candidate list, so
-// Run scans the graph once for both the workload draw and the shard
+// DrawWorkload scans the graph once for both the script and the shard
 // sample.
 func destinations(multihomed []topology.ASN, n int, seed int64) ([]topology.ASN, error) {
 	if len(multihomed) == 0 {
@@ -114,6 +120,28 @@ func destinations(multihomed []topology.ASN, n int, seed int64) ([]topology.ASN,
 		picked[i], picked[j] = picked[j], picked[i]
 	}
 	return picked[:n], nil
+}
+
+// DrawWorkload checks and draws the destination-sharded workload that
+// Run, Replay and the serve layer share: the scenario script from
+// Seed's script stream and dests destinations (see Destinations) from
+// its destination stream, so any (graph, kind, dests, seed) names the
+// same workload on every driver.
+func DrawWorkload(g *Graph, kind scenario.Kind, dests int, seed int64) (scenario.Script, []topology.ASN, error) {
+	if g == nil {
+		return scenario.Script{}, nil, fmt.Errorf("atlas: nil graph")
+	}
+	if kind == scenario.PrefixWithdraw {
+		return scenario.Script{}, nil, fmt.Errorf("atlas: prefix-withdraw is single-origin; destination-sharded atlas runs need a link or node workload")
+	}
+	multihomed := scenario.Multihomed(g)
+	script, err := scenario.PickScript(g, multihomed, kind,
+		rand.New(rand.NewSource(runner.DeriveSeed(seed, streamScript))))
+	if err != nil {
+		return scenario.Script{}, nil, err
+	}
+	picked, err := destinations(multihomed, dests, runner.DeriveSeed(seed, streamDests))
+	return script, picked, err
 }
 
 // statePool lends destination shards their slab States, which are big
@@ -155,22 +183,7 @@ func (p *statePool) put(st *State) {
 // any worker count.
 func Run(opts Options) (*Report, error) {
 	g := opts.Graph
-	if g == nil {
-		return nil, fmt.Errorf("atlas: nil graph")
-	}
-	if opts.Scenario == scenario.PrefixWithdraw {
-		return nil, fmt.Errorf("atlas: prefix-withdraw is single-origin; destination-sharded atlas runs need a link or node workload")
-	}
-	if opts.Params == (Params{}) {
-		opts.Params = DefaultParams()
-	}
-	multihomed := scenario.Multihomed(g)
-	script, err := scenario.PickScript(g, multihomed, opts.Scenario,
-		rand.New(rand.NewSource(runner.DeriveSeed(opts.Seed, streamScript))))
-	if err != nil {
-		return nil, err
-	}
-	dests, err := destinations(multihomed, opts.Dests, runner.DeriveSeed(opts.Seed, streamDests))
+	script, dests, err := DrawWorkload(g, opts.Scenario, opts.Dests, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -195,25 +208,18 @@ func Run(opts Options) (*Report, error) {
 		ASes: g.Len(), Links: g.EdgeCount(),
 		Dests: len(dests), Groups: len(groups),
 		Scenario: opts.Scenario.String(), Events: len(script.Events),
-		BGP: PlaneReport{Name: "bgp"}, Red: PlaneReport{Name: "red"}, Blue: PlaneReport{Name: "blue"},
 	}
 	rep, err = runner.Fold(spec, runner.Options{Workers: opts.Workers, Progress: opts.Progress, Context: opts.Context},
 		rep, func(r *Report, _ runner.Trial, out DestOutcome) *Report {
 			out.DestASN = g.OriginalASN(out.Dest)
 			r.PerDest = append(r.PerDest, out)
-			mergePlane(&r.BGP, out.BGP)
-			mergePlane(&r.Red, out.Red)
-			mergePlane(&r.Blue, out.Blue)
-			r.StampLostASRounds += out.StampLostASRounds
-			r.StampUnreachableFinal += int64(out.StampUnreachableFinal)
+			r.add(&out)
 			return r
 		})
 	if err != nil {
 		return nil, err
 	}
-	finishPlane(&rep.BGP, len(dests))
-	finishPlane(&rep.Red, len(dests))
-	finishPlane(&rep.Blue, len(dests))
+	rep.finish(len(dests))
 	return rep, nil
 }
 
@@ -221,35 +227,55 @@ func Run(opts Options) (*Report, error) {
 func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "atlas: %d ASes, %d links, %d destination shards, scenario %s (%d events in %d groups)\n",
 		r.ASes, r.Links, r.Dests, r.Scenario, r.Events, r.Groups)
+	r.print(w)
+}
+
+// planes indexes the per-plane aggregates by plane constant.
+func (t *PlaneTotals) planes() [planeCount]*PlaneReport {
+	return [planeCount]*PlaneReport{&t.BGP, &t.Red, &t.Blue}
+}
+
+// add folds one destination's outcome in. Means accumulate as sums and
+// divide once in finish; the fold runs in destination order, so even
+// float accumulation would be deterministic — integer sums make it
+// trivially so.
+func (t *PlaneTotals) add(out *DestOutcome) {
+	outs := planesOf(out)
+	for p, agg := range t.planes() {
+		o := outs[p]
+		agg.InitRoundsMean += float64(o.InitRounds)
+		agg.ReconvRoundsMean += float64(o.ReconvRounds)
+		agg.MaxReconvRounds = max(agg.MaxReconvRounds, o.MaxReconvRounds)
+		agg.Changed += o.Changed
+		agg.LostASRounds += o.LostASRounds
+		agg.PermLostASRounds += o.PermLostASRounds
+		agg.UnreachableFinal += int64(o.UnreachableFinal)
+	}
+	t.StampLostASRounds += out.StampLostASRounds
+	t.StampUnreachableFinal += int64(out.StampUnreachableFinal)
+}
+
+// finish names the planes and turns the summed rounds of dests folded
+// outcomes into means.
+func (t *PlaneTotals) finish(dests int) {
+	for p, agg := range t.planes() {
+		agg.Name = PlaneName(p)
+		if dests > 0 {
+			agg.InitRoundsMean /= float64(dests)
+			agg.ReconvRoundsMean /= float64(dests)
+		}
+	}
+}
+
+// print renders the plane table and STAMP's data-plane line.
+func (t *PlaneTotals) print(w io.Writer) {
 	fmt.Fprintf(w, "  %-5s %13s %15s %11s %13s %13s %12s\n",
 		"plane", "init rounds", "reconv rounds", "max window", "changed", "lost AS-rnd", "unreachable")
-	for _, p := range []*PlaneReport{&r.BGP, &r.Red, &r.Blue} {
+	for _, p := range t.planes() {
 		fmt.Fprintf(w, "  %-5s %13.1f %15.1f %11d %13d %13d %12d\n",
 			p.Name, p.InitRoundsMean, p.ReconvRoundsMean, p.MaxReconvRounds,
 			p.Changed, p.LostASRounds, p.UnreachableFinal)
 	}
 	fmt.Fprintf(w, "  STAMP data plane (min of red/blue): %d lost AS-rounds, %d unreachable — vs BGP %d lost\n",
-		r.StampLostASRounds, r.StampUnreachableFinal, r.BGP.LostASRounds)
-}
-
-func mergePlane(agg *PlaneReport, out PlaneOutcome) {
-	// Means accumulate as sums and divide once in finishPlane; the fold
-	// runs in destination order, so even float accumulation would be
-	// deterministic — integer sums make it trivially so.
-	agg.InitRoundsMean += float64(out.InitRounds)
-	agg.ReconvRoundsMean += float64(out.ReconvRounds)
-	if out.MaxReconvRounds > agg.MaxReconvRounds {
-		agg.MaxReconvRounds = out.MaxReconvRounds
-	}
-	agg.Changed += out.Changed
-	agg.LostASRounds += out.LostASRounds
-	agg.PermLostASRounds += out.PermLostASRounds
-	agg.UnreachableFinal += int64(out.UnreachableFinal)
-}
-
-func finishPlane(agg *PlaneReport, dests int) {
-	if dests > 0 {
-		agg.InitRoundsMean /= float64(dests)
-		agg.ReconvRoundsMean /= float64(dests)
-	}
+		t.StampLostASRounds, t.StampUnreachableFinal, t.BGP.LostASRounds)
 }

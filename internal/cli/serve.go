@@ -13,6 +13,9 @@ import (
 	"stamp/internal/topology"
 )
 
+// defaultServeN is the generated topology size `stamp serve` serves.
+const defaultServeN = 10000
+
 // cmdServe is `stamp serve`: the always-on service mode. It converges
 // an atlas fixpoint over the topology, then serves concurrent reads —
 // Prometheus /metrics, the /events SSE stream, snapshot-isolated
@@ -24,7 +27,7 @@ func (e env) cmdServe(args []string) int {
 	fs := e.flagSet("stamp serve")
 	var (
 		topo     = fs.String("topo", "", "CAIDA AS-rel snapshot to serve (generates with -n when empty)")
-		n        = fs.Int("n", 10000, "generated topology size (ASes) when -topo is empty")
+		n        = fs.Int("n", defaultServeN, "generated topology size (ASes) when -topo is empty (0 = default)")
 		seed     = fs.Int64("seed", 1, "master random seed (workload draw + destination sample)")
 		scen     = fs.String("scenario", "flap-storm", "replay workload: "+scenarioNames())
 		dests    = fs.Int("dests", 0, "destination shards to serve (0 = default)")
@@ -44,6 +47,24 @@ func (e env) cmdServe(args []string) int {
 	)
 	if code, done := parse(fs, args); done {
 		return code
+	}
+	// As in lab requests, zero means "default" and a negative count or
+	// duration is a usage error; -n and -workers read <= 0 as default.
+	if *n <= 0 {
+		*n = defaultServeN
+	}
+	for _, f := range []struct {
+		flag string
+		v    float64
+	}{
+		{"dests", float64(*dests)}, {"repeat", float64(*repeat)}, {"swarm", float64(*swarm)},
+		{"duration", float64(*duration)}, {"slo", *slo}, {"trace-sample", float64(*traceN)},
+		{"prov-cap", float64(*provCap)},
+	} {
+		if f.v < 0 {
+			fmt.Fprintf(e.stderr, "stamp serve: -%s must be 0 or positive\n", f.flag)
+			return ExitUsage
+		}
 	}
 	kind, err := scenario.ParseKind(*scen)
 	if err != nil {

@@ -20,7 +20,14 @@ import (
 
 func testGraph(t *testing.T, n int) *atlas.Graph {
 	t.Helper()
-	tg, err := topology.GenerateDefault(n, 42)
+	return testGraphSeed(t, n, 42)
+}
+
+// testGraphSeed is the generated n-AS topology `stamp serve -n n -seed
+// seed` serves.
+func testGraphSeed(t *testing.T, n int, seed int64) *atlas.Graph {
+	t.Helper()
+	tg, err := topology.GenerateDefault(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,21 +31,14 @@ import (
 	"stamp/internal/trace"
 )
 
-// Seed-derivation stream labels, mirroring the atlas replay streams so
-// `stamp serve` and `stamp atlas -replay` draw the same workload for
-// the same (graph, scenario, seed).
-const (
-	streamScript int64 = iota + 1
-	streamDests
-)
-
 // Config parameterizes a Server.
 type Config struct {
 	// Graph is the converged topology (required).
 	Graph *atlas.Graph
 	// Params tunes the engine (DefaultParams when zero).
 	Params atlas.Params
-	// Scenario is the replay workload kind drawn from Seed.
+	// Scenario is the replay workload kind drawn from Seed
+	// (atlas.DrawWorkload: `stamp atlas -replay` draws the same one).
 	Scenario scenario.Kind
 	// Dests is the number of destination shards (<= 0: DefaultDests).
 	Dests int
@@ -148,16 +140,8 @@ type EventRecord struct {
 	Node  int64  `json:"node,omitempty"`
 	// Epoch is the snapshot epoch this event published.
 	Epoch uint64 `json:"epoch"`
-	// Rounds sums re-convergence rounds over shards; MaxRounds is the
-	// worst single shard.
-	Rounds    int64 `json:"rounds"`
-	MaxRounds int32 `json:"max_rounds"`
-	Changed   int64 `json:"changed"`
-	BGPLost   int64 `json:"bgp_lost_as_rounds"`
-	RedLost   int64 `json:"red_lost_as_rounds"`
-	BlueLost  int64 `json:"blue_lost_as_rounds"`
-	StampLost int64 `json:"stamp_lost_as_rounds"`
-	Reroots   int   `json:"reroots"`
+	// EventTotals sums the event's cost over shards.
+	atlas.EventTotals
 	// ApplyMs is the wall-clock cost of settling and publishing the
 	// event across all shards.
 	ApplyMs float64 `json:"apply_ms"`
@@ -270,14 +254,15 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 // worker pool), each published as snapshot epoch 0.
 func New(cfg Config) (*Server, error) {
 	g := cfg.Graph
-	if g == nil {
-		return nil, fmt.Errorf("serve: nil graph")
+	script, dests, err := atlas.DrawWorkload(g, cfg.Scenario, cfg.Dests, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Scenario == scenario.PrefixWithdraw {
-		return nil, fmt.Errorf("serve: prefix-withdraw is single-origin; destination-sharded serving needs a link or node workload")
-	}
-	if cfg.Params == (atlas.Params{}) {
-		cfg.Params = atlas.DefaultParams()
+	events := script.Sorted()
+	if cfg.Repeat != 1 {
+		if err := atlas.Repeatable(events); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 20 * time.Millisecond
@@ -290,23 +275,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
-	}
-
-	multihomed := scenario.Multihomed(g)
-	script, err := scenario.PickScript(g, multihomed, cfg.Scenario,
-		rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, streamScript))))
-	if err != nil {
-		return nil, err
-	}
-	events := script.Sorted()
-	if cfg.Repeat != 1 {
-		if err := atlas.Repeatable(events); err != nil {
-			return nil, err
-		}
-	}
-	dests, err := atlas.Destinations(g, cfg.Dests, runner.DeriveSeed(cfg.Seed, streamDests))
-	if err != nil {
-		return nil, err
 	}
 
 	s := &Server{
@@ -589,19 +557,7 @@ func (s *Server) ApplyEvent(ev scenario.Event) (EventRecord, error) {
 		rec.Node = s.g.OriginalASN(ev.Node)
 	}
 	for _, c := range costs {
-		rounds := c.Rounds()
-		rec.Rounds += int64(rounds)
-		if rounds > rec.MaxRounds {
-			rec.MaxRounds = rounds
-		}
-		rec.Changed += c.Changed
-		rec.BGPLost += c.BGPLost
-		rec.RedLost += c.RedLost
-		rec.BlueLost += c.BlueLost
-		rec.StampLost += c.StampLost
-		if c.Reroot {
-			rec.Reroots++
-		}
+		rec.Add(c)
 	}
 	elapsed := time.Since(start)
 	rec.ApplyMs = float64(elapsed.Microseconds()) / 1000
