@@ -345,14 +345,14 @@ func BenchmarkAtlasIncremental(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 	})
-	// Same hot loop with the span tracer attached at 1-in-64 sampling —
-	// the deployment configuration. The traced64/incremental ns-per-op
+	// Same hot loop with every event armed with one decision of a span
+	// tracer sampling 1 in 64 — the deployment configuration. The traced64/incremental ns-per-op
 	// ratio is the tracing overhead (target < 5%), and the traced
 	// variant must still report 0 allocs/op: sampled spans live on the
 	// stack and land in preallocated ring slots.
 	b.Run("traced64", func(b *testing.B) {
 		eng := atlas.NewEngine(g, atlas.DefaultParams())
-		eng.Trace(trace.New(trace.Options{SampleEvery: 64}))
+		tr := trace.New(trace.Options{SampleEvery: 64})
 		st := eng.NewState()
 		if err := eng.InitDest(st, dest); err != nil {
 			b.Fatal(err)
@@ -360,6 +360,7 @@ func BenchmarkAtlasIncremental(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			st.SetTrace(tr.Event(0), 0)
 			if _, err := eng.ApplyEvent(st, events[i%len(events)]); err != nil {
 				b.Fatal(err)
 			}

@@ -153,7 +153,6 @@ type Engine struct {
 	g       *Graph
 	p       Params
 	metrics *Metrics
-	tracer  *trace.Tracer
 
 	mu   sync.Mutex
 	free []*window
@@ -166,13 +165,6 @@ func NewEngine(g *Graph, p Params) *Engine {
 	}
 	return &Engine{g: g, p: p}
 }
-
-// Trace attaches a tracer: each subsequent ApplyEvent, InitDest, or
-// ConvergeDest takes one sampling decision and, when sampled, records a
-// causal span tree (apply → cascade → per-plane convergence with
-// per-round churn). nil detaches. Tracing is side-effect only — it
-// never changes outcomes, RNG streams, or the JSON reports.
-func (e *Engine) Trace(t *trace.Tracer) { e.tracer = t }
 
 // Graph returns the engine's topology.
 func (e *Engine) Graph() *Graph { return e.g }
@@ -299,17 +291,15 @@ type State struct {
 	// when metrics are detached).
 	seedFront [planeCount]int32
 
-	// Tracing context (internal/trace). trc is the per-event recording
-	// context (zero = disabled: every span call no-ops), trcParent the
-	// external parent span an owner like serve wants atlas roots nested
-	// under, trcRoot the current apply/converge root the plane spans
-	// parent to, traceShard the ring the state's spans land in. NOT
-	// cleared by reset — the lifetime is owned by openRoot/closeRoot
-	// (engine tracer) or SetTrace/ClearTrace (external owner).
-	trc        trace.Ctx
-	trcParent  uint64
-	trcRoot    uint64
-	traceShard int
+	// Tracing context (internal/trace), armed by SetTrace for one engine
+	// call. trc is that call's recording context (zero = disabled: every
+	// span call no-ops), trcParent the caller's span the call's root
+	// nests under, trcRoot the current apply/converge root the plane
+	// spans parent to. NOT cleared by reset: the call that consumes the
+	// context clears it (closeRoot, or disarm on a refusal).
+	trc       trace.Ctx
+	trcParent uint64
+	trcRoot   uint64
 
 	// j is the optional route-provenance journal (internal/prov): when
 	// attached, every current-route mutation appends one fixed-size
@@ -325,9 +315,6 @@ type State struct {
 // ConvergeScratch reset the journal so its contents always describe
 // the state's current destination fixpoint. Pass nil to detach.
 func (st *State) SetJournal(j *prov.Journal) { st.j = j }
-
-// Journal returns the attached provenance journal (nil when detached).
-func (st *State) Journal() *prov.Journal { return st.j }
 
 // provJournal implements engineState.
 func (st *State) provJournal() *prov.Journal { return st.j }
@@ -353,50 +340,35 @@ func (st *State) note(p int, a, round int32, cause prov.Cause, prev route) {
 	st.j.Note(a, round, cause, pk, pd, st.nextHopAS(pv), nk, nd, st.nextHopAS(nv))
 }
 
-// SetTrace attaches an externally-owned trace context: the next
-// ApplyEvent records its spans there, nested under parent (the caller's
-// span — serve uses this to hang per-shard atlas work under one ingest
-// root). Pair with ClearTrace; while attached, the engine's own tracer
-// takes no sampling decisions for this state.
+// SetTrace arms the next InitDest, ApplyEvent or ConvergeDest call on
+// this state: its spans (apply → cascade → per-plane convergence with
+// per-round churn) record in c, with the call's root nested under
+// parent (0: the root is a trace root). That call consumes the context
+// on every return path, so an unarmed call records nothing. A dead c
+// (a nil tracer's, or a decision the sampler skipped) records nothing
+// either. Tracing is side-effect only: it never changes outcomes, RNG
+// streams or the JSON reports.
 func (st *State) SetTrace(c trace.Ctx, parent trace.SpanID) {
 	st.trc = c
 	st.trcParent = uint64(parent)
 }
 
-// ClearTrace detaches any external trace context.
-func (st *State) ClearTrace() {
-	st.trc = trace.Ctx{}
-	st.trcParent = 0
-	st.trcRoot = 0
-}
+// disarm drops the context SetTrace armed.
+func (st *State) disarm() { st.trc, st.trcParent, st.trcRoot = trace.Ctx{}, 0, 0 }
 
-// SetTraceShard routes this state's sampled spans to ring shard i of
-// the engine's tracer (one shard per worker avoids lock contention) and
-// sets the Chrome thread id traces render under.
-func (st *State) SetTraceShard(i int) { st.traceShard = i }
-
-// openRoot starts the root span of one engine call, which the plane and
-// cascade spans parent to: in the externally attached trace context when
-// there is one (see SetTrace), else in a fresh sampling decision of the
-// engine's tracer. ext reports the former; pass it to closeRoot.
-func (e *Engine) openRoot(st *State, name string) (sp trace.Span, ext bool) {
-	ext = st.trc.Live()
-	if !ext {
-		st.trc = e.tracer.Event(st.traceShard)
-	}
-	sp = st.trc.StartChild(trace.SpanID(st.trcParent), name)
+// openRoot starts the root span of one engine call in the armed
+// context, which the plane and cascade spans parent to.
+func (st *State) openRoot(name string) trace.Span {
+	sp := st.trc.StartChild(trace.SpanID(st.trcParent), name)
 	st.trcRoot = uint64(sp.ID())
-	return sp, ext
+	return sp
 }
 
-// closeRoot ends the root span openRoot started and drops the engine's
-// own trace context; an external one stays until ClearTrace.
-func (st *State) closeRoot(sp *trace.Span, ext bool) {
+// closeRoot ends the root span openRoot started and consumes the armed
+// context.
+func (st *State) closeRoot(sp *trace.Span) {
 	sp.End()
-	st.trcRoot = 0
-	if !ext {
-		st.trc = trace.Ctx{}
-	}
+	st.disarm()
 }
 
 // planeSpanNames and roundArgKeys are the static span/arg names the
@@ -1359,13 +1331,13 @@ type engineState interface {
 // node events are applied globally; its Dest field is ignored (each
 // shard is its own origin).
 func (e *Engine) ConvergeDest(st *State, dest topology.ASN, groups [][]scenario.Event) (DestOutcome, error) {
-	sp, ext := e.openRoot(st, "atlas.converge_dest")
+	sp := st.openRoot("atlas.converge_dest")
 	e.lend(st)
 	out, err := convergeDest(st, e.p, dest, groups)
 	e.takeBack(st)
 	sp.Arg("dest", int64(dest))
 	sp.Arg("groups", int64(len(groups)))
-	st.closeRoot(&sp, ext)
+	st.closeRoot(&sp)
 	st.inited = err == nil
 	return out, err
 }
@@ -1550,12 +1522,12 @@ func applyEventGroup(st engineState, params Params, group []scenario.Event) (Eve
 // stream events incrementally. The outcome accumulates in the state;
 // FinishDest reads it out.
 func (e *Engine) InitDest(st *State, dest topology.ASN) error {
-	sp, ext := e.openRoot(st, "atlas.init_dest")
+	sp := st.openRoot("atlas.init_dest")
 	e.lend(st)
 	err := initConverge(st, e.p, dest, nil)
 	e.takeBack(st)
 	sp.Arg("dest", int64(dest))
-	st.closeRoot(&sp, ext)
+	st.closeRoot(&sp)
 	st.inited = err == nil
 	return err
 }
@@ -1570,13 +1542,14 @@ func (e *Engine) InitDest(st *State, dest topology.ASN) error {
 // hot-loop discipline, gated by TestIncrementalHotLoopAllocs).
 func (e *Engine) ApplyEvent(st *State, ev scenario.Event) (EventCost, error) {
 	if !st.inited {
+		st.disarm()
 		return EventCost{}, fmt.Errorf("atlas: ApplyEvent on a state that was never converged (call InitDest first)")
 	}
 	var start time.Time
 	if e.metrics != nil {
 		start = time.Now()
 	}
-	sp, ext := e.openRoot(st, "atlas.apply_event")
+	sp := st.openRoot("atlas.apply_event")
 	st.evScratch[0] = ev
 	e.lend(st)
 	cost, err := applyEventGroup(st, e.p, st.evScratch[:1])
@@ -1597,7 +1570,7 @@ func (e *Engine) ApplyEvent(st *State, ev scenario.Event) (EventCost, error) {
 			sp.Arg("prov_seq", int64(st.j.LastSeq()))
 		}
 	}
-	st.closeRoot(&sp, ext)
+	st.closeRoot(&sp)
 	if err == nil && e.metrics != nil {
 		e.metrics.record(st, cost, start)
 	}

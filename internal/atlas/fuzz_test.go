@@ -179,20 +179,22 @@ func TestIncrementalHotLoopAllocs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := NewEngine(g, DefaultParams())
-			eng.Trace(tc.tracer)
 			st := eng.NewState()
 			if tc.journal {
 				st.SetJournal(prov.NewJournal(1 << 14))
 			}
 			// Burn the sampler's always-sampled first decision outside the
 			// measured loop so the not-sampled case measures the skip path.
+			st.SetTrace(tc.tracer.Event(0), 0)
 			eng.InitDest(st, dests[0])
 			allocs := testing.AllocsPerRun(20, func() {
+				st.SetTrace(tc.tracer.Event(0), 0)
 				if err := eng.InitDest(st, dests[0]); err != nil {
 					t.Fatal(err)
 				}
 				for _, group := range groups {
 					for _, ev := range group {
+						st.SetTrace(tc.tracer.Event(0), 0)
 						if _, err := eng.ApplyEvent(st, ev); err != nil {
 							t.Fatal(err)
 						}
@@ -234,11 +236,11 @@ func TestSteadyApplyEventAllocs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := NewEngine(g, DefaultParams())
-			eng.Trace(tc.tracer)
 			st := eng.NewState()
 			if tc.journal {
 				st.SetJournal(prov.NewJournal(1 << 16))
 			}
+			st.SetTrace(tc.tracer.Event(0), 0)
 			if err := eng.InitDest(st, dests[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -247,6 +249,7 @@ func TestSteadyApplyEventAllocs(t *testing.T) {
 			next := 0
 			allocs := testing.AllocsPerRun(20, func() {
 				for range 256 {
+					st.SetTrace(tc.tracer.Event(0), 0)
 					if _, err := eng.ApplyEvent(st, events[next%len(events)]); err != nil {
 						t.Fatal(err)
 					}

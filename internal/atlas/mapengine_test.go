@@ -86,9 +86,6 @@ type MapState struct {
 // SetJournal mirrors State.SetJournal on the map reference.
 func (st *MapState) SetJournal(j *prov.Journal) { st.j = j }
 
-// Journal returns the attached provenance journal (nil when detached).
-func (st *MapState) Journal() *prov.Journal { return st.j }
-
 // provJournal implements engineState.
 func (st *MapState) provJournal() *prov.Journal { return st.j }
 

@@ -203,7 +203,6 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 	}
 	total := len(events) * repeat
 	eng := NewEngine(g, opts.Params)
-	eng.Trace(opts.Tracer)
 
 	// -why: journal exactly one shard. The journal belongs to the shard,
 	// not the pooled state — it is attached for that shard's run only.
@@ -262,18 +261,21 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 			}
 			st := pool.get()
 			defer pool.put(st)
-			st.SetTraceShard(t.Index)
 			if t.Index == whyShard {
 				st.SetJournal(whyJournal)
 				defer st.SetJournal(nil)
 			}
 			dest := dests[t.Index]
+			// Each engine call takes one sampling decision, its spans on
+			// the shard's ring and thread track.
+			st.SetTrace(opts.Tracer.Event(t.Index), 0)
 			if err := eng.InitDest(st, dest); err != nil {
 				return replayShard{}, err
 			}
 			costs := make([]EventCost, 0, total)
 			for r := 0; r < repeat; r++ {
 				for i, ev := range events {
+					st.SetTrace(opts.Tracer.Event(t.Index), 0)
 					c, err := eng.ApplyEvent(st, ev)
 					if err != nil {
 						return replayShard{}, fmt.Errorf("dest %d cycle %d event %d (%v): %w", dest, r, i, ev, err)

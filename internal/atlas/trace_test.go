@@ -15,17 +15,18 @@ func TestApplyEventSpanTree(t *testing.T) {
 	_, g := testGraph(t, 200, 5)
 	tr := trace.New(trace.Options{Shards: 1, BufferPerShard: 256})
 	eng := NewEngine(g, DefaultParams())
-	eng.Trace(tr)
 	st := eng.NewState()
 	dests, err := Destinations(g, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.SetTrace(tr.Event(0), 0)
 	if err := eng.InitDest(st, dests[0]); err != nil {
 		t.Fatal(err)
 	}
 	groups := stormGroups(t, g, 19)
 	ev := groups[0][0]
+	st.SetTrace(tr.Event(0), 0)
 	if _, err := eng.ApplyEvent(st, ev); err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +110,13 @@ func TestApplyEventSpanTree(t *testing.T) {
 }
 
 // TestExternalTraceParenting pins the serve-style handoff: spans from
-// an ApplyEvent on a state with an attached external context nest under
-// the caller's span and inherit its trace id; ClearTrace detaches.
+// an ApplyEvent armed with the caller's context nest under the caller's
+// span and inherit its trace id; the call consumes the context, so an
+// unarmed call records nothing.
 func TestExternalTraceParenting(t *testing.T) {
 	_, g := testGraph(t, 200, 5)
 	tr := trace.New(trace.Options{Shards: 1, BufferPerShard: 256})
-	eng := NewEngine(g, DefaultParams()) // note: no engine tracer
+	eng := NewEngine(g, DefaultParams())
 	st := eng.NewState()
 	dests, err := Destinations(g, 1, 3)
 	if err != nil {
@@ -131,7 +133,6 @@ func TestExternalTraceParenting(t *testing.T) {
 	if _, err := eng.ApplyEvent(st, groups[0][0]); err != nil {
 		t.Fatal(err)
 	}
-	st.ClearTrace()
 	ingest.End()
 	if _, err := eng.ApplyEvent(st, groups[0][1]); err != nil {
 		t.Fatal(err)
@@ -158,10 +159,34 @@ func TestExternalTraceParenting(t *testing.T) {
 				r.Parent, r.Trace, root.Span, root.Trace)
 		}
 	}
-	// Only the attached ApplyEvent recorded; the post-ClearTrace one is
-	// silent (the engine has no tracer of its own).
+	// Only the armed ApplyEvent recorded; the next, unarmed one is
+	// silent.
 	if applies != 1 {
 		t.Fatalf("got %d atlas.apply_event spans, want 1", applies)
+	}
+}
+
+// TestRefusedCallConsumesTrace pins that a refused engine call consumes
+// the armed context too: ApplyEvent on a never-converged state records
+// nothing, and the InitDest after it, unarmed, records nothing either.
+func TestRefusedCallConsumesTrace(t *testing.T) {
+	_, g := testGraph(t, 200, 5)
+	tr := trace.New(trace.Options{Shards: 1, BufferPerShard: 256})
+	eng := NewEngine(g, DefaultParams())
+	st := eng.NewState()
+	dests, err := Destinations(g, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetTrace(tr.Event(0), 0)
+	if _, err := eng.ApplyEvent(st, stormGroups(t, g, 19)[0][0]); err == nil {
+		t.Fatal("ApplyEvent on a never-converged state succeeded")
+	}
+	if err := eng.InitDest(st, dests[0]); err != nil {
+		t.Fatal(err)
+	}
+	if recs := tr.Snapshot(); len(recs) != 0 {
+		t.Fatalf("refused call left its context armed: %d spans recorded", len(recs))
 	}
 }
 

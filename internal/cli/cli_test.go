@@ -100,6 +100,9 @@ func TestExitCodes(t *testing.T) {
 		{"serve bad flag", []string{"serve", "-badflag"}, ExitUsage},
 		{"serve bad scenario", []string{"serve", "-scenario", "meteor-strike"}, ExitUsage},
 		{"serve bad rate", []string{"serve", "-rate", "0"}, ExitUsage},
+		{"serve rejects a rate with a zero interval", []string{"serve", "-rate", "2e9"}, ExitUsage},
+		{"serve rejects an infinite rate", []string{"serve", "-rate", "Inf"}, ExitUsage},
+		{"serve rejects a NaN rate", []string{"serve", "-rate", "NaN"}, ExitUsage},
 		{"serve bind failure", []string{"serve", "-n", "100", "-addr", "999.999.999.999:0", "-swarm", "1"}, ExitFailure},
 		{"serve missing snapshot", []string{"serve", "-topo", "/no/such/file"}, ExitFailure},
 		{"serve rejects unbalanced endless replay", []string{"serve", "-n", "100", "-replay", "-scenario", "node-failure"}, ExitFailure},

@@ -71,8 +71,10 @@ func (e env) cmdServe(args []string) int {
 		fmt.Fprintln(e.stderr, "stamp serve:", err)
 		return ExitUsage
 	}
-	if *rate <= 0 {
-		fmt.Fprintln(e.stderr, "stamp serve: -rate must be positive")
+	// NaN, +Inf and rates above 1e9/s all pass a sign check but give no
+	// interval, which serve.New would replace with its default pacing.
+	if !(*rate > 0) || time.Duration(float64(time.Second) / *rate) <= 0 {
+		fmt.Fprintln(e.stderr, "stamp serve: -rate must be a positive finite rate of at most 1e9 events/s")
 		return ExitUsage
 	}
 

@@ -294,11 +294,14 @@ func New(cfg Config) (*Server, error) {
 	s.metrics = newServerMetrics(cfg.Registry)
 	obs.RegisterRuntime(cfg.Registry)
 	// The tracer is always on: the serve plane's span volume is a few
-	// spans per applied event and one per read, retained in fixed rings,
-	// and the flight recorder needs those rings populated when an
-	// anomaly hits. TraceSample thins high-rate deployments.
+	// spans per applied event and one per read, retained in a fixed
+	// ring, and the flight recorder needs that ring populated when an
+	// anomaly hits. TraceSample thins high-rate deployments. Every span
+	// is recorded under a context from Event(0) (WithTID moves a shard's
+	// spans to its own thread track, not to another ring), so the tracer
+	// keeps that one ring.
 	s.tracer = trace.New(trace.Options{
-		Shards:      1 + len(dests),
+		Shards:      1,
 		SampleEvery: cfg.TraceSample,
 	})
 	s.flight = newFlightRecorder(s.tracer, cfg.TraceDir, s.events, cfg.Registry,
@@ -521,7 +524,6 @@ func (s *Server) ApplyEvent(ev scenario.Event) (EventRecord, error) {
 			sh := s.shards[t.Index]
 			if tc.Live() {
 				sh.st.SetTrace(tc.WithTID(int32(1+t.Index)), root.ID())
-				defer sh.st.ClearTrace()
 			}
 			// The engine appends journal entries throughout convergence, so
 			// a `why` read must not observe the journal mid-event.
