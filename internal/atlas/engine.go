@@ -237,9 +237,15 @@ type State struct {
 
 	// Per-plane route state. cur is the route in use (the forwarding
 	// state); adv is the preference of the advertised route neighbors
-	// see (prefNone: nothing advertised).
-	cur [planeCount][]route
-	adv [planeCount][]int32
+	// see (prefNone: nothing advertised). custUp[p] holds exactly the ASes
+	// whose adv[p] is a customer route, the only advertisement a provider
+	// or peer can take, so recompute's customer and peer scans skip every
+	// other neighbor without reading its adv, link or export state. Every
+	// write to adv goes through setAdv or clears both (initPlane,
+	// clearRoutes).
+	cur    [planeCount][]route
+	adv    [planeCount][]int32
+	custUp [planeCount]bitset
 
 	// The frontier and publication queue lengths, and live, which records
 	// that this round's publications reached a live neighbor they gave no
@@ -290,6 +296,12 @@ type State struct {
 	// local an incremental repair was (one store per window; no cost
 	// when metrics are detached).
 	seedFront [planeCount]int32
+
+	// initial marks the windows of a from-scratch convergence: reset sets
+	// it and the first beginGroup clears it. Initial propagation is not
+	// loss or churn, so those windows keep no per-AS change or loss
+	// accounting at all.
+	initial bool
 
 	// Tracing context (internal/trace), armed by SetTrace for one engine
 	// call. trc is that call's recording context (zero = disabled: every
@@ -400,6 +412,7 @@ func (e *Engine) NewState() *State {
 	for p := 0; p < planeCount; p++ {
 		st.cur[p] = make([]route, n)
 		st.adv[p] = make([]int32, n)
+		st.custUp[p] = newBitset(n)
 		for gen := range st.touched {
 			st.touched[gen][p] = make([]int32, 0, st.listCap)
 		}
@@ -591,6 +604,7 @@ func (st *State) reset(dest topology.ASN) {
 	st.dest = dest
 	st.visited = 0
 	st.inited = false
+	st.initial = true
 	st.withdrawn = false
 	clear(st.down)
 	clear(st.nodeDown)
@@ -615,7 +629,14 @@ func (st *State) clearRoutes() {
 			st.cur[p][a] = noRoute
 			st.adv[p][a] = prefNone
 		}
+		clear(st.custUp[p])
 	}
+}
+
+// setAdv makes pref a's plane-p advertisement.
+func (st *State) setAdv(p int, a, pref int32) {
+	st.adv[p][a] = pref
+	st.custUp[p].put(a, custOffer(pref) != prefNone)
 }
 
 func (st *State) clearChain() {
@@ -678,6 +699,7 @@ func (st *State) initPlane(p int) {
 		cur[a] = noRoute
 		adv[a] = prefNone
 	}
+	clear(st.custUp[p])
 	st.frontLen, st.pendLen = 0, 0
 	if !origin {
 		return
@@ -847,7 +869,9 @@ func (st *State) lockOf(w int32) int32 {
 // every provider offer, so the row is scanned customers first and the
 // scan stops at the first class that offers a route. Within a class the
 // entries ascend by neighbor, so the first of equal offers is the lower
-// sender's.
+// sender's. Customers and peers offer only a customer route, so those
+// scans pass over every neighbor outside custUp first: most customers
+// of a large provider advertise a provider route.
 func (st *State) recompute(p int, a int32) bool {
 	g := st.g
 	best := noRoute
@@ -855,11 +879,11 @@ func (st *State) recompute(p int, a int32) bool {
 		lo, hi := g.off[a], g.off[a+1]
 		provEnd, peerEnd := g.provEnd[a], g.peerEnd[a]
 		st.visited += int64(hi - lo)
-		adv := st.adv[p]
+		adv, up := st.adv[p], st.custUp[p]
 		// Customers announcing up, under the export rules.
 		for e := peerEnd; e < hi; e++ {
 			w := int32(g.nbr[e])
-			if st.down.has(e) || st.nodeDown.has(w) {
+			if !up.has(w) || st.down.has(e) || st.nodeDown.has(w) {
 				continue
 			}
 			if o := custOffer(adv[w]); o < best.pref && st.climbs(p, w, a) {
@@ -870,7 +894,7 @@ func (st *State) recompute(p int, a int32) bool {
 		if best.pref == prefNone {
 			for e := provEnd; e < peerEnd; e++ {
 				w := int32(g.nbr[e])
-				if st.down.has(e) || st.nodeDown.has(w) {
+				if !up.has(w) || st.down.has(e) || st.nodeDown.has(w) {
 					continue
 				}
 				if o := peerOffer(adv[w]); o < best.pref {
@@ -953,8 +977,9 @@ func (st *State) densify(p int, fresh bool) {
 }
 
 // converge runs plane p to fixpoint, starting from whatever the queues
-// hold, tracking loss and churn into out. This is the hot loop: it
-// allocates nothing (front/pend were sized to n up front).
+// hold, tracking loss and churn into out (an initial window tracks
+// neither). This is the hot loop: it allocates nothing (front/pend were
+// sized to n up front).
 func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 	g := st.g
 	st.seedFront[p] = int32(st.frontLen)
@@ -963,7 +988,12 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 	if traced {
 		sp.Arg("seed_frontier", int64(st.frontLen))
 	}
-	startChanged := out.Changed
+	// changed counts the distinct ASes whose route changed in the window.
+	// From scratch, routes only improve (every offer an AS takes stays on
+	// offer), so an AS changes once from routeless and that first arrival
+	// counts it without a stamp.
+	initial := st.initial
+	changed := int64(0)
 	j := st.j
 	// Safety bound: Gao-Rexford policies are provably safe under any
 	// activation order, so this fires only on an engine bug.
@@ -980,7 +1010,7 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 		if j != nil {
 			cause = j.WindowCause(round)
 		}
-		roundChanged := out.Changed
+		roundChanged := changed
 		// Phase 1: every frontier AS re-evaluates from advertisements, as
 		// far as its slot says the last round's can have moved its route.
 		fl := st.frontLen
@@ -1003,17 +1033,23 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			if j != nil {
 				st.note(p, a, round, cause, prev)
 			}
-			if st.markChanged(p, a, had) {
-				out.Changed++
-			}
 			pref := st.cur[p][a].pref
-			has := pref != prefNone
-			if st.hadStart[p][a] {
-				if had && !has {
-					st.lostSince[a] = round
+			if initial {
+				if !had {
+					changed++
 				}
-				if !had && has {
-					st.lostAcc[p][a] += round - st.lostSince[a]
+			} else {
+				if st.markChanged(p, a, had) {
+					changed++
+				}
+				has := pref != prefNone
+				if st.hadStart[p][a] {
+					if had && !has {
+						st.lostSince[a] = round
+					}
+					if !had && has {
+						st.lostAcc[p][a] += round - st.lostSince[a]
+					}
 				}
 			}
 			if pref != st.adv[p][a] {
@@ -1038,13 +1074,13 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			st.inPend[a] = false
 			st.wantPub[a] = false
 			old := st.adv[p][a]
-			st.adv[p][a] = st.cur[p][a].pref
+			st.setAdv(p, a, st.cur[p][a].pref)
 			st.ready[a] = round + mrai
 			st.publish(p, a, old)
 		}
 		st.pendLen = w
 		if traced && round <= int32(len(roundArgKeys)) {
-			sp.Arg(roundArgKeys[round-1], out.Changed-roundChanged)
+			sp.Arg(roundArgKeys[round-1], changed-roundChanged)
 		}
 	}
 	// Reopen the MRAI gates this window closed, so the next window (any
@@ -1058,9 +1094,12 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			st.ready[a] = 0
 		}
 	}
+	if !initial {
+		out.Changed += changed
+	}
 	if traced {
 		sp.Arg("rounds", int64(round))
-		sp.Arg("changed", out.Changed-startChanged)
+		sp.Arg("changed", changed)
 		sp.End()
 	}
 	return round, nil
@@ -1162,7 +1201,7 @@ func (st *State) routeDead(p int, a int32) bool {
 func (st *State) invalidate(p int, a int32, out *PlaneOutcome) {
 	prev := st.cur[p][a]
 	st.cur[p][a] = noRoute
-	st.adv[p][a] = prefNone
+	st.setAdv(p, a, prefNone)
 	st.lostSince[a] = 0
 	if st.j != nil {
 		st.note(p, a, 0, prov.CauseCascade, prev)
@@ -1316,7 +1355,6 @@ type engineState interface {
 	seedRedDependents(redEpoch int32)
 	converge(p int, mrai int32, out *PlaneOutcome) (int32, error)
 	settleGroup(p int, endRound int32, out *PlaneOutcome)
-	clearLoss(p int)
 	accumulateGroupLoss(out *DestOutcome)
 	accumulateFinal(out *DestOutcome)
 	// provJournal returns the attached route-provenance journal (nil
@@ -1360,8 +1398,8 @@ func planesOf(out *DestOutcome) [planeCount]*PlaneOutcome {
 // initConverge resets the state to dest, applies pre as pre-existing
 // damage (nil for a pristine topology), and converges the three planes
 // from scratch: BGP, then red, then blue (blue's export rules read the
-// red fixpoint and the lock chain). Initial propagation is not loss, so
-// the loss and churn accounting is cleared afterwards.
+// red fixpoint and the lock chain). Initial propagation is not loss or
+// churn: reset marks the windows initial, and they account neither.
 func initConverge(st engineState, params Params, dest topology.ASN, pre []scenario.Event) error {
 	st.reset(dest)
 	j := st.provJournal()
@@ -1385,9 +1423,6 @@ func initConverge(st engineState, params Params, dest topology.ASN, pre []scenar
 			return err
 		}
 		planes[p].InitRounds = rounds
-		// Initial propagation is not loss: clear the accounting.
-		st.clearLoss(p)
-		planes[p].Changed = 0
 	}
 	return nil
 }
@@ -1605,6 +1640,7 @@ func (e *Engine) ConvergeScratch(st *State, dest topology.ASN, events []scenario
 // dense engine snapshots here are captured lazily instead, by the first
 // markChanged of each AS.
 func (st *State) beginGroup() {
+	st.initial = false
 	st.seq++
 	gen := st.seq & 1
 	for p := 0; p < planeCount; p++ {
@@ -1621,24 +1657,26 @@ func (st *State) beginGroup() {
 // and lostSince is written before it is read. A re-root starts dense —
 // initPlane wipes the plane without marking anything changed, and
 // re-learned routes are measured from round 0 — as does every window of
-// a from-scratch convergence (reset left both generations dense) and
-// every window of a state with no list capacity (setListCap(0)).
+// a state with no list capacity (setListCap(0)). A window of a
+// from-scratch convergence is dense too (reset left both generations
+// dense), but reads no accounting, so it initializes none: it counts
+// only the pass that reopens every MRAI gate.
 func (st *State) beginWindow(p int, reroot bool) int32 {
 	st.epoch++
 	st.winEpoch[p] = st.epoch
 	st.frontLen, st.pendLen, st.live = 0, 0, false
-	if reroot || st.listCap == 0 {
+	switch {
+	case st.initial:
+		st.denseWindows++
+		st.visited += int64(st.g.Len())
+	case reroot || st.listCap == 0:
 		st.densify(p, true)
-	}
-	if reroot {
-		clear(st.lostSince)
+		if reroot {
+			clear(st.lostSince)
+		}
 	}
 	return st.epoch
 }
-
-// clearLoss implements engineState: initial convergence (always dense)
-// is not loss.
-func (st *State) clearLoss(p int) { clear(st.lostAcc[p]) }
 
 // windowLoss returns plane p's accounting for AS a in the current
 // group: accumulated routeless rounds, whether the plane served a at

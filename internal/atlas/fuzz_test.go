@@ -71,7 +71,8 @@ func graphEdges(g *Graph) [][2]topology.ASN {
 // through the incremental path and checks the invariants the replay
 // subsystem rests on: after every event the incremental fixpoint equals
 // a from-scratch convergence (on the flat engine and the map
-// reference); the flat engine's sparse windows — at the default
+// reference), and both flat states' custUp sets match their
+// advertisements; the flat engine's sparse windows — at the default
 // touched-list capacity, at 0 (always dense) and at tiny ones (overflow
 // part-way) — report the EventCost, DestOutcome, routes and canonical
 // journal of the map engine's dense passes; and the flat incremental hot
@@ -120,6 +121,8 @@ func FuzzIncrementalConverge(f *testing.F) {
 				t.Fatalf("event %d %v scratch: %v", i, ev, err)
 			}
 			mustNoDiff(t, ev.String()+" flat", ist, sst)
+			checkCustUp(t, ev.String()+" flat", ist)
+			checkCustUp(t, ev.String()+" flat scratch", sst)
 			if _, err := ref.ApplyEvent(mist, ev); err != nil {
 				t.Fatalf("event %d %v map: %v", i, ev, err)
 			}

@@ -72,8 +72,10 @@ type MapState struct {
 
 	out DestOutcome
 
-	// inited/evScratch mirror State's incremental-mode plumbing.
+	// inited, initial and evScratch mirror State's: initial marks the
+	// from-scratch windows, which count no churn.
 	inited    bool
+	initial   bool
 	evScratch [1]scenario.Event
 
 	// j mirrors State.j: the optional route-provenance journal. Entry
@@ -185,6 +187,7 @@ func (e *MapEngine) ConvergeScratch(st *MapState, dest topology.ASN, events []sc
 func (st *MapState) reset(dest topology.ASN) {
 	st.dest = dest
 	st.inited = false
+	st.initial = true
 	st.withdrawn = false
 	st.resetMaps()
 }
@@ -267,6 +270,7 @@ func (st *MapState) computeChain() bool {
 // beginGroup implements engineState: snapshot which ASes each plane
 // serves before the group's events apply.
 func (st *MapState) beginGroup() {
+	st.initial = false
 	for p := 0; p < planeCount; p++ {
 		st.hadStart[p] = make(map[int32]bool, len(st.cur[p]))
 		for a := range st.cur[p] {
@@ -319,8 +323,6 @@ func (st *MapState) initPlane(p int) {
 	st.pend[d] = true
 	st.wantPub[d] = true
 }
-
-func (st *MapState) clearLoss(p int) { st.lostAcc[p] = make(map[int32]int32) }
 
 func (st *MapState) markChanged(p int, a int32) bool {
 	if st.changedStamp[p][a] == st.epoch {
@@ -436,7 +438,7 @@ func (st *MapState) converge(p int, mrai int32, out *PlaneOutcome) (int32, error
 			if st.j != nil {
 				st.note(p, a, round, cause, old, had)
 			}
-			if st.markChanged(p, a) {
+			if st.markChanged(p, a) && !st.initial {
 				out.Changed++
 			}
 			_, has := st.cur[p][a]

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stamp/internal/scenario"
+	"stamp/internal/topology"
 )
 
 // TestRoutePrefOrder: the preference word orders routes exactly as the
@@ -165,5 +166,73 @@ func TestASCountGuard(t *testing.T) {
 	// freeze runs the guard before it allocates anything n-sized.
 	if _, err := (&builder{n: 1 << kindShift}).freeze(); err == nil {
 		t.Fatal("freeze accepted 1<<28 ASes")
+	}
+}
+
+// checkCustUp fails when custUp[p] is not exactly the set of ASes whose
+// plane-p advertisement is a customer route.
+func checkCustUp(t testing.TB, label string, st *State) {
+	t.Helper()
+	for p := 0; p < planeCount; p++ {
+		for a, pref := range st.adv[p] {
+			if got, want := st.custUp[p].has(int32(a)), kindOf(pref) == kindCustomer; got != want {
+				t.Fatalf("%s: plane %d AS %d: custUp %v, advertised kind %d", label, p, a, got, kindOf(pref))
+			}
+		}
+	}
+}
+
+// TestCustUpMatchesAdvertisements: recompute's customer and peer scans
+// skip every neighbor outside custUp without reading its advertisement,
+// so custUp must hold exactly the ASes advertising a customer route
+// after each kind of window that writes advertisements: a from-scratch
+// convergence, every event of a flap storm, a node failure's cascade, a
+// re-root and the destination's withdrawal.
+func TestCustUpMatchesAdvertisements(t *testing.T) {
+	_, g := testGraph(t, 2000, 7)
+	eng := NewEngine(g, DefaultParams())
+	st := eng.NewState()
+	multihomed := scenario.Multihomed(g)
+	dest := multihomed[len(multihomed)-1]
+	if err := eng.InitDest(st, dest); err != nil {
+		t.Fatal(err)
+	}
+	checkCustUp(t, "InitDest", st)
+	for _, group := range stormGroups(t, g, 23) {
+		for _, ev := range group {
+			if _, err := eng.ApplyEvent(st, ev); err != nil {
+				t.Fatal(err)
+			}
+			checkCustUp(t, ev.String(), st)
+		}
+	}
+	if err := eng.InitDest(st, dest); err != nil {
+		t.Fatal(err)
+	}
+	hub := g.DegreeOrder()[0]
+	lock := st.lockOf(int32(dest))
+	if hub == dest || int32(hub) == lock || lock < 0 {
+		t.Fatalf("hub %d, destination %d and its lock %d must be three ASes", hub, dest, lock)
+	}
+	apply := func(ev scenario.Event) EventCost {
+		t.Helper()
+		cost, err := eng.ApplyEvent(st, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCustUp(t, ev.String(), st)
+		return cost
+	}
+	apply(scenario.Event{Op: scenario.OpFailNode, Node: hub})
+	if cost := apply(scenario.Event{Op: scenario.OpFailLink, A: dest, B: topology.ASN(lock)}); !cost.Reroot {
+		t.Fatal("failing the destination's locked provider link did not re-root")
+	}
+	apply(scenario.Event{Op: scenario.OpWithdraw, Node: dest})
+	for p := 0; p < planeCount; p++ {
+		for _, w := range st.custUp[p] {
+			if w != 0 {
+				t.Fatalf("plane %d: a withdrawn destination leaves customer advertisements", p)
+			}
+		}
 	}
 }

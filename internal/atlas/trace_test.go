@@ -1,6 +1,7 @@
 package atlas
 
 import (
+	"slices"
 	"testing"
 
 	"stamp/internal/scenario"
@@ -214,5 +215,75 @@ func TestReplayTracerSideEffectOnly(t *testing.T) {
 	}
 	if len(traced.Tracer.Snapshot()) == 0 {
 		t.Fatal("replay tracer retained no spans")
+	}
+}
+
+// TestInitDestChangedArgsCountArrivals: a from-scratch window stamps no
+// changes; its plane span counts each AS's first route arrival instead.
+// Routes only improve from scratch, so that count is the number of ASes
+// the plane routes at the fixpoint, less the origin, and the per-round
+// args sum to it wherever every round has one (a small graph without
+// MRAI pacing).
+func TestInitDestChangedArgsCountArrivals(t *testing.T) {
+	args := func(r trace.Record) map[string]int64 {
+		m := map[string]int64{}
+		for i := int32(0); i < r.NArgs; i++ {
+			m[r.Args[i].Key] = r.Args[i].Val
+		}
+		return m
+	}
+	summed := 0
+	for _, c := range []struct {
+		n      int
+		params Params
+	}{{2000, DefaultParams()}, {60, Params{MRAIRounds: NoMRAI}}} {
+		params := c.params
+		_, g := testGraph(t, c.n, 7)
+		dests, err := Destinations(g, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.New(trace.Options{Shards: 1, BufferPerShard: 64})
+		eng := NewEngine(g, params)
+		st := eng.NewState()
+		st.SetTrace(tr.Event(0), 0)
+		if err := eng.InitDest(st, dests[0]); err != nil {
+			t.Fatal(err)
+		}
+		planes := 0
+		for _, r := range tr.Snapshot() {
+			p := slices.Index(planeSpanNames[:], r.Name)
+			if p < 0 {
+				continue
+			}
+			planes++
+			routed := int64(-1) // the origin's route is installed, not learned
+			for _, rt := range st.cur[p] {
+				if rt.pref != prefNone {
+					routed++
+				}
+			}
+			a := args(r)
+			if a["changed"] != routed {
+				t.Fatalf("MRAI %d %s: changed = %d, want the %d ASes it routes", params.MRAIRounds, r.Name, a["changed"], routed)
+			}
+			if a["rounds"] > int64(len(roundArgKeys)) {
+				continue
+			}
+			summed++
+			sum := int64(0)
+			for _, k := range roundArgKeys {
+				sum += a[k]
+			}
+			if sum != routed {
+				t.Fatalf("MRAI %d %s: per-round changed args sum to %d, want %d", params.MRAIRounds, r.Name, sum, routed)
+			}
+		}
+		if planes != planeCount {
+			t.Fatalf("MRAI %d: got %d plane spans, want %d", params.MRAIRounds, planes, planeCount)
+		}
+	}
+	if summed == 0 {
+		t.Fatal("no plane converged within the rounds that carry a changed arg")
 	}
 }

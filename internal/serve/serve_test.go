@@ -25,7 +25,7 @@ func testGraph(t *testing.T, n int) *atlas.Graph {
 
 // testGraphSeed is the generated n-AS topology `stamp serve -n n -seed
 // seed` serves.
-func testGraphSeed(t *testing.T, n int, seed int64) *atlas.Graph {
+func testGraphSeed(t testing.TB, n int, seed int64) *atlas.Graph {
 	t.Helper()
 	tg, err := topology.GenerateDefault(n, seed)
 	if err != nil {

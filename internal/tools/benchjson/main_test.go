@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -215,5 +217,83 @@ func TestParseRejectsEmpty(t *testing.T) {
 func TestParseRejectsMalformed(t *testing.T) {
 	if _, err := Parse(bufio.NewScanner(strings.NewReader("BenchmarkX notanumber ns/op\n"))); err == nil {
 		t.Fatal("malformed line parsed without error")
+	}
+}
+
+// Three rounds of the interleaved incremental, traced and journaled
+// arms, one sample each per round; the host ran the second round at
+// half speed, and the third round's traced sample met a stall.
+const roundsSample = `pkg: stamp
+BenchmarkAtlasIncremental/incremental-2   1000   1000 ns/op
+BenchmarkAtlasIncremental/traced64-2      1000   1020 ns/op
+BenchmarkAtlasIncremental/prov-2          1000   1030 ns/op
+BenchmarkAtlasIncremental/incremental-2   1000   2000 ns/op
+BenchmarkAtlasIncremental/traced64-2      1000   2040 ns/op
+BenchmarkAtlasIncremental/prov-2          1000   2100 ns/op
+BenchmarkAtlasIncremental/incremental-2   1000   1500 ns/op
+BenchmarkAtlasIncremental/traced64-2      1000   1800 ns/op
+BenchmarkAtlasIncremental/prov-2          1000   1530 ns/op
+`
+
+// TestOverheadIsMedianOfRoundRatios: each overhead ratio pairs the
+// arms' samples round by round and takes the median, so neither a slow
+// round nor one stalled sample moves it.
+func TestOverheadIsMedianOfRoundRatios(t *testing.T) {
+	doc, err := Parse(bufio.NewScanner(strings.NewReader(roundsSample)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	Summarize(doc)
+	for name, want := range map[string]float64{
+		"trace_replay_overhead_ratio": 1.02, // of 1.02, 1.02, 1.2
+		"prov_overhead_ratio":         1.03, // of 1.03, 1.05, 1.02
+	} {
+		if got := doc.Summary[name]; got < want-1e-9 || got > want+1e-9 {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	if err := Gate(io.Discard, doc); err != nil {
+		t.Errorf("gate: %v", err)
+	}
+}
+
+// TestGate: an input with a traced64 or prov sample fails unless all
+// three arms are there and both ratios are at most maxOverhead; an
+// input with neither is not gated.
+func TestGate(t *testing.T) {
+	summarize := func(in string) *Doc {
+		t.Helper()
+		doc, err := Parse(bufio.NewScanner(strings.NewReader(in)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		Summarize(doc)
+		return doc
+	}
+	if err := Gate(io.Discard, summarize(provWhySample)); err != nil {
+		t.Errorf("input without overhead arms: %v", err)
+	}
+	slow := strings.Replace(roundsSample, "1530 ns/op", "1650 ns/op", 1)
+	slow = strings.Replace(slow, "1030 ns/op", "1060 ns/op", 1)
+	if err := Gate(io.Discard, summarize(slow)); err == nil {
+		t.Error("gate passed a 1.06 provenance overhead")
+	}
+	var noInc []string
+	for _, line := range strings.Split(roundsSample, "\n") {
+		if !strings.Contains(line, "/incremental") {
+			noInc = append(noInc, line)
+		}
+	}
+	if err := Gate(io.Discard, summarize(strings.Join(noInc, "\n"))); err == nil {
+		t.Error("gate passed without the incremental arm")
+	}
+	noProv := summarize(strings.Replace(incrementalSample, "BenchmarkAtlasIncremental/prov", "BenchmarkAtlasIncremental/other", 1))
+	if err := Gate(io.Discard, noProv); err == nil {
+		t.Error("gate passed without the prov arm")
+	}
+	nan := summarize(roundsSample)
+	nan.Summary["trace_replay_overhead_ratio"] = math.NaN()
+	if err := Gate(io.Discard, nan); err == nil {
+		t.Error("gate passed a NaN ratio")
 	}
 }

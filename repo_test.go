@@ -8,14 +8,15 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// Checks on the repository as a whole: what the prose docs cite and
-// what production code may name. Both read the source tree from the
-// module root, the bench/ module included.
+// Checks on the repository as a whole: what the prose docs cite, what
+// production code may name and which binaries cmd/ builds. They read
+// the source tree from the module root, the bench/ module included.
 
 // goFiles returns the repository's .go files, test files or the rest,
 // skipping hidden directories (.git and build caches).
@@ -107,5 +108,32 @@ func TestProductionCodeNamesNoTestOracle(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestOneBinary: cmd/ holds exactly one main package, cmd/stamp, the
+// whole CLI surface; a second command belongs under `stamp` as a
+// subcommand.
+func TestOneBinary(t *testing.T) {
+	var mains []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly)
+		if err != nil {
+			return err
+		}
+		if dir := filepath.ToSlash(filepath.Dir(path)); f.Name.Name == "main" && !slices.Contains(mains, dir) {
+			mains = append(mains, dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(mains, []string{"cmd/stamp"}) {
+		t.Fatalf("cmd/ main packages: %v, want exactly [cmd/stamp]", mains)
 	}
 }
