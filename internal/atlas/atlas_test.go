@@ -339,6 +339,43 @@ func TestFlatMatchesMapEngine(t *testing.T) {
 	}
 }
 
+// TestFlatMatchesMapEngineAtScale holds the flat engine to the map
+// engine on the flap storm at 3k ASes, with MRAI pacing and without.
+// The map engine queues every publication, so it is the oracle for the
+// flat engine's in-place record of publications no neighbor can take:
+// at this size most ASes are customerless, and their MRAI gates and
+// st.live decide round counts.
+func TestFlatMatchesMapEngineAtScale(t *testing.T) {
+	_, g := testGraph(t, 3000, 5)
+	groups := stormGroups(t, g, 17)
+	dests, err := Destinations(g, 4, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, params := range []Params{DefaultParams(), {MRAIRounds: NoMRAI}} {
+		flat, ref := NewEngine(g, params), NewMapEngine(g, params)
+		mst := ref.NewState()
+		for _, dest := range dests {
+			mo, err := ref.ConvergeDest(mst, dest, groups)
+			if err != nil {
+				t.Fatalf("mrai %d dest %d map: %v", params.MRAIRounds, dest, err)
+			}
+			for _, c := range listCaps {
+				label := fmt.Sprintf("mrai %d dest %d %s", params.MRAIRounds, dest, capName(c))
+				fst := withCap(flat, c)
+				fo, err := flat.ConvergeDest(fst, dest, groups)
+				if err != nil {
+					t.Fatalf("%s flat: %v", label, err)
+				}
+				if !reflect.DeepEqual(fo, mo) {
+					t.Fatalf("%s: flat and map outcomes differ\nflat: %+v\nmap:  %+v", label, fo, mo)
+				}
+				mustNoDiff(t, label, fst, mst)
+			}
+		}
+	}
+}
+
 // TestStateReuse: a state carries nothing across shards — converging
 // dest A, then B, gives the same outcome as a fresh state on B.
 func TestStateReuse(t *testing.T) {

@@ -596,13 +596,14 @@ func (st *State) SnapshotRoute(p int, a int32) (kind int8, dist, next int32) {
 func (st *State) Visited() int64 { return st.visited }
 
 // DenseWindows returns how many of the latest event group's three plane
-// windows ran dense (re-root or touched-list overflow).
+// windows ran dense (re-root or touched-list overflow; after InitDest,
+// the from-scratch convergence's, all of them).
 func (st *State) DenseWindows() int { return st.denseWindows }
 
 // reset returns the state to pristine for a new destination shard.
 func (st *State) reset(dest topology.ASN) {
 	st.dest = dest
-	st.visited = 0
+	st.visited, st.denseWindows = 0, 0
 	st.inited = false
 	st.initial = true
 	st.withdrawn = false
@@ -786,9 +787,15 @@ func (st *State) anyLive(lo, hi int32) bool {
 // the round count does not depend on which reached ASes could move.
 //
 // The candidate carries the via entry it would install, rev[e]: the
-// entry of a in w's row.
+// entry of a in w's row. Both tests against w's best compare via
+// entries, not the ASes behind them. Freeze rejects duplicate pairs, so
+// a has exactly one entry in w's row: a is w's next hop iff best.via ==
+// rev[e]. Equal preferences mean equal kinds, so on a tie both entries
+// lie in the same class group of w's row, which ascends by neighbor:
+// the lower sender holds the lower entry. Vias -1 and -2 tie no offer.
 func (st *State) reach(p int, a, e int32, o, old int32) {
-	w := int32(st.g.nbr[e])
+	g := st.g
+	w := int32(g.nbr[e])
 	if st.down.has(e) || st.nodeDown.has(w) {
 		return
 	}
@@ -797,9 +804,10 @@ func (st *State) reach(p int, a, e int32, o, old int32) {
 		return
 	}
 	best := st.cur[p][w]
+	ra := g.rev[e]
 	// A route through a is a's old offer, so only a route that equals it
-	// needs its next hop read.
-	if old != prefNone && best.pref == old && st.nextHopAS(best.via) == a {
+	// needs its via entry compared.
+	if old != prefNone && best.pref == old && best.via == ra {
 		st.frontSet(w, frontScan)
 		return
 	}
@@ -808,9 +816,9 @@ func (st *State) reach(p int, a, e int32, o, old int32) {
 	}
 	// recompute's order: preference, then the lower sender. prefNone
 	// offers nothing, and the origin's pinned route is beaten by no
-	// offer (nor tied: its via resolves to -2).
-	if o < best.pref || (o == best.pref && a < st.nextHopAS(best.via)) {
-		st.cand[w] = route{o, st.g.rev[e]}
+	// offer.
+	if o < best.pref || (o == best.pref && ra < best.via) {
+		st.cand[w] = route{o, ra}
 		st.frontSet(w, frontOffer)
 		return
 	}
@@ -1052,10 +1060,23 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 					}
 				}
 			}
-			if pref != st.adv[p][a] {
-				st.pendAdd(a)
-			} else {
+			switch old := st.adv[p][a]; {
+			case pref == old:
 				st.wantPub[a] = false
+			case !st.inPend[a] && round >= st.ready[a] && g.peerEnd[a] == g.off[a+1] &&
+				custOffer(pref) == prefNone && custOffer(old) == prefNone:
+				// A customerless AS whose old and new advertisements are
+				// both non-customer routes offers no neighbor anything, so
+				// its phase-2 publish would only record: publish it here.
+				// Phase 2 would publish the same word (cur moves only in
+				// phase 1), no phase-1 scan reads the adv of an AS outside
+				// custUp, and the window-end gate reopen covers a changed
+				// AS.
+				st.setAdv(p, a, pref)
+				st.ready[a] = round + mrai
+				st.live = st.live || st.anyLive(g.off[a], g.peerEnd[a])
+			default:
+				st.pendAdd(a)
 			}
 		}
 		// Phase 2: publish advertisements whose MRAI gate is open.

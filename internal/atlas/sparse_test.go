@@ -275,6 +275,42 @@ func TestInitDestScansOnlyWhatOffersMove(t *testing.T) {
 	}
 }
 
+// TestInitDestCountsOnlyItsOwnDenseWindows: a from-scratch convergence
+// runs its planeCount windows dense, and DenseWindows after InitDest
+// reports exactly those, not also the dense windows of an event group
+// applied before it.
+func TestInitDestCountsOnlyItsOwnDenseWindows(t *testing.T) {
+	_, g := testGraph(t, 2000, 7)
+	eng := NewEngine(g, DefaultParams())
+	st := eng.NewState()
+	dests, err := Destinations(g, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dest := dests[0]
+	if err := eng.InitDest(st, dest); err != nil {
+		t.Fatal(err)
+	}
+	if st.DenseWindows() != planeCount {
+		t.Fatalf("first InitDest: %d dense windows, want %d", st.DenseWindows(), planeCount)
+	}
+	// Failing the destination's locked (lowest) provider link moves the
+	// blue chain and re-roots red and blue.
+	cost, err := eng.ApplyEvent(st, scenario.Event{Op: scenario.OpFailLink, A: dest, B: g.Providers(dest)[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cost.Reroot || st.DenseWindows() == 0 {
+		t.Fatalf("failing the locked provider link: reroot %v, %d dense windows; want a dense re-root", cost.Reroot, st.DenseWindows())
+	}
+	if err := eng.InitDest(st, dest); err != nil {
+		t.Fatal(err)
+	}
+	if st.DenseWindows() != planeCount {
+		t.Fatalf("InitDest after a re-root: %d dense windows, want %d", st.DenseWindows(), planeCount)
+	}
+}
+
 // TestListCapZeroRunsEveryWindowDense: a state with no list capacity —
 // the dense oracle the differential tests compare against — settles all
 // three windows of every event with the dense passes, whether or not

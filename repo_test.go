@@ -137,3 +137,41 @@ func TestOneBinary(t *testing.T) {
 		t.Fatalf("cmd/ main packages: %v, want exactly [cmd/stamp]", mains)
 	}
 }
+
+// TestLabRacePatternSelectsTests: CI's first race step runs
+// internal/lab under -race with a -run pattern, and a rename that left
+// the pattern matching nothing would pass that step having raced
+// nothing. The pattern, read from ci.yml, must select at least one
+// top-level Test function of internal/lab.
+func TestLabRacePatternSelectsTests(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`go test -race -run '([^']+)' \./internal/lab/`).FindSubmatch(ci)
+	if m == nil {
+		t.Fatal("ci.yml has no `go test -race -run '…' ./internal/lab/` step")
+	}
+	run, err := regexp.Compile(string(m[1]))
+	if err != nil {
+		t.Fatalf("lab race pattern %q: %v", m[1], err)
+	}
+	files, err := filepath.Glob("internal/lab/*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
+				strings.HasPrefix(fn.Name.Name, "Test") && run.MatchString(fn.Name.Name) {
+				return
+			}
+		}
+	}
+	t.Fatalf("ci.yml's lab race pattern %q selects no Test function in internal/lab", m[1])
+}
