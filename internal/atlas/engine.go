@@ -1,8 +1,10 @@
 package atlas
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -250,10 +252,12 @@ type State struct {
 	// The frontier and publication queue lengths, and live, which records
 	// that this round's publications reached a live neighbor they gave no
 	// slot, so the next round runs even if the frontier is empty. The
-	// queues themselves are in the window.
-	frontLen int
-	pendLen  int
-	live     bool
+	// queues themselves are in the window. deferLeaves marks a window that
+	// reaches no leaf and settles the leaves after its loop (settleLeaves).
+	frontLen    int
+	pendLen     int
+	live        bool
+	deferLeaves bool
 
 	// The window lent to the call in progress; nil between calls.
 	*window
@@ -469,6 +473,17 @@ type window struct {
 	// least the State's listCap, where cascPush stops.
 	casc []int32
 
+	// The leaf settlement of a deferred window (settleLeaves): pubs holds
+	// the window's phase-2 publications in round order, late the leaves
+	// to replay, senders the ASes whose publications a replay reads, and
+	// hist and offers one replayed leaf's offers. They are allocated and
+	// grow only in deferred windows.
+	pubs    []pub
+	late    []int32
+	senders bitset
+	hist    []pub
+	offers  []int32
+
 	// Per-group accounting. hadStart records, per plane, whether the AS
 	// had a route when the group's events hit: loss is only counted for
 	// ASes that actually lost service, not for ones a plane never
@@ -492,6 +507,10 @@ type window struct {
 
 	broken bool // set by the round guard; takeBack drops the window
 }
+
+// pub is one publication: AS (or, in a replay's history, adjacency
+// entry) a advertised pref in round.
+type pub struct{ a, round, pref int32 }
 
 func newWindow(n int) *window {
 	w := &window{
@@ -592,7 +611,10 @@ func (st *State) SnapshotRoute(p int, a int32) (kind int8, dist, next int32) {
 // Visited returns how many ASes and adjacency entries the latest event
 // group's window machinery examined (or, after InitDest, the from-scratch
 // convergence's) — the work counter that pins ApplyEvent's cost to the
-// event's churn rather than to the size of the graph.
+// event's churn rather than to the size of the graph. A from-scratch
+// window that settles its leaves after the loop (settleLeaves) counts
+// the entries it reaches and each settled leaf's row; testing a leaf
+// entry's liveness visits nothing, like anyLive.
 func (st *State) Visited() int64 { return st.visited }
 
 // DenseWindows returns how many of the latest event group's three plane
@@ -752,27 +774,47 @@ func (st *State) publish(p int, a int32, old int32) {
 // fanOut reaches the neighbors in entries [lo, hi) of a's row, all of
 // which hear the same offer o where they heard old. When neither is an
 // offer the group can move no route and visits nothing; it only sets
-// st.live if a neighbor is live (see reach).
+// st.live if a neighbor is live (see reach). A deferred window reaches
+// no leaf: a live leaf entry only sets st.live, as reach would have run
+// the next round for it, and visits nothing, like anyLive.
 func (st *State) fanOut(p int, a, lo, hi int32, o, old int32) {
 	if o == prefNone && old == prefNone {
 		st.live = st.live || st.anyLive(lo, hi)
 		return
 	}
-	st.visited += int64(hi - lo)
+	if !st.deferLeaves {
+		st.visited += int64(hi - lo)
+		for e := lo; e < hi; e++ {
+			st.reach(p, a, e, o, old)
+		}
+		return
+	}
+	g, dest := st.g, st.dest
 	for e := lo; e < hi; e++ {
+		if w := g.nbr[e]; w != dest && g.leaf.has(int32(w)) {
+			if !st.live {
+				st.live = st.liveEntry(e)
+			}
+			continue
+		}
+		st.visited++
 		st.reach(p, a, e, o, old)
 	}
 }
 
-// anyLive reports whether any entry in [lo, hi) leads over a live link to
-// a live AS.
+// anyLive reports whether any entry in [lo, hi) is live.
 func (st *State) anyLive(lo, hi int32) bool {
 	for e := lo; e < hi; e++ {
-		if !st.down.has(e) && !st.nodeDown.has(int32(st.g.nbr[e])) {
+		if st.liveEntry(e) {
 			return true
 		}
 	}
 	return false
+}
+
+// liveEntry reports whether entry e leads over a live link to a live AS.
+func (st *State) liveEntry(e int32) bool {
+	return !st.down.has(e) && !st.nodeDown.has(int32(st.g.nbr[e]))
 }
 
 // reach queues neighbor w = nbr[e] for the next round on a's
@@ -997,12 +1039,19 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 		sp.Arg("seed_frontier", int64(st.frontLen))
 	}
 	// changed counts the distinct ASes whose route changed in the window.
-	// From scratch, routes only improve (every offer an AS takes stays on
-	// offer), so an AS changes once from routeless and that first arrival
-	// counts it without a stamp.
+	// From scratch, no AS loses a route once it has one (a route may turn
+	// worse, never routeless), so an AS's first arrival counts it without
+	// a stamp.
 	initial := st.initial
 	changed := int64(0)
 	j := st.j
+	// A from-scratch window that nothing records settles its leaves after
+	// the loop (settleLeaves); a journal and a trace see every route
+	// change in its round, so their windows reach every AS.
+	st.deferLeaves = initial && j == nil && !traced
+	if st.deferLeaves {
+		st.pubs = st.pubs[:0]
+	}
 	// Safety bound: Gao-Rexford policies are provably safe under any
 	// activation order, so this fires only on an engine bug.
 	maxRounds := int32(10_000) + 16*int32(g.Len())
@@ -1063,7 +1112,7 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			switch old := st.adv[p][a]; {
 			case pref == old:
 				st.wantPub[a] = false
-			case !st.inPend[a] && round >= st.ready[a] && g.peerEnd[a] == g.off[a+1] &&
+			case !st.inPend[a] && round >= st.ready[a] && g.leaf.has(a) &&
 				custOffer(pref) == prefNone && custOffer(old) == prefNone:
 				// A customerless AS whose old and new advertisements are
 				// both non-customer routes offers no neighbor anything, so
@@ -1098,11 +1147,17 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			st.setAdv(p, a, st.cur[p][a].pref)
 			st.ready[a] = round + mrai
 			st.publish(p, a, old)
+			if st.deferLeaves {
+				st.pubs = append(st.pubs, pub{a, round, st.adv[p][a]})
+			}
 		}
 		st.pendLen = w
 		if traced && round <= int32(len(roundArgKeys)) {
 			sp.Arg(roundArgKeys[round-1], changed-roundChanged)
 		}
+	}
+	if st.deferLeaves {
+		round = st.settleLeaves(p, mrai, round)
 	}
 	// Reopen the MRAI gates this window closed, so the next window (any
 	// plane: ready is shared) starts with all of them open. Only an AS
@@ -1124,6 +1179,155 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 		sp.End()
 	}
 	return round, nil
+}
+
+// settleLeaves ends a deferred window, whose loop reached no leaf: an
+// AS without customers other than the destination, which the loop
+// treats as any other AS. Every leaf is still routeless here, and
+// nothing in the loop read a leaf's route: a leaf holds no customer
+// route, so it is outside custUp and no customer or peer scan reads its
+// advertisement, and it is nobody's provider. Each leaf that is up
+// therefore takes the best offer of its live providers and peers at the
+// fixpoint, by recompute's rule, and advertises it, as the loop would
+// have left it.
+//
+// The window's round count still owes the rounds the leaves'
+// publications would have run: a leaf publication runs the next round,
+// and a queued one keeps the loop running until its gate opens. A leaf
+// takes its last route at most one round after its live senders' last
+// publication, and its MRAI gate holds that route back at most
+// max(1, mrai)-1 rounds more. So only a leaf with a live sender that
+// published in the loop's last max(1, mrai) rounds can publish in the
+// loop's last round or later. replayLeaf replays exactly those, and the
+// window's round count becomes the later of the loop's count and the
+// round after the last leaf publication.
+func (st *State) settleLeaves(p int, mrai, rounds int32) int32 {
+	g := st.g
+	dest := int32(st.dest)
+	for i, word := range g.leaf {
+		for ; word != 0; word &= word - 1 {
+			if a := int32(i<<6 | bits.TrailingZeros64(word)); a != dest {
+				st.recompute(p, a)
+				st.setAdv(p, a, st.cur[p][a].pref)
+			}
+		}
+	}
+	since := rounds - max(1, mrai)
+	st.late = st.late[:0]
+	for i := len(st.pubs) - 1; i >= 0 && st.pubs[i].round >= since; i-- {
+		s := st.pubs[i].a
+		for e := g.provEnd[s]; e < g.off[s+1]; e++ {
+			if w := int32(g.nbr[e]); g.leaf.has(w) && w != dest && st.liveEntry(e) {
+				st.late = append(st.late, w)
+			}
+		}
+	}
+	if len(st.late) == 0 {
+		return rounds
+	}
+	slices.Sort(st.late)
+	st.late = slices.Compact(st.late)
+	// Keep the publications of the replayed leaves' senders only, by
+	// sender and round.
+	if st.senders == nil {
+		st.senders = newBitset(g.Len())
+	}
+	for _, a := range st.late {
+		for e := g.off[a]; e < g.peerEnd[a]; e++ {
+			st.senders.set(int32(g.nbr[e]))
+		}
+	}
+	k := 0
+	for _, x := range st.pubs {
+		if st.senders.has(x.a) {
+			st.pubs[k] = x
+			k++
+		}
+	}
+	clear(st.senders)
+	st.pubs = st.pubs[:k]
+	slices.SortFunc(st.pubs, func(x, y pub) int {
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.round, y.round)
+	})
+	for _, a := range st.late {
+		if last := st.replayLeaf(a, mrai); last >= rounds {
+			rounds = last + 1
+		}
+	}
+	return rounds
+}
+
+// replayLeaf replays leaf a through a deferred window from its live
+// senders' publications (st.pubs, by sender and round) and returns the
+// round of its last publication (0: none). Phase 1 of round u+1 gives a
+// the best offer its senders advertised at the end of round u, a
+// sender's later offer replacing its earlier one. a's MRAI gate runs as
+// converge runs it: a changed route that differs from a's advertisement
+// publishes in place when the gate is open and nothing is queued;
+// otherwise it is queued and publishes at the first open gate with the
+// route then held, and the queued entry drops when the route returns to
+// the advertisement.
+func (st *State) replayLeaf(a, mrai int32) int32 {
+	g := st.g
+	lo, provEnd, hi := g.off[a], g.provEnd[a], g.peerEnd[a]
+	st.hist = st.hist[:0]
+	for e := lo; e < hi; e++ {
+		if !st.liveEntry(e) {
+			continue
+		}
+		s := int32(g.nbr[e])
+		i, _ := slices.BinarySearchFunc(st.pubs, s, func(x pub, s int32) int { return cmp.Compare(x.a, s) })
+		for ; i < len(st.pubs) && st.pubs[i].a == s; i++ {
+			o := peerOffer(st.pubs[i].pref)
+			if e < provEnd {
+				o = provOffer(st.pubs[i].pref)
+			}
+			st.hist = append(st.hist, pub{e, st.pubs[i].round, o})
+		}
+	}
+	slices.SortFunc(st.hist, func(x, y pub) int { return cmp.Compare(x.round, y.round) })
+	st.offers = slices.Grow(st.offers[:0], int(hi-lo))[:hi-lo]
+	for k := range st.offers {
+		st.offers[k] = prefNone
+	}
+	cur, adv := noRoute, prefNone
+	ready, last, queued := int32(0), int32(0), false
+	for i := 0; i < len(st.hist); {
+		u := st.hist[i].round
+		for ; i < len(st.hist) && st.hist[i].round == u; i++ {
+			st.offers[st.hist[i].a-lo] = st.hist[i].pref
+		}
+		t := u + 1
+		if queued && ready < t {
+			adv, last, ready, queued = cur.pref, ready, ready+mrai, false
+		}
+		// recompute's order: preference, then the lower entry.
+		best := noRoute
+		for k, o := range st.offers {
+			if o < best.pref {
+				best = route{o, lo + int32(k)}
+			}
+		}
+		if best == cur {
+			continue
+		}
+		cur = best
+		switch {
+		case cur.pref == adv:
+			queued = false
+		case t >= ready:
+			adv, last, ready, queued = cur.pref, t, t+mrai, false
+		default:
+			queued = true
+		}
+	}
+	if queued {
+		last = ready
+	}
+	return last
 }
 
 // cascade invalidates every plane-p route whose forwarding chain

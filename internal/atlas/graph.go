@@ -38,6 +38,7 @@ type Graph struct {
 	peerEnd []int32 // peers of a occupy [provEnd[a], peerEnd[a])
 	nbr     []topology.ASN
 	rev     []int32 // rev[e]: the entry of the opposite direction, in nbr[e]'s row
+	leaf    bitset  // the ASes with no customers: peerEnd[a] == off[a+1]
 
 	orig     []int64        // dense id -> original ASN (nil when built from a generated graph)
 	byDegree []topology.ASN // AS ids sorted by degree descending, then id ascending
@@ -216,6 +217,7 @@ func (b *builder) freeze() (*Graph, error) {
 		peerEnd: make([]int32, n),
 		nbr:     make([]topology.ASN, len(b.from)),
 		rev:     make([]int32, len(b.from)),
+		leaf:    newBitset(int(n)),
 		orig:    b.orig,
 	}
 	for _, f := range b.from {
@@ -268,6 +270,7 @@ func (b *builder) freeze() (*Graph, error) {
 		}); ok {
 			return nil, fmt.Errorf("atlas: duplicate or conflicting link between %d and %d", a, dup)
 		}
+		g.leaf.put(a, g.peerEnd[a] == hi)
 	}
 	g.linkReverse(fill)
 	// Degree descending, then id ascending: one ascending sort on

@@ -194,8 +194,9 @@ func TestIngestTruncatedGzip(t *testing.T) {
 // FuzzIngest feeds arbitrary bytes, plain or gzip, to Ingest. It must
 // never panic. A graph it accepts must hold its CSR invariants: rev is
 // an involution that leads back to the row owner, every relationship
-// group is sorted, provider/customer and peer entries come in inverse
-// pairs, and the same bytes ingest to the same graph. A small accepted
+// group is sorted, the leaf set is exactly the ASes without customers,
+// provider/customer and peer entries come in inverse pairs, and the
+// same bytes ingest to the same graph. A small accepted
 // graph must also converge at a multihomed destination.
 //
 // Run long with: go test -fuzz=FuzzIngest ./internal/atlas/
@@ -220,6 +221,9 @@ func FuzzIngest(f *testing.F) {
 				if !slices.IsSorted(grp) {
 					t.Fatalf("AS %d has an unsorted relationship group %v", a, grp)
 				}
+			}
+			if leaf, none := g.leaf.has(int32(a)), len(g.Customers(a)) == 0; leaf != none {
+				t.Fatalf("AS %d: leaf bit %v, but %d customers", a, leaf, len(g.Customers(a)))
 			}
 			for e := g.off[a]; e < g.off[a+1]; e++ {
 				b, r := g.nbr[e], g.rev[e]

@@ -395,70 +395,40 @@ func TestParseWhy(t *testing.T) {
 // TestJournalDoesNotChangeOutcomes: the journal observes the engine and
 // never steers it. With and without one attached, the engine must agree
 // on everything but the journal: outcomes with their round counts,
-// every EventCost, the routes, the window sequence and each retained
-// window's touched sets, for every kind Run and Replay accept, on the
-// grouped driver and on InitDest plus an event stream, sparse and
-// always dense.
+// every EventCost, the routes and advertisements, the window sequence
+// and each retained window's touched sets, for every kind Run and
+// Replay accept, on the grouped driver, on InitDest plus an event
+// stream, and on ConvergeScratch over the script's first k groups for
+// every k and over the whole script with the origin withdrawn, sparse
+// and always dense, at every MRAI pacing from none to 6 rounds. A
+// from-scratch window without a journal settles its leaves after the
+// loop (settleLeaves) while a journaled one reaches them in it, so this
+// is also the deferred path's differential.
 func TestJournalDoesNotChangeOutcomes(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
 		seed int64
 	}{{400, 11}, {3000, 3}} {
 		tg, g := testGraph(t, tc.n, tc.seed)
-		eng := NewEngine(g, DefaultParams())
 		multihomed := scenario.Multihomed(g)
 		dests, err := Destinations(g, 2, 31)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, kind := range allKinds {
-			if kind == scenario.PrefixWithdraw {
-				continue // Run and Replay refuse it
-			}
-			script, err := scenario.PickScript(tg, multihomed, kind, rand.New(rand.NewSource(21)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			groups := groupEvents(script)
-			for _, dest := range dests {
-				for _, c := range []int{-1, 0} {
-					name := fmt.Sprintf("N=%d %v dest %d %s", tc.n, kind, dest, capName(c))
-					bare, seen := withCap(eng, c), withCap(eng, c)
-					seen.SetJournal(prov.NewJournal(1 << 12))
-					ob, err := eng.ConvergeDest(bare, dest, groups)
-					if err != nil {
-						t.Fatal(err)
-					}
-					oj, err := eng.ConvergeDest(seen, dest, groups)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ob != oj {
-						t.Fatalf("%s ConvergeDest: without a journal %+v, with %+v", name, ob, oj)
-					}
-					mustSameState(t, name+" ConvergeDest", bare, seen)
-					for _, st := range []*State{bare, seen} {
-						if err := eng.InitDest(st, dest); err != nil {
-							t.Fatal(err)
-						}
-					}
-					mustSameState(t, name+" InitDest", bare, seen)
-					for i, ev := range script.Sorted() {
-						cb, err := eng.ApplyEvent(bare, ev)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cs, err := eng.ApplyEvent(seen, ev)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if cb != cs {
-							t.Fatalf("%s event %d %v: EventCost without a journal %+v, with %+v", name, i, ev, cb, cs)
-						}
-						mustSameState(t, fmt.Sprintf("%s event %d %v", name, i, ev), bare, seen)
-					}
-					if fb, fs := eng.FinishDest(bare), eng.FinishDest(seen); fb != fs {
-						t.Fatalf("%s FinishDest: without a journal %+v, with %+v", name, fb, fs)
+		for _, params := range []Params{DefaultParams(), {MRAIRounds: NoMRAI}, {MRAIRounds: 1}, {MRAIRounds: 3}, {MRAIRounds: 4}, {MRAIRounds: 6}} {
+			eng := NewEngine(g, params)
+			for _, kind := range allKinds {
+				if kind == scenario.PrefixWithdraw {
+					continue // Run and Replay refuse it
+				}
+				script, err := scenario.PickScript(tg, multihomed, kind, rand.New(rand.NewSource(21)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, dest := range dests {
+					for _, c := range []int{-1, 0} {
+						name := fmt.Sprintf("N=%d MRAI %d %v dest %d %s", tc.n, params.MRAIRounds, kind, dest, capName(c))
+						checkJournalOblivious(t, eng, name, dest, script, c)
 					}
 				}
 			}
@@ -466,9 +436,123 @@ func TestJournalDoesNotChangeOutcomes(t *testing.T) {
 	}
 }
 
+// checkJournalOblivious runs script at dest on a bare state and a
+// journaled one, both with touched-list capacity c, and fails at the
+// first thing they disagree on.
+func checkJournalOblivious(t *testing.T, eng *Engine, name string, dest topology.ASN, script scenario.Script, c int) {
+	t.Helper()
+	groups := groupEvents(script)
+	bare, seen := withCap(eng, c), withCap(eng, c)
+	seen.SetJournal(prov.NewJournal(1 << 12))
+	ob, err := eng.ConvergeDest(bare, dest, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oj, err := eng.ConvergeDest(seen, dest, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ob != oj {
+		t.Fatalf("%s ConvergeDest: without a journal %+v, with %+v", name, ob, oj)
+	}
+	mustSameState(t, name+" ConvergeDest", bare, seen)
+	for _, st := range []*State{bare, seen} {
+		if err := eng.InitDest(st, dest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSameState(t, name+" InitDest", bare, seen)
+	for i, ev := range script.Sorted() {
+		cb, err := eng.ApplyEvent(bare, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := eng.ApplyEvent(seen, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cb != cs {
+			t.Fatalf("%s event %d %v: EventCost without a journal %+v, with %+v", name, i, ev, cb, cs)
+		}
+		mustSameState(t, fmt.Sprintf("%s event %d %v", name, i, ev), bare, seen)
+	}
+	if fb, fs := eng.FinishDest(bare), eng.FinishDest(seen); fb != fs {
+		t.Fatalf("%s FinishDest: without a journal %+v, with %+v", name, fb, fs)
+	}
+	if c >= 0 {
+		return // a from-scratch window runs dense at any list capacity
+	}
+	// From scratch over damage: the script's events up to the end of each
+	// group that moves a route (links and nodes down), then all of them
+	// with the origin withdrawn.
+	var pre []scenario.Event
+	for k := 0; k <= len(groups)+1; k++ {
+		switch {
+		case k > len(groups):
+			pre = append(pre, scenario.Event{Op: scenario.OpWithdraw, Node: dest})
+		case k > 0:
+			pre = append(pre, groups[k-1]...)
+			if !slices.ContainsFunc(groups[k-1], func(ev scenario.Event) bool { return !ev.Op.Quality() }) {
+				continue // the damage is what it was
+			}
+		}
+		for _, st := range []*State{bare, seen} {
+			if err := eng.ConvergeScratch(st, dest, pre); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fb, fs := eng.FinishDest(bare), eng.FinishDest(seen); fb != fs {
+			t.Fatalf("%s ConvergeScratch over %d events: without a journal %+v, with %+v", name, len(pre), fb, fs)
+		}
+		mustSameState(t, fmt.Sprintf("%s ConvergeScratch over %d events", name, len(pre)), bare, seen)
+	}
+}
+
+// TestInitDestNeverLosesARoute pins what first-arrival counting and
+// settleLeaves rely on: in a from-scratch window no AS loses a route
+// once it has one. Routes do not only improve, though: when a next hop
+// trades a short route for a longer one of a better kind, the ASes
+// behind it are offered the longer one, so the journal must show at
+// least one routed AS taking a worse route.
+func TestInitDestNeverLosesARoute(t *testing.T) {
+	_, g := testGraph(t, 3000, 3)
+	eng := NewEngine(g, DefaultParams())
+	st := eng.NewState()
+	j := prov.NewJournal(1 << 16)
+	st.SetJournal(j)
+	dests, err := Destinations(g, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worse := 0
+	for _, dest := range dests {
+		if err := eng.InitDest(st, dest); err != nil {
+			t.Fatal(err)
+		}
+		if j.Evicted() != 0 {
+			t.Fatalf("dest %d: the journal evicted %d entries", dest, j.Evicted())
+		}
+		for _, e := range j.Tail(j.Len()) {
+			if e.Event != 0 || e.PrevKind == kindNone {
+				continue
+			}
+			if e.NewKind == kindNone {
+				t.Fatalf("dest %d: %s AS %d lost its route in round %d of a from-scratch window", dest, PlaneName(int(e.Plane)), e.AS, e.Round)
+			}
+			if mkPref(e.NewKind, e.NewDist) > mkPref(e.PrevKind, e.PrevDist) {
+				worse++
+			}
+		}
+	}
+	if worse == 0 {
+		t.Fatal("no routed AS took a worse route: the claim \"routes only improve\" would hold")
+	}
+	t.Logf("%d changes of a routed AS were to a worse route", worse)
+}
+
 // mustSameState fails unless a and b are at the same window, hold the
-// same routes on every plane, and report the same touched set (or the
-// same refusal) for each window they retain.
+// same routes and advertisements on every plane, and report the same
+// touched set (or the same refusal) for each window they retain.
 func mustSameState(t *testing.T, name string, a, b *State) {
 	t.Helper()
 	if a.Windows() != b.Windows() {
@@ -486,6 +570,11 @@ func mustSameState(t *testing.T, name string, a, b *State) {
 		kb, db, nb := snapshotPlane(b, p)
 		if !slices.Equal(ka, kb) || !slices.Equal(da, db) || !slices.Equal(na, nb) {
 			t.Fatalf("%s: %s routes differ", name, PlaneName(p))
+		}
+		for as := range a.adv[p] {
+			if a.adv[p][as] != b.adv[p][as] {
+				t.Fatalf("%s: %s AS %d advertises %#x vs %#x", name, PlaneName(p), as, a.adv[p][as], b.adv[p][as])
+			}
 		}
 	}
 }

@@ -220,7 +220,8 @@ func TestReplayTracerSideEffectOnly(t *testing.T) {
 
 // TestInitDestChangedArgsCountArrivals: a from-scratch window stamps no
 // changes; its plane span counts each AS's first route arrival instead.
-// Routes only improve from scratch, so that count is the number of ASes
+// From scratch no AS loses a route once it has one
+// (TestInitDestNeverLosesARoute), so that count is the number of ASes
 // the plane routes at the fixpoint, less the origin, and the per-round
 // args sum to it wherever every round has one (a small graph without
 // MRAI pacing).

@@ -390,6 +390,47 @@ func TestServeSwarmCLI(t *testing.T) {
 	}
 }
 
+// TestSteerGridWinsAtCIScale runs the steering grid CI archives as
+// BENCH_steer.json, with CI's exact arguments, and holds its headline:
+// steering beats color-locked STAMP on user latency (0 < ratio < 1) and
+// the steering arm switched at least once, so the win has a mechanism.
+func TestSteerGridWinsAtCIScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	code, stdout, stderr := run(t, "run", "steer-latency", "-scenario", "latency-brownout",
+		"-n", "400", "-trials", "4", "-seed", "5", "-workers", "4", "-json")
+	if code != ExitOK {
+		t.Fatalf("steer-latency exit %d (stderr: %s)", code, stderr)
+	}
+	var env struct {
+		Data struct {
+			Ratio float64 `json:"steer_vs_locked_latency_ratio"`
+			Arms  []struct {
+				Protocol string `json:"protocol"`
+				Switches struct {
+					Sum float64 `json:"Sum"`
+				} `json:"steer_switches"`
+			} `json:"arms"`
+		} `json:"data"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &env); err != nil {
+		t.Fatal(err)
+	}
+	if r := env.Data.Ratio; r <= 0 || r >= 1 {
+		t.Fatalf("steering does not beat locked STAMP: ratio %v", r)
+	}
+	switches := 0.0
+	for _, a := range env.Data.Arms {
+		if a.Protocol == "STAMP-steer" {
+			switches = a.Switches.Sum
+		}
+	}
+	if switches <= 0 {
+		t.Fatalf("the STAMP-steer arm never switched (arms %+v)", env.Data.Arms)
+	}
+}
+
 // TestSteerCLI: `stamp steer` runs the four-arm latency steering grid
 // end to end — the brownout preset, the -loss gray-failure preset, and
 // the policy tuning flags reaching the experiment request.
