@@ -241,8 +241,9 @@ func itoa(v int) string {
 
 // BenchmarkEmuConvergence boots the live-emulation fleet — 200 ASes as
 // real STAMP red/blue wire-protocol speakers over the in-memory pipe
-// transport — injects a single link failure, and waits for wall-clock
-// quiescence. It reports the live fleet's boot and convergence times,
+// transport — injects a single link failure, and waits until every
+// UPDATE the fleet sent has been processed or dropped (no idle window).
+// It reports the live fleet's boot and convergence times,
 // the subsystem's headline cost (sim benchmarks above measure virtual
 // time; this one measures the implementation).
 func BenchmarkEmuConvergence(b *testing.B) {

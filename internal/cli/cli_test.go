@@ -88,6 +88,7 @@ func TestExitCodes(t *testing.T) {
 		{"serve-load rejects negative -readers", []string{"run", "serve-load", "-n", "200", "-readers", "-1"}, ExitUsage},
 		{"serve-load rejects negative -load-for", []string{"run", "serve-load", "-n", "200", "-load-for", "-1s"}, ExitUsage},
 		{"lab rejects negative -timeout", []string{"lab", "-n", "40", "-timeout", "-1s"}, ExitUsage},
+		{"lab has no quiet window", []string{"lab", "-n", "40", "-quiet", "1s"}, ExitUsage},
 		{"atlas -why rejects bad spec", []string{"atlas", "-replay", "-why", "5", "-n", "100"}, ExitFailure},
 		{"atlas -why rejects unsampled dest", []string{"atlas", "-replay", "-why", "999999:1", "-n", "100", "-dests", "2"}, ExitFailure},
 		{"topo stats with snapshot flags", []string{"topo", "-in", "/no/such/file", "-tier1", "9"}, ExitUsage},

@@ -47,7 +47,6 @@ func newRequestFlags(fs *flag.FlagSet, want map[string]bool) *requestFlags {
 	all.IntVar(&r.Readers, "readers", 0, "concurrent read clients (0 = default)")
 	all.DurationVar(&r.LoadFor, "load-for", 0, "measurement window (0 = default)")
 	all.BoolVar(&f.diff, "diff", true, "differentially validate live tables against the simulator")
-	all.DurationVar(&r.QuietWindow, "quiet", 0, "quiescence window override (0 = default)")
 	all.DurationVar(&r.ConvergeTimeout, "timeout", 0, "convergence timeout override (0 = default)")
 	all.StringVar(&r.Why, "why", "", "report the route-provenance chain for DEST:AS (original ASNs, or 'auto') after the replay")
 	all.StringVar(&r.TracePath, "trace", "", "write a Chrome trace-event JSON of the replay to this file (load at ui.perfetto.dev)")

@@ -4,11 +4,10 @@
 // discrete-event simulator. A pluggable Transport carries the sessions —
 // in-memory pipes (with both colors multiplexed over one wire.Mux) for
 // scale and CI, TCP loopback for realism. A scenario engine injects the
-// paper's failure workloads in wall-clock time, a quiescence detector
+// paper's failure workloads in wall-clock time, an exact in-flight count
 // decides convergence, and a differential validator diffs every
 // speaker's red/blue RIB against the simulator's tables on the same
-// topology and script — any divergence is a bug in the wire, session, or
-// concurrency layers, caught mechanically.
+// topology and script.
 package emu
 
 import (
@@ -24,7 +23,6 @@ import (
 	"stamp/internal/scenario"
 	"stamp/internal/sim"
 	"stamp/internal/topology"
-	"stamp/internal/trace"
 	"stamp/internal/wire"
 )
 
@@ -38,27 +36,21 @@ type Options struct {
 	// Workers sizes the boot worker pool that wires links in parallel
 	// (<= 0: 8).
 	Workers int
-	// HoldTime is the per-session BGP hold time. It must comfortably
-	// exceed any run so keepalive traffic never interleaves with
-	// convergence detection (default 1 h).
-	HoldTime time.Duration
-	// QuietWindow is how long the fleet must be silent before the
-	// convergence detector declares quiescence (default 200 ms).
-	QuietWindow time.Duration
 	// ConvergeTimeout bounds one WaitConverged call (default 120 s).
 	ConvergeTimeout time.Duration
-	// BootTimeout bounds session establishment (default 60 s).
-	BootTimeout time.Duration
-	// Logf, when non-nil, receives diagnostic lines.
-	Logf func(format string, args ...any)
 	// Metrics, when non-nil, streams fleet activity (sessions up, UPDATE
 	// volume, in-flight) into an obs registry.
 	Metrics *Metrics
-	// Tracer, when non-nil, records one causal span tree per Run — boot,
-	// initial convergence, scenario convergence — with session and UPDATE
-	// counts as annotations (see internal/trace).
-	Tracer *trace.Tracer
 }
+
+const (
+	// holdTime is the per-session BGP hold time. It comfortably exceeds
+	// any run, so keepalive traffic never interleaves with convergence.
+	holdTime = time.Hour
+	// establishTimeout bounds session establishment, at boot and on a
+	// link restore.
+	establishTimeout = 60 * time.Second
+)
 
 func (o Options) withDefaults() Options {
 	if o.Transport == "" {
@@ -67,17 +59,8 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 8
 	}
-	if o.HoldTime == 0 {
-		o.HoldTime = time.Hour
-	}
-	if o.QuietWindow == 0 {
-		o.QuietWindow = 200 * time.Millisecond
-	}
 	if o.ConvergeTimeout == 0 {
 		o.ConvergeTimeout = 120 * time.Second
-	}
-	if o.BootTimeout == 0 {
-		o.BootTimeout = 60 * time.Second
 	}
 	return o
 }
@@ -108,6 +91,11 @@ type endpoint struct {
 	color bgp.Color
 	sess  *netd.Session
 	est   chan struct{}
+
+	// written counts the UPDATEs this endpoint's writer put on the wire,
+	// received those its session handed to inbound. Each is touched only
+	// by its own goroutine until the session pair settles.
+	written, received int64
 
 	mu   sync.Mutex
 	q    []*wire.Update
@@ -158,6 +146,13 @@ func (ep *endpoint) queued() int {
 	return len(ep.q)
 }
 
+// sessionPair is one color's session across one link: its two endpoints
+// and the four goroutines (two sessions, two writers) that serve them.
+type sessionPair struct {
+	ends [2]*endpoint
+	live atomic.Int32 // goroutines not yet exited
+}
+
 // liveLink is the live state of one topology link.
 type liveLink struct {
 	a, b topology.ASN
@@ -203,15 +198,16 @@ type Fabric struct {
 	linksMu sync.RWMutex
 	links   map[linkKey]*liveLink
 
-	// Convergence bookkeeping: lastActivity is bumped on every UPDATE
-	// enqueue, write, and processed receive; inFlight counts UPDATEs
-	// enqueued but not yet fully processed (or dropped). After a failure
-	// event, updates lost inside severed transports can leave inFlight
-	// permanently above zero, so quiescence has an idle-window fallback.
-	lastActivity atomic.Int64 // UnixNano
-	inFlight     atomic.Int64
-	updatesSent  atomic.Int64
-	dropped      atomic.Int64
+	// The in-flight ledger. An UPDATE is pushed just before it is queued
+	// and retired exactly once: processed by its receiver, or dropped
+	// (refused by a dead queue, discarded with one, failed by its writer,
+	// or lost in a severed transport). pushed - processed - dropped is
+	// the in-flight count; the retirement that empties it stamps quietAt.
+	flightMu                   sync.Mutex
+	pushed, processed, dropped int64
+	quietAt                    time.Time
+
+	updatesSent atomic.Int64
 
 	errMu sync.Mutex
 	err   error
@@ -242,7 +238,6 @@ func New(opts Options) (*Fabric, error) {
 		routers:   make([]*router, g.Len()),
 		links:     make(map[linkKey]*liveLink, g.EdgeCount()),
 	}
-	f.bump()
 	for a := 0; a < g.Len(); a++ {
 		r := &router{
 			f:   f,
@@ -275,26 +270,50 @@ func (fn fabricNet) Send(from, to topology.ASN, payload any) {
 		return
 	}
 	// Called from node logic, which always runs under the sending
-	// router's mutex — the eps map read is safe.
+	// router's mutex — the eps map read is safe. The update is counted
+	// before it is queued, so nothing downstream can retire it first.
 	r := fn.f.routers[from]
 	ep := r.eps[epKey{to, m.Color}]
+	fn.f.push()
 	if ep == nil || !ep.push(encodeMsg(m)) {
-		fn.f.dropped.Add(1)
-		fn.f.opts.Metrics.dropped(1)
-		fn.f.bump()
-		return
+		fn.f.done(1, true)
 	}
-	fn.f.inFlight.Add(1)
-	fn.f.syncInFlight()
-	fn.f.bump()
 }
 
-func (f *Fabric) bump() { f.lastActivity.Store(time.Now().UnixNano()) }
+// push counts one UPDATE in flight.
+func (f *Fabric) push() { f.account(&f.pushed, 1) }
 
-// lastActivityTime reports when the fleet last sent, received, or
-// processed an UPDATE.
-func (f *Fabric) lastActivityTime() time.Time {
-	return time.Unix(0, f.lastActivity.Load())
+// done retires n in-flight UPDATEs, as dropped or as processed.
+func (f *Fabric) done(n int64, dropped bool) {
+	if !dropped {
+		f.account(&f.processed, n)
+		return
+	}
+	f.opts.Metrics.dropped(n)
+	f.account(&f.dropped, n)
+}
+
+// account adds n to one ledger counter. The change that empties the
+// in-flight count stamps the quiescence clock.
+func (f *Fabric) account(c *int64, n int64) {
+	if n == 0 {
+		return
+	}
+	f.flightMu.Lock()
+	*c += n
+	left := f.pushed - f.processed - f.dropped
+	if left == 0 {
+		f.quietAt = time.Now()
+	}
+	f.opts.Metrics.inFlight(left)
+	f.flightMu.Unlock()
+}
+
+// inFlight reports the in-flight count and when it last emptied.
+func (f *Fabric) inFlight() (int64, time.Time) {
+	f.flightMu.Lock()
+	defer f.flightMu.Unlock()
+	return f.pushed - f.processed - f.dropped, f.quietAt
 }
 
 func (f *Fabric) fail(err error) {
@@ -310,12 +329,6 @@ func (f *Fabric) Err() error {
 	f.errMu.Lock()
 	defer f.errMu.Unlock()
 	return f.err
-}
-
-func (f *Fabric) logf(format string, args ...any) {
-	if f.opts.Logf != nil {
-		f.opts.Logf(format, args...)
-	}
 }
 
 func (f *Fabric) link(a, b topology.ASN) *liveLink {
@@ -358,7 +371,7 @@ func (f *Fabric) Boot() error {
 			return err
 		}
 	}
-	return f.waitEstablished(f.allEndpoints(), f.opts.BootTimeout)
+	return f.waitEstablished(f.allEndpoints())
 }
 
 // wireLink creates the transport and both colors' sessions for one link.
@@ -367,21 +380,38 @@ func (f *Fabric) wireLink(a, b topology.ASN) error {
 	if err != nil {
 		return fmt.Errorf("emu: wiring %d--%d: %w", a, b, err)
 	}
-	ll := &liveLink{a: a, b: b, sever: conns.Sever}
-	ll.eps = []*endpoint{
-		f.mkEndpoint(f.routers[a], b, bgp.ColorRed, conns.Red[0]),
-		f.mkEndpoint(f.routers[b], a, bgp.ColorRed, conns.Red[1]),
-		f.mkEndpoint(f.routers[a], b, bgp.ColorBlue, conns.Blue[0]),
-		f.mkEndpoint(f.routers[b], a, bgp.ColorBlue, conns.Blue[1]),
-	}
+	ll := &liveLink{a: a, b: b, eps: f.startLink(a, b, conns), sever: conns.Sever}
 	f.linksMu.Lock()
 	f.links[mkLink(a, b)] = ll
 	f.linksMu.Unlock()
 	return nil
 }
 
-// mkEndpoint builds one session endpoint, registers it with its router,
-// and starts its session and writer goroutines.
+// startLink starts one session pair per color over a link's conns and
+// returns the endpoints: red a-side, red b-side, blue a-side, blue b-side.
+func (f *Fabric) startLink(a, b topology.ASN, conns LinkConns) []*endpoint {
+	var eps []*endpoint
+	for _, c := range []struct {
+		color bgp.Color
+		conns [2]net.Conn
+	}{{bgp.ColorRed, conns.Red}, {bgp.ColorBlue, conns.Blue}} {
+		p := &sessionPair{ends: [2]*endpoint{
+			f.mkEndpoint(f.routers[a], b, c.color, c.conns[0]),
+			f.mkEndpoint(f.routers[b], a, c.color, c.conns[1]),
+		}}
+		p.live.Store(4)
+		f.wg.Add(4)
+		for _, ep := range p.ends {
+			go func() { defer f.wg.Done(); defer f.leave(p); _ = ep.sess.Run() }()
+			go func() { defer f.wg.Done(); defer f.leave(p); f.runWriter(ep) }()
+		}
+		eps = append(eps, p.ends[:]...)
+	}
+	return eps
+}
+
+// mkEndpoint builds one session endpoint and registers it with its
+// router.
 func (f *Fabric) mkEndpoint(r *router, nbr topology.ASN, color bgp.Color, conn net.Conn) *endpoint {
 	ep := &endpoint{
 		owner: r,
@@ -394,7 +424,7 @@ func (f *Fabric) mkEndpoint(r *router, nbr topology.ASN, color bgp.Color, conn n
 		LocalAS:       uint16(r.as),
 		RouterID:      uint32(r.as) + 1,
 		Color:         byte(color),
-		HoldTime:      f.opts.HoldTime,
+		HoldTime:      holdTime,
 		Metrics:       f.opts.Metrics.wire(),
 		OnEstablished: func(*netd.Session) { close(ep.est) },
 		OnUpdate:      func(_ *netd.Session, u *wire.Update) { f.inbound(ep, u) },
@@ -402,16 +432,17 @@ func (f *Fabric) mkEndpoint(r *router, nbr topology.ASN, color bgp.Color, conn n
 	r.mu.Lock()
 	r.eps[epKey{nbr, color}] = ep
 	r.mu.Unlock()
-	f.wg.Add(2)
-	go func() {
-		defer f.wg.Done()
-		_ = ep.sess.Run()
-	}()
-	go func() {
-		defer f.wg.Done()
-		f.runWriter(ep)
-	}()
 	return ep
+}
+
+// leave runs as each of a session pair's four goroutines exits. The
+// last one out settles the pair: every UPDATE one side wrote that the
+// other side's session never delivered was lost in the transport.
+func (f *Fabric) leave(p *sessionPair) {
+	if p.live.Add(-1) == 0 {
+		a, b := p.ends[0], p.ends[1]
+		f.done(a.written-b.received+b.written-a.received, true)
+	}
 }
 
 // runWriter drains one endpoint's outbound queue onto its session. It
@@ -431,20 +462,16 @@ func (f *Fabric) runWriter(ep *endpoint) {
 			return
 		}
 		if err := ep.sess.SendUpdate(u); err != nil {
-			f.inFlight.Add(-1)
-			f.dropped.Add(1)
-			f.opts.Metrics.dropped(1)
-			f.syncInFlight()
-			f.bump()
+			f.done(1, true)
 			return
 		}
+		ep.written++
 		f.updatesSent.Add(1)
 		f.opts.Metrics.sent()
-		f.bump()
 	}
 }
 
-// discard marks an endpoint dead and accounts its queued updates as
+// discard marks an endpoint dead and retires its queued updates as
 // dropped. Idempotent.
 func (f *Fabric) discard(ep *endpoint) {
 	ep.mu.Lock()
@@ -452,19 +479,13 @@ func (f *Fabric) discard(ep *endpoint) {
 	ep.q = nil
 	ep.dead = true
 	ep.mu.Unlock()
-	if n > 0 {
-		f.inFlight.Add(int64(-n))
-		f.dropped.Add(int64(n))
-		f.opts.Metrics.dropped(int64(n))
-		f.syncInFlight()
-		f.bump()
-	}
+	f.done(int64(n), true)
 }
 
 // inbound handles one UPDATE from a peer: decode, run the shared
-// protocol logic under the router mutex, account the message processed.
+// protocol logic under the router mutex, retire the message processed.
 func (f *Fabric) inbound(ep *endpoint, u *wire.Update) {
-	f.bump()
+	ep.received++
 	if m, ok := decodeMsg(u, ep.color); ok {
 		r := ep.owner
 		r.mu.Lock()
@@ -472,9 +493,7 @@ func (f *Fabric) inbound(ep *endpoint, u *wire.Update) {
 		r.drain()
 		r.mu.Unlock()
 	}
-	f.inFlight.Add(-1)
-	f.syncInFlight()
-	f.bump()
+	f.done(1, false)
 }
 
 // allEndpoints snapshots every current endpoint.
@@ -492,8 +511,8 @@ func (f *Fabric) allEndpoints() []*endpoint {
 
 // waitEstablished blocks until every endpoint's session reaches
 // Established.
-func (f *Fabric) waitEstablished(eps []*endpoint, timeout time.Duration) error {
-	deadline := time.NewTimer(timeout)
+func (f *Fabric) waitEstablished(eps []*endpoint) error {
+	deadline := time.NewTimer(establishTimeout)
 	defer deadline.Stop()
 	for _, ep := range eps {
 		select {
@@ -503,7 +522,7 @@ func (f *Fabric) waitEstablished(eps []*endpoint, timeout time.Duration) error {
 				ep.color, ep.owner.as, ep.nbr, ep.sess.Err())
 		case <-deadline.C:
 			return fmt.Errorf("emu: %s session AS%d--AS%d not established within %v",
-				ep.color, ep.owner.as, ep.nbr, timeout)
+				ep.color, ep.owner.as, ep.nbr, establishTimeout)
 		}
 	}
 	return nil
@@ -516,7 +535,6 @@ func (f *Fabric) Originate(dest topology.ASN) {
 	r.node.Originate()
 	r.drain()
 	r.mu.Unlock()
-	f.bump()
 }
 
 // Withdraw implements scenario.Executor: the origin withdraws its
@@ -527,7 +545,6 @@ func (f *Fabric) Withdraw(dest topology.ASN) error {
 	r.node.WithdrawOrigin()
 	r.drain()
 	r.mu.Unlock()
-	f.bump()
 	return nil
 }
 
@@ -555,7 +572,6 @@ func (f *Fabric) FailLink(a, b topology.ASN) error {
 	sever()
 	f.routers[a].linkDown(b)
 	f.routers[b].linkDown(a)
-	f.bump()
 	return nil
 }
 
@@ -574,23 +590,17 @@ func (f *Fabric) RestoreLink(a, b topology.ASN) error {
 	if err != nil {
 		return fmt.Errorf("emu: rewiring %d--%d: %w", a, b, err)
 	}
-	eps := []*endpoint{
-		f.mkEndpoint(f.routers[a], b, bgp.ColorRed, conns.Red[0]),
-		f.mkEndpoint(f.routers[b], a, bgp.ColorRed, conns.Red[1]),
-		f.mkEndpoint(f.routers[a], b, bgp.ColorBlue, conns.Blue[0]),
-		f.mkEndpoint(f.routers[b], a, bgp.ColorBlue, conns.Blue[1]),
-	}
+	eps := f.startLink(a, b, conns)
 	ll.mu.Lock()
 	ll.eps = eps
 	ll.sever = conns.Sever
 	ll.mu.Unlock()
-	if err := f.waitEstablished(eps, f.opts.BootTimeout); err != nil {
+	if err := f.waitEstablished(eps); err != nil {
 		return err
 	}
 	ll.down.Store(false)
 	f.routers[a].linkUp(b)
 	f.routers[b].linkUp(a)
-	f.bump()
 	return nil
 }
 
@@ -637,29 +647,25 @@ func (f *Fabric) RunScript(s scenario.Script) error {
 	return nil
 }
 
-// WaitConverged blocks until the fleet is quiescent: no UPDATE has been
-// enqueued, written, or processed for QuietWindow and every session
-// queue is drained. The in-flight counter gives a fast exact check;
-// after failure events, updates lost inside severed transports can leave
-// it pinned above zero, so a longer pure-idle window also counts as
-// converged (nothing in a timer-free fleet can wake up again after that
-// long a silence).
+// WaitConverged blocks until the fleet is quiescent: every UPDATE it
+// counted has been processed or dropped. The fleet is timer-free and
+// every send has a counted cause, so once the count is zero nothing but
+// the caller's next event can raise it.
 func (f *Fabric) WaitConverged() error {
-	quiet := f.opts.QuietWindow
 	deadline := time.Now().Add(f.opts.ConvergeTimeout)
 	for {
 		if err := f.Err(); err != nil {
 			return err
 		}
-		idle := time.Since(time.Unix(0, f.lastActivity.Load()))
-		if idle >= quiet && (f.inFlight.Load() == 0 || idle >= 3*quiet) {
-			if f.queuedUpdates() == 0 {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
+		n, _ := f.inFlight()
+		switch {
+		case n == 0:
+			return nil
+		case n < 0:
+			return fmt.Errorf("emu: in-flight count %d is negative: an UPDATE was retired twice", n)
+		case time.Now().After(deadline):
 			return fmt.Errorf("emu: not converged after %v (in-flight %d, queued %d)",
-				f.opts.ConvergeTimeout, f.inFlight.Load(), f.queuedUpdates())
+				f.opts.ConvergeTimeout, n, f.queuedUpdates())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -688,12 +694,14 @@ func (f *Fabric) Stats() Stats {
 	f.linksMu.RLock()
 	links := len(f.links)
 	f.linksMu.RUnlock()
+	f.flightMu.Lock()
+	defer f.flightMu.Unlock()
 	return Stats{
 		ASes:     f.g.Len(),
 		Links:    links,
 		Sessions: 2 * links, // one per color, counted per link
 		Updates:  f.updatesSent.Load(),
-		Dropped:  f.dropped.Load(),
+		Dropped:  f.dropped,
 	}
 }
 

@@ -155,3 +155,63 @@ func TestFailUnknownLink(t *testing.T) {
 		t.Error("restoring an up link succeeded")
 	}
 }
+
+// TestEveryUpdateRetiredOnce checks the in-flight ledger on scripts
+// whose failures sever sessions with UPDATEs in transit, over both
+// transports. After every WaitConverged nothing is in flight or queued
+// and every pushed UPDATE was processed or dropped, once; a lost UPDATE
+// the ledger never retired would instead hang WaitConverged into its
+// timeout. A fleet closed mid-convergence must balance too, which
+// holds only if each severed session pair settles what it lost.
+func TestEveryUpdateRetiredOnce(t *testing.T) {
+	g := genGraph(t, 80, 3)
+	for _, transport := range []string{"pipe", "tcp"} {
+		for _, kind := range []string{"node-failure", "two-links-shared", "link-flap"} {
+			t.Run(transport+"/"+kind, func(t *testing.T) {
+				script, err := scenario.Named(kind, g, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := New(Options{Graph: g, Transport: transport, ConvergeTimeout: 5 * time.Second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				if err := f.Boot(); err != nil {
+					t.Fatal(err)
+				}
+				balanced := func(phase string) {
+					t.Helper()
+					f.flightMu.Lock()
+					pushed, processed, dropped := f.pushed, f.processed, f.dropped
+					f.flightMu.Unlock()
+					if pushed != processed+dropped {
+						t.Errorf("%s: pushed %d != processed %d + dropped %d", phase, pushed, processed, dropped)
+					}
+					t.Logf("%s: pushed %d, processed %d, dropped %d", phase, pushed, processed, dropped)
+				}
+				converged := func(phase string) {
+					t.Helper()
+					if err := f.WaitConverged(); err != nil {
+						t.Fatalf("%s: %v", phase, err)
+					}
+					if q := f.queuedUpdates(); q != 0 {
+						t.Errorf("%s: %d updates queued after WaitConverged", phase, q)
+					}
+					balanced(phase)
+				}
+				f.Originate(script.Dest)
+				converged("initial")
+				if err := f.RunScript(script); err != nil {
+					t.Fatal(err)
+				}
+				converged("scenario")
+				if err := f.Withdraw(script.Dest); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				balanced("closed mid-withdrawal")
+			})
+		}
+	}
+}

@@ -56,10 +56,8 @@ func (m *Metrics) dropped(n int64) {
 	}
 }
 
-// syncInFlight mirrors the fabric's in-flight counter into the gauge;
-// call after any mutation.
-func (f *Fabric) syncInFlight() {
-	if m := f.opts.Metrics; m != nil {
-		m.InFlight.Set(f.inFlight.Load())
+func (m *Metrics) inFlight(n int64) {
+	if m != nil {
+		m.InFlight.Set(n)
 	}
 }

@@ -37,61 +37,45 @@ func Run(opts Options, script scenario.Script) (*Result, error) {
 	}
 	defer f.Close()
 
-	// One Run is one trace: boot, initial convergence, and scenario
-	// convergence become sibling spans under a single root so the
-	// phases' relative cost is visible in Perfetto.
-	tc := opts.Tracer.Event(0)
-	root := tc.Start("emu.run")
-
 	res := &Result{}
 	t0 := time.Now()
-	bsp := tc.StartChild(root.ID(), "emu.boot")
 	if err := f.Boot(); err != nil {
 		return nil, err
 	}
-	bsp.End()
 	res.Boot = time.Since(t0)
 
-	// Convergence is measured to the last observed activity, not to when
-	// the quiescence detector's idle window expired.
+	// Convergence is measured to the retirement that emptied the
+	// in-flight count, not to when WaitConverged noticed.
 	t1 := time.Now()
-	isp := tc.StartChild(root.ID(), "emu.initial_converge")
 	f.Originate(script.Dest)
 	if err := f.WaitConverged(); err != nil {
 		return nil, err
 	}
-	isp.End()
-	res.InitialConvergence = clampDur(f.lastActivityTime().Sub(t1))
+	res.InitialConvergence = f.quietSince(t1)
 
 	if len(script.Events) > 0 {
 		t2 := time.Now()
-		ssp := tc.StartChild(root.ID(), "emu.scenario_converge")
-		ssp.Arg("events", int64(len(script.Events)))
 		if err := f.RunScript(script); err != nil {
 			return nil, err
 		}
 		if err := f.WaitConverged(); err != nil {
 			return nil, err
 		}
-		ssp.End()
-		res.ScenarioConvergence = clampDur(f.lastActivityTime().Sub(t2))
+		res.ScenarioConvergence = f.quietSince(t2)
 		res.ConvCDF = metrics.NewCDF(f.convergenceSamples(t2))
 	}
 
 	res.Tables = f.Tables()
 	res.Stats = f.Stats()
-	if root.Live() {
-		root.Arg("ases", int64(res.Stats.ASes))
-		root.Arg("sessions", int64(res.Stats.Sessions))
-		root.Arg("updates_sent", res.Stats.Updates)
-		root.End()
-	}
 	return res, f.Err()
 }
 
-func clampDur(d time.Duration) time.Duration {
-	if d < 0 {
-		return 0
+// quietSince is the time from start to when the in-flight count last
+// emptied; zero when it has not emptied since start.
+func (f *Fabric) quietSince(start time.Time) time.Duration {
+	_, at := f.inFlight()
+	if d := at.Sub(start); d > 0 {
+		return d
 	}
-	return d
+	return 0
 }

@@ -92,7 +92,7 @@ func init() {
 		Backends:        []string{"emu", "sim"},
 		DefaultN:        200,
 		DefaultScenario: "link-failure",
-		Flags:           []string{"backend", "scenario", "transport", "diff", "quiet", "timeout"},
+		Flags:           []string{"backend", "scenario", "transport", "diff", "timeout"},
 		Run:             runEmuConverge,
 	})
 }

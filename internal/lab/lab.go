@@ -106,9 +106,8 @@ type Request struct {
 	// LoadFor bounds a load experiment's measurement window (0: the
 	// experiment default).
 	LoadFor time.Duration
-	// QuietWindow and ConvergeTimeout override the emu fleet's
-	// quiescence window and convergence timeout (0: emu defaults).
-	QuietWindow     time.Duration
+	// ConvergeTimeout overrides the emu fleet's convergence timeout (0:
+	// the emu default).
 	ConvergeTimeout time.Duration
 	// NoDiff skips the sim-reference differential validation on emu
 	// runs (the live measurement still happens).

@@ -368,7 +368,7 @@ func runEmuConverge(req Request) (*Result, error) {
 		live, err := emuAwait(req.ctx(), func() (*emu.Result, error) {
 			return emu.Run(emu.Options{
 				Graph: g, Transport: req.Transport, Workers: req.Workers,
-				QuietWindow: req.QuietWindow, ConvergeTimeout: req.ConvergeTimeout,
+				ConvergeTimeout: req.ConvergeTimeout,
 			}, script)
 		})
 		if err != nil {

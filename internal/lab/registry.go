@@ -27,8 +27,8 @@ type Experiment struct {
 	// shared header (-n, -seed, -topo, -workers, -json, -progress):
 	// "trials", "scenario", "protocol", "backend", "transport", "flows",
 	// "tick", "ticks", "dests", "repeat", "topo-seeds", "readers",
-	// "load-for", "diff", "quiet", "timeout", "why", "trace",
-	// "trace-sample" and the "steer-*" policy knobs.
+	// "load-for", "diff", "timeout", "why", "trace", "trace-sample" and
+	// the "steer-*" policy knobs.
 	Flags []string
 	// Run executes the experiment on an already-normalized request.
 	Run func(req Request) (*Result, error)
