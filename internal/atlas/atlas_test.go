@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,21 +72,39 @@ func TestCSRMatchesTopology(t *testing.T) {
 		}
 	}
 	mustReverseIndex(t, g)
+	mustTransitIndex(t, g)
 	for _, seed := range []int64{1, 7, 42} {
 		_, big := testGraph(t, 3000, seed)
 		mustReverseIndex(t, big)
+		mustTransitIndex(t, big)
 	}
-	// DegreeOrder is degree-descending with ascending-id ties.
-	ord := g.DegreeOrder()
+	// degreeOrder is degree-descending with ascending-id ties.
+	ord := degreeOrder(g)
 	if len(ord) != g.Len() {
-		t.Fatalf("DegreeOrder len %d", len(ord))
+		t.Fatalf("degreeOrder len %d", len(ord))
 	}
 	for i := 1; i < len(ord); i++ {
 		di, dj := g.Degree(ord[i-1]), g.Degree(ord[i])
 		if di < dj || (di == dj && ord[i-1] >= ord[i]) {
-			t.Fatalf("DegreeOrder violated at %d: AS %d (deg %d) before AS %d (deg %d)", i, ord[i-1], di, ord[i], dj)
+			t.Fatalf("degreeOrder violated at %d: AS %d (deg %d) before AS %d (deg %d)", i, ord[i-1], di, ord[i], dj)
 		}
 	}
+}
+
+// degreeOrder returns the ASes sorted by total degree descending, ties
+// by ascending id: the deterministic "big transit first" order the
+// tests pick hubs from. One ascending sort on (^degree, id).
+func degreeOrder(g *Graph) []topology.ASN {
+	keys := make([]uint64, g.n)
+	for a := range keys {
+		keys[a] = uint64(^uint32(g.Degree(topology.ASN(a))))<<32 | uint64(a)
+	}
+	slices.Sort(keys)
+	ord := make([]topology.ASN, g.n)
+	for i, k := range keys {
+		ord[i] = topology.ASN(uint32(k))
+	}
+	return ord
 }
 
 // mustReverseIndex checks rev entry by entry: it is an involution, it
@@ -118,6 +137,31 @@ func mustReverseIndex(t *testing.T, g *Graph) {
 	}
 }
 
+// mustTransitIndex checks the transit index row by row: it lists
+// exactly the customer entries whose neighbor has customers of its own,
+// ascending, and the leaf bits mark exactly the customerless ASes.
+func mustTransitIndex(t *testing.T, g *Graph) {
+	t.Helper()
+	if len(g.transitOff) != g.Len()+1 || g.transitOff[0] != 0 || int(g.transitOff[g.n]) != len(g.transit) {
+		t.Fatalf("transitOff has %d bounds from %d to %d over %d entries", len(g.transitOff), g.transitOff[0], g.transitOff[g.n], len(g.transit))
+	}
+	var want []int32
+	for a := topology.ASN(0); a < topology.ASN(g.n); a++ {
+		if got := g.leaf.has(int32(a)); got != (len(g.Customers(a)) == 0) {
+			t.Fatalf("AS %d: leaf bit %v with %d customers", a, got, len(g.Customers(a)))
+		}
+		want = want[:0]
+		for e := g.peerEnd[a]; e < g.off[a+1]; e++ {
+			if len(g.Customers(g.nbr[e])) > 0 {
+				want = append(want, e)
+			}
+		}
+		if got := g.transit[g.transitOff[a]:g.transitOff[a+1]]; !slices.Equal(got, want) {
+			t.Fatalf("AS %d: transit entries %v, want %v", a, got, want)
+		}
+	}
+}
+
 // entryRel is the relationship group entry e of a's row sits in.
 func entryRel(g *Graph, a topology.ASN, e int32) topology.Rel {
 	switch {
@@ -129,9 +173,11 @@ func entryRel(g *Graph, a topology.ASN, e int32) topology.Rel {
 	return topology.RelCustomer
 }
 
-// csrFingerprint hashes every array freeze produces: the row bounds,
+// csrFingerprint hashes the CSR layout freeze produces: the row bounds,
 // the group boundaries, the neighbor column with each entry's
-// relationship (read back through Rel) and the degree order.
+// relationship (read back through Rel), and the degree order
+// (degreeOrder). The reverse, leaf and transit indexes are derived from
+// these and checked entry by entry instead.
 func csrFingerprint(g *Graph) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -152,8 +198,9 @@ func csrFingerprint(g *Graph) uint64 {
 			put(int64(g.Rel(topology.ASN(a), b)))
 		}
 	}
-	put(int64(len(g.byDegree)))
-	for _, a := range g.byDegree {
+	ord := degreeOrder(g)
+	put(int64(len(ord)))
+	for _, a := range ord {
 		put(int64(a))
 	}
 	return h.Sum64()

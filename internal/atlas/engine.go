@@ -252,8 +252,9 @@ type State struct {
 	// The frontier and publication queue lengths, and live, which records
 	// that this round's publications reached a live neighbor they gave no
 	// slot, so the next round runs even if the frontier is empty. The
-	// queues themselves are in the window. deferLeaves marks a window that
-	// reaches no leaf and settles the leaves after its loop (settleLeaves).
+	// queues themselves are in the window. deferLeaves marks a from-scratch
+	// convergence whose windows reach no leaf: reset decides it for all
+	// three planes, and settleLeaves routes the leaves after blue's loop.
 	frontLen    int
 	pendLen     int
 	live        bool
@@ -473,14 +474,17 @@ type window struct {
 	// least the State's listCap, where cascPush stops.
 	casc []int32
 
-	// The leaf settlement of a deferred window (settleLeaves): pubs holds
-	// the window's phase-2 publications in round order, late the leaves
-	// to replay, senders the ASes whose publications a replay reads, and
-	// hist and offers one replayed leaf's offers. They are allocated and
-	// grow only in deferred windows.
+	// The leaf replay of a deferred window (replayLeaves): pubs holds the
+	// window's phase-2 publications in round order, chained per sender:
+	// lastPub[a] is the index of a's latest publication and prevPub[i]
+	// that of the one before pubs[i] (-1: none). late holds the leaves to
+	// replay, and hist and offers one replayed leaf's offers. They are
+	// allocated and grow only in deferred windows, and every lastPub slot
+	// is -1 between windows.
 	pubs    []pub
+	prevPub []int32
+	lastPub []int32
 	late    []int32
-	senders bitset
 	hist    []pub
 	offers  []int32
 
@@ -613,8 +617,8 @@ func (st *State) SnapshotRoute(p int, a int32) (kind int8, dist, next int32) {
 // convergence's) — the work counter that pins ApplyEvent's cost to the
 // event's churn rather than to the size of the graph. A from-scratch
 // window that settles its leaves after the loop (settleLeaves) counts
-// the entries it reaches and each settled leaf's row; testing a leaf
-// entry's liveness visits nothing, like anyLive.
+// the entries it reaches and each settled leaf's row once per plane;
+// testing a leaf entry's liveness visits nothing, like anyLive.
 func (st *State) Visited() int64 { return st.visited }
 
 // DenseWindows returns how many of the latest event group's three plane
@@ -628,6 +632,10 @@ func (st *State) reset(dest topology.ASN) {
 	st.visited, st.denseWindows = 0, 0
 	st.inited = false
 	st.initial = true
+	// A from-scratch convergence that nothing records settles its leaves
+	// after the loop (settleLeaves); a journal and a trace see every route
+	// change in its round, so their windows reach every AS.
+	st.deferLeaves = st.j == nil && !st.trc.Live()
 	st.withdrawn = false
 	clear(st.down)
 	clear(st.nodeDown)
@@ -703,26 +711,29 @@ func (st *State) computeChain() bool {
 
 // initPlane seeds a plane from scratch: origin at dest, everything else
 // routeless, queues holding just the origin's first advertisement.
-// With a journal attached, the wholesale clear is journaled as an
-// explicit route loss for every AS that held a route (so the journal's
-// latest-entry-per-AS invariant survives re-roots), except the origin
-// when its pinned route carries over unchanged.
+// With a journal attached, the wholesale clear of a re-root is journaled
+// as an explicit route loss for every AS that held a route (so the
+// journal's latest-entry-per-AS invariant survives re-roots), except the
+// origin when its pinned route carries over unchanged. A from-scratch
+// convergence has nothing to clear: reset left every plane routeless.
 func (st *State) initPlane(p int) {
 	j := st.j
 	origin := !st.withdrawn && !st.nodeDown.has(int32(st.dest))
 	d := int32(st.dest)
 	keptOrigin := origin && st.cur[p][d].pref != prefNone && st.cur[p][d].via == -2
 	cur, adv := st.cur[p], st.adv[p]
-	for a := range cur {
-		if j != nil && cur[a].pref != prefNone && (int32(a) != d || !keptOrigin) {
-			prev := cur[a]
+	if !st.initial {
+		for a := range cur {
+			if j != nil && cur[a].pref != prefNone && (int32(a) != d || !keptOrigin) {
+				prev := cur[a]
+				cur[a] = noRoute
+				st.note(p, int32(a), 0, j.WindowCause(0), prev)
+			}
 			cur[a] = noRoute
-			st.note(p, int32(a), 0, j.WindowCause(0), prev)
+			adv[a] = prefNone
 		}
-		cur[a] = noRoute
-		adv[a] = prefNone
+		clear(st.custUp[p])
 	}
-	clear(st.custUp[p])
 	st.frontLen, st.pendLen = 0, 0
 	if !origin {
 		return
@@ -768,7 +779,7 @@ func (st *State) publish(p int, a int32, old int32) {
 		st.fanOut(p, a, g.off[a], g.provEnd[a], prefNone, prefNone)
 	}
 	st.fanOut(p, a, g.provEnd[a], g.peerEnd[a], peerOffer(adv), peerOffer(old))
-	st.fanOut(p, a, g.peerEnd[a], g.off[a+1], provOffer(adv), provOffer(old))
+	st.fanCustomers(p, a, provOffer(adv), provOffer(old))
 }
 
 // fanOut reaches the neighbors in entries [lo, hi) of a's row, all of
@@ -776,7 +787,8 @@ func (st *State) publish(p int, a int32, old int32) {
 // offer the group can move no route and visits nothing; it only sets
 // st.live if a neighbor is live (see reach). A deferred window reaches
 // no leaf: a live leaf entry only sets st.live, as reach would have run
-// the next round for it, and visits nothing, like anyLive.
+// the next round for it, and visits nothing, like anyLive. Customers,
+// most of which are leaves, take fanCustomers' index instead.
 func (st *State) fanOut(p int, a, lo, hi int32, o, old int32) {
 	if o == prefNone && old == prefNone {
 		st.live = st.live || st.anyLive(lo, hi)
@@ -799,6 +811,39 @@ func (st *State) fanOut(p int, a, lo, hi int32, o, old int32) {
 		}
 		st.visited++
 		st.reach(p, a, e, o, old)
+	}
+}
+
+// fanCustomers is fanOut over a's customers. A deferred window reaches
+// only the customers that are not leaves, by the graph's transit index,
+// and the destination when it is a leaf customer of a, found among the
+// destination's providers; then, only while st.live is still false, it
+// probes the leaf entries for a live one.
+func (st *State) fanCustomers(p int, a, o, old int32) {
+	g := st.g
+	lo, hi := g.peerEnd[a], g.off[a+1]
+	if !st.deferLeaves || (o == prefNone && old == prefNone) {
+		st.fanOut(p, a, lo, hi, o, old)
+		return
+	}
+	transit := g.transit[g.transitOff[a]:g.transitOff[a+1]]
+	st.visited += int64(len(transit))
+	for _, e := range transit {
+		st.reach(p, a, e, o, old)
+	}
+	dest := st.dest
+	if g.leaf.has(int32(dest)) {
+		for e := g.off[dest]; e < g.provEnd[dest]; e++ {
+			if int32(g.nbr[e]) == a {
+				st.visited++
+				st.reach(p, a, g.rev[e], o, old)
+			}
+		}
+	}
+	for e := lo; e < hi && !st.live; e++ {
+		if w := g.nbr[e]; w != dest && g.leaf.has(int32(w)) {
+			st.live = st.liveEntry(e)
+		}
 	}
 }
 
@@ -1045,12 +1090,14 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 	initial := st.initial
 	changed := int64(0)
 	j := st.j
-	// A from-scratch window that nothing records settles its leaves after
-	// the loop (settleLeaves); a journal and a trace see every route
-	// change in its round, so their windows reach every AS.
-	st.deferLeaves = initial && j == nil && !traced
 	if st.deferLeaves {
-		st.pubs = st.pubs[:0]
+		st.pubs, st.prevPub = st.pubs[:0], st.prevPub[:0]
+		if st.lastPub == nil {
+			st.lastPub = make([]int32, g.Len())
+			for a := range st.lastPub {
+				st.lastPub[a] = -1
+			}
+		}
 	}
 	// Safety bound: Gao-Rexford policies are provably safe under any
 	// activation order, so this fires only on an engine bug.
@@ -1061,6 +1108,7 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 		st.live = false
 		if round > maxRounds {
 			sp.End()
+			st.broken = true
 			return round, fmt.Errorf("atlas: plane %d exceeded %d rounds at dest %d; engine bug", p, maxRounds, st.dest)
 		}
 		var cause prov.Cause
@@ -1148,6 +1196,8 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			st.ready[a] = round + mrai
 			st.publish(p, a, old)
 			if st.deferLeaves {
+				st.prevPub = append(st.prevPub, st.lastPub[a])
+				st.lastPub[a] = int32(len(st.pubs))
 				st.pubs = append(st.pubs, pub{a, round, st.adv[p][a]})
 			}
 		}
@@ -1157,7 +1207,7 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 		}
 	}
 	if st.deferLeaves {
-		round = st.settleLeaves(p, mrai, round)
+		round = st.replayLeaves(mrai, round)
 	}
 	// Reopen the MRAI gates this window closed, so the next window (any
 	// plane: ready is shared) starts with all of them open. Only an AS
@@ -1181,37 +1231,88 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 	return round, nil
 }
 
-// settleLeaves ends a deferred window, whose loop reached no leaf: an
-// AS without customers other than the destination, which the loop
-// treats as any other AS. Every leaf is still routeless here, and
-// nothing in the loop read a leaf's route: a leaf holds no customer
-// route, so it is outside custUp and no customer or peer scan reads its
-// advertisement, and it is nobody's provider. Each leaf that is up
-// therefore takes the best offer of its live providers and peers at the
-// fixpoint, by recompute's rule, and advertises it, as the loop would
-// have left it.
-//
-// The window's round count still owes the rounds the leaves'
-// publications would have run: a leaf publication runs the next round,
-// and a queued one keeps the loop running until its gate opens. A leaf
-// takes its last route at most one round after its live senders' last
-// publication, and its MRAI gate holds that route back at most
-// max(1, mrai)-1 rounds more. So only a leaf with a live sender that
-// published in the loop's last max(1, mrai) rounds can publish in the
-// loop's last round or later. replayLeaf replays exactly those, and the
-// window's round count becomes the later of the loop's count and the
-// round after the last leaf publication.
-func (st *State) settleLeaves(p int, mrai, rounds int32) int32 {
+// settleLeaves ends a deferred from-scratch convergence, whose windows
+// reached no leaf: an AS without customers other than the destination,
+// which the loop treats as any other AS. Every leaf is still routeless
+// on every plane here, and no loop read a leaf's route: a leaf holds no
+// customer route, so it is outside custUp and no customer or peer scan
+// reads its advertisement, and it is nobody's provider. Blue's red
+// precedence (climbs) reads a red route only at a custUp member or a
+// publisher, neither of which is a leaf. Each leaf that is up therefore
+// takes, on each plane, the best offer of its live providers and peers
+// at that plane's fixpoint, by recompute's rule, and advertises it, as
+// the loops would have left it. One pass over the leaves reads each row
+// once and tests each entry's liveness once for all three planes: peers
+// first, since any peer offer beats every provider offer, then
+// providers, each group ascending, so the first of equal offers is the
+// lower entry.
+func (st *State) settleLeaves() {
+	if !st.deferLeaves {
+		return
+	}
 	g := st.g
 	dest := int32(st.dest)
 	for i, word := range g.leaf {
 		for ; word != 0; word &= word - 1 {
-			if a := int32(i<<6 | bits.TrailingZeros64(word)); a != dest {
-				st.recompute(p, a)
-				st.setAdv(p, a, st.cur[p][a].pref)
+			if a := int32(i<<6 | bits.TrailingZeros64(word)); a != dest && !st.nodeDown.has(a) {
+				st.settleLeaf(a)
 			}
 		}
 	}
+}
+
+// settleLeaf routes leaf a on every plane from its senders' final
+// advertisements. Like recompute once per plane, it visits a's row
+// planeCount times. A leaf's route is never a customer route, so its
+// advertisement leaves its custUp bits clear, as reset left them.
+func (st *State) settleLeaf(a int32) {
+	g := st.g
+	lo, provEnd, hi := g.off[a], g.provEnd[a], g.peerEnd[a]
+	st.visited += planeCount * int64(hi-lo)
+	best := [planeCount]route{noRoute, noRoute, noRoute}
+	for e := provEnd; e < hi; e++ {
+		if !st.liveEntry(e) {
+			continue
+		}
+		w := g.nbr[e]
+		for p := range best {
+			if o := peerOffer(st.adv[p][w]); o < best[p].pref {
+				best[p] = route{o, e}
+			}
+		}
+	}
+	for e := lo; e < provEnd; e++ {
+		if !st.liveEntry(e) {
+			continue
+		}
+		w := g.nbr[e]
+		for p := range best {
+			if o := provOffer(st.adv[p][w]); o < best[p].pref {
+				best[p] = route{o, e}
+			}
+		}
+	}
+	for p, r := range best {
+		st.cur[p][a] = r
+		st.adv[p][a] = r.pref
+	}
+}
+
+// replayLeaves ends a deferred window's loop, which ran rounds rounds,
+// and returns the window's round count, which still owes the rounds the
+// leaves' publications would have run: a leaf publication runs the next
+// round, and a queued one keeps the loop running until its gate opens.
+// A leaf takes its last route at most one round after its live senders'
+// last publication, and its MRAI gate holds that route back at most
+// max(1, mrai)-1 rounds more. So only a leaf with a live sender that
+// published in the loop's last max(1, mrai) rounds can publish in the
+// loop's last round or later. replayLeaf replays exactly those, and the
+// window's round count becomes the later of the loop's count and the
+// round after the last leaf publication. The leaves' routes wait for
+// settleLeaves.
+func (st *State) replayLeaves(mrai, rounds int32) int32 {
+	g := st.g
+	dest := int32(st.dest)
 	since := rounds - max(1, mrai)
 	st.late = st.late[:0]
 	for i := len(st.pubs) - 1; i >= 0 && st.pubs[i].round >= since; i-- {
@@ -1222,54 +1323,30 @@ func (st *State) settleLeaves(p int, mrai, rounds int32) int32 {
 			}
 		}
 	}
-	if len(st.late) == 0 {
-		return rounds
-	}
-	slices.Sort(st.late)
-	st.late = slices.Compact(st.late)
-	// Keep the publications of the replayed leaves' senders only, by
-	// sender and round.
-	if st.senders == nil {
-		st.senders = newBitset(g.Len())
-	}
-	for _, a := range st.late {
-		for e := g.off[a]; e < g.peerEnd[a]; e++ {
-			st.senders.set(int32(g.nbr[e]))
+	if len(st.late) > 0 {
+		slices.Sort(st.late)
+		st.late = slices.Compact(st.late)
+		for _, a := range st.late {
+			if last := st.replayLeaf(a, mrai); last >= rounds {
+				rounds = last + 1
+			}
 		}
 	}
-	k := 0
 	for _, x := range st.pubs {
-		if st.senders.has(x.a) {
-			st.pubs[k] = x
-			k++
-		}
-	}
-	clear(st.senders)
-	st.pubs = st.pubs[:k]
-	slices.SortFunc(st.pubs, func(x, y pub) int {
-		if c := cmp.Compare(x.a, y.a); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.round, y.round)
-	})
-	for _, a := range st.late {
-		if last := st.replayLeaf(a, mrai); last >= rounds {
-			rounds = last + 1
-		}
+		st.lastPub[x.a] = -1
 	}
 	return rounds
 }
 
 // replayLeaf replays leaf a through a deferred window from its live
-// senders' publications (st.pubs, by sender and round) and returns the
-// round of its last publication (0: none). Phase 1 of round u+1 gives a
-// the best offer its senders advertised at the end of round u, a
-// sender's later offer replacing its earlier one. a's MRAI gate runs as
-// converge runs it: a changed route that differs from a's advertisement
-// publishes in place when the gate is open and nothing is queued;
-// otherwise it is queued and publishes at the first open gate with the
-// route then held, and the queued entry drops when the route returns to
-// the advertisement.
+// senders' publication chains and returns the round of its last
+// publication (0: none). Phase 1 of round u+1 gives a the best offer its
+// senders advertised at the end of round u, a sender's later offer
+// replacing its earlier one. a's MRAI gate runs as converge runs it: a
+// changed route that differs from a's advertisement publishes in place
+// when the gate is open and nothing is queued; otherwise it is queued
+// and publishes at the first open gate with the route then held, and the
+// queued entry drops when the route returns to the advertisement.
 func (st *State) replayLeaf(a, mrai int32) int32 {
 	g := st.g
 	lo, provEnd, hi := g.off[a], g.provEnd[a], g.peerEnd[a]
@@ -1278,14 +1355,13 @@ func (st *State) replayLeaf(a, mrai int32) int32 {
 		if !st.liveEntry(e) {
 			continue
 		}
-		s := int32(g.nbr[e])
-		i, _ := slices.BinarySearchFunc(st.pubs, s, func(x pub, s int32) int { return cmp.Compare(x.a, s) })
-		for ; i < len(st.pubs) && st.pubs[i].a == s; i++ {
-			o := peerOffer(st.pubs[i].pref)
+		for i := st.lastPub[g.nbr[e]]; i >= 0; i = st.prevPub[i] {
+			x := st.pubs[i]
+			o := peerOffer(x.pref)
 			if e < provEnd {
-				o = provOffer(st.pubs[i].pref)
+				o = provOffer(x.pref)
 			}
-			st.hist = append(st.hist, pub{e, st.pubs[i].round, o})
+			st.hist = append(st.hist, pub{e, x.round, o})
 		}
 	}
 	slices.SortFunc(st.hist, func(x, y pub) int { return cmp.Compare(x.round, y.round) })
@@ -1579,6 +1655,8 @@ type engineState interface {
 	seedEventFrontier(group []scenario.Event)
 	seedRedDependents(redEpoch int32)
 	converge(p int, mrai int32, out *PlaneOutcome) (int32, error)
+	// settleLeaves ends a from-scratch convergence after blue's window.
+	settleLeaves()
 	settleGroup(p int, endRound int32, out *PlaneOutcome)
 	accumulateGroupLoss(out *DestOutcome)
 	accumulateFinal(out *DestOutcome)
@@ -1649,6 +1727,7 @@ func initConverge(st engineState, params Params, dest topology.ASN, pre []scenar
 		}
 		planes[p].InitRounds = rounds
 	}
+	st.settleLeaves()
 	return nil
 }
 
@@ -1865,7 +1944,7 @@ func (e *Engine) ConvergeScratch(st *State, dest topology.ASN, events []scenario
 // dense engine snapshots here are captured lazily instead, by the first
 // markChanged of each AS.
 func (st *State) beginGroup() {
-	st.initial = false
+	st.initial, st.deferLeaves = false, false
 	st.seq++
 	gen := st.seq & 1
 	for p := 0; p < planeCount; p++ {

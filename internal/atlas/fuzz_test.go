@@ -68,15 +68,17 @@ func graphEdges(g *Graph) [][2]topology.ASN {
 }
 
 // FuzzIncrementalConverge drives random (but valid) event sequences
-// through the incremental path and checks the invariants the replay
-// subsystem rests on: after every event the incremental fixpoint equals
-// a from-scratch convergence (on the flat engine and the map
-// reference), and both flat states' custUp sets match their
-// advertisements; the flat engine's sparse windows — at the default
-// touched-list capacity, at 0 (always dense) and at tiny ones (overflow
-// part-way) — report the EventCost, DestOutcome, routes and canonical
-// journal of the map engine's dense passes; and the flat incremental hot
-// loop allocates nothing.
+// through the incremental path, at a destination the input picks among
+// sixteen (twelve leaves and four transit ASes: a leaf destination is
+// the one leaf a from-scratch window reaches in its loop), and checks
+// the invariants the replay subsystem rests on: after every event the
+// incremental fixpoint equals a from-scratch convergence (on the flat
+// engine and the map reference), and both flat states' custUp sets
+// match their advertisements; the flat engine's sparse windows — at the
+// default touched-list capacity, at 0 (always dense) and at tiny ones
+// (overflow part-way) — report the EventCost, DestOutcome, routes and
+// canonical journal of the map engine's dense passes; and the flat
+// incremental hot loop allocates nothing.
 //
 // Run long with: go test -fuzz=FuzzIncrementalConverge ./internal/atlas/
 func FuzzIncrementalConverge(f *testing.F) {
@@ -89,23 +91,26 @@ func FuzzIncrementalConverge(f *testing.F) {
 		f.Fatal(err)
 	}
 	edges := graphEdges(g)
-	dests, err := Destinations(g, 1, 3)
+	dests, err := Destinations(g, 16, 3)
 	if err != nil {
 		f.Fatal(err)
 	}
-	dest := dests[0]
 	flat := NewEngine(g, DefaultParams())
 	ref := NewMapEngine(g, DefaultParams())
 	ist, sst := flat.NewState(), flat.NewState()
 	mist, msst := ref.NewState(), ref.NewState()
 	fx := newStreamFixture(g)
 
-	f.Add([]byte{0, 1, 0, 0, 1, 0})          // fail + restore one link
-	f.Add([]byte{2, 5, 0, 0, 9, 1, 1, 9, 1}) // node fail, link toggles
-	f.Add([]byte{3, 0, 0, 0, 2, 0})          // withdraw then link fail
-	f.Add([]byte{0, 200, 0, 2, 200, 0, 0, 17, 2, 3, 0, 0, 1, 44, 1})
+	f.Add(uint8(0), []byte{0, 1, 0, 0, 1, 0})          // fail + restore one link
+	f.Add(uint8(0), []byte{2, 5, 0, 0, 9, 1, 1, 9, 1}) // node fail, link toggles
+	f.Add(uint8(0), []byte{3, 0, 0, 0, 2, 0})          // withdraw then link fail
+	f.Add(uint8(0), []byte{0, 200, 0, 2, 200, 0, 0, 17, 2, 3, 0, 0, 1, 44, 1})
+	for pick := uint8(1); pick < uint8(len(dests)); pick++ {
+		f.Add(pick, []byte{2, 5, 0, 0, 9, 1, 1, 9, 1, 3, 0, 0})
+	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, pick uint8, data []byte) {
+		dest := dests[int(pick)%len(dests)]
 		events := fuzzEvents(g, dest, edges, data)
 		if err := flat.InitDest(ist, dest); err != nil {
 			t.Fatal(err)

@@ -24,13 +24,11 @@ import (
 
 // Graph is an immutable AS topology in compressed-sparse-row form: one
 // flat neighbor array with per-AS slices, each slice grouped providers
-// first, then peers, then customers, every group sorted ascending. A
-// degree-descending AS order is precomputed once at build time
-// (DegreeOrder) for analyses over the degree distribution; the
-// scenario-level workload pickers deliberately draw through the
-// representation-neutral scenario.Topo interface instead, so one
-// picker serves both graph types. A Graph is cheap to share read-only
-// across any number of goroutines.
+// first, then peers, then customers, every group sorted ascending. The
+// scenario-level workload pickers draw through the representation-
+// neutral scenario.Topo interface, so one picker serves both graph
+// types. A Graph is cheap to share read-only across any number of
+// goroutines.
 type Graph struct {
 	n       int32
 	off     []int32 // len n+1: adjacency bounds; entries of a in [off[a], off[a+1])
@@ -40,8 +38,13 @@ type Graph struct {
 	rev     []int32 // rev[e]: the entry of the opposite direction, in nbr[e]'s row
 	leaf    bitset  // the ASes with no customers: peerEnd[a] == off[a+1]
 
-	orig     []int64        // dense id -> original ASN (nil when built from a generated graph)
-	byDegree []topology.ASN // AS ids sorted by degree descending, then id ascending
+	// The customer entries of a that lead to a non-leaf, ascending:
+	// transit[transitOff[a]:transitOff[a+1]]. A from-scratch window that
+	// settles its leaves after the loop fans out over these alone.
+	transitOff []int32 // len n+1
+	transit    []int32
+
+	orig []int64 // dense id -> original ASN (nil when built from a generated graph)
 }
 
 // Len returns the number of ASes.
@@ -150,12 +153,6 @@ func (g *Graph) search(lo, hi int32, b topology.ASN) int32 {
 	}
 	return -1
 }
-
-// DegreeOrder returns the ASes sorted by total degree descending (ties
-// by ascending id) — the deterministic "big transit first" order for
-// degree-distribution analyses. The slice is owned by the graph; do
-// not modify.
-func (g *Graph) DegreeOrder() []topology.ASN { return g.byDegree }
 
 // OriginalASN maps a dense internal id back to the snapshot's ASN.
 // Graphs built from generated topologies return the id itself.
@@ -273,18 +270,31 @@ func (b *builder) freeze() (*Graph, error) {
 		g.leaf.put(a, g.peerEnd[a] == hi)
 	}
 	g.linkReverse(fill)
-	// Degree descending, then id ascending: one ascending sort on
-	// (^degree, id).
-	byDeg := make([]uint64, n)
-	for a := int32(0); a < n; a++ {
-		byDeg[a] = uint64(^uint32(g.Degree(topology.ASN(a))))<<32 | uint64(a)
-	}
-	slices.Sort(byDeg)
-	g.byDegree = make([]topology.ASN, n)
-	for i, k := range byDeg {
-		g.byDegree[i] = topology.ASN(uint32(k))
-	}
+	g.indexTransit()
 	return g, nil
+}
+
+// indexTransit lists each row's customer entries that lead to a
+// non-leaf, in two passes so the list is allocated at its size.
+func (g *Graph) indexTransit() {
+	g.transitOff = make([]int32, g.n+1)
+	for a := int32(0); a < g.n; a++ {
+		k := int32(0)
+		for _, w := range g.Customers(topology.ASN(a)) {
+			if !g.leaf.has(int32(w)) {
+				k++
+			}
+		}
+		g.transitOff[a+1] = g.transitOff[a] + k
+	}
+	g.transit = make([]int32, 0, g.transitOff[g.n])
+	for a := int32(0); a < g.n; a++ {
+		for e := g.peerEnd[a]; e < g.off[a+1]; e++ {
+			if !g.leaf.has(int32(g.nbr[e])) {
+				g.transit = append(g.transit, e)
+			}
+		}
+	}
 }
 
 // checkASCount refuses graphs the engine cannot route: a path is

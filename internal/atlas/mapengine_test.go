@@ -486,6 +486,10 @@ func (st *MapState) converge(p int, mrai int32, out *PlaneOutcome) (int32, error
 	return round, nil
 }
 
+// settleLeaves implements engineState: the reference reaches every AS in
+// its loop, so no leaf is left to settle.
+func (st *MapState) settleLeaves() {}
+
 // cascade implements engineState with the reference procedure: sweep
 // every AS, repeatedly, until a sweep withdraws nothing. The events are
 // not consulted.

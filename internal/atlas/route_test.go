@@ -209,7 +209,7 @@ func TestCustUpMatchesAdvertisements(t *testing.T) {
 	if err := eng.InitDest(st, dest); err != nil {
 		t.Fatal(err)
 	}
-	hub := g.DegreeOrder()[0]
+	hub := degreeOrder(g)[0]
 	lock := st.lockOf(int32(dest))
 	if hub == dest || int32(hub) == lock || lock < 0 {
 		t.Fatalf("hub %d, destination %d and its lock %d must be three ASes", hub, dest, lock)

@@ -304,3 +304,29 @@ func (e *Engine) idleWindows() int {
 	defer e.mu.Unlock()
 	return len(e.free)
 }
+
+// TestRoundGuardDropsWindow: a converge that trips its round guard
+// leaves its window mid-flight (queued ASes, closed gates), so takeBack
+// must drop it rather than lend it to the next call. An AS queued
+// behind a gate that never opens keeps the loop running to the guard.
+func TestRoundGuardDropsWindow(t *testing.T) {
+	g := leafGraph(t)
+	eng := NewEngine(g, DefaultParams())
+	st := eng.NewState()
+	eng.lend(st)
+	st.ready[leafP1] = math.MaxInt32
+	st.pendAdd(leafP1)
+	if _, err := st.converge(planeBGP, 2, &PlaneOutcome{}); err == nil {
+		t.Fatal("a publication whose gate never opens converged")
+	}
+	eng.takeBack(st)
+	if n := eng.idleWindows(); n != 0 {
+		t.Fatalf("the engine kept %d idle windows after the round guard fired, want 0", n)
+	}
+	if err := eng.InitDest(st, leafD); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.idleWindows(); n != 1 {
+		t.Fatalf("InitDest left %d idle windows, want 1", n)
+	}
+}
