@@ -770,7 +770,10 @@ func (st *State) publish(p int, a int32, old int32) {
 	if o, oldO := custOffer(adv), custOffer(old); o != prefNone || oldO != prefNone {
 		for e := g.off[a]; e < g.provEnd[a]; e++ {
 			if st.climbs(p, a, int32(g.nbr[e])) {
-				st.fanOut(p, a, e, e+1, o, oldO)
+				// A provider has a customer, so it is never a leaf: even a
+				// deferred window reaches it without fanOut's leaf test.
+				st.visited++
+				st.reach(p, a, e, o, oldO)
 			} else {
 				st.fanOut(p, a, e, e+1, prefNone, prefNone)
 			}
@@ -787,8 +790,9 @@ func (st *State) publish(p int, a int32, old int32) {
 // offer the group can move no route and visits nothing; it only sets
 // st.live if a neighbor is live (see reach). A deferred window reaches
 // no leaf: a live leaf entry only sets st.live, as reach would have run
-// the next round for it, and visits nothing, like anyLive. Customers,
-// most of which are leaves, take fanCustomers' index instead.
+// the next round for it, and visits nothing, like anyLive. publish
+// reaches an offered provider, never a leaf, without this test;
+// customers, most of which are leaves, take fanCustomers' index instead.
 func (st *State) fanOut(p int, a, lo, hi int32, o, old int32) {
 	if o == prefNone && old == prefNone {
 		st.live = st.live || st.anyLive(lo, hi)

@@ -16,6 +16,7 @@
 package atlas
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -45,6 +46,9 @@ type Graph struct {
 	transit    []int32
 
 	orig []int64 // dense id -> original ASN (nil when built from a generated graph)
+	// The dense ids in ascending order of their original ASN, for
+	// DenseASN's binary search (nil when orig is).
+	byOrig []int32
 }
 
 // Len returns the number of ASes.
@@ -164,7 +168,8 @@ func (g *Graph) OriginalASN(a topology.ASN) int64 {
 }
 
 // DenseASN maps an original (snapshot) ASN back to its dense internal
-// id — the inverse of OriginalASN. Linear scan; query paths only.
+// id — the inverse of OriginalASN: a range check on a generated graph,
+// a binary search in O(log N) on an ingested one.
 func (g *Graph) DenseASN(orig int64) (topology.ASN, bool) {
 	if g.orig == nil {
 		if orig >= 0 && orig < int64(g.n) {
@@ -172,12 +177,11 @@ func (g *Graph) DenseASN(orig int64) (topology.ASN, bool) {
 		}
 		return -1, false
 	}
-	for i, o := range g.orig {
-		if o == orig {
-			return topology.ASN(i), true
-		}
+	i, ok := slices.BinarySearchFunc(g.byOrig, orig, func(a int32, x int64) int { return cmp.Compare(g.orig[a], x) })
+	if !ok {
+		return -1, false
 	}
-	return -1, false
+	return topology.ASN(g.byOrig[i]), true
 }
 
 // builder accumulates directed relationship entries and freezes them
@@ -271,6 +275,13 @@ func (b *builder) freeze() (*Graph, error) {
 	}
 	g.linkReverse(fill)
 	g.indexTransit()
+	if g.orig != nil {
+		g.byOrig = make([]int32, n)
+		for a := range g.byOrig {
+			g.byOrig[a] = int32(a)
+		}
+		slices.SortFunc(g.byOrig, func(a, b int32) int { return cmp.Compare(g.orig[a], g.orig[b]) })
+	}
 	return g, nil
 }
 

@@ -3,6 +3,7 @@ package atlas
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -255,4 +256,55 @@ func FuzzIngest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDenseASNInvertsOriginalASN: on an ingested snapshot whose ASNs are
+// sparse and first seen out of order, DenseASN inverts OriginalASN for
+// every AS and misses on ASNs the snapshot does not hold; on a generated
+// graph it is the identity on [0, N).
+func TestDenseASNInvertsOriginalASN(t *testing.T) {
+	const n = 300
+	asn := func(k int) int64 { return int64(k) * 2654435761 % (1 << 31) } // a bijection: the factor is odd
+	var b strings.Builder
+	for k := 2; k <= n; k++ {
+		fmt.Fprintf(&b, "%d|%d|-1\n", asn(k/2), asn(k)) // k/2 provides for k
+		if k%7 == 0 {
+			fmt.Fprintf(&b, "%d|%d|0\n", asn(k), asn(k-1))
+		}
+	}
+	g, err := Ingest(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() != n {
+		t.Fatalf("ASes = %d, want %d", g.Len(), n)
+	}
+	held := make(map[int64]bool, n)
+	for a := 0; a < g.Len(); a++ {
+		orig := g.OriginalASN(topology.ASN(a))
+		held[orig] = true
+		if d, ok := g.DenseASN(orig); !ok || d != topology.ASN(a) {
+			t.Fatalf("DenseASN(OriginalASN(%d) = %d) = %d, %v", a, orig, d, ok)
+		}
+	}
+	for _, orig := range []int64{-1, 0, asn(n + 1), asn(2) + 1, asn(n) - 1, 1 << 40} {
+		if held[orig] {
+			continue
+		}
+		if d, ok := g.DenseASN(orig); ok {
+			t.Errorf("DenseASN(%d) = %d, want a miss", orig, d)
+		}
+	}
+
+	_, gen := testGraph(t, 50, 1)
+	for a := 0; a < gen.Len(); a++ {
+		if d, ok := gen.DenseASN(int64(a)); !ok || d != topology.ASN(a) {
+			t.Fatalf("generated DenseASN(%d) = %d, %v", a, d, ok)
+		}
+	}
+	for _, orig := range []int64{-1, int64(gen.Len())} {
+		if _, ok := gen.DenseASN(orig); ok {
+			t.Errorf("generated DenseASN(%d) hit", orig)
+		}
+	}
 }

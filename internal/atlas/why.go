@@ -12,8 +12,10 @@ import (
 
 // The query side of route provenance: WhySpec selects a (dest, AS)
 // pair, BuildWhy renders the journal's causal chains with original
-// (snapshot) ASNs, and WhyReport is the JSON/printed shape both `stamp
-// atlas -replay -why` and serve's GET /state/{dest}/{as}/why emit.
+// (snapshot) ASNs, State.Why walks a settled state's current routes and
+// annotates each hop from the journal, and WhyReport is the
+// JSON/printed shape both `stamp atlas -replay -why` (BuildWhy) and
+// serve's GET /state/{dest}/{as}/why (State.Why) emit.
 
 // WhySpec selects the (dest, AS) pair whose provenance chain a replay
 // records and reports. ASNs are original (snapshot) numbers, like
@@ -47,8 +49,9 @@ func ParseWhy(s string) (WhySpec, error) {
 	return WhySpec{Dest: d, AS: a}, nil
 }
 
-// WhyHop is one journal entry of a causal chain, rendered with
-// original ASNs and symbolic kinds/causes.
+// WhyHop is one hop of a causal chain, rendered with original ASNs and
+// symbolic kinds/causes: a journal entry, or, in a chain State.Why
+// completes from the state, a held hop (Cause CauseHeld).
 type WhyHop struct {
 	Seq   uint64 `json:"seq"`
 	Event uint64 `json:"event"`
@@ -69,8 +72,9 @@ type WhyHop struct {
 type WhyChain struct {
 	Plane string   `json:"plane"`
 	Hops  []WhyHop `json:"hops"`
-	// Truncated reports that ring eviction cut the walk short: the
-	// hops are correct but do not reach the origin.
+	// Truncated reports that ring eviction cut BuildWhy's walk short:
+	// the hops are correct but do not reach the origin. State.Why
+	// completes the walk from the state and never truncates.
 	Truncated bool `json:"truncated,omitempty"`
 }
 
@@ -87,39 +91,104 @@ type WhyReport struct {
 // `as` from a journal recorded over g. The caller owns any locking
 // that orders this read against the journal's writer.
 func BuildWhy(g *Graph, j *prov.Journal, dest, as topology.ASN) *WhyReport {
-	rep := &WhyReport{
+	rep := newWhyReport(g, j, dest, as)
+	for p := 0; p < planeCount; p++ {
+		entries, trunc := j.Chain(p, int32(as))
+		c := WhyChain{Plane: PlaneName(p), Truncated: trunc, Hops: make([]WhyHop, len(entries))}
+		for i, e := range entries {
+			c.Hops[i] = entryHop(g, &e)
+		}
+		rep.Chains[p] = c
+	}
+	return rep
+}
+
+// CauseHeld is the cause of a hop Why renders from the State because
+// the journal retains no entry for it: its route predates every
+// retained entry — it has been held since the journal was attached,
+// or since before its oldest retained entry once the ring evicted.
+const CauseHeld = "held"
+
+// Why reconstructs all three planes' chains for dense AS `as` by
+// walking the state's current routes from as to the origin. A hop the
+// attached journal retains an entry for is rendered from that entry,
+// as BuildWhy renders it; any other hop is rendered from the state as
+// a held hop (Cause CauseHeld, Seq, Event and Round 0, Prev* the
+// current route). By the journal invariant a hop's latest entry is its
+// current route, so the two sources agree, and a routed AS's chain
+// always reaches the origin: it is never truncated. The state must be
+// settled; the caller orders this read against the state's writer and
+// the journal's other readers.
+func (st *State) Why(as topology.ASN) *WhyReport {
+	g, j := st.g, st.j
+	rep := newWhyReport(g, j, st.dest, as)
+	for p := 0; p < planeCount; p++ {
+		c := WhyChain{Plane: PlaneName(p), Hops: []WhyHop{}}
+		// Current routes at a fixpoint form a forest rooted at the origin,
+		// so the walk ends within N hops; the bound guards a cycle only.
+		for cur, steps := int32(as), 0; ; steps++ {
+			if steps == g.Len() {
+				c.Truncated = true
+				break
+			}
+			kind, dist, next := st.SnapshotRoute(p, cur)
+			if e, ok := j.Latest(p, cur); ok {
+				c.Hops = append(c.Hops, entryHop(g, &e))
+			} else if kind != 0 {
+				h := WhyHop{Cause: CauseHeld, AS: g.OriginalASN(topology.ASN(cur)), Kind: KindName(kind), Dist: dist}
+				h.Next, h.Origin = hopTarget(g, next)
+				h.PrevKind, h.PrevDist = h.Kind, h.Dist
+				c.Hops = append(c.Hops, h)
+			}
+			if kind == 0 || next < 0 {
+				break
+			}
+			cur = next
+		}
+		rep.Chains[p] = c
+	}
+	return rep
+}
+
+// newWhyReport is a report for (dest, as) with j's counters and no
+// chains yet.
+func newWhyReport(g *Graph, j *prov.Journal, dest, as topology.ASN) *WhyReport {
+	return &WhyReport{
 		Dest:    g.OriginalASN(dest),
 		AS:      g.OriginalASN(as),
 		Appends: j.Appends(),
 		Evicted: j.Evicted(),
 		Chains:  make([]WhyChain, planeCount),
 	}
-	for p := 0; p < planeCount; p++ {
-		entries, trunc := j.Chain(p, int32(as))
-		c := WhyChain{Plane: PlaneName(p), Truncated: trunc, Hops: make([]WhyHop, len(entries))}
-		for i, e := range entries {
-			h := WhyHop{
-				Seq:      e.Seq,
-				Event:    e.Event,
-				Round:    e.Round,
-				Cause:    e.Cause.String(),
-				AS:       g.OriginalASN(topology.ASN(e.AS)),
-				Kind:     KindName(e.NewKind),
-				Dist:     e.NewDist,
-				PrevKind: KindName(e.PrevKind),
-				PrevDist: e.PrevDist,
-			}
-			switch {
-			case e.NewNext >= 0:
-				h.Next = g.OriginalASN(topology.ASN(e.NewNext))
-			case e.NewNext == -2:
-				h.Origin = true
-			}
-			c.Hops[i] = h
-		}
-		rep.Chains[p] = c
+}
+
+// entryHop renders one journal entry as a chain hop.
+func entryHop(g *Graph, e *prov.Entry) WhyHop {
+	h := WhyHop{
+		Seq:      e.Seq,
+		Event:    e.Event,
+		Round:    e.Round,
+		Cause:    e.Cause.String(),
+		AS:       g.OriginalASN(topology.ASN(e.AS)),
+		Kind:     KindName(e.NewKind),
+		Dist:     e.NewDist,
+		PrevKind: KindName(e.PrevKind),
+		PrevDist: e.PrevDist,
 	}
-	return rep
+	h.Next, h.Origin = hopTarget(g, e.NewNext)
+	return h
+}
+
+// hopTarget renders a dense next hop (-1 none, -2 origin) as a hop's
+// Next and Origin fields.
+func hopTarget(g *Graph, next int32) (int64, bool) {
+	switch {
+	case next >= 0:
+		return g.OriginalASN(topology.ASN(next)), false
+	case next == -2:
+		return 0, true
+	}
+	return 0, false
 }
 
 // Print renders the chains for terminal output (`stamp atlas -replay

@@ -43,7 +43,7 @@ func (e env) cmdServe(args []string) int {
 		traceDir = fs.String("trace-dir", "", "write flight-recorder trace dumps to this directory (latest also at GET /debug/flight)")
 		traceN   = fs.Int("trace-sample", 0, "record 1-in-N event/read traces (0 or 1 = every one)")
 		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		provCap  = fs.Int("prov-cap", 0, "route-provenance journal entries per destination shard (0 = 4096; serves GET /state/{dest}/{as}/why)")
+		provCap  = fs.Int("prov-cap", 0, "route-provenance journal entries per destination shard, recording applied events (0 = 4096; annotates GET /state/{dest}/{as}/why)")
 	)
 	if code, done := parse(fs, args); done {
 		return code

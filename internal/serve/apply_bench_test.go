@@ -56,6 +56,22 @@ func BenchmarkServeApplyTracing(b *testing.B) {
 	}
 }
 
+// BenchmarkServeBoot prices serve.New at 50k ASes, 8 destinations and
+// 2 workers: every shard's from-scratch convergence of three planes and
+// its epoch-0 publish. B/op is what one boot allocates:
+//
+//	go test -run '^$' -bench BenchmarkServeBoot -benchtime 10x ./internal/serve/
+func BenchmarkServeBoot(b *testing.B) {
+	g := testGraphSeed(b, 50_000, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Config{Graph: g, Scenario: scenario.FlapStorm, Dests: 8, Seed: 7, Workers: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // cpuTime is the process's user and system CPU time so far.
 func cpuTime() time.Duration {
 	var ru syscall.Rusage

@@ -353,11 +353,11 @@ func (s *Server) handleStateRead(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusBadRequest, "bad as=%q", asParam)
 	}
-	dense, ok := s.byASN[asn]
+	dense, ok := s.g.DenseASN(asn)
 	if !ok {
 		return errf(http.StatusNotFound, "unknown AS %d", asn)
 	}
-	epoch, routes := sh.snap.read(dense)
+	epoch, routes := sh.snap.read(int32(dense))
 	var planes [atlas.PlaneCount]PlaneRoute
 	read := StateRead{Dest: dest, AS: asn, Epoch: epoch, Planes: planes[:]}
 	for p := range planes {
@@ -377,13 +377,25 @@ func (s *Server) handleStateRead(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// stateBufs recycles the buffers point and summary reads encode into.
+// stateBufs recycles the buffers point, summary and why reads encode
+// into.
 var stateBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
+// unchunkedMax is the longest body net/http sends with a Content-Length
+// it works out itself (its bufferBeforeChunkingSize); a longer body
+// whose handler sets none is chunked.
+const unchunkedMax = 2048
+
 // writeEncoded sends a payload the append encoders below built, with
-// the status and Content-Type writeJSON would have set.
+// the status and Content-Type writeJSON would have set. A body longer
+// than unchunkedMax (a why read's) also gets its Content-Length, so it
+// is not chunked; a shorter one gets the same from net/http.
 func writeEncoded(w http.ResponseWriter, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if len(b) > unchunkedMax {
+		h.Set("Content-Length", strconv.Itoa(len(b)))
+	}
 	w.WriteHeader(http.StatusOK)
 	w.Write(b)
 }
@@ -451,8 +463,8 @@ func appendStateSummary(b []byte, dest int64, epoch uint64, ases int, reachable 
 	return append(b, "\n}\n"...)
 }
 
-// appendJSONString appends s quoted. Plane and kind names are plain
-// ASCII identifiers, which JSON quotes verbatim.
+// appendJSONString appends s quoted. Plane, kind and cause names are
+// plain ASCII identifiers, which JSON quotes verbatim.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
@@ -461,8 +473,9 @@ func appendJSONString(b []byte, s string) []byte {
 
 // WhyResponse is the GET /state/{dest}/{as}/why payload: the causal
 // provenance chains for one (destination, AS) pair at the current
-// epoch — every journal entry on the path from the asking AS to the
-// origin (or to the eviction horizon), per plane.
+// epoch — every hop on the path from the asking AS to the origin, per
+// plane, rendered from its latest journal entry or, when the journal
+// retains none, as a held hop (atlas.State.Why).
 type WhyResponse struct {
 	Epoch uint64 `json:"epoch"`
 	*atlas.WhyReport
@@ -481,17 +494,20 @@ func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusBadRequest, "bad as %q", r.PathValue("as"))
 	}
-	dense, ok := s.byASN[asn]
+	dense, ok := s.g.DenseASN(asn)
 	if !ok {
 		return errf(http.StatusNotFound, "unknown AS %d", asn)
 	}
 	sh := s.shards[i]
-	// The chain walk reads the journal — and may rebuild its index, one
-	// O(cap) pass after each event — so it takes the shard's journal
-	// lock rather than the snapshot seqlock; the epoch is read after the
-	// walk so the pair is consistent under the single writer.
+	// The walk reads the shard's state and journal — and may rebuild the
+	// journal's index, one O(cap) pass after each event — so it takes the
+	// shard's provMu, which the writer holds around ApplyEvent, rather
+	// than the snapshot seqlock. The epoch is the published one, read
+	// after the walk, so it never goes back from one read to the next;
+	// a walk that overlaps the writer may see the shard at an event
+	// other than that epoch's. Encoding runs outside the lock.
 	sh.provMu.Lock()
-	rep := atlas.BuildWhy(s.g, sh.j, sh.dest, topology.ASN(dense))
+	rep := sh.st.Why(dense)
 	sh.provMu.Unlock()
 	s.metrics.whyTotal.Inc()
 	for _, c := range rep.Chains {
@@ -500,8 +516,82 @@ func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) error {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, WhyResponse{Epoch: s.epoch.Load(), WhyReport: rep})
+	bp := stateBufs.Get().(*[]byte)
+	*bp = appendWhy((*bp)[:0], s.epoch.Load(), rep)
+	writeEncoded(w, *bp)
+	stateBufs.Put(bp)
 	return nil
+}
+
+// appendWhy appends a why-read payload (a WhyResponse), "epoch" first as
+// encoding/json writes the embedded report's fields after it. r.Chains
+// is never empty and no chain's Hops is nil (atlas.State.Why).
+func appendWhy(b []byte, epoch uint64, r *atlas.WhyReport) []byte {
+	b = append(b, "{\n  \"epoch\": "...)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, ",\n  \"dest\": "...)
+	b = strconv.AppendInt(b, r.Dest, 10)
+	b = append(b, ",\n  \"as\": "...)
+	b = strconv.AppendInt(b, r.AS, 10)
+	b = append(b, ",\n  \"journal_appends\": "...)
+	b = strconv.AppendUint(b, r.Appends, 10)
+	b = append(b, ",\n  \"journal_evicted\": "...)
+	b = strconv.AppendUint(b, r.Evicted, 10)
+	b = append(b, ",\n  \"chains\": ["...)
+	for i := range r.Chains {
+		c := &r.Chains[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"plane\": "...)
+		b = appendJSONString(b, c.Plane)
+		b = append(b, ",\n      \"hops\": ["...)
+		for k := range c.Hops {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = appendWhyHop(b, &c.Hops[k])
+		}
+		if len(c.Hops) > 0 {
+			b = append(b, "\n      "...)
+		}
+		b = append(b, ']')
+		if c.Truncated {
+			b = append(b, ",\n      \"truncated\": true"...)
+		}
+		b = append(b, "\n    }"...)
+	}
+	return append(b, "\n  ]\n}\n"...)
+}
+
+// appendWhyHop appends one chain hop, an element of a chain's "hops".
+func appendWhyHop(b []byte, h *atlas.WhyHop) []byte {
+	b = append(b, "\n        {\n          \"seq\": "...)
+	b = strconv.AppendUint(b, h.Seq, 10)
+	b = append(b, ",\n          \"event\": "...)
+	b = strconv.AppendUint(b, h.Event, 10)
+	b = append(b, ",\n          \"round\": "...)
+	b = strconv.AppendInt(b, int64(h.Round), 10)
+	b = append(b, ",\n          \"cause\": "...)
+	b = appendJSONString(b, h.Cause)
+	b = append(b, ",\n          \"as\": "...)
+	b = strconv.AppendInt(b, h.AS, 10)
+	b = append(b, ",\n          \"kind\": "...)
+	b = appendJSONString(b, h.Kind)
+	b = append(b, ",\n          \"dist\": "...)
+	b = strconv.AppendInt(b, int64(h.Dist), 10)
+	if h.Next != 0 {
+		b = append(b, ",\n          \"next\": "...)
+		b = strconv.AppendInt(b, h.Next, 10)
+	}
+	if h.Origin {
+		b = append(b, ",\n          \"origin\": true"...)
+	}
+	b = append(b, ",\n          \"prev_kind\": "...)
+	b = appendJSONString(b, h.PrevKind)
+	b = append(b, ",\n          \"prev_dist\": "...)
+	b = strconv.AppendInt(b, int64(h.PrevDist), 10)
+	return append(b, "\n        }"...)
 }
 
 // provTail renders the newest provenance entries of one destination
@@ -630,7 +720,7 @@ func (s *Server) handleSteerSwitch(w http.ResponseWriter, r *http.Request) {
 	if !decodeAdmin(w, r, &req) {
 		return
 	}
-	if _, ok := s.byASN[req.Source]; !ok {
+	if _, ok := s.g.DenseASN(req.Source); !ok {
 		writeJSON(w, http.StatusNotFound,
 			map[string]string{"error": fmt.Sprintf("unknown source AS %d", req.Source)})
 		return

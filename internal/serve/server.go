@@ -60,9 +60,11 @@ type Config struct {
 	// EventLogSize bounds the SSE ring buffer (default 1024).
 	EventLogSize int
 	// ProvCap bounds each destination shard's route-provenance journal
-	// (entries per shard; default 4096). Older entries are evicted,
-	// which truncates /state/{dest}/{as}/why chains but never loses the
-	// latest route change per AS within the ring.
+	// (entries per shard; default 4096). The journal records the route
+	// changes of applied events, not boot's convergence. Older entries
+	// are evicted; a /state/{dest}/{as}/why chain still reaches the
+	// origin, rendering each hop with no retained entry from the
+	// shard's current routes as a held hop.
 	ProvCap int
 	// TraceDir, when non-empty, is where flight-recorder dumps are
 	// written as flight-<n>.json Chrome trace files (the latest is always
@@ -117,9 +119,10 @@ func routed(w uint64) bool { return w>>62 != 0 }
 
 // shard is one destination's live state plus its published snapshot
 // and its route-provenance journal. provMu orders `why` reads against
-// the single writer's engine mutations: the journal is written from
-// inside the convergence hot loop, so unlike the published snapshot it
-// cannot be read lock-free mid-event.
+// the single writer's engine mutations: a why read walks the state's
+// current routes and the journal, both written from inside the
+// convergence hot loop, so unlike the published snapshot they cannot
+// be read lock-free mid-event.
 type shard struct {
 	dest topology.ASN
 	st   *atlas.State
@@ -157,8 +160,7 @@ type Server struct {
 	events *obs.EventLog
 
 	shards  []*shard
-	byASN   map[int64]int32 // original ASN → dense id
-	destIdx map[int64]int   // original dest ASN → shard index
+	destIdx map[int64]int // original dest ASN → shard index
 	script  []scenario.Event
 
 	// applyMu serializes event application (single writer); readers
@@ -237,7 +239,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		whyTotal: reg.Counter("stamp_serve_why_total",
 			"Provenance chain queries served (GET /state/{dest}/{as}/why)."),
 		whyTruncated: reg.Counter("stamp_serve_why_truncated_total",
-			"Why queries whose chain was cut short by journal eviction."),
+			"Why queries with a chain that stopped short of the origin. Chains are completed from the shard's current routes, so this stays 0."),
 		provEntries: reg.Gauge("stamp_prov_entries",
 			"Route-provenance journal entries currently retained, summed over shards."),
 		provAppends: reg.Counter("stamp_prov_appends_total",
@@ -251,7 +253,11 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 
 // New builds the server and converges the initial fixpoint: every
 // destination shard's three planes from scratch (in parallel on the
-// worker pool), each published as snapshot epoch 0.
+// worker pool), each published as snapshot epoch 0. A shard converges
+// with no journal attached, so boot takes the engine's deferred
+// from-scratch path, and attaches its journal before it publishes: the
+// journal records applied events from event 1 on, and a why read
+// renders a route boot left in place as a held hop.
 func New(cfg Config) (*Server, error) {
 	g := cfg.Graph
 	script, dests, err := atlas.DrawWorkload(g, cfg.Scenario, cfg.Dests, cfg.Seed)
@@ -283,13 +289,9 @@ func New(cfg Config) (*Server, error) {
 		reg:     cfg.Registry,
 		events:  obs.NewEventLog(cfg.EventLogSize),
 		shards:  make([]*shard, len(dests)),
-		byASN:   make(map[int64]int32, g.Len()),
 		destIdx: make(map[int64]int, len(dests)),
 		script:  events,
 		started: time.Now(),
-	}
-	for a := 0; a < g.Len(); a++ {
-		s.byASN[g.OriginalASN(topology.ASN(a))] = int32(a)
 	}
 	s.metrics = newServerMetrics(cfg.Registry)
 	obs.RegisterRuntime(cfg.Registry)
@@ -318,7 +320,6 @@ func New(cfg Config) (*Server, error) {
 
 	for i, dest := range dests {
 		sh := &shard{dest: dest, st: s.eng.NewState(), j: prov.NewJournal(cfg.ProvCap)}
-		sh.st.SetJournal(sh.j)
 		sh.snap.retries = s.metrics.readRetries
 		for p := range sh.snap.routes {
 			sh.snap.routes[p] = make([]atomic.Uint64, g.Len())
@@ -335,6 +336,7 @@ func New(cfg Config) (*Server, error) {
 			if err := s.eng.InitDest(sh.st, sh.dest); err != nil {
 				return struct{}{}, err
 			}
+			sh.st.SetJournal(sh.j)
 			s.publish(sh, 0)
 			return struct{}{}, nil
 		},
@@ -611,11 +613,11 @@ func (s *Server) updateProvMetrics() {
 func (s *Server) applyByASN(op scenario.Op, a, b, node int64) (EventRecord, error) {
 	ev := scenario.Event{Op: op}
 	lookup := func(asn int64) (topology.ASN, error) {
-		dense, ok := s.byASN[asn]
+		dense, ok := s.g.DenseASN(asn)
 		if !ok {
 			return 0, fmt.Errorf("serve: unknown AS %d", asn)
 		}
-		return topology.ASN(dense), nil
+		return dense, nil
 	}
 	var err error
 	switch op {

@@ -86,11 +86,7 @@ func TestSteerSwitchEndpoint(t *testing.T) {
 	}
 
 	// Pick a real source ASN from the graph.
-	var src int64
-	for asn := range s.byASN {
-		src = asn
-		break
-	}
+	src := s.g.OriginalASN(0)
 	srcJSON := func(to string) string {
 		raw, _ := json.Marshal(SteerSwitch{Source: src, To: to, CurMs: 120, OtherMs: 15})
 		return string(raw)

@@ -7,8 +7,10 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
+	"stamp/internal/atlas"
 	"stamp/internal/scenario"
 	"stamp/internal/topology"
 )
@@ -26,7 +28,9 @@ func wireGet(t *testing.T, h http.Handler, path string) *httptest.ResponseRecord
 
 // checkWire decodes a response into v and requires its body and headers
 // to equal what writeJSON (encoding/json's Encoder with
-// SetIndent("", "  ")) writes for the decoded value.
+// SetIndent("", "  ")) writes for the decoded value, plus, on a body
+// longer than unchunkedMax, a Content-Length equal to the body's, which
+// net/http works out itself for a shorter one.
 func checkWire(t *testing.T, path string, got *httptest.ResponseRecorder, v any) {
 	t.Helper()
 	if err := json.Unmarshal(got.Body.Bytes(), v); err != nil {
@@ -36,6 +40,9 @@ func checkWire(t *testing.T, path string, got *httptest.ResponseRecorder, v any)
 	writeJSON(want, http.StatusOK, v)
 	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 		t.Fatalf("GET %s body differs from encoding/json:\n got %q\nwant %q", path, got.Body, want.Body)
+	}
+	if got.Body.Len() > unchunkedMax {
+		want.Header().Set("Content-Length", strconv.Itoa(got.Body.Len()))
 	}
 	if !maps.EqualFunc(got.Header(), want.Header(), func(a, b []string) bool { return fmt.Sprint(a) == fmt.Sprint(b) }) {
 		t.Fatalf("GET %s headers %v, want %v", path, got.Header(), want.Header())
@@ -96,5 +103,67 @@ func TestStateReadWireFormat(t *testing.T) {
 	if allRouted == 0 || routeless == 0 || origin != len(s.shards) {
 		t.Fatalf("coverage: %d routed on all planes, %d routeless on some plane, %d origins; want each > 0",
 			allRouted, routeless, origin)
+	}
+}
+
+// TestWhyWireFormat pins appendWhy to encoding/json byte for byte: why
+// reads at every AS of every shard, at boot and after storm events and
+// a node failure with a journal small enough to evict, which cover a
+// chain with no hops, the origin hop, hops with next omitted, held hops
+// and hops rendered from journal entries.
+func TestWhyWireFormat(t *testing.T) {
+	s, err := New(Config{Graph: testGraph(t, 300), Scenario: scenario.FlapStorm, Dests: 4, Seed: 7, ProvCap: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var empty, origin, noNext, held, journaled, long int
+	check := func() {
+		for _, sh := range s.shards {
+			dest := s.g.OriginalASN(sh.dest)
+			for a := 0; a < s.g.Len(); a++ {
+				path := fmt.Sprintf("/state/%d/%d/why", dest, s.g.OriginalASN(topology.ASN(a)))
+				var why WhyResponse
+				rec := wireGet(t, h, path)
+				if rec.Body.Len() > unchunkedMax {
+					long++
+				}
+				checkWire(t, path, rec, &why)
+				for _, c := range why.Chains {
+					if len(c.Hops) == 0 {
+						empty++
+					}
+					for _, hop := range c.Hops {
+						if hop.Origin {
+							origin++
+						}
+						if hop.Next == 0 {
+							noNext++
+						}
+						if hop.Cause == atlas.CauseHeld {
+							held++
+						} else {
+							journaled++
+						}
+					}
+				}
+			}
+		}
+	}
+	check()
+	for _, ev := range s.script[:4] {
+		if _, err := s.ApplyEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.ApplyEvent(scenario.Event{Op: scenario.OpFailNode, Node: s.shards[0].dest + 1}); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	t.Logf("chains with no hops %d; hops: origin %d, next omitted %d, held %d, journaled %d; %d bodies over %d B",
+		empty, origin, noNext, held, journaled, long, unchunkedMax)
+	if empty == 0 || origin == 0 || noNext <= origin || held == 0 || journaled == 0 || long == 0 {
+		t.Fatalf("coverage: %d chains with no hops, %d origin hops, %d hops with next omitted, %d held, %d journaled, %d long bodies; want each > 0 and some routeless hops",
+			empty, origin, noNext, held, journaled, long)
 	}
 }
