@@ -392,6 +392,17 @@ func TestFlatMatchesMapEngine(t *testing.T) {
 // flat engine's in-place record of publications no neighbor can take:
 // at this size most ASes are customerless, and their MRAI gates and
 // st.live decide round counts.
+//
+// It is also the differential of the flat engine's from-scratch path,
+// which reaches no leaf in its loop: customers through the transit
+// index, late leaves replayed from publication chains for the round
+// count, every leaf settled after blue's loop. The map engine reaches
+// every AS in its loop. Over TestJournalDoesNotChangeOutcomes' matrix —
+// N = 400 and 3,000, six MRAI pacings, every kind Run accepts at two
+// destinations, list capacities −1 and 0 — InitDest and ConvergeScratch
+// over each damaging group prefix and a withdrawn origin must agree with
+// the map engine on the outcome (InitRounds included), the routes and
+// the advertisements, and retain no touched set.
 func TestFlatMatchesMapEngineAtScale(t *testing.T) {
 	_, g := testGraph(t, 3000, 5)
 	groups := stormGroups(t, g, 17)
@@ -421,6 +432,106 @@ func TestFlatMatchesMapEngineAtScale(t *testing.T) {
 			}
 		}
 	}
+
+	for _, tc := range []struct {
+		n    int
+		seed int64
+	}{{400, 11}, {3000, 3}} {
+		tg, g := testGraph(t, tc.n, tc.seed)
+		multihomed := scenario.Multihomed(g)
+		// The kinds run at the first two destinations; a bare InitDest,
+		// cheap next to the damage prefixes, runs at all sixteen, where
+		// more of the late-leaf MRAI queue runs.
+		dests, err := Destinations(g, 16, 31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, params := range []Params{DefaultParams(), {MRAIRounds: NoMRAI}, {MRAIRounds: 1}, {MRAIRounds: 3}, {MRAIRounds: 4}, {MRAIRounds: 6}} {
+			flat, ref := NewEngine(g, params), NewMapEngine(g, params)
+			fsts := []*State{withCap(flat, -1), withCap(flat, 0)}
+			mst := ref.NewState()
+			check := func(name string, dest topology.ASN, pre []scenario.Event) {
+				t.Helper()
+				if err := ref.ConvergeScratch(mst, dest, pre); err != nil {
+					t.Fatal(err)
+				}
+				mo := ref.FinishDest(mst)
+				for i, fst := range fsts {
+					label := fmt.Sprintf("N=%d MRAI %d %s %s", tc.n, params.MRAIRounds, name, capName(i-1))
+					var err error
+					if pre == nil {
+						err = flat.InitDest(fst, dest)
+					} else {
+						err = flat.ConvergeScratch(fst, dest, pre)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fo := flat.FinishDest(fst); !reflect.DeepEqual(fo, mo) {
+						t.Fatalf("%s: flat and map outcomes differ\nflat: %+v\nmap:  %+v", label, fo, mo)
+					}
+					mustNoDiff(t, label, fst, mst)
+					mustMatchMapScratch(t, label, fst, mst)
+				}
+			}
+			for _, dest := range dests {
+				check(fmt.Sprintf("InitDest %d", dest), dest, nil)
+			}
+			for _, kind := range allKinds {
+				if kind == scenario.PrefixWithdraw {
+					continue // Run and Replay refuse it
+				}
+				script, err := scenario.PickScript(tg, multihomed, kind, rand.New(rand.NewSource(21)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, dest := range dests[:2] {
+					for _, pre := range damagePrefixes(groupEvents(script), dest)[1:] {
+						check(fmt.Sprintf("%v dest %d over %d events", kind, dest, len(pre)), dest, pre)
+					}
+				}
+			}
+		}
+	}
+}
+
+// mustMatchMapScratch fails unless the flat state st, just converged
+// from scratch, advertises on every plane what the map state does and
+// retains no touched set for either window it keeps.
+func mustMatchMapScratch(t *testing.T, label string, st *State, mst *MapState) {
+	t.Helper()
+	for p := 0; p < planeCount; p++ {
+		for a, pref := range st.adv[p] {
+			want := prefNone
+			if r, ok := mst.adv[p][int32(a)]; ok {
+				want = mkPref(r.kind, r.dist)
+			}
+			if pref != want {
+				t.Fatalf("%s: %s AS %d advertises %#x, the map engine %#x", label, PlaneName(p), a, pref, want)
+			}
+		}
+		for seq := st.Windows() - 1; seq <= st.Windows(); seq++ {
+			if as, ok := st.Touched(seq, p); ok {
+				t.Fatalf("%s: window %d %s retains touched set %v after a from-scratch convergence", label, seq, PlaneName(p), as)
+			}
+		}
+	}
+}
+
+// damagePrefixes is the pre-existing damage the from-scratch
+// differentials converge over: none, the script's events up to the end
+// of each group that moves a route (links and nodes down), then all of
+// them with the origin withdrawn.
+func damagePrefixes(groups [][]scenario.Event, dest topology.ASN) [][]scenario.Event {
+	out := [][]scenario.Event{nil}
+	var pre []scenario.Event
+	for _, group := range groups {
+		pre = append(pre, group...)
+		if slices.ContainsFunc(group, func(ev scenario.Event) bool { return !ev.Op.Quality() }) {
+			out = append(out, slices.Clone(pre))
+		}
+	}
+	return append(out, append(slices.Clone(pre), scenario.Event{Op: scenario.OpWithdraw, Node: dest}))
 }
 
 // TestStateReuse: a state carries nothing across shards — converging

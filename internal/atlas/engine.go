@@ -252,13 +252,10 @@ type State struct {
 	// The frontier and publication queue lengths, and live, which records
 	// that this round's publications reached a live neighbor they gave no
 	// slot, so the next round runs even if the frontier is empty. The
-	// queues themselves are in the window. deferLeaves marks a from-scratch
-	// convergence whose windows reach no leaf: reset decides it for all
-	// three planes, and settleLeaves routes the leaves after blue's loop.
-	frontLen    int
-	pendLen     int
-	live        bool
-	deferLeaves bool
+	// queues themselves are in the window.
+	frontLen int
+	pendLen  int
+	live     bool
 
 	// The window lent to the call in progress; nil between calls.
 	*window
@@ -305,7 +302,8 @@ type State struct {
 	// initial marks the windows of a from-scratch convergence: reset sets
 	// it and the first beginGroup clears it. Initial propagation is not
 	// loss or churn, so those windows keep no per-AS change or loss
-	// accounting at all.
+	// accounting at all, and they reach no leaf: settleLeaves routes the
+	// leaves after blue's loop.
 	initial bool
 
 	// Tracing context (internal/trace), armed by SetTrace for one engine
@@ -319,18 +317,20 @@ type State struct {
 	trcRoot   uint64
 
 	// j is the optional route-provenance journal (internal/prov): when
-	// attached, every current-route mutation appends one fixed-size
-	// entry. nil costs one predicted branch per change site; attached
-	// stays 0 allocs/op (the ring is preallocated). Like the trace
-	// context, NOT cleared by reset — the owner manages its lifetime,
-	// and initConverge Resets the journal contents instead.
+	// attached, every current-route mutation of an event window appends
+	// one fixed-size entry. nil costs one predicted branch per change
+	// site; attached stays 0 allocs/op (the ring is preallocated). Like
+	// the trace context, NOT cleared by reset — the owner manages its
+	// lifetime, and initConverge Resets the journal contents instead.
 	j *prov.Journal
 }
 
-// SetJournal attaches a route-provenance journal: every subsequent
-// route change in any plane appends one entry, and InitDest /
-// ConvergeScratch reset the journal so its contents always describe
-// the state's current destination fixpoint. Pass nil to detach.
+// SetJournal attaches a route-provenance journal: every route change of
+// a subsequent event window, in any plane, appends one entry. InitDest,
+// ConvergeScratch and ConvergeDest's from-scratch convergence reset the
+// journal and record nothing, so an AS with no retained entry holds the
+// route it had at the end of the last from-scratch convergence. Pass
+// nil to detach.
 func (st *State) SetJournal(j *prov.Journal) { st.j = j }
 
 // provJournal implements engineState.
@@ -474,13 +474,13 @@ type window struct {
 	// least the State's listCap, where cascPush stops.
 	casc []int32
 
-	// The leaf replay of a deferred window (replayLeaves): pubs holds the
-	// window's phase-2 publications in round order, chained per sender:
-	// lastPub[a] is the index of a's latest publication and prevPub[i]
-	// that of the one before pubs[i] (-1: none). late holds the leaves to
-	// replay, and hist and offers one replayed leaf's offers. They are
-	// allocated and grow only in deferred windows, and every lastPub slot
-	// is -1 between windows.
+	// The leaf replay of a from-scratch window (replayLeaves): pubs holds
+	// the window's phase-2 publications in round order, chained per
+	// sender: lastPub[a] is the index of a's latest publication and
+	// prevPub[i] that of the one before pubs[i] (-1: none). late holds the
+	// leaves to replay, and hist and offers one replayed leaf's offers.
+	// They are allocated and grow only in from-scratch windows, and every
+	// lastPub slot is -1 between windows.
 	pubs    []pub
 	prevPub []int32
 	lastPub []int32
@@ -616,9 +616,9 @@ func (st *State) SnapshotRoute(p int, a int32) (kind int8, dist, next int32) {
 // group's window machinery examined (or, after InitDest, the from-scratch
 // convergence's) — the work counter that pins ApplyEvent's cost to the
 // event's churn rather than to the size of the graph. A from-scratch
-// window that settles its leaves after the loop (settleLeaves) counts
-// the entries it reaches and each settled leaf's row once per plane;
-// testing a leaf entry's liveness visits nothing, like anyLive.
+// convergence, which settles its leaves after the loop (settleLeaves),
+// counts the entries it reaches and each settled leaf's row once per
+// plane; testing a leaf entry's liveness visits nothing, like anyLive.
 func (st *State) Visited() int64 { return st.visited }
 
 // DenseWindows returns how many of the latest event group's three plane
@@ -632,10 +632,6 @@ func (st *State) reset(dest topology.ASN) {
 	st.visited, st.denseWindows = 0, 0
 	st.inited = false
 	st.initial = true
-	// A from-scratch convergence that nothing records settles its leaves
-	// after the loop (settleLeaves); a journal and a trace see every route
-	// change in its round, so their windows reach every AS.
-	st.deferLeaves = st.j == nil && !st.trc.Live()
 	st.withdrawn = false
 	clear(st.down)
 	clear(st.nodeDown)
@@ -771,7 +767,7 @@ func (st *State) publish(p int, a int32, old int32) {
 		for e := g.off[a]; e < g.provEnd[a]; e++ {
 			if st.climbs(p, a, int32(g.nbr[e])) {
 				// A provider has a customer, so it is never a leaf: even a
-				// deferred window reaches it without fanOut's leaf test.
+				// from-scratch window reaches it without fanOut's leaf test.
 				st.visited++
 				st.reach(p, a, e, o, oldO)
 			} else {
@@ -788,26 +784,26 @@ func (st *State) publish(p int, a int32, old int32) {
 // fanOut reaches the neighbors in entries [lo, hi) of a's row, all of
 // which hear the same offer o where they heard old. When neither is an
 // offer the group can move no route and visits nothing; it only sets
-// st.live if a neighbor is live (see reach). A deferred window reaches
-// no leaf: a live leaf entry only sets st.live, as reach would have run
-// the next round for it, and visits nothing, like anyLive. publish
-// reaches an offered provider, never a leaf, without this test;
+// st.live if a neighbor is live (see reach). A from-scratch window
+// reaches no leaf, a leaf destination included (see fanCustomers): a
+// live leaf entry only sets st.live, as reach would have run the next
+// round for it, and visits nothing, like anyLive. publish reaches an offered provider, never a leaf, without this test;
 // customers, most of which are leaves, take fanCustomers' index instead.
 func (st *State) fanOut(p int, a, lo, hi int32, o, old int32) {
 	if o == prefNone && old == prefNone {
 		st.live = st.live || st.anyLive(lo, hi)
 		return
 	}
-	if !st.deferLeaves {
+	if !st.initial {
 		st.visited += int64(hi - lo)
 		for e := lo; e < hi; e++ {
 			st.reach(p, a, e, o, old)
 		}
 		return
 	}
-	g, dest := st.g, st.dest
+	g := st.g
 	for e := lo; e < hi; e++ {
-		if w := g.nbr[e]; w != dest && g.leaf.has(int32(w)) {
+		if g.leaf.has(int32(g.nbr[e])) {
 			if !st.live {
 				st.live = st.liveEntry(e)
 			}
@@ -818,15 +814,16 @@ func (st *State) fanOut(p int, a, lo, hi int32, o, old int32) {
 	}
 }
 
-// fanCustomers is fanOut over a's customers. A deferred window reaches
-// only the customers that are not leaves, by the graph's transit index,
-// and the destination when it is a leaf customer of a, found among the
-// destination's providers; then, only while st.live is still false, it
-// probes the leaf entries for a live one.
+// fanCustomers is fanOut over a's customers. A from-scratch window
+// reaches only the customers that are not leaves, by the graph's transit
+// index; then, only while st.live is still false, it probes the leaf
+// entries for a live one. A leaf destination is among them: its route
+// is pinned, or it is down or withdrawn and routes nothing, so reaching
+// it could only have set st.live.
 func (st *State) fanCustomers(p int, a, o, old int32) {
 	g := st.g
 	lo, hi := g.peerEnd[a], g.off[a+1]
-	if !st.deferLeaves || (o == prefNone && old == prefNone) {
+	if !st.initial || (o == prefNone && old == prefNone) {
 		st.fanOut(p, a, lo, hi, o, old)
 		return
 	}
@@ -835,17 +832,8 @@ func (st *State) fanCustomers(p int, a, o, old int32) {
 	for _, e := range transit {
 		st.reach(p, a, e, o, old)
 	}
-	dest := st.dest
-	if g.leaf.has(int32(dest)) {
-		for e := g.off[dest]; e < g.provEnd[dest]; e++ {
-			if int32(g.nbr[e]) == a {
-				st.visited++
-				st.reach(p, a, g.rev[e], o, old)
-			}
-		}
-	}
 	for e := lo; e < hi && !st.live; e++ {
-		if w := g.nbr[e]; w != dest && g.leaf.has(int32(w)) {
+		if g.leaf.has(int32(g.nbr[e])) {
 			st.live = st.liveEntry(e)
 		}
 	}
@@ -1087,14 +1075,12 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 	if traced {
 		sp.Arg("seed_frontier", int64(st.frontLen))
 	}
-	// changed counts the distinct ASes whose route changed in the window.
-	// From scratch, no AS loses a route once it has one (a route may turn
-	// worse, never routeless), so an AS's first arrival counts it without
-	// a stamp.
+	// changed counts the distinct ASes whose route changed in an event
+	// window.
 	initial := st.initial
 	changed := int64(0)
 	j := st.j
-	if st.deferLeaves {
+	if initial {
 		st.pubs, st.prevPub = st.pubs[:0], st.prevPub[:0]
 		if st.lastPub == nil {
 			st.lastPub = make([]int32, g.Len())
@@ -1143,11 +1129,7 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 				st.note(p, a, round, cause, prev)
 			}
 			pref := st.cur[p][a].pref
-			if initial {
-				if !had {
-					changed++
-				}
-			} else {
+			if !initial {
 				if st.markChanged(p, a, had) {
 					changed++
 				}
@@ -1199,18 +1181,18 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 			st.setAdv(p, a, st.cur[p][a].pref)
 			st.ready[a] = round + mrai
 			st.publish(p, a, old)
-			if st.deferLeaves {
+			if initial {
 				st.prevPub = append(st.prevPub, st.lastPub[a])
 				st.lastPub[a] = int32(len(st.pubs))
 				st.pubs = append(st.pubs, pub{a, round, st.adv[p][a]})
 			}
 		}
 		st.pendLen = w
-		if traced && round <= int32(len(roundArgKeys)) {
+		if traced && !initial && round <= int32(len(roundArgKeys)) {
 			sp.Arg(roundArgKeys[round-1], changed-roundChanged)
 		}
 	}
-	if st.deferLeaves {
+	if initial {
 		round = st.replayLeaves(mrai, round)
 	}
 	// Reopen the MRAI gates this window closed, so the next window (any
@@ -1228,15 +1210,19 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 		out.Changed += changed
 	}
 	if traced {
+		// A from-scratch window's leaves settle after its span ends, so its
+		// span reports no changed counts.
 		sp.Arg("rounds", int64(round))
-		sp.Arg("changed", changed)
+		if !initial {
+			sp.Arg("changed", changed)
+		}
 		sp.End()
 	}
 	return round, nil
 }
 
-// settleLeaves ends a deferred from-scratch convergence, whose windows
-// reached no leaf: an AS without customers other than the destination,
+// settleLeaves ends a from-scratch convergence, whose windows reached
+// no leaf: an AS without customers other than the destination,
 // which the loop treats as any other AS. Every leaf is still routeless
 // on every plane here, and no loop read a leaf's route: a leaf holds no
 // customer route, so it is outside custUp and no customer or peer scan
@@ -1251,9 +1237,6 @@ func (st *State) converge(p int, mrai int32, out *PlaneOutcome) (int32, error) {
 // providers, each group ascending, so the first of equal offers is the
 // lower entry.
 func (st *State) settleLeaves() {
-	if !st.deferLeaves {
-		return
-	}
 	g := st.g
 	dest := int32(st.dest)
 	for i, word := range g.leaf {
@@ -1302,7 +1285,7 @@ func (st *State) settleLeaf(a int32) {
 	}
 }
 
-// replayLeaves ends a deferred window's loop, which ran rounds rounds,
+// replayLeaves ends a from-scratch window's loop, which ran rounds rounds,
 // and returns the window's round count, which still owes the rounds the
 // leaves' publications would have run: a leaf publication runs the next
 // round, and a queued one keeps the loop running until its gate opens.
@@ -1342,7 +1325,7 @@ func (st *State) replayLeaves(mrai, rounds int32) int32 {
 	return rounds
 }
 
-// replayLeaf replays leaf a through a deferred window from its live
+// replayLeaf replays leaf a through a from-scratch window from its live
 // senders' publication chains and returns the round of its last
 // publication (0: none). Phase 1 of round u+1 gives a the best offer its
 // senders advertised at the end of round u, a sender's later offer
@@ -1666,8 +1649,10 @@ type engineState interface {
 	accumulateFinal(out *DestOutcome)
 	// provJournal returns the attached route-provenance journal (nil
 	// when detached); the driver stages event/window context on it so
-	// both engines journal identically.
+	// both engines journal identically, and detaches it while a
+	// from-scratch convergence runs.
 	provJournal() *prov.Journal
+	SetJournal(j *prov.Journal)
 }
 
 // ConvergeDest runs one destination shard: initial three-plane
@@ -1706,11 +1691,15 @@ func planesOf(out *DestOutcome) [planeCount]*PlaneOutcome {
 // damage (nil for a pristine topology), and converges the three planes
 // from scratch: BGP, then red, then blue (blue's export rules read the
 // red fixpoint and the lock chain). Initial propagation is not loss or
-// churn: reset marks the windows initial, and they account neither.
+// churn: reset marks the windows initial, and they account neither. Nor
+// is it provenance: an attached journal is reset and records nothing,
+// so an AS with no entry holds the route this convergence left it.
 func initConverge(st engineState, params Params, dest topology.ASN, pre []scenario.Event) error {
 	st.reset(dest)
 	j := st.provJournal()
-	j.Reset() // the journal describes one destination fixpoint; event 0 is this initial convergence
+	j.Reset()
+	st.SetJournal(nil)
+	defer st.SetJournal(j)
 	out := st.outcome()
 	*out = DestOutcome{Dest: dest}
 	for _, ev := range pre {
@@ -1723,7 +1712,6 @@ func initConverge(st engineState, params Params, dest topology.ASN, pre []scenar
 	st.computeChain()
 	for p := 0; p < planeCount; p++ {
 		st.beginWindow(p, true)
-		j.BeginWindow(p, false)
 		st.initPlane(p)
 		rounds, err := st.converge(p, mrai, planes[p])
 		if err != nil {
@@ -1948,7 +1936,7 @@ func (e *Engine) ConvergeScratch(st *State, dest topology.ASN, events []scenario
 // dense engine snapshots here are captured lazily instead, by the first
 // markChanged of each AS.
 func (st *State) beginGroup() {
-	st.initial, st.deferLeaves = false, false
+	st.initial = false
 	st.seq++
 	gen := st.seq & 1
 	for p := 0; p < planeCount; p++ {

@@ -73,10 +73,13 @@ type MapState struct {
 	out DestOutcome
 
 	// inited, initial and evScratch mirror State's: initial marks the
-	// from-scratch windows, which count no churn.
+	// from-scratch windows, which count no churn. worse counts the changes
+	// of a routed AS to a worse route in from-scratch windows, where
+	// converge fails if an AS loses its route (TestInitDestNeverLosesARoute).
 	inited    bool
 	initial   bool
 	evScratch [1]scenario.Event
+	worse     int
 
 	// j mirrors State.j: the optional route-provenance journal. Entry
 	// order within one (event, plane, round) follows map iteration, so
@@ -441,7 +444,15 @@ func (st *MapState) converge(p int, mrai int32, out *PlaneOutcome) (int32, error
 			if st.markChanged(p, a) && !st.initial {
 				out.Changed++
 			}
-			_, has := st.cur[p][a]
+			cr, has := st.cur[p][a]
+			if st.initial && had {
+				if !has {
+					return round, fmt.Errorf("atlas: map engine plane %d AS %d lost its route in round %d of a from-scratch window at dest %d", p, a, round, st.dest)
+				}
+				if cr.kind > old.kind || cr.kind == old.kind && cr.dist > old.dist {
+					st.worse++
+				}
+			}
 			if st.hadStart[p][a] {
 				if had && !has {
 					st.lostSince[a] = round
@@ -450,9 +461,8 @@ func (st *MapState) converge(p int, mrai int32, out *PlaneOutcome) (int32, error
 					st.lostAcc[p][a] += round - st.lostSince[a]
 				}
 			}
-			cr, curHas := st.cur[p][a]
 			ar, advHas := st.adv[p][a]
-			if curHas != advHas || (curHas && (cr.kind != ar.kind || cr.dist != ar.dist)) {
+			if has != advHas || (has && (cr.kind != ar.kind || cr.dist != ar.dist)) {
 				st.pend[a] = true
 				st.wantPub[a] = true
 			} else {

@@ -53,15 +53,34 @@ func canonicalJournal(j *prov.Journal) []prov.Entry {
 	return es
 }
 
+// routeSnapshot holds every (plane, AS) route of a StateView in the
+// journal's shape (expectedRoute).
+type routeSnapshot [planeCount][]prov.Entry
+
+// snapshotRoutes takes sv's routes as a routeSnapshot, each in its
+// entry's New fields.
+func snapshotRoutes(g *Graph, sv StateView) *routeSnapshot {
+	var snap routeSnapshot
+	for p := range snap {
+		snap[p] = make([]prov.Entry, sv.ASCount())
+		for a := range snap[p] {
+			e := &snap[p][a]
+			e.NewKind, e.NewDist, e.NewNext = expectedRoute(g, sv, p, int32(a))
+		}
+	}
+	return &snap
+}
+
 // checkJournalReplaysToRoutes is the heart of the differential why
 // harness: fold every retained journal entry in append order per
-// (plane, AS) — checking prev/new continuity at each step — and assert
-// the folded terminal route equals the state's current route for EVERY
-// (plane, AS), in both directions (a routed AS must have history; an
-// AS without history must be routeless). It also asserts that an AS
-// has at most one entry per (event, plane, round): the property that
-// leaves the within-round append order unobservable.
-func checkJournalReplaysToRoutes(t *testing.T, label string, g *Graph, j *prov.Journal, sv StateView) map[provKey]prov.Entry {
+// (plane, AS) — checking prev/new continuity at each step, starting
+// from the route the AS held after the from-scratch convergence
+// (base, taken right after InitDest) — and assert the folded terminal
+// route equals the state's current route for EVERY (plane, AS): an AS
+// with no entry must still hold exactly its base route. It also asserts
+// that an AS has at most one entry per (event, plane, round): the
+// property that leaves the within-round append order unobservable.
+func checkJournalReplaysToRoutes(t *testing.T, label string, g *Graph, j *prov.Journal, sv StateView, base *routeSnapshot) map[provKey]prov.Entry {
 	t.Helper()
 	if j.Evicted() != 0 {
 		t.Fatalf("%s: journal evicted %d entries; size the test journal to retain everything", label, j.Evicted())
@@ -69,14 +88,15 @@ func checkJournalReplaysToRoutes(t *testing.T, label string, g *Graph, j *prov.J
 	latest := make(map[provKey]prov.Entry, j.Len())
 	for _, e := range j.Tail(j.Len()) {
 		k := provKey{e.Plane, e.AS}
-		pk, pd, pv := int8(kindNone), int32(0), int32(-1)
+		from := base[e.Plane][e.AS]
 		if last, ok := latest[k]; ok {
 			if last.Event == e.Event && last.Round == e.Round {
 				t.Fatalf("%s: %s@%d has two entries in event %d round %d (seq %d and %d)",
 					label, PlaneName(int(e.Plane)), e.AS, e.Event, e.Round, last.Seq, e.Seq)
 			}
-			pk, pd, pv = last.NewKind, last.NewDist, last.NewNext
+			from = last
 		}
+		pk, pd, pv := from.NewKind, from.NewDist, from.NewNext
 		if e.PrevKind != pk || (e.PrevKind != kindNone && (e.PrevDist != pd || e.PrevNext != pv)) {
 			t.Fatalf("%s: %s@%d seq %d: prev (%d,%d,%d) does not continue from (%d,%d,%d)",
 				label, PlaneName(int(e.Plane)), e.AS, e.Seq, e.PrevKind, e.PrevDist, e.PrevNext, pk, pd, pv)
@@ -95,57 +115,57 @@ func checkJournalReplaysToRoutes(t *testing.T, label string, g *Graph, j *prov.J
 			wk, wd, wv := expectedRoute(g, sv, p, a)
 			e, ok := latest[provKey{int8(p), a}]
 			if !ok {
-				if wk != kindNone {
-					t.Fatalf("%s: %s@%d holds route (%d,%d,%d) but the journal has no history for it",
-						label, PlaneName(p), a, wk, wd, wv)
-				}
-				continue
+				e = base[p][a]
 			}
 			if e.NewKind != wk || (wk != kindNone && (e.NewDist != wd || e.NewNext != wv)) {
-				t.Fatalf("%s: %s@%d journal replays to (%d,%d,%d), state holds (%d,%d,%d)",
-					label, PlaneName(p), a, e.NewKind, e.NewDist, e.NewNext, wk, wd, wv)
+				t.Fatalf("%s: %s@%d journal (entry %v) replays to (%d,%d,%d), state holds (%d,%d,%d)",
+					label, PlaneName(p), a, ok, e.NewKind, e.NewDist, e.NewNext, wk, wd, wv)
 			}
 		}
 	}
 	return latest
 }
 
-// checkChains walks Chain for a spread of ASes and asserts the walk's
-// structural guarantees: head is the asked AS, every hop's entry holds
-// that AS's current route, consecutive hops link via NewNext, and the
-// walk terminates at the origin or a routeless terminal, untruncated.
-func checkChains(t *testing.T, label string, g *Graph, j *prov.Journal, sv StateView) {
+// checkChains walks State.Why for a spread of ASes and asserts the
+// walk's structural guarantees: head is the asked AS, every hop holds
+// that AS's current route, consecutive hops link via Next, a hop is a
+// journal entry's exactly when the journal retains one for it, a held
+// hop's AS still holds the route base took after InitDest, and the walk
+// ends untruncated at the origin or, for a routeless AS, at once.
+func checkChains(t *testing.T, label string, g *Graph, st *State, base *routeSnapshot) {
 	t.Helper()
-	n := int32(sv.ASCount())
-	for p := 0; p < planeCount; p++ {
-		for a := int32(0); a < n; a += 37 {
-			chain, trunc := j.Chain(p, a)
-			if trunc {
-				t.Fatalf("%s: %s@%d chain truncated with zero evictions", label, PlaneName(p), a)
+	n := int32(st.ASCount())
+	for a := int32(0); a < n; a += 37 {
+		rep := st.Why(topology.ASN(a))
+		for p, c := range rep.Chains {
+			if c.Truncated {
+				t.Fatalf("%s: %s@%d chain truncated", label, PlaneName(p), a)
 			}
-			wk, _, _ := expectedRoute(g, sv, p, a)
-			if len(chain) == 0 {
-				if wk != kindNone {
-					t.Fatalf("%s: %s@%d has a route but an empty chain", label, PlaneName(p), a)
+			cur := a
+			for i, h := range c.Hops {
+				k, d, v := expectedRoute(g, st, p, cur)
+				next, origin := hopTarget(g, v)
+				if h.AS != g.OriginalASN(topology.ASN(cur)) || h.Kind != KindName(k) ||
+					(k != kindNone && (h.Dist != d || h.Next != next || h.Origin != origin)) {
+					t.Fatalf("%s: %s@%d hop %d %+v, want AS %d holding (%d,%d,%d)", label, PlaneName(p), a, i, h, cur, k, d, v)
 				}
-				continue
-			}
-			if chain[0].AS != a {
-				t.Fatalf("%s: chain head AS %d, want %d", label, chain[0].AS, a)
-			}
-			for i, e := range chain {
-				hk, hd, hv := expectedRoute(g, sv, p, e.AS)
-				if e.NewKind != hk || (hk != kindNone && (e.NewDist != hd || e.NewNext != hv)) {
-					t.Fatalf("%s: %s chain hop %d at AS %d: entry (%d,%d,%d) != current route (%d,%d,%d)",
-						label, PlaneName(p), i, e.AS, e.NewKind, e.NewDist, e.NewNext, hk, hd, hv)
+				_, entry := st.j.Latest(p, cur)
+				if held := h.Cause == CauseHeld; held == entry {
+					t.Fatalf("%s: %s@%d hop %d at AS %d: cause %q, journal entry retained %v", label, PlaneName(p), a, i, cur, h.Cause, entry)
 				}
-				if i+1 < len(chain) && e.NewNext != chain[i+1].AS {
-					t.Fatalf("%s: chain hop %d next %d != hop %d AS %d", label, i, e.NewNext, i+1, chain[i+1].AS)
+				if b := base[p][cur]; h.Cause == CauseHeld && (b.NewKind != k || b.NewDist != d || b.NewNext != v) {
+					t.Fatalf("%s: %s@%d held hop at AS %d holds (%d,%d,%d), not its post-InitDest route (%d,%d,%d)",
+						label, PlaneName(p), a, cur, k, d, v, b.NewKind, b.NewDist, b.NewNext)
+				}
+				if i+1 < len(c.Hops) {
+					cur = v
 				}
 			}
-			tail := chain[len(chain)-1]
-			if tail.NewKind != kindNone && tail.NewNext != -2 {
-				t.Fatalf("%s: %s@%d chain ends mid-path at AS %d (next %d)", label, PlaneName(p), a, tail.AS, tail.NewNext)
+			if k, _, v := expectedRoute(g, st, p, cur); k != kindNone && v != -2 {
+				t.Fatalf("%s: %s@%d chain ends mid-path at AS %d (next %d)", label, PlaneName(p), a, cur, v)
+			}
+			if k, _, _ := expectedRoute(g, st, p, a); k != kindNone && len(c.Hops) == 0 {
+				t.Fatalf("%s: %s@%d has a route but an empty chain", label, PlaneName(p), a)
 			}
 		}
 	}
@@ -153,11 +173,11 @@ func checkChains(t *testing.T, label string, g *Graph, j *prov.Journal, sv State
 
 // TestWhyChainReplaysToRoutes is the acceptance differential: on every
 // scenario kind, with a journal attached to both engines, after every
-// event the journal must replay — entry by entry — to the exact
-// current route of every (plane, AS), and the backward chain walk must
-// reconstruct each sampled AS's path to the origin from its current
-// fixpoint. This is what makes `why` trustworthy: the chain is the
-// route's actual history, not a plausible story.
+// event the journal must replay — entry by entry, from the routes
+// InitDest left — to the exact current route of every (plane, AS), and
+// State.Why must walk each sampled AS's path to the origin from its
+// current fixpoint. This is what makes `why` trustworthy: the chain is
+// the route's actual history, not a plausible story.
 func TestWhyChainReplaysToRoutes(t *testing.T) {
 	tg, g := testGraph(t, 300, 5)
 	flat := NewEngine(g, DefaultParams())
@@ -197,8 +217,10 @@ func TestWhyChainReplaysToRoutes(t *testing.T) {
 				if err := ref.InitDest(mist, dest); err != nil {
 					t.Fatal(err)
 				}
-				checkJournalReplaysToRoutes(t, "flat init", g, fj, ist)
-				checkJournalReplaysToRoutes(t, "map init", g, mj, mist)
+				if fj.Appends() != 0 || mj.Appends() != 0 {
+					t.Fatalf("InitDest journaled %d flat and %d map entries, want none", fj.Appends(), mj.Appends())
+				}
+				fbase, mbase := snapshotRoutes(g, ist), snapshotRoutes(g, mist)
 				for i, ev := range events {
 					if _, err := flat.ApplyEvent(ist, ev); err != nil {
 						t.Fatalf("event %d %v: %v", i, ev, err)
@@ -206,11 +228,10 @@ func TestWhyChainReplaysToRoutes(t *testing.T) {
 					if _, err := ref.ApplyEvent(mist, ev); err != nil {
 						t.Fatalf("event %d %v map: %v", i, ev, err)
 					}
-					checkJournalReplaysToRoutes(t, ev.String()+" flat", g, fj, ist)
-					checkJournalReplaysToRoutes(t, ev.String()+" map", g, mj, mist)
+					checkJournalReplaysToRoutes(t, ev.String()+" flat", g, fj, ist, fbase)
+					checkJournalReplaysToRoutes(t, ev.String()+" map", g, mj, mist, mbase)
 				}
-				checkChains(t, kind.String()+" flat", g, fj, ist)
-				checkChains(t, kind.String()+" map", g, mj, mist)
+				checkChains(t, kind.String()+" flat", g, ist, fbase)
 			}
 		})
 	}
@@ -286,11 +307,15 @@ func TestReplayWhy(t *testing.T) {
 	if r1.Why.Appends == 0 {
 		t.Fatal("why journal recorded nothing over a flap storm")
 	}
-	// BGP always has a route on an intact storm-end topology: the chain
-	// must reach the origin.
-	bgp := r1.Why.Chains[PlaneBGP]
-	if len(bgp.Hops) == 0 || !bgp.Hops[len(bgp.Hops)-1].Origin {
-		t.Fatalf("bgp chain does not reach the origin: %+v", bgp)
+	// BGP always has a route on an intact storm-end topology, and every
+	// routed chain reaches the origin untruncated.
+	if len(r1.Why.Chains[PlaneBGP].Hops) == 0 {
+		t.Fatalf("bgp chain is empty: %+v", r1.Why.Chains[PlaneBGP])
+	}
+	for _, c := range r1.Why.Chains {
+		if n := len(c.Hops); c.Truncated || n > 0 && c.Hops[n-1].Kind != KindName(kindNone) && !c.Hops[n-1].Origin {
+			t.Fatalf("%s chain does not reach the origin: %+v", c.Plane, c)
+		}
 	}
 	// Explicit spec naming the auto pair reproduces the same chains.
 	exp := run(1, &WhySpec{Dest: r1.Why.Dest, AS: r1.Why.AS})
@@ -311,29 +336,22 @@ func TestReplayWhy(t *testing.T) {
 // TestJournalFingerprintPinned pins the flat engine's journal in
 // canonical form (canonicalJournal: every field but Seq, entries sorted
 // within their round) and every EventCost, for every scenario kind at
-// three destinations, sparse and always-dense. The within-round append
-// order is left unspecified, so the hash does not read it.
+// three destinations, sparse and always-dense, as one golden row per
+// (n, kind, dest, cap, event) in testdata/journal.golden: the event's
+// EventCost fields (event 0, the InitDest, holds its three planes'
+// InitRounds in the rounds columns and zeros elsewhere), its canonical
+// entry count and an FNV-64a of its canonical entries. The within-round
+// append order is left unspecified, so no column reads it. Regenerate
+// with -update.
 func TestJournalFingerprintPinned(t *testing.T) {
+	var rows []string
 	for _, tc := range []struct {
 		n    int
 		seed int64
-		want uint64
-	}{
-		{600, 13, 0x33828c91c979fbd1},
-		{1500, 7, 0x3d90904d5b5db599},
-	} {
+	}{{600, 13}, {1500, 7}} {
 		tg, g := testGraph(t, tc.n, tc.seed)
 		eng := NewEngine(g, DefaultParams())
 		multihomed := scenario.Multihomed(g)
-		h := fnv.New64a()
-		var buf [8]byte
-		put := func(vs ...int64) {
-			for _, v := range vs {
-				binary.LittleEndian.PutUint64(buf[:], uint64(v))
-				h.Write(buf[:])
-			}
-		}
-		entries := 0
 		for _, kind := range allKinds {
 			script, err := scenario.PickScript(tg, multihomed, kind, rand.New(rand.NewSource(21)))
 			if err != nil {
@@ -346,35 +364,55 @@ func TestJournalFingerprintPinned(t *testing.T) {
 					if err := eng.InitDest(st, dest); err != nil {
 						t.Fatal(err)
 					}
+					init := eng.FinishDest(st)
+					costs := []EventCost{{BGPRounds: init.BGP.InitRounds, RedRounds: init.Red.InitRounds, BlueRounds: init.Blue.InitRounds}}
 					for _, ev := range script.Sorted() {
 						cost, err := eng.ApplyEvent(st, ev)
 						if err != nil {
 							t.Fatalf("%v dest %d %v: %v", kind, dest, ev, err)
 						}
-						reroot := int64(0)
-						if cost.Reroot {
-							reroot = 1
-						}
-						put(int64(cost.BGPRounds), int64(cost.RedRounds), int64(cost.BlueRounds), cost.Changed,
-							cost.BGPLost, cost.RedLost, cost.BlueLost, cost.StampLost, reroot)
+						costs = append(costs, cost)
 					}
 					if j.Evicted() != 0 {
 						t.Fatalf("journal evicted %d entries; enlarge it", j.Evicted())
 					}
-					for _, e := range canonicalJournal(j) {
-						put(int64(e.Event), int64(e.Round), int64(e.AS), int64(e.Plane), int64(e.Cause),
-							int64(e.PrevKind), int64(e.PrevDist), int64(e.PrevNext),
-							int64(e.NewKind), int64(e.NewDist), int64(e.NewNext))
+					canon := canonicalJournal(j)
+					for ev, cost := range costs {
+						rows = append(rows, journalRow(tc.n, kind, dest, c, ev, cost, canon))
 					}
-					entries += j.Len()
 				}
 			}
 		}
-		if got := h.Sum64(); got != tc.want {
-			t.Errorf("GenerateDefault(%d, %d): journal and EventCost fingerprint = %#x over %d entries, want %#x",
-				tc.n, tc.seed, got, entries, tc.want)
+	}
+	checkGolden(t, "testdata/journal.golden",
+		"n\tkind\tdest\tcap\tevent\tbgp_rounds\tred_rounds\tblue_rounds\tchanged\tbgp_lost\tred_lost\tblue_lost\tstamp_lost\treroot\tentries\tfnv64", rows)
+}
+
+// journalRow renders one golden row of TestJournalFingerprintPinned:
+// event ev's cost and its entries in canon, counted and hashed.
+func journalRow(n int, kind scenario.Kind, dest topology.ASN, c, ev int, cost EventCost, canon []prov.Entry) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	count := 0
+	for _, e := range canon {
+		if e.Event != uint64(ev) {
+			continue
+		}
+		count++
+		for _, v := range []int64{int64(e.Round), int64(e.AS), int64(e.Plane), int64(e.Cause),
+			int64(e.PrevKind), int64(e.PrevDist), int64(e.PrevNext),
+			int64(e.NewKind), int64(e.NewDist), int64(e.NewNext)} {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
 		}
 	}
+	reroot := 0
+	if cost.Reroot {
+		reroot = 1
+	}
+	return fmt.Sprintf("%d\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%016x",
+		n, kind, dest, c, ev, cost.BGPRounds, cost.RedRounds, cost.BlueRounds, cost.Changed,
+		cost.BGPLost, cost.RedLost, cost.BlueLost, cost.StampLost, reroot, count, h.Sum64())
 }
 
 func TestParseWhy(t *testing.T) {
@@ -400,10 +438,9 @@ func TestParseWhy(t *testing.T) {
 // Replay accept, on the grouped driver, on InitDest plus an event
 // stream, and on ConvergeScratch over the script's first k groups for
 // every k and over the whole script with the origin withdrawn, sparse
-// and always dense, at every MRAI pacing from none to 6 rounds. A
-// from-scratch window without a journal settles its leaves after the
-// loop (settleLeaves) while a journaled one reaches them in it, so this
-// is also the deferred path's differential.
+// and always dense, at every MRAI pacing from none to 6 rounds. Both
+// states take the one from-scratch path, which
+// TestFlatMatchesMapEngineAtScale holds to the map engine.
 func TestJournalDoesNotChangeOutcomes(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
@@ -482,20 +519,7 @@ func checkJournalOblivious(t *testing.T, eng *Engine, name string, dest topology
 	if c >= 0 {
 		return // a from-scratch window runs dense at any list capacity
 	}
-	// From scratch over damage: the script's events up to the end of each
-	// group that moves a route (links and nodes down), then all of them
-	// with the origin withdrawn.
-	var pre []scenario.Event
-	for k := 0; k <= len(groups)+1; k++ {
-		switch {
-		case k > len(groups):
-			pre = append(pre, scenario.Event{Op: scenario.OpWithdraw, Node: dest})
-		case k > 0:
-			pre = append(pre, groups[k-1]...)
-			if !slices.ContainsFunc(groups[k-1], func(ev scenario.Event) bool { return !ev.Op.Quality() }) {
-				continue // the damage is what it was
-			}
-		}
+	for _, pre := range damagePrefixes(groups, dest) {
 		for _, st := range []*State{bare, seen} {
 			if err := eng.ConvergeScratch(st, dest, pre); err != nil {
 				t.Fatal(err)
@@ -508,46 +532,29 @@ func checkJournalOblivious(t *testing.T, eng *Engine, name string, dest topology
 	}
 }
 
-// TestInitDestNeverLosesARoute pins what first-arrival counting and
-// settleLeaves rely on: in a from-scratch window no AS loses a route
-// once it has one. Routes do not only improve, though: when a next hop
-// trades a short route for a longer one of a better kind, the ASes
-// behind it are offered the longer one, so the journal must show at
-// least one routed AS taking a worse route.
+// TestInitDestNeverLosesARoute pins a property of from-scratch
+// convergence, which the map engine checks in every from-scratch window
+// it runs: no AS loses a route once it has one. Routes do not only
+// improve, though: when a next hop trades a short route for a longer one
+// of a better kind, the ASes behind it are offered the longer one, so at
+// least one routed AS must take a worse route.
 func TestInitDestNeverLosesARoute(t *testing.T) {
 	_, g := testGraph(t, 3000, 3)
-	eng := NewEngine(g, DefaultParams())
-	st := eng.NewState()
-	j := prov.NewJournal(1 << 16)
-	st.SetJournal(j)
+	ref := NewMapEngine(g, DefaultParams())
+	st := ref.NewState()
 	dests, err := Destinations(g, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	worse := 0
 	for _, dest := range dests {
-		if err := eng.InitDest(st, dest); err != nil {
+		if err := ref.InitDest(st, dest); err != nil {
 			t.Fatal(err)
 		}
-		if j.Evicted() != 0 {
-			t.Fatalf("dest %d: the journal evicted %d entries", dest, j.Evicted())
-		}
-		for _, e := range j.Tail(j.Len()) {
-			if e.Event != 0 || e.PrevKind == kindNone {
-				continue
-			}
-			if e.NewKind == kindNone {
-				t.Fatalf("dest %d: %s AS %d lost its route in round %d of a from-scratch window", dest, PlaneName(int(e.Plane)), e.AS, e.Round)
-			}
-			if mkPref(e.NewKind, e.NewDist) > mkPref(e.PrevKind, e.PrevDist) {
-				worse++
-			}
-		}
 	}
-	if worse == 0 {
+	if st.worse == 0 {
 		t.Fatal("no routed AS took a worse route: the claim \"routes only improve\" would hold")
 	}
-	t.Logf("%d changes of a routed AS were to a worse route", worse)
+	t.Logf("%d changes of a routed AS were to a worse route", st.worse)
 }
 
 // mustSameState fails unless a and b are at the same window, hold the

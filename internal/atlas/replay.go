@@ -45,15 +45,19 @@ type ReplayOptions struct {
 	// of InitDest/ApplyEvent calls (see internal/trace). Side-effect
 	// only: the report stays byte-identical for any worker count.
 	Tracer *trace.Tracer
-	// Why, when non-nil, attaches a route-provenance journal to the
-	// selected destination's shard and reports the causal chain for
-	// (Dest, AS) after the stream completes. Only that one shard
-	// journals, and its event order is the stream order, so the report
-	// stays byte-identical for any worker count.
+	// Why, when non-nil, attaches a route-provenance journal of
+	// whyJournalCap entries to the selected destination's shard after its
+	// InitDest and reports the causal chain for (Dest, AS) after the
+	// stream completes (State.Why). Only that one shard journals, and its
+	// event order is the stream order, so the report stays byte-identical
+	// for any worker count.
 	Why *WhySpec
-	// ProvCap sizes the why journal in entries (<= 0: 1<<16).
-	ProvCap int
 }
+
+// whyJournalCap sizes the -why shard's journal in entries. It holds the
+// stream's events only; a chain never truncates at an evicted entry,
+// since State.Why completes it from the state.
+const whyJournalCap = 1 << 16
 
 // EventReport aggregates one stream position over all destination
 // shards: how much convergence work the event caused and how much
@@ -123,10 +127,12 @@ type ReplayReport struct {
 	Why *WhyReport `json:"why,omitempty"`
 }
 
-// replayShard is one destination's replay result before the fold.
+// replayShard is one destination's replay result before the fold; why
+// is set on the -why shard only.
 type replayShard struct {
 	out   DestOutcome
 	costs []EventCost
+	why   *WhyReport
 }
 
 // Repeatable reports whether a script can be cycled indefinitely — the
@@ -206,19 +212,13 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 
 	// -why: journal exactly one shard. The journal belongs to the shard,
 	// not the pooled state — it is attached for that shard's run only.
-	var (
-		whyJournal *prov.Journal
-		whyShard   = -1
-		whyDest    topology.ASN
-		whyAS      topology.ASN
-	)
+	whyShard, whyAS := -1, topology.ASN(0)
 	if opts.Why != nil {
 		whySpec := *opts.Why
 		if whySpec.Auto {
 			// First sampled dest, first CSR neighbor: deterministic and
 			// always present (sampled dests are multihomed).
-			whyShard, whyDest = 0, dests[0]
-			whyAS = g.nbr[g.off[whyDest]]
+			whyShard, whyAS = 0, g.nbr[g.off[dests[0]]]
 		} else {
 			d, ok := g.DenseASN(whySpec.Dest)
 			if !ok {
@@ -228,7 +228,7 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 			if !ok {
 				return nil, fmt.Errorf("atlas: -why AS %d not in the topology", whySpec.AS)
 			}
-			whyDest, whyAS = d, a
+			whyAS = a
 			for i, dd := range dests {
 				if dd == d {
 					whyShard = i
@@ -243,11 +243,6 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 				return nil, fmt.Errorf("atlas: -why destination AS %d is not a sampled dest (sampled: %v)", whySpec.Dest, sampled)
 			}
 		}
-		provCap := opts.ProvCap
-		if provCap <= 0 {
-			provCap = 1 << 16
-		}
-		whyJournal = prov.NewJournal(provCap)
 	}
 
 	pool := statePool{fresh: func() *State { return newShardState(eng) }}
@@ -261,16 +256,16 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 			}
 			st := pool.get()
 			defer pool.put(st)
-			if t.Index == whyShard {
-				st.SetJournal(whyJournal)
-				defer st.SetJournal(nil)
-			}
 			dest := dests[t.Index]
 			// Each engine call takes one sampling decision, its spans on
 			// the shard's ring and thread track.
 			st.SetTrace(opts.Tracer.Event(t.Index), 0)
 			if err := eng.InitDest(st, dest); err != nil {
 				return replayShard{}, err
+			}
+			if t.Index == whyShard {
+				st.SetJournal(prov.NewJournal(whyJournalCap))
+				defer st.SetJournal(nil)
 			}
 			costs := make([]EventCost, 0, total)
 			for r := 0; r < repeat; r++ {
@@ -283,7 +278,11 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 					costs = append(costs, c)
 				}
 			}
-			return replayShard{out: eng.FinishDest(st), costs: costs}, nil
+			shard := replayShard{out: eng.FinishDest(st), costs: costs}
+			if t.Index == whyShard {
+				shard.why = st.Why(whyAS)
+			}
+			return shard, nil
 		},
 	}
 	rep := &ReplayReport{
@@ -307,15 +306,15 @@ func Replay(opts ReplayOptions) (*ReplayReport, error) {
 			for i, c := range shard.costs {
 				r.PerEvent[i].Add(c)
 			}
+			if shard.why != nil {
+				r.Why = shard.why
+			}
 			return r
 		})
 	if err != nil {
 		return nil, err
 	}
 	rep.finish(len(dests))
-	if whyJournal != nil {
-		rep.Why = BuildWhy(g, whyJournal, whyDest, whyAS)
-	}
 	return rep, nil
 }
 

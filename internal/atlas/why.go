@@ -14,8 +14,8 @@ import (
 // pair, BuildWhy renders the journal's causal chains with original
 // (snapshot) ASNs, State.Why walks a settled state's current routes and
 // annotates each hop from the journal, and WhyReport is the
-// JSON/printed shape both `stamp atlas -replay -why` (BuildWhy) and
-// serve's GET /state/{dest}/{as}/why (State.Why) emit.
+// JSON/printed shape both `stamp atlas -replay -why` and serve's GET
+// /state/{dest}/{as}/why emit, from State.Why.
 
 // WhySpec selects the (dest, AS) pair whose provenance chain a replay
 // records and reports. ASNs are original (snapshot) numbers, like
@@ -105,8 +105,9 @@ func BuildWhy(g *Graph, j *prov.Journal, dest, as topology.ASN) *WhyReport {
 
 // CauseHeld is the cause of a hop Why renders from the State because
 // the journal retains no entry for it: its route predates every
-// retained entry — it has been held since the journal was attached,
-// or since before its oldest retained entry once the ring evicted.
+// retained entry — it has been held since the last from-scratch
+// convergence or the journal's attachment, or since before its oldest
+// retained entry once the ring evicted.
 const CauseHeld = "held"
 
 // Why reconstructs all three planes' chains for dense AS `as` by
@@ -199,7 +200,7 @@ func (wr *WhyReport) Print(w io.Writer) {
 	for _, c := range wr.Chains {
 		fmt.Fprintf(w, "  %-4s", c.Plane)
 		if len(c.Hops) == 0 {
-			fmt.Fprintln(w, " (no recorded changes: routeless since journal reset)")
+			fmt.Fprintln(w, " (routeless, no recorded change)")
 			continue
 		}
 		fmt.Fprintln(w)

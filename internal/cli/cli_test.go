@@ -518,7 +518,12 @@ func TestAtlasReplayCLI(t *testing.T) {
 			Why *struct {
 				Appends uint64 `json:"journal_appends"`
 				Chains  []struct {
-					Plane string `json:"plane"`
+					Plane     string `json:"plane"`
+					Truncated bool   `json:"truncated"`
+					Hops      []struct {
+						Kind   string `json:"kind"`
+						Origin bool   `json:"origin"`
+					} `json:"hops"`
 				} `json:"chains"`
 			} `json:"why"`
 		} `json:"data"`
@@ -531,7 +536,13 @@ func TestAtlasReplayCLI(t *testing.T) {
 		t.Errorf("envelope = %+v, want an atlas-replay per-event stream", env)
 	}
 	if env.Data.Why == nil || env.Data.Why.Appends == 0 || len(env.Data.Why.Chains) != 3 {
-		t.Errorf("why payload = %+v, want three-plane chains with journal appends", env.Data.Why)
+		t.Fatalf("why payload = %+v, want three-plane chains with journal appends", env.Data.Why)
+	}
+	// Every routed chain reaches the origin untruncated.
+	for _, c := range env.Data.Why.Chains {
+		if n := len(c.Hops); c.Truncated || n > 0 && c.Hops[n-1].Kind != "none" && !c.Hops[n-1].Origin {
+			t.Errorf("%s chain does not reach the origin: %+v", c.Plane, c)
+		}
 	}
 }
 

@@ -9,12 +9,13 @@
 // The journal's core invariant, which every query relies on: after a
 // fixpoint settles, the LATEST entry per (plane, AS) describes that
 // AS's CURRENT route. The engine guarantees this by journaling every
-// mutation of the current-route slabs — converge-loop recomputes,
-// cascade invalidations, and wholesale plane re-roots (which record an
-// explicit clear for every AS that held a route, then the origin
-// re-seed). An AS with no entry at all has been routeless since the
-// journal was last reset (or its history was evicted from the ring —
-// the query API distinguishes the two via the eviction counter).
+// mutation of the current-route slabs in an event window — converge-loop
+// recomputes, cascade invalidations, and wholesale plane re-roots (which
+// record an explicit clear for every AS that held a route, then the
+// origin re-seed). A from-scratch convergence resets the journal and
+// records nothing, so an AS with no entry at all holds the route that
+// convergence left it (or its history was evicted from the ring — the
+// query API distinguishes the two via the eviction counter).
 //
 // Cause codes are a CLOSED enum, not free-form strings: the engine has
 // exactly four ways to change a route (seed-frontier re-evaluation,
@@ -131,9 +132,9 @@ func (j *Journal) Reset() {
 	j.reroot = false
 }
 
-// BeginEvent opens the next event window and returns its id. Event 0
-// is the initial convergence (never explicitly begun); the first
-// applied event is 1.
+// BeginEvent opens the next event window and returns its id. The
+// first applied event is 1; the engine records nothing under event 0,
+// the from-scratch convergence the journal was reset at.
 func (j *Journal) BeginEvent() uint64 {
 	if j == nil {
 		return 0

@@ -13,8 +13,8 @@ func (j *Journal) Tail(n int) []Entry {
 
 // Latest returns the newest retained entry for (plane, as): per the
 // journal invariant, the AS's current route in that plane. ok is false
-// when no entry is retained — the AS has been routeless and untouched
-// since Reset, or its history was evicted. The first query after the
+// when no entry is retained — the AS has held its route untouched since
+// Reset, or its history was evicted. The first query after the
 // journal changed rebuilds the (plane, AS) index in O(cap); later ones
 // are O(1).
 func (j *Journal) Latest(plane int, as int32) (Entry, bool) {
@@ -30,9 +30,10 @@ func (j *Journal) Latest(plane int, as int32) (Entry, bool) {
 // Chain reconstructs the causal chain explaining plane's current route
 // at as: the latest entry for as, then the latest entry for its next
 // hop, and so on backward along NewNext until the origin (NewNext -2)
-// or a routeless terminal. truncated reports that the walk hit a hop
-// whose history the ring has already evicted (only possible once
-// Evicted() > 0), so the returned prefix is correct but incomplete.
+// or a routeless terminal. A hop with no retained entry ends the walk:
+// it has held its route since Reset, or, once Evicted() > 0, its
+// history may be evicted, which truncated reports; either way the
+// returned prefix is correct but may be incomplete.
 //
 // Correctness rests on the journal invariant: each hop's latest entry
 // is its current route, and current routes at a settled fixpoint form

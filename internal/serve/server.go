@@ -253,11 +253,11 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 
 // New builds the server and converges the initial fixpoint: every
 // destination shard's three planes from scratch (in parallel on the
-// worker pool), each published as snapshot epoch 0. A shard converges
-// with no journal attached, so boot takes the engine's deferred
-// from-scratch path, and attaches its journal before it publishes: the
-// journal records applied events from event 1 on, and a why read
-// renders a route boot left in place as a held hop.
+// worker pool), each published as snapshot epoch 0. A shard attaches
+// its journal after it converges, before it publishes: a from-scratch
+// convergence records nothing, the journal records applied events from
+// event 1 on, and a why read renders a route boot left in place as a
+// held hop.
 func New(cfg Config) (*Server, error) {
 	g := cfg.Graph
 	script, dests, err := atlas.DrawWorkload(g, cfg.Scenario, cfg.Dests, cfg.Seed)
