@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"stamp/internal/scenario"
+	"stamp/internal/testkit"
 	"stamp/internal/topology"
 )
 
@@ -273,7 +274,7 @@ func TestBGPFixpointMatchesStaticRoutes(t *testing.T) {
 		if _, err := eng.ConvergeDest(st, dest, nil); err != nil {
 			t.Fatal(err)
 		}
-		want := topology.StaticRoutes(tg, dest)
+		want := testkit.StaticRoutes(tg, dest)
 		for a := 0; a < g.Len(); a++ {
 			has := st.cur[planeBGP][a].pref != prefNone
 			if has != (want[a] != nil) {
@@ -763,4 +764,23 @@ func TestStampLossAtSingleCoveredAS(t *testing.T) {
 	if !reflect.DeepEqual(out, mout) {
 		t.Fatalf("flat and map diverge on the red-only case:\nflat: %+v\nmap:  %+v", out, mout)
 	}
+}
+
+// NoMRAI disables advertisement pacing when assigned to
+// Params.MRAIRounds. The zero Params value means "defaults" (see
+// NewEngine), so "off" needs a negative sentinel.
+const NoMRAI = -1
+
+// Visited returns how many ASes and adjacency entries the latest event
+// group's window machinery examined (or, after InitDest, the from-scratch
+// convergence's) — the work counter that pins ApplyEvent's cost to the
+// event's churn rather than to the size of the graph. A from-scratch
+// convergence, which settles its leaves after the loop (settleLeaves),
+// counts the entries it reaches and each settled leaf's row once per
+// plane; testing a leaf entry's liveness visits nothing, like anyLive.
+func (st *State) Visited() int64 { return st.visited }
+
+// Peers returns the peers of a, sorted ascending.
+func (g *Graph) Peers(a topology.ASN) []topology.ASN {
+	return g.nbr[g.provEnd[a]:g.peerEnd[a]]
 }

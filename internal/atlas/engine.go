@@ -28,7 +28,7 @@ import (
 // never forms transient loops and always terminates; what it measures
 // is repair time and repair churn, not path exploration. The classic
 // message-level engines remain the reference for exploration dynamics;
-// the fixpoints agree exactly (pinned against topology.StaticRoutes).
+// the fixpoints agree exactly (pinned against testkit.StaticRoutes).
 //
 // All state lives in preallocated slabs indexed by AS; the convergence
 // loop performs no allocation (pinned by TestConvergeHotLoopAllocs). The
@@ -127,18 +127,13 @@ const (
 	frontScan  = int8(2) // full recompute
 )
 
-// NoMRAI disables advertisement pacing when assigned to
-// Params.MRAIRounds. The zero Params value means "defaults" (see
-// NewEngine), so "off" needs an explicit sentinel.
-const NoMRAI = -1
-
 // Params tunes the engine.
 type Params struct {
 	// MRAIRounds is the minimum number of rounds between an AS's
 	// successive advertisements — the round-granularity image of BGP's
 	// MRAI timer (a minimum inter-advertisement interval). A value of
 	// 1 adds no damping beyond the natural one-publication-per-round
-	// cadence; use NoMRAI (or 1) to disable pacing, and note a zero
+	// cadence; a negative value (or 1) disables pacing, and note a zero
 	// Params struct passed to NewEngine means DefaultParams.
 	MRAIRounds int
 }
@@ -167,9 +162,6 @@ func NewEngine(g *Graph, p Params) *Engine {
 	}
 	return &Engine{g: g, p: p}
 }
-
-// Graph returns the engine's topology.
-func (e *Engine) Graph() *Graph { return e.g }
 
 // PlaneOutcome aggregates one plane's behavior at one destination.
 type PlaneOutcome struct {
@@ -611,20 +603,6 @@ func (st *State) SnapshotRoute(p int, a int32) (kind int8, dist, next int32) {
 	kind, dist, via := st.cur[p][a].split()
 	return kind, dist, st.nextHopAS(via)
 }
-
-// Visited returns how many ASes and adjacency entries the latest event
-// group's window machinery examined (or, after InitDest, the from-scratch
-// convergence's) — the work counter that pins ApplyEvent's cost to the
-// event's churn rather than to the size of the graph. A from-scratch
-// convergence, which settles its leaves after the loop (settleLeaves),
-// counts the entries it reaches and each settled leaf's row once per
-// plane; testing a leaf entry's liveness visits nothing, like anyLive.
-func (st *State) Visited() int64 { return st.visited }
-
-// DenseWindows returns how many of the latest event group's three plane
-// windows ran dense (re-root or touched-list overflow; after InitDest,
-// the from-scratch convergence's, all of them).
-func (st *State) DenseWindows() int { return st.denseWindows }
 
 // reset returns the state to pristine for a new destination shard.
 func (st *State) reset(dest topology.ASN) {
@@ -1672,8 +1650,8 @@ func (e *Engine) ConvergeDest(st *State, dest topology.ASN, groups [][]scenario.
 	return out, err
 }
 
-// mraiRounds normalizes Params.MRAIRounds for the converge loop (NoMRAI
-// becomes 0: no pacing).
+// mraiRounds normalizes Params.MRAIRounds for the converge loop (a
+// negative value becomes 0: no pacing).
 func mraiRounds(params Params) int32 {
 	mrai := int32(params.MRAIRounds)
 	if mrai < 0 {

@@ -12,7 +12,7 @@
 // models many destinations at routing-round granularity with slab
 // state. DESIGN.md ("the atlas subsystem") states the abstraction and
 // the determinism argument; the fixpoint is pinned against
-// topology.StaticRoutes and a capped-N live-emulation fixture.
+// testkit.StaticRoutes and a capped-N live-emulation fixture.
 package atlas
 
 import (
@@ -64,11 +64,6 @@ func (g *Graph) EdgeCount() int { return len(g.nbr) / 2 }
 // aliases the CSR arrays and must not be modified.
 func (g *Graph) Providers(a topology.ASN) []topology.ASN {
 	return g.nbr[g.off[a]:g.provEnd[a]]
-}
-
-// Peers returns the peers of a, sorted ascending.
-func (g *Graph) Peers(a topology.ASN) []topology.ASN {
-	return g.nbr[g.provEnd[a]:g.peerEnd[a]]
 }
 
 // Customers returns the customers of a, sorted ascending.

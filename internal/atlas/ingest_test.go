@@ -89,7 +89,7 @@ func TestIngestGzip(t *testing.T) {
 	}
 }
 
-// TestIngestRoundTripGenerated: WriteASRel → Ingest reproduces a
+// TestIngestRoundTripGenerated: WriteASRelMapped → Ingest reproduces a
 // generated topology exactly (via the CSR conversion as reference).
 func TestIngestRoundTripGenerated(t *testing.T) {
 	tg, err := topology.GenerateDefault(300, 5)
@@ -97,7 +97,7 @@ func TestIngestRoundTripGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := topology.WriteASRel(&buf, tg); err != nil {
+	if err := topology.WriteASRelMapped(&buf, tg, func(a topology.ASN) int64 { return int64(a) }); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Ingest(&buf)
@@ -112,7 +112,7 @@ func TestIngestRoundTripGenerated(t *testing.T) {
 		t.Fatalf("size mismatch: %d/%d vs %d/%d", got.Len(), got.EdgeCount(), want.Len(), want.EdgeCount())
 	}
 	mustReverseIndex(t, got)
-	// WriteASRel emits graph-internal ASNs, and Ingest renumbers in
+	// The identity map emits graph-internal ASNs, and Ingest renumbers in
 	// first-seen order; relationships must agree under that mapping.
 	for a := 0; a < want.Len(); a++ {
 		v := topology.ASN(a)

@@ -182,3 +182,8 @@ func TestSnapshotRoutes(t *testing.T) {
 		}
 	}
 }
+
+// DenseWindows returns how many of the latest event group's three plane
+// windows ran dense (re-root or touched-list overflow; after InitDest,
+// the from-scratch convergence's, all of them).
+func (st *State) DenseWindows() int { return st.denseWindows }

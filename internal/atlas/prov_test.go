@@ -40,7 +40,7 @@ func expectedRoute(g *Graph, sv StateView, p int, a int32) (int8, int32, int32) 
 // one (event, plane, round) the engine appends in an order that is
 // deterministic but unspecified; no query reads it, since an AS has at
 // most one entry there (checkJournalReplaysToRoutes) and Latest, Chain
-// and EventDiff read only per-AS history.
+// and the per-event diff read only per-AS history.
 func canonicalJournal(j *prov.Journal) []prov.Entry {
 	es := j.Tail(j.Len())
 	for i := range es {
@@ -104,8 +104,8 @@ func checkJournalReplaysToRoutes(t *testing.T, label string, g *Graph, j *prov.J
 		if e.NewKind == e.PrevKind && e.NewDist == e.PrevDist && e.NewNext == e.PrevNext {
 			t.Fatalf("%s: %s@%d seq %d: no-op entry %+v", label, PlaneName(int(e.Plane)), e.AS, e.Seq, e)
 		}
-		if e.Cause == prov.CauseNone {
-			t.Fatalf("%s: seq %d carries CauseNone", label, e.Seq)
+		if e.Cause == 0 {
+			t.Fatalf("%s: seq %d carries the zero Cause", label, e.Seq)
 		}
 		latest[k] = e
 	}
@@ -237,8 +237,20 @@ func TestWhyChainReplaysToRoutes(t *testing.T) {
 	}
 }
 
-// TestEventDiffMatchesEventCost pins the diff API against the engine's
-// own churn accounting: for non-reroot events the journal's distinct
+// eventChanged counts the distinct (plane, AS) pairs the journal retains
+// entries for in one event: the journal-side view of EventCost.Changed.
+func eventChanged(j *prov.Journal, event uint64) int {
+	changed := map[[2]int32]bool{}
+	for _, e := range j.Tail(j.Len()) {
+		if e.Event == event {
+			changed[[2]int32{int32(e.Plane), e.AS}] = true
+		}
+	}
+	return len(changed)
+}
+
+// TestEventDiffMatchesEventCost pins the journal's per-event diff against
+// the engine's own churn accounting: for non-reroot events the journal's distinct
 // (plane, AS) count IS EventCost.Changed; reroot windows additionally
 // journal the wholesale clears the engine's counter never sees, so
 // there the journal dominates.
@@ -263,7 +275,7 @@ func TestEventDiffMatchesEventCost(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				changed := j.EventChanged(j.Event())
+				changed := eventChanged(j, j.Event())
 				if cost.Reroot {
 					if int64(changed) < cost.Changed {
 						t.Fatalf("%v (reroot): journal %d distinct changes < engine %d", ev, changed, cost.Changed)

@@ -330,3 +330,6 @@ func TestRoundGuardDropsWindow(t *testing.T) {
 		t.Fatalf("InitDest left %d idle windows, want 1", n)
 	}
 }
+
+// Graph returns the engine's topology.
+func (e *Engine) Graph() *Graph { return e.g }

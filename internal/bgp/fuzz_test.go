@@ -147,3 +147,11 @@ func TestSpeakerFuzzDeliverySequence(t *testing.T) {
 		}
 	}
 }
+
+// RibIn returns the route learned from one neighbor (nil if none).
+func (s *Speaker) RibIn(nbr topology.ASN) *Route {
+	if p := s.peerOf(nbr); p != nil {
+		return p.ribIn
+	}
+	return nil
+}

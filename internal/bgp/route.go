@@ -25,14 +25,6 @@ const (
 	ColorBlue
 )
 
-// Other returns the opposite color.
-func (c Color) Other() Color {
-	if c == ColorRed {
-		return ColorBlue
-	}
-	return ColorRed
-}
-
 // String returns "red" or "blue".
 func (c Color) String() string {
 	if c == ColorRed {

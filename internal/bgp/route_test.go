@@ -9,9 +9,6 @@ import (
 )
 
 func TestColorOther(t *testing.T) {
-	if ColorRed.Other() != ColorBlue || ColorBlue.Other() != ColorRed {
-		t.Error("Other() broken")
-	}
 	if ColorRed.String() != "red" || ColorBlue.String() != "blue" {
 		t.Error("String() broken")
 	}

@@ -142,14 +142,6 @@ func (s *Speaker) BestPath() (path []topology.ASN, ok bool) {
 	return append([]topology.ASN(nil), s.best.Path...), true
 }
 
-// RibIn returns the route learned from one neighbor (nil if none).
-func (s *Speaker) RibIn(nbr topology.ASN) *Route {
-	if p := s.peerOf(nbr); p != nil {
-		return p.ribIn
-	}
-	return nil
-}
-
 // RibInAll iterates over all Adj-RIB-In entries, in neighbor order.
 func (s *Speaker) RibInAll(f func(nbr topology.ASN, r *Route)) {
 	for i := range s.peers {
@@ -252,17 +244,10 @@ func (s *Speaker) Neighbors() []topology.ASN { return s.nbrs }
 // the speaker.
 func (s *Speaker) NeighborRel(i int) topology.Rel { return s.peers[i].rel }
 
-// SetDesired records what should be advertised to nbr and pumps the
-// output machinery (immediately for withdrawals, MRAI-paced for
-// announcements). o.Route is sent as is and must not be modified
-// afterwards; one route may be desired for several neighbors.
-func (s *Speaker) SetDesired(nbr topology.ASN, o Out) {
-	if i := s.index(nbr); i >= 0 {
-		s.SetDesiredAt(i, o)
-	}
-}
-
-// SetDesiredAt is SetDesired for the i-th neighbor, without the search.
+// SetDesiredAt records what should be advertised to the i-th neighbor
+// and pumps the output machinery (immediately for withdrawals,
+// MRAI-paced for announcements). o.Route is sent as is and must not be
+// modified afterwards; one route may be desired for several neighbors.
 func (s *Speaker) SetDesiredAt(i int, o Out) {
 	p := &s.peers[i]
 	p.desired = o

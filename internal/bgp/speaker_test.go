@@ -239,3 +239,10 @@ func TestSpeakerOnBestChangeLossFlag(t *testing.T) {
 		}
 	}
 }
+
+// SetDesired is SetDesiredAt addressed by neighbor ASN.
+func (s *Speaker) SetDesired(nbr topology.ASN, o Out) {
+	if i := s.index(nbr); i >= 0 {
+		s.SetDesiredAt(i, o)
+	}
+}

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"stamp/internal/atlas"
-	"stamp/internal/emu"
+	"stamp/internal/netd"
 	"stamp/internal/obs"
 	"stamp/internal/scenario"
 	"stamp/internal/serve"
@@ -17,9 +17,9 @@ import (
 )
 
 // TestMetricCatalogue: every metric family a process of this repository
-// can expose — a booted serve.Server's, plus the emu fleet's (which
-// carries the netd families) and the daemon's — appears under its full
-// name in a row of DESIGN.md's metric catalogue.
+// can expose — a booted serve.Server's, and the daemon's netd families
+// registered as `stamp daemon` does — appears under its full name in a
+// row of DESIGN.md's metric catalogue.
 func TestMetricCatalogue(t *testing.T) {
 	tg, err := topology.GenerateDefault(200, 42)
 	if err != nil {
@@ -34,7 +34,7 @@ func TestMetricCatalogue(t *testing.T) {
 		Interval: time.Millisecond, Registry: reg}); err != nil {
 		t.Fatal(err)
 	}
-	emu.NewMetrics(reg)
+	netd.NewMetrics(reg)
 	daemonRouteChanges(reg)
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {

@@ -69,19 +69,6 @@ func FirstBluePicker() BluePicker {
 	}
 }
 
-// FixedBluePicker always prefers the given provider when it is a valid
-// candidate (used for intelligent selection and in tests).
-func FixedBluePicker(preferred topology.ASN) BluePicker {
-	return func(rng *rand.Rand, candidates []topology.ASN) topology.ASN {
-		for _, c := range candidates {
-			if c == preferred {
-				return c
-			}
-		}
-		return candidates[rng.Intn(len(candidates))]
-	}
-}
-
 // Node is one STAMP-speaking AS: red and blue processes plus the selective
 // announcement coordinator. It implements sim.Node.
 type Node struct {
@@ -397,10 +384,6 @@ func (n *Node) setDesiredLateral(adv *adverts, sp *bgp.Speaker, i int, r *bgp.Ro
 	}
 	sp.SetDesiredAt(i, bgp.Out{Route: adv.of(n.Self, sp, r, false), Loss: loss})
 }
-
-// LockedProvider exposes the current sticky locked blue provider (-1 when
-// unset), for tests and analysis.
-func (n *Node) LockedProvider() topology.ASN { return n.lockedProvider }
 
 // NextHop returns the forwarding next hop of the given color, honoring
 // link state. Origin nodes return themselves.

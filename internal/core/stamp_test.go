@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"stamp/internal/bgp"
 	"stamp/internal/sim"
+	"stamp/internal/testkit"
 	"stamp/internal/topology"
 )
 
@@ -127,7 +129,7 @@ func TestDownhillDisjointInRig(t *testing.T) {
 	}
 	rp := append([]topology.ASN{6}, red.Path...)
 	bp := append([]topology.ASN{6}, blue.Path...)
-	ok, err := topology.DownhillDisjoint(r.g, rp, bp)
+	ok, err := testkit.DownhillDisjoint(r.g, rp, bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +249,39 @@ func TestStampIgnoresForeignPayloads(t *testing.T) {
 	r.converge(t)
 	// Unknown payloads and failover messages must be ignored without
 	// disturbing the RIB.
-	before := r.nodes[6].Red.RibIn(4)
+	before := ribIn(r.nodes[6].Red, 4)
 	r.nodes[6].Recv(4, "garbage")
 	r.nodes[6].Recv(4, bgp.Msg{Failover: true, Route: &bgp.Route{Path: []topology.ASN{4, 9}}})
-	after := r.nodes[6].Red.RibIn(4)
+	after := ribIn(r.nodes[6].Red, 4)
 	if before != after {
 		t.Error("foreign payload disturbed the RIB")
 	}
 }
+
+// FixedBluePicker always prefers the given provider when it is a valid
+// candidate (used for intelligent selection and in tests).
+func FixedBluePicker(preferred topology.ASN) BluePicker {
+	return func(rng *rand.Rand, candidates []topology.ASN) topology.ASN {
+		for _, c := range candidates {
+			if c == preferred {
+				return c
+			}
+		}
+		return candidates[rng.Intn(len(candidates))]
+	}
+}
+
+// ribIn returns the route sp learned from nbr (nil if none).
+func ribIn(sp *bgp.Speaker, nbr topology.ASN) *bgp.Route {
+	var got *bgp.Route
+	sp.RibInAll(func(from topology.ASN, r *bgp.Route) {
+		if from == nbr {
+			got = r
+		}
+	})
+	return got
+}
+
+// LockedProvider returns the current sticky locked blue provider (-1 when
+// unset).
+func (n *Node) LockedProvider() topology.ASN { return n.lockedProvider }

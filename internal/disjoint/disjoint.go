@@ -124,8 +124,8 @@ func DefaultPhiOpts() PhiOpts { return PhiOpts{ExactLimit: 128, Samples: 48, See
 
 // Phi estimates Φm for a multi-homed AS m: the probability, over a
 // uniformly random choice of locked blue path, that a disjoint red path
-// to another tier-1 exists. For single-homed ASes use PhiAll, which maps
-// them to their first multi-homed ancestor.
+// to another tier-1 exists. A single-homed AS takes the Φ of its first
+// multi-homed ancestor (Anchors).
 func Phi(g *topology.Graph, counts []float64, m topology.ASN, opts PhiOpts, rng *rand.Rand) float64 {
 	if g.IsTier1(m) {
 		return 1
@@ -176,8 +176,8 @@ func enumerateUphill(g *topology.Graph, v topology.ASN, f func([]topology.ASN)) 
 // (footnote 4), and -1 for tier-1 and ancestor-less ASes, which score
 // Φ = 1 because all events above them are uphill events, harmless per
 // Lemma 3.2. The distinct anchors are returned in ascending order — the
-// enumerable, independently computable units behind PhiAll and the
-// sharded Figure 1 harness.
+// enumerable, independently computable units the sharded Figure 1
+// harness estimates.
 func Anchors(g *topology.Graph) (anchorOf []topology.ASN, anchors []topology.ASN) {
 	n := g.Len()
 	anchorOf = make([]topology.ASN, n)
@@ -207,8 +207,8 @@ func Anchors(g *topology.Graph) (anchorOf []topology.ASN, anchors []topology.ASN
 const phiStream int64 = 101
 
 // AnchorSeed returns the RNG seed for estimating anchor m's Φ, derived
-// from PhiOpts.Seed. Every Φ entry point — PhiAll here, the sharded
-// Figure 1 harness in internal/lab — must draw anchor m's
+// from PhiOpts.Seed. Every Φ entry point — the sharded Figure 1 harness
+// in internal/lab, testkit.PhiAll's serial reference — must draw anchor m's
 // samples from this seed, so the same PhiOpts yield the same Φ values
 // regardless of entry point, evaluation order, or worker count.
 func AnchorSeed(opts PhiOpts, m topology.ASN) int64 {
@@ -227,18 +227,6 @@ func AssemblePhi(anchorOf []topology.ASN, phiOf map[topology.ASN]float64) []floa
 		phi[a] = phiOf[m]
 	}
 	return phi
-}
-
-// PhiAll computes Φ for every AS as destination, per the Anchors mapping,
-// with each anchor sampled from its AnchorSeed.
-func PhiAll(g *topology.Graph, opts PhiOpts) []float64 {
-	counts := UphillCounts(g)
-	anchorOf, anchors := Anchors(g)
-	phiOf := make(map[topology.ASN]float64, len(anchors))
-	for _, m := range anchors {
-		phiOf[m] = Phi(g, counts, m, opts, rand.New(rand.NewSource(AnchorSeed(opts, m))))
-	}
-	return AssemblePhi(anchorOf, phiOf)
 }
 
 // PhiIntelligent estimates Φ for destination m when the origin selects its
@@ -285,13 +273,4 @@ func PhiIntelligent(g *topology.Graph, counts []float64, m topology.ASN, opts Ph
 		return 0, -1
 	}
 	return bestVal, bestProv
-}
-
-// BestBlueProvider returns the intelligent locked-blue-provider choice for
-// m, for wiring into the simulator's origin nodes.
-func BestBlueProvider(g *topology.Graph, m topology.ASN, opts PhiOpts) topology.ASN {
-	counts := UphillCounts(g)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	_, b := PhiIntelligent(g, counts, m, opts, rng)
-	return b
 }

@@ -115,40 +115,6 @@ func TestPhiExact(t *testing.T) {
 	}
 }
 
-func TestPhiSingleHomedChain(t *testing.T) {
-	// 3 -> 2 -> {0, 1}: single-homed 3 maps to multihomed ancestor 2.
-	g := topology.NewGraph(4)
-	mustP := func(c, p topology.ASN) {
-		t.Helper()
-		if err := g.AddProviderLink(c, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustP(2, 0)
-	mustP(2, 1)
-	mustP(3, 2)
-	phi := PhiAll(g, DefaultPhiOpts())
-	if phi[3] != phi[2] {
-		t.Errorf("phi[3] = %v != phi[2] = %v (footnote 4 mapping)", phi[3], phi[2])
-	}
-	if phi[2] != 1.0 {
-		t.Errorf("phi[2] = %v, want 1.0 (two disjoint tier-1 paths)", phi[2])
-	}
-}
-
-func TestPhiAllInRange(t *testing.T) {
-	g, err := topology.GenerateDefault(500, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi := PhiAll(g, DefaultPhiOpts())
-	for v, p := range phi {
-		if p < 0 || p > 1 {
-			t.Fatalf("phi[%d] = %v out of range", v, p)
-		}
-	}
-}
-
 func TestPhiIntelligentAtLeastRandom(t *testing.T) {
 	g, err := topology.GenerateDefault(600, 19)
 	if err != nil {
@@ -256,4 +222,13 @@ func TestPartialDeploymentBounds(t *testing.T) {
 		t.Errorf("partial deployment fraction = %v, want in (0,1)", frac)
 	}
 	t.Logf("tier-1-only deployment protects %.1f%% of ASes", 100*frac)
+}
+
+// BestBlueProvider returns the intelligent locked-blue-provider choice for
+// m, for wiring into the simulator's origin nodes.
+func BestBlueProvider(g *topology.Graph, m topology.ASN, opts PhiOpts) topology.ASN {
+	counts := UphillCounts(g)
+	rng := rand.New(rand.NewSource(opts.Seed))
+	_, b := PhiIntelligent(g, counts, m, opts, rng)
+	return b
 }

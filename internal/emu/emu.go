@@ -38,9 +38,6 @@ type Options struct {
 	Workers int
 	// ConvergeTimeout bounds one WaitConverged call (default 120 s).
 	ConvergeTimeout time.Duration
-	// Metrics, when non-nil, streams fleet activity (sessions up, UPDATE
-	// volume, in-flight) into an obs registry.
-	Metrics *Metrics
 }
 
 const (
@@ -289,7 +286,6 @@ func (f *Fabric) done(n int64, dropped bool) {
 		f.account(&f.processed, n)
 		return
 	}
-	f.opts.Metrics.dropped(n)
 	f.account(&f.dropped, n)
 }
 
@@ -305,7 +301,6 @@ func (f *Fabric) account(c *int64, n int64) {
 	if left == 0 {
 		f.quietAt = time.Now()
 	}
-	f.opts.Metrics.inFlight(left)
 	f.flightMu.Unlock()
 }
 
@@ -425,7 +420,6 @@ func (f *Fabric) mkEndpoint(r *router, nbr topology.ASN, color bgp.Color, conn n
 		RouterID:      uint32(r.as) + 1,
 		Color:         byte(color),
 		HoldTime:      holdTime,
-		Metrics:       f.opts.Metrics.wire(),
 		OnEstablished: func(*netd.Session) { close(ep.est) },
 		OnUpdate:      func(_ *netd.Session, u *wire.Update) { f.inbound(ep, u) },
 	}, conn)
@@ -467,7 +461,6 @@ func (f *Fabric) runWriter(ep *endpoint) {
 		}
 		ep.written++
 		f.updatesSent.Add(1)
-		f.opts.Metrics.sent()
 	}
 }
 

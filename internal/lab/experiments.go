@@ -346,7 +346,7 @@ type Figure1Result struct {
 // (footnote 4 of the paper; see disjoint.Anchors). Anchors are
 // independent, so they are the enumerable unit the runner shards; each
 // anchor's sampling RNG is seeded from disjoint.AnchorSeed — the same
-// derivation disjoint.PhiAll uses — making the CDF independent of entry
+// derivation testkit.PhiAll's serial reference uses — making the CDF independent of entry
 // point, worker count, and chunking.
 
 // anchorChunk is how many anchors one runner shard estimates. It is a

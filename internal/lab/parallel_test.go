@@ -11,6 +11,7 @@ import (
 	"stamp/internal/runner"
 	"stamp/internal/scenario"
 	"stamp/internal/sim"
+	"stamp/internal/testkit"
 	"stamp/internal/traffic"
 )
 
@@ -110,7 +111,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 func TestFigure1MatchesPhiAll(t *testing.T) {
 	g := smokeGraph(t, 250, 9)
 	opts := disjoint.DefaultPhiOpts()
-	serial := metrics.NewCDF(disjoint.PhiAll(g, opts))
+	serial := metrics.NewCDF(testkit.PhiAll(g, opts))
 	sharded := runData[*Figure1Result](t, Request{Experiment: "figure1", Topo: TopoSpec{N: 250, Seed: 9}})
 	if serial.Len() != sharded.CDF.Len() {
 		t.Fatalf("sample counts differ: %d vs %d", serial.Len(), sharded.CDF.Len())

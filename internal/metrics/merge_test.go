@@ -201,3 +201,55 @@ func TestCDFMarshalJSON(t *testing.T) {
 		t.Fatalf("unexpected JSON payload: %s", raw)
 	}
 }
+
+// Buckets returns (upperBound, count) pairs including the overflow bucket
+// as (+Inf, count).
+func (h *Histogram) Buckets() [][2]float64 {
+	out := make([][2]float64, 0, len(h.counts))
+	for i, c := range h.counts {
+		ub := math.Inf(1)
+		if i < len(h.bounds) {
+			ub = h.bounds[i]
+		}
+		out = append(out, [2]float64{ub, float64(c)})
+	}
+	return out
+}
+
+// FracLE returns the fraction of observations in buckets whose upper
+// bound is <= x (0 when empty).
+func (h *Histogram) FracLE(x float64) float64 {
+	if h.total == 0 {
+		return 0
+	}
+	var n int64
+	for i, b := range h.bounds {
+		if b > x {
+			break
+		}
+		n += h.counts[i]
+	}
+	return float64(n) / float64(h.total)
+}
+
+// Merge absorbs another CDF's samples, preserving sorted order. The
+// result equals NewCDF over the concatenated sample sets.
+func (c *CDF) Merge(o *CDF) {
+	if o == nil || len(o.sorted) == 0 {
+		return
+	}
+	merged := make([]float64, 0, len(c.sorted)+len(o.sorted))
+	i, j := 0, 0
+	for i < len(c.sorted) && j < len(o.sorted) {
+		if c.sorted[i] <= o.sorted[j] {
+			merged = append(merged, c.sorted[i])
+			i++
+		} else {
+			merged = append(merged, o.sorted[j])
+			j++
+		}
+	}
+	merged = append(merged, c.sorted[i:]...)
+	merged = append(merged, o.sorted[j:]...)
+	c.sorted = merged
+}

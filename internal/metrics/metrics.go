@@ -92,20 +92,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Stddev returns the sample standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
 // Table renders rows of cells in aligned fixed-width columns.
 type Table struct {
 	header []string
@@ -121,11 +107,6 @@ func (t *Table) AddRow(cells ...string) {
 		cells = cells[:len(t.header)]
 	}
 	t.rows = append(t.rows, cells)
-}
-
-// AddRowf appends a row built from formatted values.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
 }
 
 // Render writes the aligned table to w.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -139,4 +140,23 @@ func TestTableRender(t *testing.T) {
 	if !strings.Contains(lines[4], "33") {
 		t.Errorf("AddRowf row missing: %q", lines[4])
 	}
+}
+
+// Stddev returns the sample standard deviation of xs.
+func Stddev(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	ss := 0.0
+	for _, x := range xs {
+		d := x - m
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(xs)-1))
+}
+
+// AddRowf appends a row built from formatted values.
+func (t *Table) AddRowf(format string, args ...any) {
+	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
 }

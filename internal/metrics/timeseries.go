@@ -71,15 +71,6 @@ func (ts *TimeSeries) Sum(i int) float64 { return ts.sums[i] }
 // Count returns bucket i's observation count.
 func (ts *TimeSeries) Count(i int) int64 { return ts.counts[i] }
 
-// Mean returns bucket i's mean observation (NaN when the bucket is
-// empty).
-func (ts *TimeSeries) Mean(i int) float64 {
-	if ts.counts[i] == 0 {
-		return math.NaN()
-	}
-	return ts.sums[i] / float64(ts.counts[i])
-}
-
 // Total returns the sum over all buckets.
 func (ts *TimeSeries) Total() float64 {
 	t := 0.0
@@ -87,15 +78,6 @@ func (ts *TimeSeries) Total() float64 {
 		t += s
 	}
 	return t
-}
-
-// TotalCount returns the observation count over all buckets.
-func (ts *TimeSeries) TotalCount() int64 {
-	var n int64
-	for _, c := range ts.counts {
-		n += c
-	}
-	return n
 }
 
 // PeakBucket returns the index of the bucket with the largest sum (ties

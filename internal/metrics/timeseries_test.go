@@ -163,3 +163,21 @@ func TestTimeSeriesJSON(t *testing.T) {
 		t.Errorf("JSON = %s, want %s", got, want)
 	}
 }
+
+// TotalCount returns the observation count over all buckets.
+func (ts *TimeSeries) TotalCount() int64 {
+	var n int64
+	for _, c := range ts.counts {
+		n += c
+	}
+	return n
+}
+
+// Mean returns bucket i's mean observation (NaN when the bucket is
+// empty).
+func (ts *TimeSeries) Mean(i int) float64 {
+	if ts.counts[i] == 0 {
+		return math.NaN()
+	}
+	return ts.sums[i] / float64(ts.counts[i])
+}

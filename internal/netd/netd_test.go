@@ -1,6 +1,7 @@
 package netd
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -233,4 +234,20 @@ func TestSpeakerWithdrawOnSessionLoss(t *testing.T) {
 	if b.Best(pfx) != nil {
 		t.Error("route survived session loss")
 	}
+}
+
+// WaitEstablished blocks until a session with peerAS is up or the timeout
+// expires.
+func (sp *Speaker) WaitEstablished(peerAS uint16, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		sp.mu.Lock()
+		_, ok := sp.peers[peerAS]
+		sp.mu.Unlock()
+		if ok {
+			return nil
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return fmt.Errorf("netd: no established session with AS%d after %v", peerAS, timeout)
 }

@@ -121,9 +121,6 @@ func (s *Session) Peer() *wire.Open {
 	return s.peer
 }
 
-// Color returns the session's STAMP color byte.
-func (s *Session) Color() byte { return s.cfg.Color }
-
 // Done is closed when the session terminates.
 func (s *Session) Done() <-chan struct{} { return s.done }
 

@@ -249,22 +249,6 @@ func (sp *Speaker) Close() {
 	sp.wg.Wait()
 }
 
-// WaitEstablished blocks until a session with peerAS is up or the timeout
-// expires.
-func (sp *Speaker) WaitEstablished(peerAS uint16, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		sp.mu.Lock()
-		_, ok := sp.peers[peerAS]
-		sp.mu.Unlock()
-		if ok {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("netd: no established session with AS%d after %v", peerAS, timeout)
-}
-
 // Originate announces a locally owned prefix. For the blue process,
 // lockProvider names the provider AS that receives the locked
 // announcement (STAMP's selective announcement); zero means no lock

@@ -62,15 +62,6 @@ func (l *EventLog) LastSeq() uint64 {
 	return l.ring.Last()
 }
 
-// OldestSeq returns the sequence number of the oldest event still
-// retained in the ring (0 if empty) — what a resuming streamer is
-// actually offered when its cursor has been evicted.
-func (l *EventLog) OldestSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ring.Oldest()
-}
-
 // Evicted returns how many events the ring has dropped — the gap
 // between what was ever appended and what a from-scratch reader can
 // still see. Exported as a gauge by serve so ring pressure is visible

@@ -92,42 +92,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
-// counts by linear interpolation inside the covering bucket — the same
-// estimate a Prometheus histogram_quantile() would produce. Returns 0
-// with no observations; values in the +Inf bucket clamp to the highest
-// finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	lower := 0.0
-	for i, ub := range h.bounds {
-		c := h.counts[i].Load()
-		if float64(cum)+float64(c) >= rank {
-			if c == 0 {
-				return ub
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			return lower + (ub-lower)*frac
-		}
-		cum += c
-		lower = ub
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // ExpBuckets returns n exponentially growing bucket bounds starting at
 // start and multiplying by factor.
@@ -364,28 +330,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 
 // With returns the child counter for the label values.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.with(values).counter }
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, kindGauge, labelNames, nil)}
-}
-
-// With returns the child gauge for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.with(values).gauge }
-
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labelNames ...string) *HistogramVec {
-	return &HistogramVec{r.register(name, help, kindHistogram, labelNames, bounds)}
-}
-
-// With returns the child histogram for the label values.
-func (v *HistogramVec) With(values ...string) *Histogram { return v.f.with(values).hist }
 
 // snapshotFamilies returns the families sorted by name and each family's
 // children sorted by label values — the stable exposition order.

@@ -261,7 +261,7 @@ func TestConcurrentMetricsAndScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("stamp_conc_total", "c")
 	h := r.Histogram("stamp_conc_hist", "h", RoundsBuckets())
-	v := r.GaugeVec("stamp_conc_gauge", "g", "shard")
+	v := r.CounterVec("stamp_conc_labeled_total", "l", "shard")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -277,7 +277,7 @@ func TestConcurrentMetricsAndScrape(t *testing.T) {
 				}
 				c.Inc()
 				h.Observe(float64(i % 64))
-				g.Set(int64(i))
+				g.Inc()
 			}
 		}(w)
 	}
@@ -488,4 +488,38 @@ func TestFormatFloat(t *testing.T) {
 	if got := formatFloat(0.25); got != "0.25" {
 		t.Errorf("formatFloat(0.25) = %q", got)
 	}
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.count.Load() }
+
+// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
+// counts by linear interpolation inside the covering bucket — the same
+// estimate a Prometheus histogram_quantile() would produce. Returns 0
+// with no observations; values in the +Inf bucket clamp to the highest
+// finite bound.
+func (h *Histogram) Quantile(q float64) float64 {
+	total := h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	var cum uint64
+	lower := 0.0
+	for i, ub := range h.bounds {
+		c := h.counts[i].Load()
+		if float64(cum)+float64(c) >= rank {
+			if c == 0 {
+				return ub
+			}
+			frac := (rank - float64(cum)) / float64(c)
+			return lower + (ub-lower)*frac
+		}
+		cum += c
+		lower = ub
+	}
+	if len(h.bounds) == 0 {
+		return 0
+	}
+	return h.bounds[len(h.bounds)-1]
 }

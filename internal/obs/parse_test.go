@@ -267,3 +267,12 @@ func TestRuntimeGCPausesObservedOnce(t *testing.T) {
 		t.Fatalf("GC cycles %v, %v but pauses observed %v, %v", g1-g0, g2-g1, p1-p0, p2-p1)
 	}
 }
+
+// OldestSeq returns the sequence number of the oldest event still
+// retained in the ring (0 if empty) — what a resuming streamer is
+// actually offered when its cursor has been evicted.
+func (l *EventLog) OldestSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return min(l.ring.Evicted()+1, l.ring.Last())
+}

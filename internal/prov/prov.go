@@ -36,8 +36,8 @@ import (
 type Cause uint8
 
 const (
-	// CauseNone is the zero value; no valid entry carries it.
-	CauseNone Cause = iota
+	// causeNone is the zero value; no valid entry carries it.
+	causeNone Cause = iota
 	// CauseSeedFrontier: the event's own seed frontier re-evaluated the
 	// AS in round 1 (the change is directly attributable to the event).
 	CauseSeedFrontier
@@ -188,14 +188,6 @@ func (j *Journal) Event() uint64 {
 	return j.event
 }
 
-// Cap returns the ring capacity.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return j.ring.Cap()
-}
-
 // Len returns the number of retained entries.
 func (j *Journal) Len() int {
 	if j == nil {
@@ -226,12 +218,4 @@ func (j *Journal) LastSeq() uint64 {
 		return 0
 	}
 	return j.ring.Last()
-}
-
-// OldestSeq returns the oldest retained Seq (0 when empty).
-func (j *Journal) OldestSeq() uint64 {
-	if j == nil {
-		return 0
-	}
-	return j.ring.Oldest()
 }

@@ -1,6 +1,9 @@
 package prov
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 // note is a test shorthand: record a change to (kind, dist, next) at
 // as, with prev taken from the journal's own latest entry so chains
@@ -235,7 +238,7 @@ func TestNoteDoesNotAllocate(t *testing.T) {
 
 func TestCauseString(t *testing.T) {
 	for c, want := range map[Cause]string{
-		CauseNone:           "none",
+		causeNone:           "none",
 		CauseSeedFrontier:   "seed-frontier",
 		CauseNeighborAdvert: "neighbor-advert",
 		CauseCascade:        "cascade-invalidation",
@@ -246,4 +249,61 @@ func TestCauseString(t *testing.T) {
 			t.Errorf("Cause(%d).String() = %q, want %q", uint8(c), got, want)
 		}
 	}
+}
+
+// OldestSeq returns the oldest retained Seq (0 when empty).
+func (j *Journal) OldestSeq() uint64 {
+	if j == nil {
+		return 0
+	}
+	return min(j.ring.Evicted()+1, j.ring.Last())
+}
+
+// Cap returns the ring capacity.
+func (j *Journal) Cap() int {
+	if j == nil {
+		return 0
+	}
+	return j.ring.Cap()
+}
+
+// EventChanged counts the distinct (plane, AS) pairs touched by one
+// event — the journal-side view of EventCost.Changed.
+func (j *Journal) EventChanged(event uint64) int {
+	return len(j.EventDiff(event))
+}
+
+// EventDiff summarizes which ASes changed during one event: the LAST
+// retained entry per (plane, AS) within that event, sorted by plane
+// then AS. An AS cleared by a cascade and re-learned in the same event
+// contributes its final entry only. Entries of the event that were
+// already evicted are silently absent; check Evicted() against the
+// event's seq range when completeness matters.
+func (j *Journal) EventDiff(event uint64) []Entry {
+	if j == nil || j.ring.Last() == 0 {
+		return nil
+	}
+	type key struct {
+		plane int8
+		as    int32
+	}
+	last := make(map[key]Entry)
+	for seq := j.OldestSeq(); seq <= j.ring.Last(); seq++ {
+		e := j.ring.Get(seq)
+		if e.Event != event {
+			continue
+		}
+		last[key{e.Plane, e.AS}] = *e
+	}
+	out := make([]Entry, 0, len(last))
+	for _, e := range last {
+		out = append(out, e)
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Plane != out[b].Plane {
+			return out[a].Plane < out[b].Plane
+		}
+		return out[a].AS < out[b].AS
+	})
+	return out
 }

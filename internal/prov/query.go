@@ -1,7 +1,5 @@
 package prov
 
-import "sort"
-
 // Tail returns the newest min(n, Len) entries in append order (oldest
 // of the tail first). Allocates the result; query path only.
 func (j *Journal) Tail(n int) []Entry {
@@ -60,45 +58,4 @@ func (j *Journal) Chain(plane int, as int32) (chain []Entry, truncated bool) {
 	// Latest entries pointed in a cycle — only reachable when eviction
 	// destroyed the invariant's history; report the walk as truncated.
 	return chain, true
-}
-
-// EventDiff summarizes which ASes changed during one event: the LAST
-// retained entry per (plane, AS) within that event, sorted by plane
-// then AS. An AS cleared by a cascade and re-learned in the same event
-// contributes its final entry only. Entries of the event that were
-// already evicted are silently absent; check Evicted() against the
-// event's seq range when completeness matters.
-func (j *Journal) EventDiff(event uint64) []Entry {
-	if j == nil || j.ring.Last() == 0 {
-		return nil
-	}
-	type key struct {
-		plane int8
-		as    int32
-	}
-	last := make(map[key]Entry)
-	for seq := j.ring.Oldest(); seq <= j.ring.Last(); seq++ {
-		e := j.ring.Get(seq)
-		if e.Event != event {
-			continue
-		}
-		last[key{e.Plane, e.AS}] = *e
-	}
-	out := make([]Entry, 0, len(last))
-	for _, e := range last {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Plane != out[b].Plane {
-			return out[a].Plane < out[b].Plane
-		}
-		return out[a].AS < out[b].AS
-	})
-	return out
-}
-
-// EventChanged counts the distinct (plane, AS) pairs touched by one
-// event — the journal-side view of EventCost.Changed.
-func (j *Journal) EventChanged(event uint64) int {
-	return len(j.EventDiff(event))
 }

@@ -390,7 +390,3 @@ func (n *Node) Deflect(prev topology.ASN) []topology.ASN {
 	}
 	return pick.Path
 }
-
-// FailoverIn exposes the received failover routes (for tests and
-// diagnostics).
-func (n *Node) FailoverIn() map[topology.ASN]*bgp.Route { return n.failoverIn }

@@ -223,3 +223,7 @@ func TestWithdrawOriginRBGP(t *testing.T) {
 		}
 	}
 }
+
+// FailoverIn exposes the received failover routes (for tests and
+// diagnostics).
+func (n *Node) FailoverIn() map[topology.ASN]*bgp.Route { return n.failoverIn }

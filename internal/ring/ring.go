@@ -37,9 +37,6 @@ func (r *Ring[T]) Last() uint64 { return r.last }
 // Evicted returns how many pushed entries are no longer retained.
 func (r *Ring[T]) Evicted() uint64 { return r.last - uint64(r.Len()) }
 
-// Oldest returns the oldest retained sequence number (0 when empty).
-func (r *Ring[T]) Oldest() uint64 { return min(r.Evicted()+1, r.last) }
-
 // Len returns the number of retained entries.
 func (r *Ring[T]) Len() int { return int(min(r.last, uint64(len(r.buf)))) }
 

@@ -103,3 +103,6 @@ func TestRingPushInPlace(t *testing.T) {
 		t.Fatalf("New(0).Cap() = %d, want 1", r.Cap())
 	}
 }
+
+// Oldest returns the oldest retained sequence number (0 when empty).
+func (r *Ring[T]) Oldest() uint64 { return min(r.Evicted()+1, r.last) }

@@ -36,10 +36,6 @@ type Trial struct {
 	Ctx context.Context
 }
 
-// Derive returns a sub-seed of the trial's seed for an independent random
-// stream (e.g. one per protocol under test within the same workload).
-func (t Trial) Derive(stream int64) int64 { return DeriveSeed(t.Seed, stream) }
-
 // Spec describes a sharded experiment: Trials independent units of work,
 // each produced by Run from nothing but its Trial identity.
 type Spec[T any] struct {

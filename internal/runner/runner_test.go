@@ -244,3 +244,7 @@ func TestTrialCtxDefaultsToBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Derive returns a sub-seed of the trial's seed for an independent random
+// stream (e.g. one per protocol under test within the same workload).
+func (t Trial) Derive(stream int64) int64 { return DeriveSeed(t.Seed, stream) }

@@ -144,21 +144,21 @@ func Apply(x Executor, e Event) error {
 		return x.FailNode(e.Node)
 	case OpWithdraw:
 		return x.Withdraw(e.Node)
-	case OpDegradeLink, OpGrayLink, OpClearLink:
-		q, ok := x.(QualityExecutor)
-		if !ok {
-			return nil // control-plane invisible: no-op for pure routing executors
-		}
-		switch e.Op {
-		case OpDegradeLink:
-			return q.DegradeLink(e.A, e.B, e.Mag)
-		case OpGrayLink:
-			return q.GrayLink(e.A, e.B, e.Mag)
-		default:
-			return q.ClearLink(e.A, e.B)
-		}
 	}
-	return fmt.Errorf("scenario: unknown op %v", e.Op)
+	if !e.Op.Quality() {
+		return fmt.Errorf("scenario: unknown op %v", e.Op)
+	}
+	q, ok := x.(QualityExecutor)
+	if !ok {
+		return nil // control-plane invisible: no-op for pure routing executors
+	}
+	switch e.Op {
+	case OpDegradeLink:
+		return q.DegradeLink(e.A, e.B, e.Mag)
+	case OpGrayLink:
+		return q.GrayLink(e.A, e.B, e.Mag)
+	}
+	return q.ClearLink(e.A, e.B)
 }
 
 // FromSet turns a picked failure set into a script: all failures injected

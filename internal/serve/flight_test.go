@@ -280,7 +280,7 @@ func TestSSEGapResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oldest := s.events.OldestSeq()
+	oldest := s.events.Evicted() + 1
 	last := s.events.LastSeq()
 	if oldest <= 2 {
 		t.Fatalf("ring did not wrap (oldest %d); need more events", oldest)

@@ -471,16 +471,6 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// WhyResponse is the GET /state/{dest}/{as}/why payload: the causal
-// provenance chains for one (destination, AS) pair at the current
-// epoch — every hop on the path from the asking AS to the origin, per
-// plane, rendered from its latest journal entry or, when the journal
-// retains none, as a held hop (atlas.State.Why).
-type WhyResponse struct {
-	Epoch uint64 `json:"epoch"`
-	*atlas.WhyReport
-}
-
 func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) error {
 	destASN, err := strconv.ParseInt(r.PathValue("dest"), 10, 64)
 	if err != nil {
@@ -523,9 +513,11 @@ func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// appendWhy appends a why-read payload (a WhyResponse), "epoch" first as
-// encoding/json writes the embedded report's fields after it. r.Chains
-// is never empty and no chain's Hops is nil (atlas.State.Why).
+// appendWhy appends a GET /state/{dest}/{as}/why payload: the causal
+// provenance chains for one (destination, AS) pair at the current epoch,
+// "epoch" first and the report's fields after it, as encoding/json
+// writes the tests' WhyResponse. r.Chains is never empty and no chain's
+// Hops is nil (atlas.State.Why).
 func appendWhy(b []byte, epoch uint64, r *atlas.WhyReport) []byte {
 	b = append(b, "{\n  \"epoch\": "...)
 	b = strconv.AppendUint(b, epoch, 10)

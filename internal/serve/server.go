@@ -358,10 +358,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Registry exposes the server's metric registry (for embedding the
-// shared mux elsewhere).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // EventLog exposes the server's structured event log.
 func (s *Server) EventLog() *obs.EventLog { return s.events }
 

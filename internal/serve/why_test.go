@@ -424,3 +424,13 @@ func TestWhyReadersBesideWriter(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// WhyResponse is the GET /state/{dest}/{as}/why payload: the causal
+// provenance chains for one (destination, AS) pair at the current
+// epoch — every hop on the path from the asking AS to the origin, per
+// plane, rendered from its latest journal entry or, when the journal
+// retains none, as a held hop (atlas.State.Why).
+type WhyResponse struct {
+	Epoch uint64 `json:"epoch"`
+	*atlas.WhyReport
+}

@@ -66,11 +66,6 @@ type Engine struct {
 	// engine drives at most one network.
 	net *Network
 
-	// PostEvent, when non-nil, runs after every executed event. The
-	// experiment drivers use it to observe the data plane between routing
-	// steps.
-	PostEvent func()
-
 	cancel context.Context
 }
 
@@ -139,9 +134,6 @@ func (e *Engine) exec(ev *event) {
 	} else {
 		e.net.deliver(ev.from, ev.to, ev.payload)
 	}
-	if e.PostEvent != nil {
-		e.PostEvent()
-	}
 }
 
 // Delay samples one message processing+transmission delay, uniform in
@@ -205,6 +197,3 @@ func (e *Engine) RunUntil(deadline time.Duration) (int, error) {
 	}
 	return e.count - start, nil
 }
-
-// Pending reports whether any events remain queued.
-func (e *Engine) Pending() bool { return len(e.events) > 0 }

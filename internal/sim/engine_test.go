@@ -145,20 +145,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEnginePostEvent(t *testing.T) {
-	e := NewEngine(DefaultParams(), 1)
-	posts := 0
-	e.PostEvent = func() { posts++ }
-	e.After(0, func() {})
-	e.After(0, func() {})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if posts != 2 {
-		t.Errorf("PostEvent ran %d times, want 2", posts)
-	}
-}
-
 // TestEngineCancel: an engine with a canceled context installed stops
 // mid-run with the context error instead of draining its queue.
 func TestEngineCancel(t *testing.T) {
@@ -184,3 +170,6 @@ func TestEngineCancel(t *testing.T) {
 		t.Errorf("engine executed %d events after cancellation", n-3*cancelCheckInterval)
 	}
 }
+
+// Pending reports whether any events remain queued.
+func (e *Engine) Pending() bool { return len(e.events) > 0 }

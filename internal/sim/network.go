@@ -183,12 +183,3 @@ func (n *Network) FailNode(a topology.ASN) {
 		}
 	}
 }
-
-// DownLinks returns the currently failed links.
-func (n *Network) DownLinks() []topology.Link {
-	var out []topology.Link
-	for k := range n.down {
-		out = append(out, topology.Link{A: k.a, B: k.b, Rel: n.G.Rel(k.a, k.b)})
-	}
-	return out
-}

@@ -239,3 +239,12 @@ func TestNetworkMsgHook(t *testing.T) {
 		t.Errorf("hook saw %d messages, want 2", count)
 	}
 }
+
+// DownLinks returns the currently failed links.
+func (n *Network) DownLinks() []topology.Link {
+	var out []topology.Link
+	for k := range n.down {
+		out = append(out, topology.Link{A: k.a, B: k.b, Rel: n.G.Rel(k.a, k.b)})
+	}
+	return out
+}

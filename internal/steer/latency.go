@@ -97,12 +97,6 @@ func jitter(seed int64, key uint64) float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
-// BaselineMs returns the link's undegraded latency (0 for links the
-// model does not know).
-func (m *Model) BaselineMs(a, b int32) float64 {
-	return float64(m.base[packLink(a, b)])
-}
-
 // LinkLatMs implements traffic.LinkCost: the baseline times any active
 // degradation multiplier.
 func (m *Model) LinkLatMs(a, b int32) float64 {
@@ -161,13 +155,3 @@ func (m *Model) ClearLink(a, b topology.ASN) error {
 	delete(m.gray, k)
 	return nil
 }
-
-// Reset clears all degradation state, returning every link to
-// baseline.
-func (m *Model) Reset() {
-	clear(m.mult)
-	clear(m.gray)
-}
-
-// Links returns the number of modeled links.
-func (m *Model) Links() int { return len(m.base) }

@@ -121,3 +121,19 @@ func TestModelQualityOps(t *testing.T) {
 		t.Fatal("clearing a nonexistent link did not error")
 	}
 }
+
+// BaselineMs returns the link's undegraded latency (0 for links the
+// model does not know).
+func (m *Model) BaselineMs(a, b int32) float64 {
+	return float64(m.base[packLink(a, b)])
+}
+
+// Links returns the number of modeled links.
+func (m *Model) Links() int { return len(m.base) }
+
+// Reset clears all degradation state, returning every link to
+// baseline.
+func (m *Model) Reset() {
+	clear(m.mult)
+	clear(m.gray)
+}

@@ -1,6 +1,15 @@
-package topology
+// Package testkit holds the test oracles that more than one package's
+// tests share: the Gao-Rexford fixpoint, valley-free and customer-cone
+// checks, link masking and the serial Φ computation. Only _test.go files
+// may import it, and the production build never links it (repo_test.go
+// enforces both).
+package testkit
 
-import "container/heap"
+import (
+	"container/heap"
+
+	"stamp/internal/topology"
+)
 
 // StaticRoutes computes the unique stable (Gao-Rexford) routing toward
 // dest under prefer-customer / valley-free policies with deterministic
@@ -10,10 +19,9 @@ import "container/heap"
 // dest (nil if unreachable; the destination itself gets an empty,
 // non-nil path).
 //
-// The event-driven simulator must converge to exactly this solution for
-// plain BGP — the equivalence is asserted by tests — and the experiment
-// harnesses use it for fast structural analyses.
-func StaticRoutes(g *Graph, dest ASN) [][]ASN {
+// The event-driven simulator and the atlas engine must converge to
+// exactly this solution for plain BGP; tests assert the equivalence.
+func StaticRoutes(g *topology.Graph, dest topology.ASN) [][]topology.ASN {
 	n := g.Len()
 	const inf = int32(1 << 30)
 
@@ -21,13 +29,13 @@ func StaticRoutes(g *Graph, dest ASN) [][]ASN {
 	// an AS has a customer route iff an uphill path dest→AS exists
 	// (reversed). BFS by levels with lowest-next-hop tie-break.
 	custDist := make([]int32, n)
-	custNext := make([]ASN, n)
+	custNext := make([]topology.ASN, n)
 	for i := range custDist {
 		custDist[i] = inf
 		custNext[i] = -1
 	}
 	custDist[dest] = 0
-	queue := []ASN{dest}
+	queue := []topology.ASN{dest}
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
@@ -45,13 +53,13 @@ func StaticRoutes(g *Graph, dest ASN) [][]ASN {
 
 	// Phase 2 — peer routes: one peer step onto a customer route.
 	peerDist := make([]int32, n)
-	peerNext := make([]ASN, n)
+	peerNext := make([]topology.ASN, n)
 	for i := range peerDist {
 		peerDist[i] = inf
 		peerNext[i] = -1
 	}
 	for v := 0; v < n; v++ {
-		for _, u := range g.Peers(ASN(v)) {
+		for _, u := range g.Peers(topology.ASN(v)) {
 			if custDist[u] == inf {
 				continue
 			}
@@ -67,7 +75,7 @@ func StaticRoutes(g *Graph, dest ASN) [][]ASN {
 	// of length).
 	type route struct {
 		dist int32
-		next ASN
+		next topology.ASN
 		kind int8 // 0 none, 1 customer, 2 peer, 3 provider
 	}
 	best := make([]route, n)
@@ -87,9 +95,9 @@ func StaticRoutes(g *Graph, dest ASN) [][]ASN {
 	pq := &provHeap{}
 	for v := 0; v < n; v++ {
 		if best[v].kind != 0 {
-			for _, c := range g.Customers(ASN(v)) {
+			for _, c := range g.Customers(topology.ASN(v)) {
 				if best[c].kind == 0 {
-					heap.Push(pq, provItem{dist: best[v].dist + 1, via: ASN(v), to: c})
+					heap.Push(pq, provItem{dist: best[v].dist + 1, via: topology.ASN(v), to: c})
 				}
 			}
 		}
@@ -109,10 +117,10 @@ func StaticRoutes(g *Graph, dest ASN) [][]ASN {
 	}
 
 	// Materialize paths by following next pointers.
-	out := make([][]ASN, n)
-	var build func(v ASN) []ASN
+	out := make([][]topology.ASN, n)
+	var build func(v topology.ASN) []topology.ASN
 	built := make([]bool, n)
-	build = func(v ASN) []ASN {
+	build = func(v topology.ASN) []topology.ASN {
 		if built[v] {
 			return out[v]
 		}
@@ -122,7 +130,7 @@ func StaticRoutes(g *Graph, dest ASN) [][]ASN {
 			return nil
 		}
 		if v == dest {
-			out[v] = []ASN{}
+			out[v] = []topology.ASN{}
 			return out[v]
 		}
 		rest := build(best[v].next)
@@ -130,14 +138,14 @@ func StaticRoutes(g *Graph, dest ASN) [][]ASN {
 			out[v] = nil
 			return nil
 		}
-		path := make([]ASN, 0, len(rest)+1)
+		path := make([]topology.ASN, 0, len(rest)+1)
 		path = append(path, best[v].next)
 		path = append(path, rest...)
 		out[v] = path
 		return path
 	}
 	for v := 0; v < n; v++ {
-		build(ASN(v))
+		build(topology.ASN(v))
 	}
 	return out
 }
@@ -146,8 +154,8 @@ func StaticRoutes(g *Graph, dest ASN) [][]ASN {
 // the given total length to its customer `to`.
 type provItem struct {
 	dist int32
-	via  ASN
-	to   ASN
+	via  topology.ASN
+	to   topology.ASN
 }
 
 type provHeap []provItem

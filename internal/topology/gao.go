@@ -202,40 +202,3 @@ func InferRelationships(paths [][]ASN, p GaoParams) []InferredRel {
 	}
 	return out
 }
-
-// InferenceAccuracy compares inferred relationships against the ground
-// truth graph and returns the fraction of links classified correctly,
-// counting only links present in both.
-func InferenceAccuracy(g *Graph, inferred []InferredRel) float64 {
-	if len(inferred) == 0 {
-		return 0
-	}
-	correct, total := 0, 0
-	for _, ir := range inferred {
-		truth := g.Rel(ir.A, ir.B)
-		if truth == RelNone {
-			continue
-		}
-		total++
-		switch ir.Rel {
-		case InferredAProviderOfB:
-			// truth is B's relation from A's perspective: if A is B's
-			// provider, then B is A's customer.
-			if truth == RelCustomer {
-				correct++
-			}
-		case InferredBProviderOfA:
-			if truth == RelProvider {
-				correct++
-			}
-		case InferredPeer:
-			if truth == RelPeer {
-				correct++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}

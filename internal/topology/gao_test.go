@@ -1,8 +1,15 @@
-package topology
+package topology_test
+
+// These tests use the shared oracles in testkit, which imports topology,
+// so they sit in the external test package; the dot import keeps the
+// package's own names unqualified.
 
 import (
 	"math/rand"
 	"testing"
+
+	"stamp/internal/testkit"
+	. "stamp/internal/topology"
 )
 
 // genPaths synthesizes observed AS paths from ground truth g by computing
@@ -13,7 +20,7 @@ func genPaths(g *Graph, dests int, seed int64) [][]ASN {
 	var paths [][]ASN
 	for i := 0; i < dests; i++ {
 		dest := ASN(rng.Intn(g.Len()))
-		routes := StaticRoutes(g, dest)
+		routes := testkit.StaticRoutes(g, dest)
 		for v := 0; v < g.Len(); v++ {
 			if len(routes[v]) == 0 {
 				continue
@@ -114,4 +121,41 @@ func TestGaoInferenceDeterministic(t *testing.T) {
 			t.Fatalf("non-deterministic at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// InferenceAccuracy compares inferred relationships against the ground
+// truth graph and returns the fraction of links classified correctly,
+// counting only links present in both.
+func InferenceAccuracy(g *Graph, inferred []InferredRel) float64 {
+	if len(inferred) == 0 {
+		return 0
+	}
+	correct, total := 0, 0
+	for _, ir := range inferred {
+		truth := g.Rel(ir.A, ir.B)
+		if truth == RelNone {
+			continue
+		}
+		total++
+		switch ir.Rel {
+		case InferredAProviderOfB:
+			// truth is B's relation from A's perspective: if A is B's
+			// provider, then B is A's customer.
+			if truth == RelCustomer {
+				correct++
+			}
+		case InferredBProviderOfA:
+			if truth == RelProvider {
+				correct++
+			}
+		case InferredPeer:
+			if truth == RelPeer {
+				correct++
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(correct) / float64(total)
 }

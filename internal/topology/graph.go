@@ -345,18 +345,6 @@ func (g *Graph) Tiers() []int {
 	return tier
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.n)
-	for a := 0; a < g.n; a++ {
-		src, dst := &g.adj[a], &c.adj[a]
-		dst.providers = append([]ASN(nil), src.providers...)
-		dst.customers = append([]ASN(nil), src.customers...)
-		dst.peers = append([]ASN(nil), src.peers...)
-	}
-	return c
-}
-
 // FirstMultihomedAncestor returns, for a single-homed AS s, the first
 // multi-homed AS on its provider chain (following the lowest-numbered
 // provider at each single-homed hop, which is deterministic). If s itself

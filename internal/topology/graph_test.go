@@ -167,20 +167,6 @@ func TestEdgeCountAndLinks(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := line(t, 5)
-	c := g.Clone()
-	if err := c.AddProviderLink(0, 4); err == nil {
-		// Creates a cycle in the clone only.
-		if c.Validate() == nil {
-			t.Error("clone validate should fail after adding cycle")
-		}
-	}
-	if err := g.Validate(); err != nil {
-		t.Errorf("original affected by clone mutation: %v", err)
-	}
-}
-
 func TestFirstMultihomedAncestor(t *testing.T) {
 	// 4 -> 3 -> {0, 1}; 2 -> 0. AS 4 single-homed, 3 multihomed.
 	g := NewGraph(5)

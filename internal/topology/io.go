@@ -18,14 +18,8 @@ import (
 //	<provider>|<customer>|-1
 //	<peer>|<peer>|0
 //
-// ASNs are renumbered densely on load; WriteASRel emits graph-internal
-// ASNs directly.
-
-// WriteASRel writes g in CAIDA AS-relationship format, emitting the
-// graph-internal ASNs directly.
-func WriteASRel(w io.Writer, g *Graph) error {
-	return WriteASRelMapped(w, g, func(a ASN) int64 { return int64(a) })
-}
+// ASNs are renumbered densely on load; WriteASRelMapped maps them back
+// to the originals on output.
 
 // WriteASRelMapped writes g with every ASN translated through orig.
 // Re-emitting a loaded snapshot should pass the inverse of ReadASRel's

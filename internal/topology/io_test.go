@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -214,4 +215,10 @@ func TestReadASRelEmpty(t *testing.T) {
 	if g.Len() != 0 {
 		t.Errorf("Len = %d, want 0", g.Len())
 	}
+}
+
+// WriteASRel writes g in CAIDA AS-relationship format, emitting the
+// graph-internal ASNs directly.
+func WriteASRel(w io.Writer, g *Graph) error {
+	return WriteASRelMapped(w, g, func(a ASN) int64 { return int64(a) })
 }

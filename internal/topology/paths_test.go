@@ -1,6 +1,15 @@
-package topology
+package topology_test
 
-import "testing"
+// These tests use the shared oracles in testkit, which imports topology,
+// so they sit in the external test package; the dot import keeps the
+// package's own names unqualified.
+
+import (
+	"testing"
+
+	"stamp/internal/testkit"
+	. "stamp/internal/topology"
+)
 
 // diamond builds:
 //
@@ -39,7 +48,7 @@ func TestSplitPathUpPeerDown(t *testing.T) {
 	g := diamond(t)
 	// 5 -> 2 -> 0 (peak) peer 1 -> 4: up, up, peer, down.
 	path := []ASN{5, 2, 0, 1, 4}
-	split, err := SplitPath(g, path)
+	split, err := testkit.SplitPath(g, path)
 	if err != nil {
 		t.Fatalf("SplitPath: %v", err)
 	}
@@ -57,7 +66,7 @@ func TestSplitPathUpPeerDown(t *testing.T) {
 func TestSplitPathPureUphill(t *testing.T) {
 	g := diamond(t)
 	path := []ASN{5, 3, 1}
-	split, err := SplitPath(g, path)
+	split, err := testkit.SplitPath(g, path)
 	if err != nil {
 		t.Fatalf("SplitPath: %v", err)
 	}
@@ -72,7 +81,7 @@ func TestSplitPathPureUphill(t *testing.T) {
 func TestSplitPathPureDownhill(t *testing.T) {
 	g := diamond(t)
 	path := []ASN{0, 3, 5}
-	split, err := SplitPath(g, path)
+	split, err := testkit.SplitPath(g, path)
 	if err != nil {
 		t.Fatalf("SplitPath: %v", err)
 	}
@@ -84,39 +93,29 @@ func TestSplitPathPureDownhill(t *testing.T) {
 func TestSplitPathRejectsValley(t *testing.T) {
 	g := diamond(t)
 	// 2 -> 5 (down) -> 3 (up): a valley.
-	if _, err := SplitPath(g, []ASN{2, 5, 3}); err == nil {
+	if _, err := testkit.SplitPath(g, []ASN{2, 5, 3}); err == nil {
 		t.Error("valley path accepted")
 	}
 	// Peer step after downhill: 0 -> 3 (down) ... no peer below; use
 	// 1 -> 3? 3 is customer of 1, then 3 -> 0 is uphill: also invalid.
-	if _, err := SplitPath(g, []ASN{1, 3, 0}); err == nil {
+	if _, err := testkit.SplitPath(g, []ASN{1, 3, 0}); err == nil {
 		t.Error("down-then-up path accepted")
 	}
 }
 
 func TestSplitPathRejectsNonWalk(t *testing.T) {
 	g := diamond(t)
-	if _, err := SplitPath(g, []ASN{5, 0}); err == nil {
+	if _, err := testkit.SplitPath(g, []ASN{5, 0}); err == nil {
 		t.Error("non-adjacent hop accepted")
 	}
-	if _, err := SplitPath(g, nil); err == nil {
+	if _, err := testkit.SplitPath(g, nil); err == nil {
 		t.Error("empty path accepted")
-	}
-}
-
-func TestPathValleyFree(t *testing.T) {
-	g := diamond(t)
-	if !PathValleyFree(g, []ASN{5, 2, 0, 1, 4}) {
-		t.Error("valid path rejected")
-	}
-	if PathValleyFree(g, []ASN{2, 5, 3}) {
-		t.Error("valley accepted")
 	}
 }
 
 func TestDownhillNodes(t *testing.T) {
 	g := diamond(t)
-	down, err := DownhillNodes(g, []ASN{5, 2, 0, 1, 4})
+	down, err := testkit.DownhillNodes(g, []ASN{5, 2, 0, 1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestDownhillDisjoint(t *testing.T) {
 	// Both paths end at 5: one descends via 2, the other via 4.
 	a := []ASN{0, 2, 5}
 	b := []ASN{1, 4, 5}
-	ok, err := DownhillDisjoint(g, a, b)
+	ok, err := testkit.DownhillDisjoint(g, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestDownhillDisjoint(t *testing.T) {
 	// Same intermediate node 3.
 	c := []ASN{0, 3, 5}
 	d := []ASN{1, 3, 5}
-	ok, err = DownhillDisjoint(g, c, d)
+	ok, err = testkit.DownhillDisjoint(g, c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +156,10 @@ func TestDownhillDisjoint(t *testing.T) {
 
 func TestDownhillDisjointErrors(t *testing.T) {
 	g := diamond(t)
-	if _, err := DownhillDisjoint(g, []ASN{0, 2, 5}, []ASN{1, 4}); err == nil {
+	if _, err := testkit.DownhillDisjoint(g, []ASN{0, 2, 5}, []ASN{1, 4}); err == nil {
 		t.Error("different destinations accepted")
 	}
-	if _, err := DownhillDisjoint(g, nil, []ASN{1, 4}); err == nil {
+	if _, err := testkit.DownhillDisjoint(g, nil, []ASN{1, 4}); err == nil {
 		t.Error("empty path accepted")
 	}
 }

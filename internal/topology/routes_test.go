@@ -1,10 +1,19 @@
-package topology
+package topology_test
 
-import "testing"
+// These tests use the shared oracles in testkit, which imports topology,
+// so they sit in the external test package; the dot import keeps the
+// package's own names unqualified.
+
+import (
+	"testing"
+
+	"stamp/internal/testkit"
+	. "stamp/internal/topology"
+)
 
 func TestStaticRoutesDiamond(t *testing.T) {
 	g := diamond(t)
-	routes := StaticRoutes(g, 5)
+	routes := testkit.StaticRoutes(g, 5)
 	// 2 reaches 5 directly (customer route), path [5].
 	if got := routes[2]; len(got) != 1 || got[0] != 5 {
 		t.Errorf("routes[2] = %v, want [5]", got)
@@ -41,7 +50,7 @@ func TestStaticRoutesPreferCustomer(t *testing.T) {
 	// [1 3] (len 2). Customer must win even at equal length; make the
 	// customer route longer to prove preference:
 	mustP(4, 2) // pad: nothing.
-	routes := StaticRoutes(g, 3)
+	routes := testkit.StaticRoutes(g, 3)
 	r0 := routes[0]
 	if len(r0) == 0 || r0[0] != 2 {
 		t.Errorf("routes[0] = %v, want customer route via 2", r0)
@@ -58,7 +67,7 @@ func TestStaticRoutesProviderFallback(t *testing.T) {
 	if err := g.AddProviderLink(2, 0); err != nil {
 		t.Fatal(err)
 	}
-	routes := StaticRoutes(g, 1)
+	routes := testkit.StaticRoutes(g, 1)
 	r2 := routes[2]
 	if len(r2) != 2 || r2[0] != 0 || r2[1] != 1 {
 		t.Errorf("routes[2] = %v, want [0 1]", r2)
@@ -71,7 +80,7 @@ func TestStaticRoutesValleyFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dest := range []ASN{3, 77, 310} {
-		routes := StaticRoutes(g, dest)
+		routes := testkit.StaticRoutes(g, dest)
 		for v := 0; v < g.Len(); v++ {
 			path := routes[v]
 			if path == nil {
@@ -82,7 +91,7 @@ func TestStaticRoutesValleyFree(t *testing.T) {
 				continue
 			}
 			full := append([]ASN{ASN(v)}, path...)
-			if !PathValleyFree(g, full) {
+			if !testkit.PathValleyFree(g, full) {
 				t.Errorf("dest %d: path %v from %d not valley-free", dest, full, v)
 			}
 			if full[len(full)-1] != dest {
@@ -97,7 +106,7 @@ func TestStaticRoutesLoopFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes := StaticRoutes(g, 42)
+	routes := testkit.StaticRoutes(g, 42)
 	for v := 0; v < g.Len(); v++ {
 		seen := map[ASN]bool{ASN(v): true}
 		for _, hop := range routes[v] {
@@ -106,5 +115,15 @@ func TestStaticRoutesLoopFree(t *testing.T) {
 			}
 			seen[hop] = true
 		}
+	}
+}
+
+func TestPathValleyFree(t *testing.T) {
+	g := diamond(t)
+	if !testkit.PathValleyFree(g, []ASN{5, 2, 0, 1, 4}) {
+		t.Error("valid path rejected")
+	}
+	if testkit.PathValleyFree(g, []ASN{2, 5, 3}) {
+		t.Error("valley accepted")
 	}
 }

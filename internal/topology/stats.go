@@ -6,40 +6,6 @@ import (
 	"sort"
 )
 
-// WithoutLinks returns a copy of g with the given undirected links
-// removed. Unknown links are ignored. The copy is re-validated by
-// construction (removing links cannot create provider cycles).
-func (g *Graph) WithoutLinks(links [][2]ASN) *Graph {
-	dead := make(map[[2]ASN]bool, len(links))
-	for _, l := range links {
-		a, b := l[0], l[1]
-		if a > b {
-			a, b = b, a
-		}
-		dead[[2]ASN{a, b}] = true
-	}
-	isDead := func(a, b ASN) bool {
-		if a > b {
-			a, b = b, a
-		}
-		return dead[[2]ASN{a, b}]
-	}
-	c := NewGraph(g.n)
-	for a := 0; a < g.n; a++ {
-		for _, p := range g.adj[a].providers {
-			if !isDead(ASN(a), p) {
-				c.addProvider(ASN(a), p)
-			}
-		}
-		for _, p := range g.adj[a].peers {
-			if ASN(a) < p && !isDead(ASN(a), p) {
-				c.addPeer(ASN(a), p)
-			}
-		}
-	}
-	return c
-}
-
 // DegreeBucket is one power-of-two cell of a degree distribution: the
 // number of ASes whose total degree falls in [Lo, Hi].
 type DegreeBucket struct {
@@ -167,28 +133,4 @@ func pct(part, whole int) float64 {
 		return 0
 	}
 	return 100 * float64(part) / float64(whole)
-}
-
-// CustomerCone returns the set of ASes in v's customer cone (v itself
-// included): everyone reachable by repeatedly descending provider-to-
-// customer links. Cone sizes drive which ASes count as "large" in
-// Internet economics.
-func CustomerCone(g *Graph, v ASN) []ASN {
-	seen := make(map[ASN]bool)
-	var out []ASN
-	stack := []ASN{v}
-	seen[v] = true
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, x)
-		for _, c := range g.Customers(x) {
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

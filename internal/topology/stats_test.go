@@ -1,10 +1,19 @@
-package topology
+package topology_test
 
-import "testing"
+// These tests use the shared oracles in testkit, which imports topology,
+// so they sit in the external test package; the dot import keeps the
+// package's own names unqualified.
+
+import (
+	"testing"
+
+	"stamp/internal/testkit"
+	. "stamp/internal/topology"
+)
 
 func TestWithoutLinks(t *testing.T) {
 	g := diamond(t)
-	g2 := g.WithoutLinks([][2]ASN{{5, 3}, {0, 1}})
+	g2 := testkit.WithoutLinks(g, [][2]ASN{{5, 3}, {0, 1}})
 	if g2.Rel(5, 3) != RelNone {
 		t.Error("provider link survived removal")
 	}
@@ -15,7 +24,7 @@ func TestWithoutLinks(t *testing.T) {
 		t.Error("unrelated link removed")
 	}
 	// Reversed order must also match.
-	g3 := g.WithoutLinks([][2]ASN{{3, 5}})
+	g3 := testkit.WithoutLinks(g, [][2]ASN{{3, 5}})
 	if g3.Rel(5, 3) != RelNone {
 		t.Error("reversed link spec not honored")
 	}
@@ -56,7 +65,7 @@ func TestComputeStats(t *testing.T) {
 
 func TestCustomerCone(t *testing.T) {
 	g := diamond(t)
-	cone := CustomerCone(g, 0)
+	cone := testkit.CustomerCone(g, 0)
 	// 0's cone: itself, 2, 3, 5.
 	want := []ASN{0, 2, 3, 5}
 	if len(cone) != len(want) {
@@ -67,7 +76,7 @@ func TestCustomerCone(t *testing.T) {
 			t.Fatalf("cone = %v, want %v", cone, want)
 		}
 	}
-	if got := CustomerCone(g, 5); len(got) != 1 || got[0] != 5 {
+	if got := testkit.CustomerCone(g, 5); len(got) != 1 || got[0] != 5 {
 		t.Errorf("stub cone = %v, want [5]", got)
 	}
 }

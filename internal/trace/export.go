@@ -106,46 +106,3 @@ func WriteChrome(w io.Writer, recs []Record, meta map[string]any) error {
 	}
 	return bw.Flush()
 }
-
-// jsonlRecord is the compact per-line form of a span.
-type jsonlRecord struct {
-	Trace   uint64            `json:"trace"`
-	Span    uint64            `json:"span"`
-	Parent  uint64            `json:"parent,omitempty"`
-	TID     int32             `json:"tid"`
-	Name    string            `json:"name"`
-	StartNs int64             `json:"start_ns"`
-	DurNs   int64             `json:"dur_ns"`
-	Args    map[string]int64  `json:"args,omitempty"`
-	Strs    map[string]string `json:"strs,omitempty"`
-}
-
-// WriteJSONL renders records as one JSON object per line — the
-// stream-friendly export for ad-hoc tooling (jq, spreadsheets).
-func WriteJSONL(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range recs {
-		r := &recs[i]
-		jr := jsonlRecord{
-			Trace: r.Trace, Span: r.Span, Parent: r.Parent, TID: r.TID,
-			Name: r.Name, StartNs: r.Start, DurNs: r.Dur,
-		}
-		if r.NArgs > 0 {
-			jr.Args = make(map[string]int64, r.NArgs)
-			for k := int32(0); k < r.NArgs; k++ {
-				jr.Args[r.Args[k].Key] = r.Args[k].Val
-			}
-		}
-		if r.NStrs > 0 {
-			jr.Strs = make(map[string]string, r.NStrs)
-			for k := int32(0); k < r.NStrs; k++ {
-				jr.Strs[r.Strs[k].Key] = r.Strs[k].Val
-			}
-		}
-		if err := enc.Encode(jr); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

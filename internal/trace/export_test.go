@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -104,27 +103,5 @@ func TestChromeLoadable(t *testing.T) {
 		if _, ok := ev["dur"].(float64); !ok {
 			t.Fatalf("event %d: missing dur", i)
 		}
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, goldenTracer().Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	lines := 0
-	for sc.Scan() {
-		var jr jsonlRecord
-		if err := json.Unmarshal(sc.Bytes(), &jr); err != nil {
-			t.Fatalf("line %d: %v", lines+1, err)
-		}
-		if jr.Name == "" || jr.Span == 0 {
-			t.Fatalf("line %d: incomplete record %+v", lines+1, jr)
-		}
-		lines++
-	}
-	if lines != 6 {
-		t.Fatalf("got %d lines, want 6", lines)
 	}
 }

@@ -3,6 +3,7 @@ package traffic
 import (
 	"testing"
 
+	"stamp/internal/testkit"
 	"stamp/internal/topology"
 )
 
@@ -29,7 +30,7 @@ func BenchmarkTrafficWalk(b *testing.B) {
 			break
 		}
 	}
-	routes := topology.StaticRoutes(g, dest)
+	routes := testkit.StaticRoutes(g, dest)
 	next := make([]int32, n)
 	for a := 0; a < n; a++ {
 		switch {

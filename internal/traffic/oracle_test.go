@@ -102,7 +102,7 @@ func oracleStamp(n int, dest topology.ASN, st stampView, out *Walk) {
 		}
 		visiting[k] = true
 		nh, ok := st.NextHop(k.v, k.c)
-		other := k.c.Other()
+		other := bgp.ColorRed + bgp.ColorBlue - k.c
 		onh, ook := st.NextHop(k.v, other)
 		next := key{nh, k.c, k.switched}
 		switch {

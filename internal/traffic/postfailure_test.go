@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stamp/internal/sim"
+	"stamp/internal/testkit"
 	"stamp/internal/topology"
 )
 
@@ -38,8 +39,8 @@ func TestBGPPostFailureMatchesStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	masked := g.WithoutLinks(failed)
-	want := topology.StaticRoutes(masked, dest)
+	masked := testkit.WithoutLinks(g, failed)
+	want := testkit.StaticRoutes(masked, dest)
 	mismatches := 0
 	for a := 0; a < g.Len(); a++ {
 		if topology.ASN(a) == dest {
@@ -145,7 +146,7 @@ func TestLinkRecoveryEvent(t *testing.T) {
 	if _, err := in.e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := topology.StaticRoutes(g, dest)
+	want := testkit.StaticRoutes(g, dest)
 	for a := 0; a < g.Len(); a++ {
 		if topology.ASN(a) == dest {
 			continue

@@ -6,6 +6,7 @@ import (
 
 	"stamp/internal/bgp"
 	"stamp/internal/sim"
+	"stamp/internal/testkit"
 	"stamp/internal/topology"
 )
 
@@ -20,7 +21,7 @@ func TestBGPMatchesStaticRoutes(t *testing.T) {
 		if _, err := in.e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		want := topology.StaticRoutes(g, dest)
+		want := testkit.StaticRoutes(g, dest)
 		for a := 0; a < g.Len(); a++ {
 			best := in.bgpNodes[a].Sp.Best()
 			switch {
@@ -63,7 +64,7 @@ func TestValleyFreeInvariant(t *testing.T) {
 				return
 			}
 			full := append([]topology.ASN{as}, r.Path...)
-			if !topology.PathValleyFree(g, full) {
+			if !testkit.PathValleyFree(g, full) {
 				t.Errorf("%v: AS %d best path %v violates valley-free", proto, as, full)
 			}
 		}
@@ -146,11 +147,11 @@ func TestStampDownhillDisjoint(t *testing.T) {
 			pairs++
 			rp := append([]topology.ASN{topology.ASN(a)}, r.Path...)
 			bp := append([]topology.ASN{topology.ASN(a)}, b.Path...)
-			rd, err := topology.DownhillNodes(g, rp)
+			rd, err := testkit.DownhillNodes(g, rp)
 			if err != nil {
 				t.Fatalf("red path not valley-free: %v", err)
 			}
-			bd, err := topology.DownhillNodes(g, bp)
+			bd, err := testkit.DownhillNodes(g, bp)
 			if err != nil {
 				t.Fatalf("blue path not valley-free: %v", err)
 			}
@@ -218,7 +219,7 @@ func TestLemma31RouteAddition(t *testing.T) {
 func TestLemma32UphillWithdrawal(t *testing.T) {
 	g := genGraph(t, 300, 53)
 	dest := topology.ASN(7)
-	static := topology.StaticRoutes(g, dest)
+	static := testkit.StaticRoutes(g, dest)
 
 	// Find an AS whose path has at least two uphill hops, and fail the
 	// second uphill link (strictly above the source).
@@ -230,7 +231,7 @@ func TestLemma32UphillWithdrawal(t *testing.T) {
 			continue
 		}
 		full := append([]topology.ASN{topology.ASN(a)}, path...)
-		split, err := topology.SplitPath(g, full)
+		split, err := testkit.SplitPath(g, full)
 		if err != nil {
 			continue
 		}

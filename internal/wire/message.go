@@ -48,7 +48,6 @@ const (
 const (
 	FlagOptional   = 0x80
 	FlagTransitive = 0x40
-	FlagPartial    = 0x20
 	FlagExtLen     = 0x10
 )
 

@@ -1,6 +1,7 @@
 package stamp
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -10,6 +11,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -108,6 +110,202 @@ func TestProductionCodeNamesNoTestOracle(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// testSupport is the one package of shared test oracles. Only _test.go
+// files may import it, and its own exports need no production caller.
+const testSupport = "stamp/internal/testkit"
+
+// stdInterfaceMethods are method names that satisfy a standard-library
+// interface, so a type can be used through it with no call site naming
+// the method. Interfaces declared in this repository are found by the
+// scan itself.
+var stdInterfaceMethods = map[string]string{
+	"String":           "fmt.Stringer",
+	"Error":            "error",
+	"Unwrap":           "errors.Unwrap",
+	"MarshalJSON":      "json.Marshaler",
+	"UnmarshalJSON":    "json.Unmarshaler",
+	"MarshalText":      "encoding.TextMarshaler",
+	"UnmarshalText":    "encoding.TextUnmarshaler",
+	"Len":              "sort.Interface, heap.Interface",
+	"Less":             "sort.Interface, heap.Interface",
+	"Swap":             "sort.Interface, heap.Interface",
+	"Push":             "heap.Interface",
+	"Pop":              "heap.Interface",
+	"Read":             "io.Reader, net.Conn",
+	"Write":            "io.Writer, net.Conn",
+	"Close":            "io.Closer, net.Conn",
+	"LocalAddr":        "net.Conn",
+	"RemoteAddr":       "net.Conn",
+	"SetDeadline":      "net.Conn",
+	"SetReadDeadline":  "net.Conn",
+	"SetWriteDeadline": "net.Conn",
+	"ServeHTTP":        "http.Handler",
+	"Header":           "http.ResponseWriter",
+	"WriteHeader":      "http.ResponseWriter",
+	"Flush":            "http.Flusher",
+}
+
+// testAccessors are exported methods that only other packages' tests
+// call and that cannot move to them: a method reading unexported state
+// stays with its type. Each entry says who reads it.
+var testAccessors = map[string]string{
+	"stamp/internal/bgp.Speaker.Desired": "core's and traffic's tests read a speaker's per-neighbour desired advertisement",
+}
+
+// importPath maps a repository-relative .go file to its package's import
+// path; the bench/ module is stamp/bench, so one rule covers both modules.
+func importPath(file string) string {
+	return "stamp/" + filepath.ToSlash(filepath.Dir(file))
+}
+
+// TestInternalExportsHaveProductionCallers: every exported package-level
+// identifier and method declared under internal/ is named by some
+// non-test file of either module (cmd/stamp, internal/ or bench/) other
+// than its own declaration, so the build carries no API that only tests
+// call. A method also counts as used when an interface declared in the
+// repository, or one in stdInterfaceMethods, has a method of its name.
+// Test-only helpers live in _test.go files or in the test-support
+// package, which no non-test file may import and whose references do
+// not count. The scan is syntactic: package-level names are keyed by
+// import path, methods by name alone.
+func TestInternalExportsHaveProductionCallers(t *testing.T) {
+	type key struct{ pkg, name string }
+	type decl struct {
+		pos    token.Position
+		method string // "Recv.Name" for a method
+	}
+	declared := map[key]decl{}
+	used := map[key]bool{}
+	selected := map[string]bool{}   // names selected from a value
+	interfaced := map[string]bool{} // method names of repository interfaces
+	fset := token.NewFileSet()
+	for _, path := range goFiles(t, false) {
+		if strings.Contains(filepath.ToSlash(path), "/testdata/") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := importPath(path)
+		imports := map[string]string{}
+		for _, spec := range f.Imports {
+			ip, _ := strconv.Unquote(spec.Path.Value)
+			if ip == testSupport {
+				t.Errorf("%s: non-test file imports the test-support package %s", fset.Position(spec.Pos()), ip)
+			}
+			name := filepath.Base(ip)
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imports[name] = ip
+		}
+		support := pkg == testSupport
+		names := map[*ast.Ident]bool{}
+		if strings.HasPrefix(pkg, "stamp/internal/") && !support {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					names[d.Name] = true
+					if !d.Name.IsExported() {
+						continue
+					}
+					if d.Recv == nil {
+						declared[key{pkg, d.Name.Name}] = decl{pos: fset.Position(d.Pos())}
+						continue
+					}
+					recv := d.Recv.List[0].Type
+					for {
+						switch r := recv.(type) {
+						case *ast.StarExpr:
+							recv = r.X
+							continue
+						case *ast.IndexExpr:
+							recv = r.X
+							continue
+						case *ast.IndexListExpr:
+							recv = r.X
+							continue
+						}
+						break
+					}
+					m := recv.(*ast.Ident).Name + "." + d.Name.Name
+					declared[key{pkg, m}] = decl{pos: fset.Position(d.Pos()), method: d.Name.Name}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var ids []*ast.Ident
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							ids = []*ast.Ident{s.Name}
+						case *ast.ValueSpec:
+							ids = s.Names
+						}
+						for _, id := range ids {
+							names[id] = true
+							if id.IsExported() {
+								declared[key{pkg, id.Name}] = decl{pos: fset.Position(id.Pos())}
+							}
+						}
+					}
+				}
+			}
+		}
+		if support {
+			continue
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					used[key{imports[x.Name], n.Sel.Name}] = true
+					return false
+				}
+				selected[n.Sel.Name] = true
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						interfaced[id.Name] = true
+					}
+				}
+			case *ast.Ident:
+				if !names[n] {
+					used[key{pkg, n.Name}] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(f, visit)
+	}
+	var unused []string
+	allowed := map[string]bool{}
+	for k, d := range declared {
+		if d.method != "" {
+			if selected[d.method] || interfaced[d.method] || stdInterfaceMethods[d.method] != "" {
+				continue
+			}
+		} else if used[k] {
+			continue
+		}
+		if name := k.pkg + "." + k.name; testAccessors[name] != "" {
+			allowed[name] = true
+			continue
+		}
+		unused = append(unused, fmt.Sprintf("%s: %s.%s", d.pos, filepath.Base(k.pkg), k.name))
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s is exported but no non-test file uses it: unexport it, move it to a _test.go file or %s, or delete it", u, testSupport)
+	}
+	for name := range testAccessors {
+		if !allowed[name] {
+			t.Errorf("testAccessors lists %s, which is not an exported identifier without a production caller", name)
+		}
 	}
 }
 
