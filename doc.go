@@ -7,6 +7,6 @@
 //
 // The root package only anchors the module and the paper-level benchmark
 // suite (bench_test.go); the implementation lives under internal/ and the
-// runnable entry points under cmd/ and examples/. See README.md for the
-// map and EXPERIMENTS.md for paper-versus-measured results.
+// one runnable entry point is cmd/stamp. See README.md for the map and
+// EXPERIMENTS.md for paper-versus-measured results.
 package stamp

@@ -2,6 +2,7 @@ package atlas
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -1551,6 +1552,19 @@ func groupEvents(script scenario.Script) [][]scenario.Event {
 	return groups
 }
 
+// ErrRefused matches, under errors.Is, the error ApplyEvent returns for
+// an event the state already reflects: failing a link or an AS that is
+// down, or restoring a link that is up. apply refuses such an event
+// before it changes any link, node or route, so the caller may skip it
+// and go on.
+var ErrRefused = errors.New("atlas: event refused")
+
+// refused is one refusal; its text names the link or AS.
+type refused string
+
+func (r refused) Error() string        { return string(r) }
+func (r refused) Is(target error) bool { return target == ErrRefused }
+
 // apply mutates link/node/origin state for one event.
 func (st *State) apply(ev scenario.Event) error {
 	g := st.g
@@ -1567,13 +1581,13 @@ func (st *State) apply(ev scenario.Event) error {
 			if down {
 				state = "down"
 			}
-			return fmt.Errorf("atlas: link %d--%d already %s", ev.A, ev.B, state)
+			return refused(fmt.Sprintf("atlas: link %d--%d already %s", ev.A, ev.B, state))
 		}
 		st.down.put(e1, down)
 		st.down.put(e2, down)
 	case scenario.OpFailNode:
 		if st.nodeDown.has(int32(ev.Node)) {
-			return fmt.Errorf("atlas: AS %d already down", ev.Node)
+			return refused(fmt.Sprintf("atlas: AS %d already down", ev.Node))
 		}
 		st.nodeDown.set(int32(ev.Node))
 	case scenario.OpWithdraw:

@@ -210,12 +210,12 @@ func (st *MapState) apply(ev scenario.Event) error {
 			if down {
 				state = "down"
 			}
-			return fmt.Errorf("atlas: link %d--%d already %s", ev.A, ev.B, state)
+			return refused(fmt.Sprintf("atlas: link %d--%d already %s", ev.A, ev.B, state))
 		}
 		st.down[e1], st.down[e2] = down, down
 	case scenario.OpFailNode:
 		if st.nodeDown[ev.Node] {
-			return fmt.Errorf("atlas: AS %d already down", ev.Node)
+			return refused(fmt.Sprintf("atlas: AS %d already down", ev.Node))
 		}
 		st.nodeDown[ev.Node] = true
 	case scenario.OpWithdraw:

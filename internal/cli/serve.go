@@ -171,7 +171,8 @@ func (e env) cmdServe(args []string) int {
 
 	// Service mode: run until Ctrl-C / SIGTERM, then drain in-flight
 	// requests. A finite replay that completes keeps serving reads; a
-	// replay error tears the service down.
+	// replay error tears the service down (a replay event an admin
+	// request already applied is skipped, not an error).
 	for {
 		select {
 		case <-e.ctx.Done():

@@ -106,7 +106,7 @@ func shardSpec[T any](name string, w workload, trials int, run func(context.Cont
 
 // TransientOpts configures a transient-problem run on a given graph:
 // the entry point the registry's transient experiments, the MRAI
-// ablation, the examples and the benchmarks share.
+// ablation and the benchmarks share.
 type TransientOpts struct {
 	// G is the AS topology.
 	G *topology.Graph

@@ -680,6 +680,10 @@ func (s *Server) handleAdminEvent(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec, err := s.applyByASN(op, req.A, req.B, req.Node)
+	if r := refusal(err); r != nil {
+		writeJSON(w, http.StatusConflict, map[string]string{"error": r.Error()})
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return

@@ -16,6 +16,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -637,6 +638,32 @@ func (s *Server) applyByASN(op scenario.Op, a, b, node int64) (EventRecord, erro
 	return s.ApplyEvent(ev)
 }
 
+// refusal returns the atlas refusal inside err (atlas.ErrRefused)
+// without the runner's and the shard's prefixes, or nil when err is not
+// a refusal.
+func refusal(err error) error {
+	if !errors.Is(err, atlas.ErrRefused) {
+		return nil
+	}
+	for u := errors.Unwrap(err); u != nil && errors.Is(u, atlas.ErrRefused); u = errors.Unwrap(u) {
+		err = u
+	}
+	return err
+}
+
+// replay applies the replay script's next event. An admin request may
+// already have failed or restored what the event names; atlas then
+// refuses it with every shard unchanged, so replay records a
+// replay-skipped event and the replay goes on. Any other error ends it.
+func (s *Server) replay(ev scenario.Event) error {
+	_, err := s.ApplyEvent(ev)
+	if r := refusal(err); r != nil {
+		s.events.Append("replay-skipped", fmt.Sprintf("%s: %v", ev.Op, r), nil)
+		return nil
+	}
+	return err
+}
+
 // Run paces the replay script through ApplyEvent until the context is
 // done or the configured repeat count is exhausted. With Repeat <= 0 it
 // cycles forever — the always-on service mode.
@@ -650,7 +677,7 @@ func (s *Server) Run(ctx context.Context) error {
 				return ctx.Err()
 			case <-ticker.C:
 			}
-			if _, err := s.ApplyEvent(ev); err != nil {
+			if err := s.replay(ev); err != nil {
 				return fmt.Errorf("serve: cycle %d event %d: %w", cycle, i, err)
 			}
 		}

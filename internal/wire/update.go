@@ -54,8 +54,8 @@ type Prefix struct {
 // String renders the prefix in CIDR form.
 func (p Prefix) String() string { return fmt.Sprintf("%s/%d", p.Addr, p.Bits) }
 
-// MustPrefix parses a CIDR string, panicking on error (for tests and
-// examples).
+// MustPrefix parses a CIDR string, panicking on error (for literal
+// prefixes).
 func MustPrefix(s string) Prefix {
 	pfx, err := netip.ParsePrefix(s)
 	if err != nil {
